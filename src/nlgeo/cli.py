@@ -109,6 +109,30 @@ def _optimizer_config(args) -> OptimizerConfig:
     )
 
 
+def _at_least(low: int):
+    """argparse type: an integer no smaller than low, so a range error exits 2."""
+
+    def parse(text: str):
+        value = int(text)
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return value
+
+    return parse
+
+
+def _above(low: float):
+    """argparse type: a float strictly greater than low."""
+
+    def parse(text: str):
+        value = float(text)
+        if not value > low:
+            raise argparse.ArgumentTypeError(f"must be greater than {low}, got {text}")
+        return value
+
+    return parse
+
+
 def _kinds(args, default=None) -> list[DistanceKind]:
     codes = args.kind or (default or KIND_CODES)
     return [DistanceKind(c) for c in codes]
@@ -225,9 +249,7 @@ def cmd_bd_measure(args) -> int:
 
 def cmd_iso(args) -> int:
     kinds = _kinds(args, default=["hs"])
-    # bad d / omega are argument errors here, unlike library-level OutOfRange
-    if args.d < 2:
-        raise ValueError(f"d must be at least 2, got {args.d}")
+    # a bad omega is an argument error here, unlike library-level OutOfRange
     lo = -1.0 / (args.d * args.d - 1.0)
     if args.omega is not None and not (lo <= args.omega <= 1.0):
         raise ValueError(f"omega {args.omega} outside [{lo:.6g}, 1]")
@@ -301,11 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="seed for optimizer random starts")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--param-tol", type=float, default=1e-9, dest="param_tol")
-        p.add_argument("--value-tol", type=float, default=1e-10, dest="value_tol")
-        p.add_argument("--max-iters", type=int, default=500, dest="max_iters")
-        p.add_argument("--seeds", type=int, default=8)
-        p.add_argument("--penalty-growth", type=float, default=10.0, dest="penalty_growth")
+        p.add_argument("--param-tol", type=_above(0.0), default=1e-9, dest="param_tol")
+        p.add_argument("--value-tol", type=_above(0.0), default=1e-10, dest="value_tol")
+        p.add_argument("--max-iters", type=_at_least(1), default=500, dest="max_iters")
+        p.add_argument("--seeds", type=_at_least(1), default=8)
+        p.add_argument("--penalty-growth", type=_above(1.0), default=10.0, dest="penalty_growth")
 
     p = sub.add_parser("werner-sweep", help="normalized Werner measures on [1/sqrt 2, 1]")
     common(p)
@@ -317,12 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bd-sweep", help="normalized measures along a Bell-diagonal family")
     common(p)
     p.add_argument("--family", choices=["two-bell-mix", "two_bell_mix", "werner-line", "werner_line"], default="two_bell_mix")
-    p.add_argument("--n", type=int, default=50)
+    p.add_argument("--n", type=_at_least(2), default=50)
     p.set_defaults(func=cmd_bd_sweep)
 
     p = sub.add_parser("bd-grid", help="normalized measure over the e4 = 0 facet")
     common(p)
-    p.add_argument("--grid-n", type=int, default=10, dest="grid_n")
+    p.add_argument("--grid-n", type=_at_least(1), default=10, dest="grid_n")
     p.set_defaults(func=cmd_bd_grid)
 
     p = sub.add_parser("bd-measure", help="measures of one Bell-diagonal state")
@@ -333,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("iso", help="isotropic measures with quoted-formula cross-checks")
     common(p)
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--d", type=_at_least(2), default=2)
     p.add_argument("--omega", type=float, default=None)
     p.add_argument("--omega-min", type=float, default=None, dest="omega_min")
     p.add_argument("--omega-max", type=float, default=1.0, dest="omega_max")

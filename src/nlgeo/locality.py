@@ -1,9 +1,11 @@
 """Locality criteria: the CHSH singular-value test for two qubits and the
 CGLMP visibility threshold for two qudits, plus descriptors of the boundary
-of the CHSH-local Bell-diagonal region."""
+of the CHSH-local Bell-diagonal region and the exact Euclidean projection
+onto that region."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,3 +168,168 @@ def bd_local_boundary_surfaces() -> list[BoundarySurface]:
         for k in range(4)
     ]
     return disks + facets
+
+
+# Exact Euclidean projection onto the local set L: the tetrahedron cut by the
+# three cylinders a_i^2 + a_j^2 <= 1. Where two constraints of L are active its
+# boundary runs along a planar ellipse x(t) = c + u cos t + v sin t: a cylinder
+# on a facet plane (12 of them) or two cylinders, which meet in the planes
+# a_q = +-a_p (6). Where three are active it has isolated vertices. L never
+# changes, so both are tabulated once, below.
+
+
+def radial_candidates(a: np.ndarray):
+    """Projections of a onto each cylinder it violates: rescale that pair onto
+    the unit circle and keep the remaining coordinate. Returns a list of
+    ((i, j), s, point, valid) with s = |(a_i, a_j)| > 1, where valid tells
+    whether the point also lies in L (the rescaled pair dominates the third
+    coordinate and the point stays in the tetrahedron)."""
+    out = []
+    for i, j in DISK_PAIRS:
+        s_sq = a[i] * a[i] + a[j] * a[j]
+        if s_sq <= 1.0:
+            continue
+        s = math.sqrt(s_sq)
+        cand = a.copy()
+        cand[i] /= s
+        cand[j] /= s
+        k = ({0, 1, 2} - {i, j}).pop()
+        valid = (
+            min(abs(cand[i]), abs(cand[j])) >= abs(cand[k]) - BOUNDARY_TOL
+            and in_tetrahedron(cand)
+        )
+        out.append(((i, j), s, cand, valid))
+    return out
+
+
+def _disk_name(i: int, j: int) -> str:
+    i, j = sorted((i, j))
+    return f"disk_{i + 1}{j + 1}"
+
+
+def _boundary_ellipses():
+    """Centres, axes and names of the 18 two-constraint ellipses."""
+    eye = np.eye(3)
+    rows = []
+    for i, j in DISK_PAIRS:
+        k = 3 - i - j
+        for f, n in enumerate(BELL_CORNERS):
+            # facet f is the plane n . x = -1 with n_k = +-1, so on the
+            # cylinder a_k = -n_k (1 + n_i cos t + n_j sin t)
+            rows.append((
+                -n[k] * eye[k],
+                eye[i] - n[k] * n[i] * eye[k],
+                eye[j] - n[k] * n[j] * eye[k],
+                f"{_disk_name(i, j)}+facet_e{f + 1}",
+            ))
+    for m in range(3):
+        p, q = (idx for idx in range(3) if idx != m)
+        for sign in (1.0, -1.0):
+            # cylinders (m, p) and (m, q) meet where a_q = sign * a_p
+            rows.append((
+                np.zeros(3),
+                eye[m],
+                eye[p] + sign * eye[q],
+                f"{_disk_name(m, p)}+{_disk_name(m, q)}",
+            ))
+    centre, u, v, names = zip(*rows)
+    return np.array(centre), np.array(u), np.array(v), names
+
+
+def _feasible(x: np.ndarray) -> np.ndarray:
+    """Row-wise membership of the points x (n, 3) in L, within BOUNDARY_TOL."""
+    in_tetra = np.all(x @ BELL_CORNERS.T >= -1.0 - 4.0 * BOUNDARY_TOL, axis=1)
+    sq = x * x
+    pairs = np.stack([sq[:, i] + sq[:, j] for i, j in DISK_PAIRS], axis=1)
+    return in_tetra & np.all(pairs <= 1.0 + BOUNDARY_TOL, axis=1)
+
+
+_ELL_C, _ELL_U, _ELL_V, _ELL_NAMES = _boundary_ellipses()
+# f'(t) = 0 for f(t) = |x(t) - a|^2 reads
+#   A cos t + B sin t + C sin 2t + D cos 2t = 0
+# with A = (c - a) . v, B = -(c - a) . u and the constants below; in
+# z = exp(it) it is the quartic (D - iC) z^4 + (A - iB) z^3 + (A + iB) z + (D + iC).
+_ELL_C2 = 0.5 * (np.sum(_ELL_V * _ELL_V, axis=1) - np.sum(_ELL_U * _ELL_U, axis=1))
+_ELL_D = np.sum(_ELL_U * _ELL_V, axis=1)
+_ELL_LEAD = _ELL_D - 1j * _ELL_C2  # nonzero on every ellipse: |D| = 1 or C = 1/2
+# Vertices of L, where three constraints are active: the threshold points
+# T * corner, where the three cylinders meet, and the axis points +-e_i, where
+# two-cylinder curves cross on a tetrahedron edge. The tests derive them by
+# crossing every ellipse with every facet plane.
+_VERTICES = np.vstack((BELL_CORNERS / math.sqrt(2.0), np.eye(3), -np.eye(3)))
+_NEWTON_STEPS = 3
+
+
+@dataclass(frozen=True)
+class LocalProjection:
+    """Nearest point of the local set to a, its Euclidean distance from a, and
+    the active boundary piece: "disk_ij" for one cylinder, two pieces joined
+    by "+" for an ellipse arc, "vertex", or None when a is local itself."""
+
+    point: np.ndarray
+    distance: float
+    surface: str | None
+
+
+def _ellipse_stationary_points(a: np.ndarray) -> np.ndarray:
+    """Every stationary point of |x - a|^2 on each of the 18 ellipses, shape
+    (18, 4, 3): the roots of each quartic, polished by Newton steps."""
+    d = _ELL_C - a
+    big_a = np.sum(d * _ELL_V, axis=1)
+    big_b = -np.sum(d * _ELL_U, axis=1)
+    companion = np.zeros((len(d), 4, 4), dtype=complex)
+    companion[:, 0, 0] = -(big_a - 1j * big_b) / _ELL_LEAD
+    companion[:, 0, 2] = -(big_a + 1j * big_b) / _ELL_LEAD
+    companion[:, 0, 3] = -np.conj(_ELL_LEAD) / _ELL_LEAD
+    companion[:, 1, 0] = companion[:, 2, 1] = companion[:, 3, 2] = 1.0
+    t = np.angle(np.linalg.eigvals(companion))
+    big_a, big_b = big_a[:, None], big_b[:, None]
+    c2, dd = _ELL_C2[:, None], _ELL_D[:, None]
+
+    def slope(t):
+        cos, sin = np.cos(t), np.sin(t)
+        return big_a * cos + big_b * sin + 2.0 * c2 * sin * cos + dd * (cos * cos - sin * sin)
+
+    for _ in range(_NEWTON_STEPS):
+        g = slope(t)
+        cos, sin = np.cos(t), np.sin(t)
+        curv = -big_a * sin + big_b * cos + 2.0 * c2 * (cos * cos - sin * sin) - 4.0 * dd * sin * cos
+        trial = t - np.divide(g, curv, out=np.zeros_like(g), where=curv != 0.0)
+        # a step that does not shrink |f'| is dropped, so polishing never
+        # moves a root estimate away from its root
+        t = np.where(np.abs(slope(trial)) < np.abs(g), trial, t)
+    return (
+        _ELL_C[:, None, :]
+        + _ELL_U[:, None, :] * np.cos(t)[..., None]
+        + _ELL_V[:, None, :] * np.sin(t)[..., None]
+    )
+
+
+def project_local(a) -> LocalProjection:
+    """Exact Euclidean projection of correlators a onto the CHSH-local set.
+
+    The projection of a physical nonlocal a has a cylinder among its active
+    constraints, so it is one of finitely many candidates: the radial
+    rescaling onto a single cylinder, a stationary point of the distance on
+    one of the 18 ellipses, or a vertex. L is convex, so the nearest
+    candidate that lies in L is the projection. A radial rescaling that lies
+    in L is the projection onto a cylinder containing L, so it is returned at
+    once. Raises NonPhysical outside the tetrahedron.
+    """
+    a = np.asarray(a, dtype=float)
+    if bd_is_chsh_local(a):
+        return LocalProjection(point=a.copy(), distance=0.0, surface=None)
+    best = None
+    for (i, j), s, cand, valid in radial_candidates(a):
+        if valid and (best is None or s - 1.0 < best.distance):
+            best = LocalProjection(point=cand, distance=s - 1.0, surface=_disk_name(i, j))
+    if best is not None:
+        return best
+    points = np.concatenate(
+        (_ellipse_stationary_points(a).reshape(-1, 3), _VERTICES)
+    )
+    dist_sq = np.sum((points - a) ** 2, axis=1)
+    dist_sq[~_feasible(points)] = np.inf
+    idx = int(np.argmin(dist_sq))
+    surface = _ELL_NAMES[idx // 4] if idx < 4 * len(_ELL_NAMES) else "vertex"
+    return LocalProjection(point=points[idx], distance=math.sqrt(dist_sq[idx]), surface=surface)

@@ -3,9 +3,9 @@
 For Werner and isotropic inputs the minimizing local state stays inside the
 family, which reduces every measure to a one-parameter evaluation at the
 family's locality threshold. For general Bell-diagonal states the
-Hilbert-Schmidt measure has a case-enumeration solution on the quadratic
-boundary pieces, and the remaining kinds are minimized numerically over the
-CHSH-local region.
+Hilbert-Schmidt measure is half the distance to the exact Euclidean
+projection onto the CHSH-local region, and the remaining kinds are minimized
+numerically over that region.
 
 Hellinger and Bures measures are reported as squared distances; relative
 entropy is in bits. A local input yields exactly 0.0.
@@ -18,13 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPhysical, OutOfRange
+from .errors import NonPhysical, NotConverged, OutOfRange
 from .locality import (
     BOUNDARY_TOL,
     DISK_PAIRS,
     bd_is_chsh_local,
     cglmp_threshold,
     in_tetrahedron,
+    project_local,
+    radial_candidates,
 )
 from .metrics import (
     DistanceKind,
@@ -81,8 +83,8 @@ class MeasureResult:
 
     value is the measure itself (squared distance for Hellinger and Bures),
     closest_local identifies the minimizing local state, method is one of
-    closed_form, lagrange_case and numeric, and surface names the active
-    boundary piece when one is identified.
+    closed_form, lagrange_case (the exact HS projection) and numeric, and
+    surface names the active boundary piece when one is identified.
     """
 
     kind: DistanceKind
@@ -340,57 +342,22 @@ def bd_objective(kind: DistanceKind, a) -> BdObjective:
     return BdObjective(kind, np.asarray(a, dtype=float))
 
 
-def _hs_case_candidates(a: np.ndarray):
-    """Stationary candidates on the quadratic pieces: rescale one pair onto
-    the unit circle, keep the remaining coordinate."""
-    out = []
-    for i, j in DISK_PAIRS:
-        s_sq = a[i] * a[i] + a[j] * a[j]
-        if s_sq <= 1.0:
-            continue
-        s = math.sqrt(s_sq)
-        cand = a.copy()
-        cand[i] /= s
-        cand[j] /= s
-        k = ({0, 1, 2} - {i, j}).pop()
-        valid = (
-            min(abs(cand[i]), abs(cand[j])) >= abs(cand[k]) - 1e-12
-            and in_tetrahedron(cand)
-        )
-        out.append(((i, j), s, cand, valid))
-    return out
-
-
-def bd_measure_hs(a, cfg: OptimizerConfig | None = None, seed: int = 0) -> MeasureResult:
+def bd_measure_hs(a) -> MeasureResult:
     """Hilbert-Schmidt measure of a Bell-diagonal state.
 
-    Enumerates the per-pair boundary candidates, accepts those whose rescaled
-    pair dominates in magnitude and which stay in the tetrahedron, and keeps
-    the smallest value (s - 1)/2. When no candidate qualifies (inputs near a
-    Bell corner, where two or three pieces meet) the numeric minimizer takes
-    over.
+    Half the Euclidean distance from the correlators a to the local set, from
+    the exact projection (locality.project_local); surface names the active
+    boundary piece of the closest local state.
     """
-    a = np.asarray(a, dtype=float)
-    if not in_tetrahedron(a):
-        raise NonPhysical(f"correlators {a.tolist()} outside the tetrahedron")
-    if bd_is_chsh_local(a):
+    proj = project_local(a)
+    if proj.surface is None:
         return _zero_result(DistanceKind.HS, BellDiagonal.from_corr(a))
-    best = None
-    for (i, j), s, cand, valid in _hs_case_candidates(a):
-        if not valid:
-            continue
-        value = 0.5 * (s - 1.0)
-        if best is None or value < best[0]:
-            best = (value, cand, f"disk_{i + 1}{j + 1}")
-    if best is None:
-        return bd_measure_numeric(DistanceKind.HS, a, cfg, seed=seed)
-    value, cand, surface = best
     return MeasureResult(
         kind=DistanceKind.HS,
-        value=value,
-        closest_local=BellDiagonal.from_corr(cand),
+        value=0.5 * proj.distance,
+        closest_local=BellDiagonal.from_corr(proj.point),
         method="lagrange_case",
-        surface=surface,
+        surface=proj.surface,
         iterations=0,
         converged=True,
         residual=0.0,
@@ -405,7 +372,7 @@ def _starts(kind: DistanceKind, a: np.ndarray, n_seeds: int, rng) -> list:
     seeds.append(ray)
     corner = BELL_CORNERS[int(np.argmax(BELL_CORNERS @ a))]
     seeds.append(WERNER_THRESHOLD * corner)
-    for _, _, cand, _ in _hs_case_candidates(a):
+    for _, _, cand, _ in radial_candidates(a):
         seeds.append(cand)
     while len(seeds) < n_seeds:
         seeds.append(ray + rng.normal(scale=0.15, size=3))
@@ -483,6 +450,8 @@ def bd_measure_numeric(
             best_x = x
             best_iters = report.iterations
             best_converged = report.tol_stopped and report.max_violation <= 1e-9
+    if best_x is None:
+        raise NotConverged(f"no start gave a finite {kind.value} objective")
     value = math.sqrt(max(best_value, 0.0)) if kind is DistanceKind.HS else best_value
     surface = None
     for (i, j), v in zip(DISK_PAIRS, solver.pair_violations(best_x)):
@@ -507,9 +476,9 @@ def bd_measure(
     cfg: OptimizerConfig | None = None,
     seed: int = 0,
 ) -> MeasureResult:
-    """Dispatch: case enumeration for HS, numeric minimization otherwise."""
+    """Dispatch: exact projection for HS, numeric minimization otherwise."""
     if kind is DistanceKind.HS:
-        return bd_measure_hs(a, cfg, seed=seed)
+        return bd_measure_hs(a)
     return bd_measure_numeric(kind, a, cfg, seed=seed)
 
 

@@ -163,3 +163,30 @@ def test_validate_perturbed_reports_nonconvergence(tmp_path):
     text = out.read_text()
     assert "NotConverged" in text
     assert "FAIL" in text
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["bd-measure", "--a=0.84,0.63,-0.5", "--seeds", "0"],
+        ["bd-sweep", "--n", "1"],
+        ["bd-grid", "--grid-n", "0"],
+        ["iso", "--d", "1"],
+    ],
+)
+def test_flag_range_errors_exit_2(args, tmp_path, capsys):
+    assert run(args + ["--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "must be at least" in err
+
+
+def test_all_infinite_starts_exit_5(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = run([
+        "bd-measure", "--a=0.9990814418247234,-0.06587608316916732,0.06497482141988592",
+        "--kind", "re", "--seeds", "1", "--out", str(out),
+    ])
+    assert code == 5
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("nlgeo: ")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,9 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_local_corr, random_tetra_corr
+from conftest import random_local_corr, random_nonlocal_corr, random_tetra_corr
 from nlgeo.errors import NonPhysical, OutOfRange
 from nlgeo.locality import (
+    _ELL_C,
+    _ELL_U,
+    _ELL_V,
+    _VERTICES,
     bd_is_chsh_local,
     bd_local_boundary_surfaces,
     cglmp_qk,
@@ -15,10 +20,12 @@ from nlgeo.locality import (
     chsh_verdict,
     in_tetrahedron,
     max_pair_sum,
+    project_local,
 )
 from nlgeo.qstate import BELL_CORNERS, PauliRep
 
 N_SAMPLES = 1000
+T = 1.0 / math.sqrt(2.0)
 
 
 def diag_rep(a) -> PauliRep:
@@ -155,3 +162,118 @@ def test_disk_validity_regions():
     assert not surfaces["disk_13"].is_valid(point)
     # facet constraint equals the corresponding Bell weight
     assert surfaces["facet_e4"].constraint(point) == pytest.approx(0.025, abs=1e-12)
+
+
+def _is_local(x, tol=1e-12) -> bool:
+    return in_tetrahedron(x, tol=tol) and max_pair_sum(x) <= 1.0 + tol
+
+
+def _shrink_into_local_set(x) -> np.ndarray:
+    """Scale x toward the origin, an interior point, until it is local."""
+    scale = min(1.0, 1.0 / math.sqrt(max_pair_sum(x)))
+    for c in BELL_CORNERS:
+        if c @ x < -1.0:
+            scale = min(scale, -1.0 / (c @ x))
+    return scale * x
+
+
+def _slsqp_distance(a) -> float:
+    """Reference distance from a to the local set: scipy SLSQP from the origin
+    and from the radially shrunk input. SLSQP may stop up to ~1e-10 outside
+    the set, so each result is first shrunk into it; the reference is then
+    the distance to a local point, an upper bound on the true distance."""
+    optimize = pytest.importorskip("scipy.optimize")
+    cons = [
+        {"type": "ineq", "fun": lambda x, i=i, j=j: 1.0 - x[i] ** 2 - x[j] ** 2}
+        for i, j in ((0, 1), (0, 2), (1, 2))
+    ] + [{"type": "ineq", "fun": lambda x, c=c: 1.0 + c @ x} for c in BELL_CORNERS]
+    best = math.inf
+    for x0 in (np.zeros(3), a / math.sqrt(max_pair_sum(a))):
+        res = optimize.minimize(
+            lambda x: np.sum((x - a) ** 2),
+            x0,
+            jac=lambda x: 2.0 * (x - a),
+            constraints=cons,
+            method="SLSQP",
+            options={"ftol": 1e-15, "maxiter": 500},
+        )
+        x = _shrink_into_local_set(res.x)
+        assert _is_local(x)
+        best = min(best, float(np.linalg.norm(x - a)))
+    return best
+
+
+def test_project_local_matches_slsqp(rng):
+    for _ in range(200):
+        a = random_nonlocal_corr(rng)
+        proj = project_local(a)
+        ref = _slsqp_distance(a)
+        assert proj.distance == pytest.approx(ref, abs=1e-9)
+        # the reference is a local point, so it bounds the projection; the
+        # slack covers rounding in the two distance computations only
+        assert proj.distance <= ref + 1e-15
+        assert proj.distance == pytest.approx(np.linalg.norm(proj.point - a), abs=1e-15)
+
+
+def _boundary_point(y) -> np.ndarray:
+    """Push a local point y radially out to the boundary of the local set."""
+    return _shrink_into_local_set(1e6 * y)
+
+
+def test_project_local_variational_inequality(rng):
+    # p is the projection iff (a - p) . (y - p) <= 0 for every local y
+    probes = [random_local_corr(rng) for _ in range(300)]
+    probes += [_boundary_point(y) for y in probes[:150]]
+    probes += [T * c for c in BELL_CORNERS] + list(np.eye(3)) + list(-np.eye(3))
+    probes = [y for y in probes if _is_local(y)]
+    assert len(probes) >= 400
+    for _ in range(60):
+        a = random_nonlocal_corr(rng)
+        p = project_local(a).point
+        assert max(float((a - p) @ (y - p)) for y in probes) <= 1e-12
+
+
+def test_project_local_is_feasible_and_idempotent(rng):
+    surfaces = set()
+    for _ in range(300):
+        a = random_nonlocal_corr(rng)
+        proj = project_local(a)
+        surfaces.add(proj.surface)
+        assert _is_local(proj.point)
+        assert max_pair_sum(proj.point) == pytest.approx(1.0, abs=1e-12)
+        again = project_local(proj.point)
+        assert again.surface is None and again.distance == 0.0
+        assert np.array_equal(again.point, proj.point)
+    # single disks, two-disk arcs and vertices all occur
+    assert {"disk_12", "disk_12+disk_13", "vertex"} <= surfaces
+    local = random_local_corr(rng)
+    assert project_local(local).distance == 0.0
+    with pytest.raises(NonPhysical):
+        project_local(np.array([0.9, -0.9, 0.2]))
+
+
+def test_bell_corners_and_werner_line_map_to_threshold_vertex():
+    for corner in BELL_CORNERS:
+        for w in np.linspace(0.72, 1.0, 8):
+            proj = project_local(w * corner)
+            assert proj.surface == "vertex"
+            assert proj.point == pytest.approx(T * corner, abs=1e-15)
+            assert proj.distance == pytest.approx(math.sqrt(3.0) * (w - T), abs=1e-14)
+
+
+def test_vertex_table_matches_derivation():
+    # three active constraints: all three cylinders, or one of the 18
+    # two-constraint ellipses crossing a facet plane n . x = -1
+    points = [np.array(s) * T for s in itertools.product((1.0, -1.0), repeat=3)]
+    for c, u, v in zip(_ELL_C, _ELL_U, _ELL_V):
+        for n in BELL_CORNERS:
+            p, q, r = n @ u, n @ v, -1.0 - n @ c
+            radius = math.hypot(p, q)
+            if radius < 1e-12 or abs(r) > radius:
+                continue  # the ellipse lies in the plane, or misses it
+            for t in np.arctan2(q, p) + np.array([-1.0, 1.0]) * math.acos(r / radius):
+                points.append(c + u * math.cos(t) + v * math.sin(t))
+    derived = {tuple(np.round(x, 9) + 0.0) for x in points if _is_local(x)}
+    table = {tuple(np.round(x, 9) + 0.0) for x in _VERTICES}
+    assert derived == table
+    assert len(table) == len(_VERTICES) == 10

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_local_corr, random_nonlocal_corr, random_tetra_corr
-from nlgeo.errors import NonPhysical, OutOfRange
+from nlgeo.errors import NonPhysical, NotConverged, OutOfRange
 from nlgeo.locality import cglmp_threshold, in_tetrahedron, max_pair_sum
 from nlgeo.measures import (
     OptimizerConfig,
@@ -137,14 +137,16 @@ def test_hs_case_path_anchor():
 
 
 def test_hs_case_formula_whenever_taken(rng):
+    single_disk = {"disk_12": (0, 1), "disk_13": (0, 2), "disk_23": (1, 2)}
     seen = 0
     for _ in range(400):
         a = random_nonlocal_corr(rng)
         res = bd_measure_hs(a)
-        if res.method != "lagrange_case":
+        assert res.method == "lagrange_case"
+        if res.surface not in single_disk:
             continue
         seen += 1
-        i, j = {"disk_12": (0, 1), "disk_13": (0, 2), "disk_23": (1, 2)}[res.surface]
+        i, j = single_disk[res.surface]
         assert res.value == pytest.approx(
             0.5 * (math.hypot(a[i], a[j]) - 1.0), abs=1e-12
         )
@@ -153,12 +155,28 @@ def test_hs_case_formula_whenever_taken(rng):
     assert seen >= 5  # the sampler must actually exercise the closed-form branch
 
 
-def test_hs_corner_falls_back_to_numeric():
+def test_hs_corner_is_exact():
+    # near a Bell corner no single disk is active: the projection is the
+    # threshold vertex on the corner's ray
     res = bd_measure_hs(0.9 * BELL_CORNERS[0])
-    assert res.method == "numeric"
-    assert res.value == pytest.approx(W09[DistanceKind.HS], abs=1e-6)
+    assert res.method == "lagrange_case"
+    assert res.surface == "vertex"
+    assert res.converged and res.iterations == 0
+    assert res.value == pytest.approx(W09[DistanceKind.HS], abs=1e-14)
+    assert res.closest_local.a == pytest.approx(T * BELL_CORNERS[0], abs=1e-15)
     top = bd_measure_hs(np.array(two_bell_mix_corr(1.0)))
-    assert top.value == pytest.approx(WMAX[DistanceKind.HS], abs=1e-6)
+    assert top.method == "lagrange_case"
+    assert top.value == pytest.approx(WMAX[DistanceKind.HS], abs=1e-14)
+
+
+def test_all_infinite_starts_raise_not_converged():
+    # every start of this relative-entropy solve scores inf; the solver must
+    # say so instead of failing on a missing minimizer
+    a = np.array([0.9990814418247234, -0.06587608316916732, 0.06497482141988592])
+    cfg = OptimizerConfig(seeds=1)
+    for seed in range(4):
+        with pytest.raises(NotConverged):
+            bd_measure(DistanceKind.RELATIVE_ENTROPY, a, cfg, seed=seed)
 
 
 def test_zero_on_local(rng):
