@@ -93,10 +93,15 @@ def write_table(out, columns, rows, meta_pairs, fmt: str) -> None:
         out.write(",".join(_fmt(v) for v in r) + "\n")
 
 
-def _open_out(path):
-    if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w"), True
+def emit(args, columns, rows, meta_pairs) -> None:
+    """Write the table to args.out (stdout for None or "-") in args.format."""
+    # write_table is looked up here at call time, so a wrapper installed on
+    # nlgeo.cli.write_table (the benchmark's tracer) sees every table
+    if args.out in (None, "-"):
+        write_table(sys.stdout, columns, rows, meta_pairs, args.format)
+        return
+    with open(args.out, "w") as out:
+        write_table(out, columns, rows, meta_pairs, args.format)
 
 
 def _optimizer_config(args) -> OptimizerConfig:
@@ -154,12 +159,7 @@ def cmd_werner_sweep(args) -> int:
     rows = [
         [w] + [werner_measure(k, w).value / norms[k] for k in kinds] for w in ws
     ]
-    out, close = _open_out(args.out)
-    try:
-        write_table(out, ["w"] + [k.value for k in kinds], rows, _meta_lines("werner-sweep", args), args.format)
-    finally:
-        if close:
-            out.close()
+    emit(args, ["w"] + [k.value for k in kinds], rows, _meta_lines("werner-sweep", args))
     return 0
 
 
@@ -171,18 +171,8 @@ def cmd_bd_sweep(args) -> int:
     rows = [
         [tables[0][i, 0]] + [t[i, 1] for t in tables] for i in range(args.n)
     ]
-    out, close = _open_out(args.out)
-    try:
-        write_table(
-            out,
-            ["param"] + [k.value for k in kinds],
-            rows,
-            _meta_lines("bd-sweep", args, {"family": family}),
-            args.format,
-        )
-    finally:
-        if close:
-            out.close()
+    meta = _meta_lines("bd-sweep", args, {"family": family})
+    emit(args, ["param"] + [k.value for k in kinds], rows, meta)
     return 0
 
 
@@ -192,18 +182,8 @@ def cmd_bd_grid(args) -> int:
         raise ValueError("bd-grid takes exactly one --kind")
     cfg = _optimizer_config(args)
     rows = bd_grid(kinds[0], args.grid_n, cfg, seed=args.seed)
-    out, close = _open_out(args.out)
-    try:
-        write_table(
-            out,
-            ["e1", "e2", "value"],
-            rows,
-            _meta_lines("bd-grid", args, {"kind": kinds[0].value, "grid_n": args.grid_n}),
-            args.format,
-        )
-    finally:
-        if close:
-            out.close()
+    meta = _meta_lines("bd-grid", args, {"kind": kinds[0].value, "grid_n": args.grid_n})
+    emit(args, ["e1", "e2", "value"], rows, meta)
     return 0
 
 
@@ -236,12 +216,7 @@ def cmd_bd_measure(args) -> int:
         + ["closest_e1", "closest_e2", "closest_e3", "closest_e4"]
         + ["method", "surface", "iterations", "converged", "residual"]
     )
-    out, close = _open_out(args.out)
-    try:
-        write_table(out, columns, rows, _meta_lines("bd-measure", args), args.format)
-    finally:
-        if close:
-            out.close()
+    emit(args, columns, rows, _meta_lines("bd-measure", args))
     if unconverged:
         raise NotConverged("numeric minimization did not converge")
     return 0
@@ -280,12 +255,7 @@ def cmd_iso(args) -> int:
         "i_d_qm": thr.i_d_qm,
         "omega_threshold": thr.omega_threshold,
     }
-    out, close = _open_out(args.out)
-    try:
-        write_table(out, columns, rows, _meta_lines("iso", args, meta), args.format)
-    finally:
-        if close:
-            out.close()
+    emit(args, columns, rows, _meta_lines("iso", args, meta))
     return 0
 
 
@@ -297,12 +267,7 @@ def cmd_validate(args) -> int:
         [c.name, "pass" if c.passed else "FAIL", c.max_error, c.tolerance, c.seconds, c.detail]
         for c in checks
     ]
-    out, close = _open_out(args.out)
-    try:
-        write_table(out, columns, rows, _meta_lines("validate", args), args.format)
-    finally:
-        if close:
-            out.close()
+    emit(args, columns, rows, _meta_lines("validate", args))
     if all(c.passed for c in checks):
         return 0
     if any("NotConverged" in c.detail for c in checks):
@@ -333,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--w-min", type=float, default=WERNER_THRESHOLD, dest="w_min")
     p.add_argument("--w-max", type=float, default=1.0, dest="w_max")
-    p.add_argument("--n", type=int, default=50)
+    p.add_argument("--n", type=_at_least(1), default=50)
     p.set_defaults(func=cmd_werner_sweep)
 
     p = sub.add_parser("bd-sweep", help="normalized measures along a Bell-diagonal family")
@@ -359,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=float, default=None)
     p.add_argument("--omega-min", type=float, default=None, dest="omega_min")
     p.add_argument("--omega-max", type=float, default=1.0, dest="omega_max")
-    p.add_argument("--n", type=int, default=20)
+    p.add_argument("--n", type=_at_least(1), default=20)
     p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("validate", help="self checks: oracle, grid stability, seed independence")

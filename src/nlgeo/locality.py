@@ -1,7 +1,8 @@
 """Locality criteria: the CHSH singular-value test for two qubits and the
-CGLMP visibility threshold for two qudits, plus descriptors of the boundary
-of the CHSH-local Bell-diagonal region and the exact Euclidean projection
-onto that region."""
+CGLMP visibility threshold for two qudits, plus the exact Euclidean
+projection onto the CHSH-local Bell-diagonal region, whose boundary (its
+cylinders, the arcs where two of them meet, and its vertices) is described
+there once."""
 
 from __future__ import annotations
 
@@ -101,81 +102,22 @@ def bd_is_chsh_local(a) -> bool:
     return max_pair_sum(a) <= 1.0 + BOUNDARY_TOL
 
 
-@dataclass(frozen=True)
-class BoundarySurface:
-    """One piece of the local-region boundary inside the tetrahedron.
-
-    Quadratic pieces ("disk") satisfy a_i^2 + a_j^2 = 1 where the named pair
-    dominates in magnitude; facet pieces are the faces e_k = 0 of the
-    tetrahedron itself.
-    """
-
-    surface_id: str
-    kind: str
-    indices: tuple[int, ...]
-
-    def constraint(self, a) -> float:
-        """Defining function, zero exactly on the surface."""
-        a = np.asarray(a, dtype=float)
-        if self.kind == "disk":
-            i, j = self.indices
-            return float(a[i] ** 2 + a[j] ** 2 - 1.0)
-        (k,) = self.indices
-        return float(bd_corr_to_probs(a)[k])
-
-    def is_valid(self, a, tol: float = 1e-12) -> bool:
-        """Whether the point belongs to this piece's validity region."""
-        a = np.asarray(a, dtype=float)
-        if not in_tetrahedron(a, tol=tol):
-            return False
-        if self.kind == "disk":
-            i, j = self.indices
-            k = ({0, 1, 2} - {i, j}).pop()
-            return min(abs(a[i]), abs(a[j])) >= abs(a[k]) - tol
-        return True
-
-    def parametrize(self, params) -> np.ndarray:
-        """Map two parameters onto the surface.
-
-        Disk pieces take (theta, c) to the point with the named pair on the
-        unit circle and the remaining coordinate equal to c. Facet pieces take
-        barycentric weights (u, v) over the three Bell corners spanning the
-        face.
-        """
-        u, v = float(params[0]), float(params[1])
-        a = np.empty(3)
-        if self.kind == "disk":
-            i, j = self.indices
-            k = ({0, 1, 2} - {i, j}).pop()
-            a[i] = np.cos(u)
-            a[j] = np.sin(u)
-            a[k] = v
-            return a
-        (k,) = self.indices
-        others = [m for m in range(4) if m != k]
-        weights = (u, v, 1.0 - u - v)
-        return sum(w * BELL_CORNERS[m] for w, m in zip(weights, others))
-
-
-def bd_local_boundary_surfaces() -> list[BoundarySurface]:
-    """Descriptors for the seven boundary pieces: three disks and four facets."""
-    disks = [
-        BoundarySurface(surface_id=f"disk_{i + 1}{j + 1}", kind="disk", indices=(i, j))
-        for i, j in DISK_PAIRS
-    ]
-    facets = [
-        BoundarySurface(surface_id=f"facet_e{k + 1}", kind="facet", indices=(k,))
-        for k in range(4)
-    ]
-    return disks + facets
-
-
 # Exact Euclidean projection onto the local set L: the tetrahedron cut by the
-# three cylinders a_i^2 + a_j^2 <= 1. Where two constraints of L are active its
-# boundary runs along a planar ellipse x(t) = c + u cos t + v sin t: a cylinder
-# on a facet plane (12 of them) or two cylinders, which meet in the planes
-# a_q = +-a_p (6). Where three are active it has isolated vertices. L never
-# changes, so both are tabulated once, below.
+# three cylinders a_i^2 + a_j^2 <= 1. Where two cylinders are active the
+# boundary of L runs along a planar ellipse arc x(t) = u cos t + v sin t, in a
+# plane a_q = +-a_p (6 of them); where three constraints are active it has
+# isolated vertices. L never changes, so both are tabulated once, below.
+#
+# A facet never carries the projection p of a physical a. Suppose p lies on
+# cylinder (i, j) and on facet k, the plane c . x = -1 with c the Bell corner
+# of weight k, and let l be the third index. With multipliers lam >= 0 for the
+# cylinder and nu >= 0 for the facet, KKT reads a - p = 2 lam (p_i e_i +
+# p_j e_j) - nu c. Dotting with c and using c . a >= -1 = c . p gives
+#   3 nu <= 2 lam (-1 - c_l p_l) <= 0,
+# because |c_l p_l| = |p_l| <= 1 in L; each further active cylinder adds one
+# more such term. So nu = 0: with one cylinder active p is the radial
+# rescaling, which project_local returns first, and otherwise it lies where
+# two or three cylinders meet. The cylinder-on-facet ellipses are left out.
 
 
 def radial_candidates(a: np.ndarray):
@@ -208,32 +150,20 @@ def _disk_name(i: int, j: int) -> str:
 
 
 def _boundary_ellipses():
-    """Centres, axes and names of the 18 two-constraint ellipses."""
+    """Axes and names of the 6 arcs where two cylinders meet."""
     eye = np.eye(3)
     rows = []
-    for i, j in DISK_PAIRS:
-        k = 3 - i - j
-        for f, n in enumerate(BELL_CORNERS):
-            # facet f is the plane n . x = -1 with n_k = +-1, so on the
-            # cylinder a_k = -n_k (1 + n_i cos t + n_j sin t)
-            rows.append((
-                -n[k] * eye[k],
-                eye[i] - n[k] * n[i] * eye[k],
-                eye[j] - n[k] * n[j] * eye[k],
-                f"{_disk_name(i, j)}+facet_e{f + 1}",
-            ))
     for m in range(3):
         p, q = (idx for idx in range(3) if idx != m)
         for sign in (1.0, -1.0):
             # cylinders (m, p) and (m, q) meet where a_q = sign * a_p
             rows.append((
-                np.zeros(3),
                 eye[m],
                 eye[p] + sign * eye[q],
                 f"{_disk_name(m, p)}+{_disk_name(m, q)}",
             ))
-    centre, u, v, names = zip(*rows)
-    return np.array(centre), np.array(u), np.array(v), names
+    u, v, names = zip(*rows)
+    return np.array(u), np.array(v), names
 
 
 def _feasible(x: np.ndarray) -> np.ndarray:
@@ -244,18 +174,18 @@ def _feasible(x: np.ndarray) -> np.ndarray:
     return in_tetra & np.all(pairs <= 1.0 + BOUNDARY_TOL, axis=1)
 
 
-_ELL_C, _ELL_U, _ELL_V, _ELL_NAMES = _boundary_ellipses()
+_ELL_U, _ELL_V, _ELL_NAMES = _boundary_ellipses()
 # f'(t) = 0 for f(t) = |x(t) - a|^2 reads
 #   A cos t + B sin t + C sin 2t + D cos 2t = 0
-# with A = (c - a) . v, B = -(c - a) . u and the constants below; in
-# z = exp(it) it is the quartic (D - iC) z^4 + (A - iB) z^3 + (A + iB) z + (D + iC).
+# with A = -a . v, B = a . u and the constants below; in z = exp(it) it is the
+# quartic (D - iC) z^4 + (A - iB) z^3 + (A + iB) z + (D + iC).
 _ELL_C2 = 0.5 * (np.sum(_ELL_V * _ELL_V, axis=1) - np.sum(_ELL_U * _ELL_U, axis=1))
 _ELL_D = np.sum(_ELL_U * _ELL_V, axis=1)
-_ELL_LEAD = _ELL_D - 1j * _ELL_C2  # nonzero on every ellipse: |D| = 1 or C = 1/2
+_ELL_LEAD = _ELL_D - 1j * _ELL_C2  # nonzero: C = 1/2 (and D = 0) on all six arcs
 # Vertices of L, where three constraints are active: the threshold points
 # T * corner, where the three cylinders meet, and the axis points +-e_i, where
-# two-cylinder curves cross on a tetrahedron edge. The tests derive them by
-# crossing every ellipse with every facet plane.
+# two-cylinder arcs cross on a tetrahedron edge. The tests derive them by
+# crossing every arc with every facet plane.
 _VERTICES = np.vstack((BELL_CORNERS / math.sqrt(2.0), np.eye(3), -np.eye(3)))
 _NEWTON_STEPS = 3
 
@@ -272,12 +202,12 @@ class LocalProjection:
 
 
 def _ellipse_stationary_points(a: np.ndarray) -> np.ndarray:
-    """Every stationary point of |x - a|^2 on each of the 18 ellipses, shape
-    (18, 4, 3): the roots of each quartic, polished by Newton steps."""
-    d = _ELL_C - a
+    """Every stationary point of |x - a|^2 on each of the 6 arcs, shape
+    (6, 4, 3): the roots of each quartic, polished by Newton steps."""
+    d = -a
     big_a = np.sum(d * _ELL_V, axis=1)
     big_b = -np.sum(d * _ELL_U, axis=1)
-    companion = np.zeros((len(d), 4, 4), dtype=complex)
+    companion = np.zeros((len(_ELL_NAMES), 4, 4), dtype=complex)
     companion[:, 0, 0] = -(big_a - 1j * big_b) / _ELL_LEAD
     companion[:, 0, 2] = -(big_a + 1j * big_b) / _ELL_LEAD
     companion[:, 0, 3] = -np.conj(_ELL_LEAD) / _ELL_LEAD
@@ -298,23 +228,20 @@ def _ellipse_stationary_points(a: np.ndarray) -> np.ndarray:
         # a step that does not shrink |f'| is dropped, so polishing never
         # moves a root estimate away from its root
         t = np.where(np.abs(slope(trial)) < np.abs(g), trial, t)
-    return (
-        _ELL_C[:, None, :]
-        + _ELL_U[:, None, :] * np.cos(t)[..., None]
-        + _ELL_V[:, None, :] * np.sin(t)[..., None]
-    )
+    return _ELL_U[:, None, :] * np.cos(t)[..., None] + _ELL_V[:, None, :] * np.sin(t)[..., None]
 
 
 def project_local(a) -> LocalProjection:
     """Exact Euclidean projection of correlators a onto the CHSH-local set.
 
-    The projection of a physical nonlocal a has a cylinder among its active
-    constraints, so it is one of finitely many candidates: the radial
-    rescaling onto a single cylinder, a stationary point of the distance on
-    one of the 18 ellipses, or a vertex. L is convex, so the nearest
-    candidate that lies in L is the projection. A radial rescaling that lies
-    in L is the projection onto a cylinder containing L, so it is returned at
-    once. Raises NonPhysical outside the tetrahedron.
+    The projection of a physical nonlocal a has only cylinders among its
+    active constraints (see the comment above radial_candidates), so it is
+    one of finitely many candidates: the radial rescaling onto a single
+    cylinder, a stationary point of the distance on one of the 6 arcs where
+    two cylinders meet, or a vertex. L is convex, so the nearest candidate
+    that lies in L is the projection. A radial rescaling that lies in L is
+    the projection onto a cylinder containing L, so it is returned at once.
+    Raises NonPhysical outside the tetrahedron.
     """
     a = np.asarray(a, dtype=float)
     if bd_is_chsh_local(a):

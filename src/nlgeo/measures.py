@@ -4,8 +4,10 @@ For Werner and isotropic inputs the minimizing local state stays inside the
 family, which reduces every measure to a one-parameter evaluation at the
 family's locality threshold. For general Bell-diagonal states the
 Hilbert-Schmidt measure is half the distance to the exact Euclidean
-projection onto the CHSH-local region, and the remaining kinds are minimized
-numerically over that region.
+projection onto the CHSH-local region. The Hellinger, trace and
+relative-entropy measures are minimized numerically over that region. The
+Bures measure reuses the Hellinger solve: Bell-diagonal states commute, and
+on commuting states the two squared distances are equal.
 
 Hellinger and Bures measures are reported as squared distances; relative
 entropy is in bits. A local input yields exactly 0.0.
@@ -246,6 +248,12 @@ def isotropic_consistency(
     return value, reference, bool(abs(value - reference) <= tol * max(1.0, abs(value)))
 
 
+# The kinds with a numeric objective. HS is the exact projection
+# (bd_measure_hs), and Bures equals Hellinger on commuting states, so neither
+# has an objective of its own.
+OBJECTIVE_KINDS = (DistanceKind.HELLINGER, DistanceKind.TRACE, DistanceKind.RELATIVE_ENTROPY)
+
+
 class BdObjective:
     """Distance objective between a fixed Bell-diagonal state and a variable
     one, in correlator coordinates x.
@@ -253,27 +261,23 @@ class BdObjective:
     value/gradient are the exact objective (a subgradient at trace kinks);
     value_at/gradient_at accept a smoothing width used only by the trace kind
     and work on plain float triples for the solver's benefit. The minimized
-    quantity is the squared distance for HS, Hellinger and Bures, the trace
-    distance itself, and the relative entropy in bits.
+    quantity is the squared Hellinger distance, the trace distance itself, or
+    the relative entropy in bits; any other kind raises OutOfRange.
     """
 
     def __init__(self, kind: DistanceKind, a: np.ndarray):
+        if kind not in OBJECTIVE_KINDS:
+            raise OutOfRange(f"no numeric objective for kind {kind.value!r}")
         self.kind = kind
         self.a = np.asarray(a, dtype=float)
         self.e = bd_corr_to_probs(self.a)
         self._sqrt_e = tuple(math.sqrt(max(ei, 0.0)) for ei in self.e)
         self._e = tuple(float(ei) for ei in self.e)
-        self._ax = tuple(float(ai) for ai in self.a)
 
     def value_at(self, x, eps: float = 0.0) -> float:
         k = self.kind
-        if k is DistanceKind.HS:
-            d0 = self._ax[0] - x[0]
-            d1 = self._ax[1] - x[1]
-            d2 = self._ax[2] - x[2]
-            return 0.25 * (d0 * d0 + d1 * d1 + d2 * d2)
         ex = solver.probs(x)
-        if k in (DistanceKind.HELLINGER, DistanceKind.BURES):
+        if k is DistanceKind.HELLINGER:
             s = 0.0
             for si, xi in zip(self._sqrt_e, ex):
                 if xi > 0.0:
@@ -297,15 +301,9 @@ class BdObjective:
 
     def gradient_at(self, x, eps: float = 0.0) -> tuple[float, float, float]:
         k = self.kind
-        if k is DistanceKind.HS:
-            return (
-                0.5 * (x[0] - self._ax[0]),
-                0.5 * (x[1] - self._ax[1]),
-                0.5 * (x[2] - self._ax[2]),
-            )
         ex = solver.probs(x)
         de = [0.0, 0.0, 0.0, 0.0]
-        if k in (DistanceKind.HELLINGER, DistanceKind.BURES):
+        if k is DistanceKind.HELLINGER:
             for i in range(4):
                 if self._e[i] > 1e-15:
                     de[i] = -self._sqrt_e[i] / math.sqrt(max(ex[i], 1e-12))
@@ -335,11 +333,6 @@ class BdObjective:
     def gradient(self, x) -> np.ndarray:
         """Exact gradient at x; a subgradient at trace kinks."""
         return np.array(self.gradient_at((float(x[0]), float(x[1]), float(x[2])), 0.0))
-
-
-def bd_objective(kind: DistanceKind, a) -> BdObjective:
-    """Objective factory used by both the minimizer and the gradient checks."""
-    return BdObjective(kind, np.asarray(a, dtype=float))
 
 
 def bd_measure_hs(a) -> MeasureResult:
@@ -418,14 +411,21 @@ def bd_measure_numeric(
     disk constraints; the tetrahedron is enforced exactly by projection. The
     trace objective is smoothed during descent and evaluated exactly at the
     solution. Deterministic for a fixed seed.
+
+    Solves the Hellinger, trace and relative-entropy kinds. Bures equals
+    Hellinger on commuting states, so a Bures request gets the Hellinger
+    solve under its own kind. HS raises OutOfRange: it is the exact
+    projection, bd_measure_hs.
     """
+    if kind is DistanceKind.HS:
+        raise OutOfRange("HS is the exact projection; use bd_measure or bd_measure_hs")
     cfg = cfg or OptimizerConfig()
     a = np.asarray(a, dtype=float)
     if not in_tetrahedron(a):
         raise NonPhysical(f"correlators {a.tolist()} outside the tetrahedron")
     if bd_is_chsh_local(a):
         return _zero_result(kind, BellDiagonal.from_corr(a))
-    obj = bd_objective(kind, a)
+    obj = BdObjective(DistanceKind.HELLINGER if kind is DistanceKind.BURES else kind, a)
     rng = np.random.default_rng(seed)
     eps0 = 1e-3 if kind is DistanceKind.TRACE else 0.0
     best_value = math.inf
@@ -452,7 +452,6 @@ def bd_measure_numeric(
             best_converged = report.tol_stopped and report.max_violation <= 1e-9
     if best_x is None:
         raise NotConverged(f"no start gave a finite {kind.value} objective")
-    value = math.sqrt(max(best_value, 0.0)) if kind is DistanceKind.HS else best_value
     surface = None
     for (i, j), v in zip(DISK_PAIRS, solver.pair_violations(best_x)):
         if abs(v) <= 1e-8:
@@ -460,7 +459,7 @@ def bd_measure_numeric(
             break
     return MeasureResult(
         kind=kind,
-        value=value,
+        value=best_value,
         closest_local=BellDiagonal.from_corr(best_x),
         method="numeric",
         surface=surface,

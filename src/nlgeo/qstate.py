@@ -240,7 +240,7 @@ def bd_corr_to_probs(a) -> np.ndarray:
     return PROBS_FROM_CORR @ np.concatenate(([1.0], a))
 
 
-def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and matching eigenvector columns of a Hermitian matrix."""
     if np.max(np.abs(m - m.conj().T)) > 1e-10:
         raise NotHermitian("matrix is not Hermitian within 1e-10")
@@ -253,28 +253,12 @@ def matrix_sqrt_psd(m: np.ndarray) -> np.ndarray:
 
     Eigenvalues in [-1e-10, 0) are clamped to zero; anything lower raises NotPSD.
     """
-    vals, vecs = eig_hermitian(m)
+    vals, vecs = _eig_hermitian(m)
     if vals[-1] < PSD_EIG_FLOOR:
         raise NotPSD(f"eigenvalue {vals[-1]} below the PSD floor")
     vals = np.clip(vals, 0.0, None)
     root = (vecs * np.sqrt(vals)) @ vecs.conj().T
     return (root + root.conj().T) / 2.0
-
-
-def sign_flip(rep: PauliRep) -> PauliRep:
-    """Negate the local blocks of alpha, keeping the correlation block."""
-    alpha = rep.alpha.copy()
-    alpha[0, 1:] *= -1.0
-    alpha[1:, 0] *= -1.0
-    return PauliRep(alpha)
-
-
-def reduce_to_maximally_mixed_marginals(rep: PauliRep) -> PauliRep:
-    """Average alpha with its sign-flipped image, zeroing the local blocks exactly."""
-    alpha = rep.alpha.copy()
-    alpha[0, 1:] = 0.0
-    alpha[1:, 0] = 0.0
-    return PauliRep(alpha)
 
 
 def bd_project(rho: DensityMatrix) -> BellDiagonal:

@@ -16,8 +16,6 @@ from nlgeo import (
     bd_grid,
     bd_is_chsh_local,
     bd_measure,
-    bd_measure_numeric,
-    bd_objective,
     bd_probs_to_corr,
     bd_project,
     bd_sweep,
@@ -40,6 +38,7 @@ from nlgeo import (
     WERNER_THRESHOLD,
     bd_corr_to_probs,
 )
+from nlgeo.measures import OBJECTIVE_KINDS, BdObjective
 
 T = 1.0 / math.sqrt(2.0)
 KINDS = tuple(DistanceKind)
@@ -72,12 +71,12 @@ def test_criterion_2_numeric_minimizer_matches_werner_closed_forms():
     worst = 0.0
     for kind in KINDS:
         for w in ws:
-            res = bd_measure_numeric(kind, w * corner, seed=3)
+            res = bd_measure(kind, w * corner, seed=3)
             assert res.converged, f"{kind.value} w={w}"
             worst = max(worst, abs(res.value - werner_measure(kind, w).value))
     _verdict(
         2,
-        "numeric vs closed-form Werner, 20 points x 5 kinds",
+        "bd_measure vs closed-form Werner, 20 points x 5 kinds",
         worst <= 1e-6,
         f"max |numeric - closed| {worst:.3g}",
     )
@@ -227,7 +226,7 @@ def test_criterion_6_property_suites(rng):
 def test_criterion_7_gradients_match_finite_differences(rng):
     step = 1e-6
     worst = 0.0
-    for kind in KINDS:
+    for kind in OBJECTIVE_KINDS:
         done = 0
         while done < 100:
             ea = rng.dirichlet(np.ones(4))
@@ -238,7 +237,7 @@ def test_criterion_7_gradients_match_finite_differences(rng):
             # the trace objective is piecewise linear; stay off its kinks
             if kind is DistanceKind.TRACE and np.min(np.abs(ex - ea)) < 1e-3:
                 continue
-            obj = bd_objective(kind, bd_probs_to_corr(ea))
+            obj = BdObjective(kind, bd_probs_to_corr(ea))
             x = bd_probs_to_corr(ex)
             g = obj.gradient(x)
             if np.linalg.norm(g) < 1e-6:
@@ -253,7 +252,7 @@ def test_criterion_7_gradients_match_finite_differences(rng):
             done += 1
     _verdict(
         7,
-        "analytic gradients vs central differences, 100 points x 5 kinds",
+        "analytic gradients vs central differences, 100 points x 3 objectives",
         worst < 1e-4,
         f"max relative error {worst:.3g}",
     )

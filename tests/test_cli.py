@@ -172,6 +172,8 @@ def test_validate_perturbed_reports_nonconvergence(tmp_path):
         ["bd-sweep", "--n", "1"],
         ["bd-grid", "--grid-n", "0"],
         ["iso", "--d", "1"],
+        ["werner-sweep", "--n", "0"],
+        ["iso", "--d", "3", "--n", "0"],
     ],
 )
 def test_flag_range_errors_exit_2(args, tmp_path, capsys):

@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 from conftest import random_local_corr, random_nonlocal_corr, random_tetra_corr
 from nlgeo.errors import NonPhysical, OutOfRange
 from nlgeo.locality import (
-    _ELL_C,
     _ELL_U,
     _ELL_V,
     _VERTICES,
     bd_is_chsh_local,
-    bd_local_boundary_surfaces,
     cglmp_qk,
     cglmp_threshold,
     chsh_verdict,
@@ -22,7 +20,7 @@ from nlgeo.locality import (
     max_pair_sum,
     project_local,
 )
-from nlgeo.qstate import BELL_CORNERS, PauliRep
+from nlgeo.qstate import BELL_CORNERS, PauliRep, bd_probs_to_corr
 
 N_SAMPLES = 1000
 T = 1.0 / math.sqrt(2.0)
@@ -128,42 +126,6 @@ def test_werner_line_locality_threshold(w):
     assert bd_is_chsh_local(a) == (w <= 1.0 / math.sqrt(2.0) + 1e-12)
 
 
-def test_boundary_surfaces_cover_and_validate(rng):
-    surfaces = bd_local_boundary_surfaces()
-    assert [s.surface_id for s in surfaces] == [
-        "disk_12",
-        "disk_13",
-        "disk_23",
-        "facet_e1",
-        "facet_e2",
-        "facet_e3",
-        "facet_e4",
-    ]
-    assert sum(s.kind == "disk" for s in surfaces) == 3
-    assert sum(s.kind == "facet" for s in surfaces) == 4
-    for s in surfaces:
-        for _ in range(50):
-            if s.kind == "disk":
-                params = (rng.uniform(0, 2 * np.pi), rng.uniform(-1, 1))
-            else:
-                u = rng.dirichlet(np.ones(3))
-                params = (u[0], u[1])
-            point = s.parametrize(params)
-            assert abs(s.constraint(point)) <= 1e-12
-        # validity demands tetrahedron membership
-        assert not s.is_valid(np.array([2.0, 2.0, 2.0]))
-
-
-def test_disk_validity_regions():
-    surfaces = {s.surface_id: s for s in bd_local_boundary_surfaces()}
-    point = np.array([0.8, 0.6, -0.5])  # pair (1,2) on the unit circle
-    assert surfaces["disk_12"].is_valid(point)
-    assert abs(surfaces["disk_12"].constraint(point)) <= 1e-12
-    assert not surfaces["disk_13"].is_valid(point)
-    # facet constraint equals the corresponding Bell weight
-    assert surfaces["facet_e4"].constraint(point) == pytest.approx(0.025, abs=1e-12)
-
-
 def _is_local(x, tol=1e-12) -> bool:
     return in_tetrahedron(x, tol=tol) and max_pair_sum(x) <= 1.0 + tol
 
@@ -203,9 +165,21 @@ def _slsqp_distance(a) -> float:
     return best
 
 
+def _face_and_edge_corr(rng) -> np.ndarray:
+    """A nonlocal input with one or two Bell weights exactly 0, so a facet
+    constraint of the local set is active at the input itself."""
+    while True:
+        e = rng.dirichlet(np.full(4, 0.3))
+        e[rng.choice(4, size=rng.integers(1, 3), replace=False)] = 0.0
+        a = bd_probs_to_corr(e / e.sum())
+        if max_pair_sum(a) > 1.0 + 1e-3:
+            return a
+
+
 def test_project_local_matches_slsqp(rng):
-    for _ in range(200):
-        a = random_nonlocal_corr(rng)
+    inputs = [random_nonlocal_corr(rng) for _ in range(200)]
+    inputs += [_face_and_edge_corr(rng) for _ in range(100)]
+    for a in inputs:
         proj = project_local(a)
         ref = _slsqp_distance(a)
         assert proj.distance == pytest.approx(ref, abs=1e-9)
@@ -262,17 +236,17 @@ def test_bell_corners_and_werner_line_map_to_threshold_vertex():
 
 
 def test_vertex_table_matches_derivation():
-    # three active constraints: all three cylinders, or one of the 18
-    # two-constraint ellipses crossing a facet plane n . x = -1
+    # three active constraints: all three cylinders, or one of the six arcs
+    # where two cylinders meet crossing a facet plane n . x = -1
     points = [np.array(s) * T for s in itertools.product((1.0, -1.0), repeat=3)]
-    for c, u, v in zip(_ELL_C, _ELL_U, _ELL_V):
+    for u, v in zip(_ELL_U, _ELL_V):
         for n in BELL_CORNERS:
-            p, q, r = n @ u, n @ v, -1.0 - n @ c
+            p, q, r = n @ u, n @ v, -1.0
             radius = math.hypot(p, q)
             if radius < 1e-12 or abs(r) > radius:
                 continue  # the ellipse lies in the plane, or misses it
             for t in np.arctan2(q, p) + np.array([-1.0, 1.0]) * math.acos(r / radius):
-                points.append(c + u * math.cos(t) + v * math.sin(t))
+                points.append(u * math.cos(t) + v * math.sin(t))
     derived = {tuple(np.round(x, 9) + 0.0) for x in points if _is_local(x)}
     table = {tuple(np.round(x, 9) + 0.0) for x in _VERTICES}
     assert derived == table

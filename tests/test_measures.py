@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -8,12 +9,13 @@ from conftest import random_local_corr, random_nonlocal_corr, random_tetra_corr
 from nlgeo.errors import NonPhysical, NotConverged, OutOfRange
 from nlgeo.locality import cglmp_threshold, in_tetrahedron, max_pair_sum
 from nlgeo.measures import (
+    OBJECTIVE_KINDS,
+    BdObjective,
     OptimizerConfig,
     bd_grid,
     bd_measure,
     bd_measure_hs,
     bd_measure_numeric,
-    bd_objective,
     bd_sweep,
     isotropic_consistency,
     isotropic_measure,
@@ -126,13 +128,39 @@ def test_bures_equals_hellinger_on_werner_line():
         assert abs(he - bu) <= 1e-15
 
 
+def test_bures_is_the_hellinger_result(rng):
+    # on commuting states the two squared distances agree, so a Bures
+    # request returns the Hellinger solve under its own kind
+    inputs = [random_nonlocal_corr(rng) for _ in range(6)]
+    inputs += [w * BELL_CORNERS[k] for k in (0, 3) for w in (0.75, 0.9, 1.0)]
+    inputs += [random_local_corr(rng) for _ in range(5)]
+    for a in inputs:
+        bu = bd_measure(DistanceKind.BURES, a)
+        he = bd_measure(DistanceKind.HELLINGER, a)
+        assert bu.kind is DistanceKind.BURES
+        # field for field, apart from kind; the closest state by its arrays
+        assert dataclasses.replace(
+            bu, kind=DistanceKind.HELLINGER, closest_local=None
+        ) == dataclasses.replace(he, closest_local=None), a
+        assert np.array_equal(bu.closest_local.a, he.closest_local.a)
+
+
+def test_hs_and_bures_have_no_objective():
+    a = np.array([0.84, 0.63, -0.5])
+    with pytest.raises(OutOfRange):
+        bd_measure_numeric(DistanceKind.HS, a)
+    for kind in (DistanceKind.HS, DistanceKind.BURES):
+        with pytest.raises(OutOfRange):
+            BdObjective(kind, a)
+
+
 def test_hs_case_path_anchor():
     res = bd_measure_hs(np.array([0.84, 0.63, -0.5]))
     assert res.method == "lagrange_case"
     assert res.surface == "disk_12"
     assert res.value == pytest.approx(0.5 * (math.hypot(0.84, 0.63) - 1.0), abs=1e-15)
     assert res.closest_local.a == pytest.approx([0.8, 0.6, -0.5], abs=1e-12)
-    confirm = bd_measure_numeric(DistanceKind.HS, np.array([0.84, 0.63, -0.5]))
+    confirm = bd_measure(DistanceKind.HS, np.array([0.84, 0.63, -0.5]))
     assert confirm.value == pytest.approx(res.value, abs=1e-8)
 
 
@@ -196,13 +224,13 @@ def test_nonphysical_rejected_everywhere():
         bd_measure_hs(bad)
     for kind in KINDS:
         with pytest.raises(NonPhysical):
-            bd_measure_numeric(kind, bad)
+            bd_measure(kind, bad)
 
 
 def test_numeric_matches_werner_closed_forms():
     for kind in KINDS:
         for w in np.linspace(0.72, 1.0, 5):
-            res = bd_measure_numeric(kind, w * BELL_CORNERS[3])
+            res = bd_measure(kind, w * BELL_CORNERS[3])
             assert res.converged
             assert res.value == pytest.approx(werner_measure(kind, w).value, abs=1e-6)
 
@@ -400,9 +428,9 @@ def test_optimizer_config_validation():
 
 def test_gradient_matches_finite_differences(rng):
     # light smoke; the acceptance suite runs the full 100-point gate
-    for kind in KINDS:
+    for kind in OBJECTIVE_KINDS:
         a = random_nonlocal_corr(rng)
-        obj = bd_objective(kind, a)
+        obj = BdObjective(kind, a)
         for _ in range(5):
             x = 0.97 * random_local_corr(rng)
             if kind is DistanceKind.TRACE and np.min(
