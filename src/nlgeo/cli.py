@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 argument error, 3 non-physical input, 4 validation
 failure, 5 optimizer non-convergence. Output is CSV (default) or JSON with the
 same records; metadata lines carry the tool version, the value conventions,
-the optimizer configuration and the seed, so a fixed command line reproduces
-byte-identical files.
+the optimizer configuration (for the commands that solve) and the seed, so a
+fixed command line reproduces byte-identical files.
 """
 
 from __future__ import annotations
@@ -51,23 +51,11 @@ def _fmt(v) -> str:
 
 
 def _meta_lines(command: str, args, extra: dict | None = None) -> list[tuple[str, object]]:
-    cfg = _optimizer_config(args)
-    pairs = [
-        ("tool", f"nlgeo {__version__}"),
-        ("command", command),
-        ("conventions", CONVENTIONS),
-        (
-            "optimizer",
-            "param_tol={} value_tol={} max_iters={} seeds={} penalty_growth={}".format(
-                _fmt(cfg.param_tol),
-                _fmt(cfg.value_tol),
-                _fmt(cfg.max_iters),
-                _fmt(cfg.seeds),
-                _fmt(cfg.penalty_growth),
-            ),
-        ),
-        ("seed", args.seed),
-    ]
+    pairs = [("tool", f"nlgeo {__version__}"), ("command", command), ("conventions", CONVENTIONS)]
+    # only the commands that solve take --max-iters
+    if hasattr(args, "max_iters"):
+        pairs.append(("optimizer", f"max_iters={_fmt(args.max_iters)}"))
+    pairs.append(("seed", args.seed))
     # keep native values here; the csv writer formats, json keeps the types
     pairs.extend((extra or {}).items())
     return pairs
@@ -105,13 +93,7 @@ def emit(args, columns, rows, meta_pairs) -> None:
 
 
 def _optimizer_config(args) -> OptimizerConfig:
-    return OptimizerConfig(
-        param_tol=args.param_tol,
-        value_tol=args.value_tol,
-        max_iters=args.max_iters,
-        seeds=args.seeds,
-        penalty_growth=args.penalty_growth,
-    )
+    return OptimizerConfig(max_iters=args.max_iters)
 
 
 def _at_least(low: int):
@@ -121,18 +103,6 @@ def _at_least(low: int):
         value = int(text)
         if not value >= low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
-        return value
-
-    return parse
-
-
-def _above(low: float):
-    """argparse type: a float strictly greater than low."""
-
-    def parse(text: str):
-        value = float(text)
-        if not value > low:
-            raise argparse.ArgumentTypeError(f"must be greater than {low}, got {text}")
         return value
 
     return parse
@@ -167,7 +137,7 @@ def cmd_bd_sweep(args) -> int:
     kinds = _kinds(args)
     cfg = _optimizer_config(args)
     family = args.family.replace("-", "_")
-    tables = [bd_sweep(k, family, args.n, cfg, seed=args.seed) for k in kinds]
+    tables = [bd_sweep(k, family, args.n, cfg) for k in kinds]
     rows = [
         [tables[0][i, 0]] + [t[i, 1] for t in tables] for i in range(args.n)
     ]
@@ -181,7 +151,7 @@ def cmd_bd_grid(args) -> int:
     if len(kinds) != 1:
         raise ValueError("bd-grid takes exactly one --kind")
     cfg = _optimizer_config(args)
-    rows = bd_grid(kinds[0], args.grid_n, cfg, seed=args.seed)
+    rows = bd_grid(kinds[0], args.grid_n, cfg)
     meta = _meta_lines("bd-grid", args, {"kind": kinds[0].value, "grid_n": args.grid_n})
     emit(args, ["e1", "e2", "value"], rows, meta)
     return 0
@@ -200,7 +170,7 @@ def cmd_bd_measure(args) -> int:
     rows = []
     unconverged = False
     for k in kinds:
-        res = bd_measure(k, bd.a, cfg, seed=args.seed)
+        res = bd_measure(k, bd.a, cfg)
         closest = res.closest_local
         rows.append(
             [k.value, res.value]
@@ -261,7 +231,7 @@ def cmd_iso(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = _optimizer_config(args)
-    checks = run_validation(cfg, seed=args.seed)
+    checks = run_validation(cfg)
     columns = ["check", "status", "max_error", "tolerance", "seconds", "detail"]
     rows = [
         [c.name, "pass" if c.passed else "FAIL", c.max_error, c.tolerance, c.seconds, c.detail]
@@ -283,16 +253,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"nlgeo {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, grid=False):
+    def common(p):
         p.add_argument("--kind", action="append", choices=KIND_CODES, help="distance kind; repeatable")
-        p.add_argument("--seed", type=int, default=0, help="seed for optimizer random starts")
+        p.add_argument("--seed", type=int, default=0, help="recorded in the metadata; no result depends on it")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--param-tol", type=_above(0.0), default=1e-9, dest="param_tol")
-        p.add_argument("--value-tol", type=_above(0.0), default=1e-10, dest="value_tol")
-        p.add_argument("--max-iters", type=_at_least(1), default=500, dest="max_iters")
-        p.add_argument("--seeds", type=_at_least(1), default=8)
-        p.add_argument("--penalty-growth", type=_above(1.0), default=10.0, dest="penalty_growth")
+
+    def solving(p):
+        common(p)
+        p.add_argument(
+            "--max-iters", type=_at_least(1), default=500, dest="max_iters",
+            help="Newton steps allowed per barrier stage",
+        )
 
     p = sub.add_parser("werner-sweep", help="normalized Werner measures on [1/sqrt 2, 1]")
     common(p)
@@ -302,18 +274,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_werner_sweep)
 
     p = sub.add_parser("bd-sweep", help="normalized measures along a Bell-diagonal family")
-    common(p)
-    p.add_argument("--family", choices=["two-bell-mix", "two_bell_mix", "werner-line", "werner_line"], default="two_bell_mix")
+    solving(p)
+    p.add_argument("--family", choices=["two-bell-mix", "werner-line"], default="two-bell-mix")
     p.add_argument("--n", type=_at_least(2), default=50)
     p.set_defaults(func=cmd_bd_sweep)
 
     p = sub.add_parser("bd-grid", help="normalized measure over the e4 = 0 facet")
-    common(p)
+    solving(p)
     p.add_argument("--grid-n", type=_at_least(1), default=10, dest="grid_n")
     p.set_defaults(func=cmd_bd_grid)
 
     p = sub.add_parser("bd-measure", help="measures of one Bell-diagonal state")
-    common(p)
+    solving(p)
     p.add_argument("--a", help="three comma-separated correlators a1,a2,a3")
     p.add_argument("--e", help="four comma-separated Bell weights e1,e2,e3,e4")
     p.set_defaults(func=cmd_bd_measure)
@@ -327,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_at_least(1), default=20)
     p.set_defaults(func=cmd_iso)
 
-    p = sub.add_parser("validate", help="self checks: oracle, grid stability, seed independence")
-    common(p)
+    p = sub.add_parser("validate", help="self checks: oracle, grid stability, symmetry consistency")
+    solving(p)
     p.set_defaults(func=cmd_validate)
 
     return parser

@@ -5,9 +5,9 @@ family, which reduces every measure to a one-parameter evaluation at the
 family's locality threshold. For general Bell-diagonal states the
 Hilbert-Schmidt measure is half the distance to the exact Euclidean
 projection onto the CHSH-local region. The Hellinger, trace and
-relative-entropy measures are minimized numerically over that region. The
-Bures measure reuses the Hellinger solve: Bell-diagonal states commute, and
-on commuting states the two squared distances are equal.
+relative-entropy measures are minimized over that region by one log-barrier
+Newton solve. The Bures measure reuses the Hellinger solve: Bell-diagonal
+states commute, and on commuting states the two squared distances are equal.
 
 Hellinger and Bures measures are reported as squared distances; relative
 entropy is in bits. A local input yields exactly 0.0.
@@ -28,7 +28,6 @@ from .locality import (
     cglmp_threshold,
     in_tetrahedron,
     project_local,
-    radial_candidates,
 )
 from .metrics import (
     DistanceKind,
@@ -60,23 +59,13 @@ _LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Tolerances and budgets for the numeric minimizer."""
+    """Newton-step budget of each barrier stage of the numeric minimizer."""
 
-    param_tol: float = 1e-9
-    value_tol: float = 1e-10
     max_iters: int = 500
-    seeds: int = 8
-    penalty_growth: float = 10.0
 
     def __post_init__(self) -> None:
-        if (
-            self.param_tol <= 0
-            or self.value_tol <= 0
-            or self.max_iters <= 0
-            or self.seeds <= 0
-            or self.penalty_growth <= 1.0
-        ):
-            raise OutOfRange("optimizer configuration values must be positive (growth > 1)")
+        if self.max_iters <= 0:
+            raise OutOfRange("optimizer max_iters must be positive")
 
 
 @dataclass(frozen=True)
@@ -259,10 +248,10 @@ class BdObjective:
     one, in correlator coordinates x.
 
     value/gradient are the exact objective (a subgradient at trace kinks);
-    value_at/gradient_at accept a smoothing width used only by the trace kind
-    and work on plain float triples for the solver's benefit. The minimized
-    quantity is the squared Hellinger distance, the trace distance itself, or
-    the relative entropy in bits; any other kind raises OutOfRange.
+    value_at/gradient_at/hessian_at accept a smoothing width used only by the
+    trace kind and work on plain float triples for the solver's benefit. The
+    minimized quantity is the squared Hellinger distance, the trace distance
+    itself, or the relative entropy in bits; any other kind raises OutOfRange.
     """
 
     def __init__(self, kind: DistanceKind, a: np.ndarray):
@@ -320,11 +309,33 @@ class BdObjective:
             for i in range(4):
                 if self._e[i] > 1e-15:
                     de[i] = -self._e[i] / (max(ex[i], 1e-300) * _LN2)
-        return (
-            0.25 * (de[0] + de[1] - de[2] - de[3]),
-            0.25 * (de[0] - de[1] + de[2] - de[3]),
-            0.25 * (-de[0] + de[1] + de[2] - de[3]),
-        )
+        return solver.weights_gradient(de)
+
+    def hessian_at(self, x, eps: float = 0.0) -> tuple[tuple[float, float, float], ...]:
+        """Hessian at a point with every Bell weight positive, as three rows.
+
+        The objective is a sum of one term per Bell weight, so only the
+        second derivative of each term in its weight is needed. At eps = 0 the
+        trace kind's Hessian is zero away from its kinks.
+        """
+        k = self.kind
+        ex = solver.probs(x)
+        h = [0.0, 0.0, 0.0, 0.0]
+        if k is DistanceKind.HELLINGER:
+            for i in range(4):
+                h[i] = 0.5 * self._sqrt_e[i] / (ex[i] * math.sqrt(ex[i]))
+        elif k is DistanceKind.TRACE:
+            if eps > 0.0:
+                e2 = eps * eps
+                for i in range(4):
+                    d = ex[i] - self._e[i]
+                    r = d * d + e2
+                    h[i] = 0.5 * e2 / (r * math.sqrt(r))
+        else:
+            for i in range(4):
+                if self._e[i] > 1e-15:
+                    h[i] = self._e[i] / (ex[i] * ex[i] * _LN2)
+        return solver.weights_hessian(h)
 
     def value(self, x) -> float:
         """Exact objective at x (no smoothing)."""
@@ -357,25 +368,6 @@ def bd_measure_hs(a) -> MeasureResult:
     )
 
 
-def _starts(kind: DistanceKind, a: np.ndarray, n_seeds: int, rng) -> list:
-    """Deterministic seeds first, then random perturbations up to n_seeds."""
-    seeds = []
-    max_pair = max(solver.pair_violations(a)) + 1.0
-    ray = np.asarray(a, dtype=float) / math.sqrt(max(max_pair, 1.0))
-    seeds.append(ray)
-    corner = BELL_CORNERS[int(np.argmax(BELL_CORNERS @ a))]
-    seeds.append(WERNER_THRESHOLD * corner)
-    for _, _, cand, _ in radial_candidates(a):
-        seeds.append(cand)
-    while len(seeds) < n_seeds:
-        seeds.append(ray + rng.normal(scale=0.15, size=3))
-    out = [solver.project_tetrahedron(s) for s in seeds[:n_seeds]]
-    if kind is DistanceKind.RELATIVE_ENTROPY:
-        # pull strictly inside so the divergence starts finite
-        out = [(0.999 * s[0], 0.999 * s[1], 0.999 * s[2]) for s in out]
-    return out
-
-
 def _stationarity_residual(obj: BdObjective, x: np.ndarray) -> float:
     """Norm of the gradient after removing its active-constraint components."""
     grad = obj.gradient(x)
@@ -403,14 +395,14 @@ def bd_measure_numeric(
     kind: DistanceKind,
     a,
     cfg: OptimizerConfig | None = None,
-    seed: int = 0,
 ) -> MeasureResult:
     """Measure of a Bell-diagonal state by constrained minimization.
 
-    Multi-start projected descent with quadratic penalty continuation on the
-    disk constraints; the tetrahedron is enforced exactly by projection. The
-    trace objective is smoothed during descent and evaluated exactly at the
-    solution. Deterministic for a fixed seed.
+    One log-barrier Newton solve over the local set from the maximally mixed
+    state (solver.minimize_over_local_set); its value is within the solver's
+    GAP of the optimum. The trace objective is smoothed by the barrier weight
+    during the solve, and every kind is scored exactly at the returned point,
+    which lies strictly inside the local set.
 
     Solves the Hellinger, trace and relative-entropy kinds. Bures equals
     Hellinger on commuting states, so a Bures request gets the Hellinger
@@ -426,46 +418,24 @@ def bd_measure_numeric(
     if bd_is_chsh_local(a):
         return _zero_result(kind, BellDiagonal.from_corr(a))
     obj = BdObjective(DistanceKind.HELLINGER if kind is DistanceKind.BURES else kind, a)
-    rng = np.random.default_rng(seed)
-    eps0 = 1e-3 if kind is DistanceKind.TRACE else 0.0
-    best_value = math.inf
-    best_x = None
-    best_iters = 0
-    best_converged = False
-    for x0 in _starts(kind, a, cfg.seeds, rng):
-        report = solver.minimize_over_local_set(
-            obj.value_at,
-            obj.gradient_at,
-            x0,
-            param_tol=cfg.param_tol,
-            value_tol=cfg.value_tol,
-            max_iters=cfg.max_iters,
-            penalty_growth=cfg.penalty_growth,
-            eps0=eps0,
-        )
-        x = solver.polish_feasible(report.x)
-        value = obj.value(x)
-        if value < best_value:
-            best_value = value
-            best_x = x
-            best_iters = report.iterations
-            best_converged = report.tol_stopped and report.max_violation <= 1e-9
-    if best_x is None:
-        raise NotConverged(f"no start gave a finite {kind.value} objective")
+    report = solver.minimize_over_local_set(
+        obj.value_at, obj.gradient_at, obj.hessian_at, cfg.max_iters
+    )
+    x = np.array(report.x)
     surface = None
-    for (i, j), v in zip(DISK_PAIRS, solver.pair_violations(best_x)):
+    for (i, j), v in zip(DISK_PAIRS, solver.pair_violations(x)):
         if abs(v) <= 1e-8:
             surface = f"disk_{i + 1}{j + 1}"
             break
     return MeasureResult(
         kind=kind,
-        value=best_value,
-        closest_local=BellDiagonal.from_corr(best_x),
+        value=obj.value(x),
+        closest_local=BellDiagonal.from_corr(x),
         method="numeric",
         surface=surface,
-        iterations=best_iters,
-        converged=best_converged,
-        residual=_stationarity_residual(obj, best_x),
+        iterations=report.iterations,
+        converged=report.converged,
+        residual=_stationarity_residual(obj, x),
     )
 
 
@@ -473,12 +443,11 @@ def bd_measure(
     kind: DistanceKind,
     a,
     cfg: OptimizerConfig | None = None,
-    seed: int = 0,
 ) -> MeasureResult:
     """Dispatch: exact projection for HS, numeric minimization otherwise."""
     if kind is DistanceKind.HS:
         return bd_measure_hs(a)
-    return bd_measure_numeric(kind, a, cfg, seed=seed)
+    return bd_measure_numeric(kind, a, cfg)
 
 
 def two_bell_mix_corr(p: float) -> np.ndarray:
@@ -493,7 +462,6 @@ def bd_sweep(
     family: str,
     n_points: int,
     cfg: OptimizerConfig | None = None,
-    seed: int = 0,
 ) -> np.ndarray:
     """Normalized measure along a one-parameter Bell-diagonal family.
 
@@ -501,7 +469,8 @@ def bd_sweep(
     family "werner_line" sweeps w in [1/sqrt 2, 1] along the singlet corner.
     Values are divided by the Werner maximum of the same kind, so every sweep
     ends at 1 at the maximally nonlocal endpoint. Returns rows (parameter,
-    normalized value).
+    normalized value); an unconverged solve raises NotConverged naming its
+    point.
     """
     if n_points < 2:
         raise OutOfRange("a sweep needs at least two points")
@@ -516,8 +485,11 @@ def bd_sweep(
     else:
         raise OutOfRange(f"unknown family {family!r}")
     for idx, (p, a) in enumerate(zip(params, corr)):
+        res = bd_measure(kind, a, cfg)
+        if not res.converged:
+            raise NotConverged(f"{kind.value} solve at {family} parameter {p!r} did not converge")
         rows[idx, 0] = p
-        rows[idx, 1] = bd_measure(kind, a, cfg, seed=seed).value / norm
+        rows[idx, 1] = res.value / norm
     return rows
 
 
@@ -525,14 +497,13 @@ def bd_grid(
     kind: DistanceKind,
     grid_n: int,
     cfg: OptimizerConfig | None = None,
-    seed: int = 0,
 ) -> list[tuple[float, float, float]]:
     """Normalized measure over the facet e4 = 0 of the tetrahedron.
 
     The slice is sampled at steps of 1/grid_n in (e1, e2) with
     e3 = 1 - e1 - e2, keeping only physical nodes, in row-major order.
     Cells are independent, so refining the grid leaves values at coincident
-    nodes untouched.
+    nodes untouched. An unconverged solve raises NotConverged naming its node.
     """
     if grid_n < 1:
         raise OutOfRange("grid_n must be at least 1")
@@ -541,7 +512,8 @@ def bd_grid(
     for i in range(grid_n + 1):
         for j in range(grid_n + 1 - i):
             e = np.array([i / grid_n, j / grid_n, (grid_n - i - j) / grid_n, 0.0])
-            a = bd_probs_to_corr(e)
-            value = bd_measure(kind, a, cfg, seed=seed).value / norm
-            rows.append((float(e[0]), float(e[1]), float(value)))
+            res = bd_measure(kind, bd_probs_to_corr(e), cfg)
+            if not res.converged:
+                raise NotConverged(f"{kind.value} solve at e = {e.tolist()} did not converge")
+            rows.append((float(e[0]), float(e[1]), float(res.value / norm)))
     return rows

@@ -1,36 +1,44 @@
-"""Projected-descent solver for minimization over the CHSH-local Bell-diagonal set.
+"""Log-barrier Newton solver for minimization over the CHSH-local Bell-diagonal set.
 
-The feasible region is the tetrahedron (handled exactly, by Euclidean
-projection of the Bell weights onto the probability simplex) intersected with
-the three disk constraints a_i^2 + a_j^2 <= 1 (handled by a quadratic penalty
-whose weight grows geometrically). All objectives used with this solver are
-convex, so the multi-start loop above it is a consistency device rather than a
-global-search necessity.
+The local set L is the tetrahedron of Bell weights w_k >= 0 intersected with
+the three cylinders a_i^2 + a_j^2 <= 1. Every objective used with this solver
+is convex on L, so one start suffices: the maximally mixed state x = 0, where
+every weight is 1/4 and every cylinder has slack 1. Each stage minimizes
 
-The decision space has three coordinates, so the inner loop works on plain
-float triples; numpy only appears at the interface.
+    f(x) - t * (sum_k log w_k + sum_(i,j) log(1 - x_i^2 - x_j^2))
+
+by damped Newton steps from the previous stage's minimizer, and t falls
+tenfold per stage. A stage minimizer is within 7 t of the optimum over L, one
+t per constraint (Boyd & Vandenberghe, Convex Optimization, section 11.2), so
+the last stage is the first with 7 t <= GAP. Every iterate is strictly inside
+L.
+
+The decision space has three coordinates, so the loop works on plain float
+triples; numpy is not needed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
+from .locality import DISK_PAIRS
 
-MU_FIRST = 10.0
-MU_LAST = 1e12
+T_FIRST = 1.0
+GAP = 1e-11
 ARMIJO = 1e-4
-MAX_BACKTRACKS = 60
+# a stage ends when half the squared Newton decrement, the predicted
+# decrease still left in its barrier objective, is below this
+DECREMENT_TOL = 1e-12
 
-DISK_PAIRS = ((0, 1), (0, 2), (1, 2))
+N_CONSTRAINTS = 4 + len(DISK_PAIRS)
 
 
 @dataclass
 class SolveReport:
     x: tuple[float, float, float]
     iterations: int
-    tol_stopped: bool
-    max_violation: float
+    converged: bool
 
 
 def probs(x) -> tuple[float, float, float, float]:
@@ -44,36 +52,27 @@ def probs(x) -> tuple[float, float, float, float]:
     )
 
 
-def corr(e) -> tuple[float, float, float]:
-    """Correlator triple of the Bell weights e."""
-    e0, e1, e2, e3 = e
-    return (e0 + e1 - e2 - e3, e0 - e1 + e2 - e3, -e0 + e1 + e2 - e3)
+def weights_gradient(d) -> tuple[float, float, float]:
+    """Gradient in x of a sum of per-weight terms with first derivatives d."""
+    return (
+        0.25 * (d[0] + d[1] - d[2] - d[3]),
+        0.25 * (d[0] - d[1] + d[2] - d[3]),
+        0.25 * (-d[0] + d[1] + d[2] - d[3]),
+    )
 
 
-def project_simplex(e) -> tuple[float, float, float, float]:
-    """Euclidean projection of a 4-vector onto the probability simplex."""
-    u = sorted(e, reverse=True)
-    css = 0.0
-    k, tau = 1, 0.0
-    for idx in range(4):
-        css += u[idx]
-        t = (1.0 - css) / (idx + 1)
-        if u[idx] + t > 0.0:
-            k, tau = idx + 1, t
-    return tuple(max(ei + tau, 0.0) for ei in e)
+def weights_hessian(h) -> tuple[tuple[float, float, float], ...]:
+    """Hessian in x of a sum of per-weight terms with second derivatives h.
 
-
-def project_tetrahedron(x) -> tuple[float, float, float]:
-    """Project correlators onto the tetrahedron.
-
-    The affine map between a and e scales the Euclidean metric uniformly, so
-    the simplex projection of the weights is the exact projection in
-    correlator space as well.
+    Each weight is (1 + s_k . x) / 4 with s_k a sign vector, so the Hessian is
+    (1/16) sum_k h_k s_k s_k^T.
     """
-    e = probs(x)
-    if min(e) >= 0.0:
-        return (float(x[0]), float(x[1]), float(x[2]))
-    return corr(project_simplex(e))
+    h0, h1, h2, h3 = h
+    diag = 0.0625 * (h0 + h1 + h2 + h3)
+    h01 = 0.0625 * (h0 - h1 - h2 + h3)
+    h02 = 0.0625 * (-h0 + h1 - h2 + h3)
+    h12 = 0.0625 * (-h0 - h1 + h2 + h3)
+    return ((diag, h01, h02), (h01, diag, h12), (h02, h12, diag))
 
 
 def pair_violations(x) -> tuple[float, float, float]:
@@ -82,147 +81,96 @@ def pair_violations(x) -> tuple[float, float, float]:
     return (x0 * x0 + x1 * x1 - 1.0, x0 * x0 + x2 * x2 - 1.0, x1 * x1 + x2 * x2 - 1.0)
 
 
-def penalty(x) -> float:
-    v0, v1, v2 = pair_violations(x)
-    total = 0.0
-    if v0 > 0.0:
-        total += v0 * v0
-    if v1 > 0.0:
-        total += v1 * v1
-    if v2 > 0.0:
-        total += v2 * v2
-    return total
+def _barrier_value(fun, x, t: float) -> float:
+    """f(x) - t * (sum of the seven log slacks); inf outside the interior of L."""
+    slacks = probs(x) + tuple(-v for v in pair_violations(x))
+    if min(slacks) <= 0.0:
+        return math.inf
+    return fun(x, t) - t * sum(math.log(s) for s in slacks)
 
 
-def penalty_grad(x) -> tuple[float, float, float]:
-    x0, x1, x2 = x
-    v0, v1, v2 = pair_violations(x)
-    g0 = g1 = g2 = 0.0
-    if v0 > 0.0:
-        g0 += 4.0 * v0 * x0
-        g1 += 4.0 * v0 * x1
-    if v1 > 0.0:
-        g0 += 4.0 * v1 * x0
-        g2 += 4.0 * v1 * x2
-    if v2 > 0.0:
-        g1 += 4.0 * v2 * x1
-        g2 += 4.0 * v2 * x2
-    return (g0, g1, g2)
+def _barrier_derivatives(grad, hess, x, t: float):
+    """Gradient and Hessian of the barrier objective at an interior x."""
+    w = probs(x)
+    g = list(grad(x, t))
+    fh = hess(x, t)
+    bg = weights_gradient([-t / wk for wk in w])
+    bh = weights_hessian([t / (wk * wk) for wk in w])
+    h = [[fh[r][c] + bh[r][c] for c in range(3)] for r in range(3)]
+    for r in range(3):
+        g[r] += bg[r]
+    for (i, j), v in zip(DISK_PAIRS, pair_violations(x)):
+        # -t log c with c = 1 - x_i^2 - x_j^2
+        c = -v
+        g[i] += 2.0 * t * x[i] / c
+        g[j] += 2.0 * t * x[j] / c
+        q = 4.0 * t / (c * c)
+        h[i][i] += q * x[i] * x[i] + 2.0 * t / c
+        h[j][j] += q * x[j] * x[j] + 2.0 * t / c
+        h[i][j] += q * x[i] * x[j]
+        h[j][i] = h[i][j]
+    return g, h
 
 
-def _descend_stage(fun, grad, x, mu, eps, param_tol, value_tol, max_iters):
-    """Projected gradient descent with Armijo backtracking on f + mu * penalty."""
+def _newton_step(g, h):
+    """Newton step -H^{-1} g by Cholesky, and the squared decrement g^T H^{-1} g."""
+    l00 = math.sqrt(h[0][0])
+    l10 = h[1][0] / l00
+    l20 = h[2][0] / l00
+    l11 = math.sqrt(h[1][1] - l10 * l10)
+    l21 = (h[2][1] - l20 * l10) / l11
+    l22 = math.sqrt(h[2][2] - l20 * l20 - l21 * l21)
+    y0 = -g[0] / l00
+    y1 = (-g[1] - l10 * y0) / l11
+    y2 = (-g[2] - l20 * y0 - l21 * y1) / l22
+    d2 = y2 / l22
+    d1 = (y1 - l21 * d2) / l11
+    d0 = (y0 - l10 * d1 - l20 * d2) / l00
+    return (d0, d1, d2), y0 * y0 + y1 * y1 + y2 * y2
 
-    def phi(z):
-        return fun(z, eps) + mu * penalty(z)
 
-    fx = phi(x)
-    # pull bad seeds toward the maximally mixed point until the value is finite
-    guard = 0
-    while fx != fx or fx == float("inf"):
-        if guard >= 200:
+def _newton_stage(fun, grad, hess, x, t: float, max_iters: int):
+    """Damped Newton on the barrier objective at t; returns (x, steps, converged)."""
+    phi = _barrier_value(fun, x, t)
+    for it in range(max_iters + 1):
+        step, dec = _newton_step(*_barrier_derivatives(grad, hess, x, t))
+        if 0.5 * dec <= DECREMENT_TOL:
+            return x, it, True
+        if it == max_iters:
             break
-        x = (0.9 * x[0], 0.9 * x[1], 0.9 * x[2])
-        fx = phi(x)
-        guard += 1
-
-    eta = 1.0
-    flat_steps = 0
-    for it in range(1, max_iters + 1):
-        f0, f1, f2 = grad(x, eps)
-        p0, p1, p2 = penalty_grad(x)
-        g0, g1, g2 = f0 + mu * p0, f1 + mu * p1, f2 + mu * p2
-        accepted = False
-        for _ in range(MAX_BACKTRACKS):
-            xn = project_tetrahedron((x[0] - eta * g0, x[1] - eta * g1, x[2] - eta * g2))
-            d0, d1, d2 = xn[0] - x[0], xn[1] - x[1], xn[2] - x[2]
-            step_sq = d0 * d0 + d1 * d1 + d2 * d2
-            if step_sq == 0.0:
+        s = 1.0
+        while True:
+            xn = (x[0] + s * step[0], x[1] + s * step[1], x[2] + s * step[2])
+            if xn == x:
+                # the step fell below float resolution without enough decrease
+                return x, it, False
+            phin = _barrier_value(fun, xn, t)
+            if phin <= phi - ARMIJO * s * dec:
                 break
-            fn = phi(xn)
-            if fn <= fx - ARMIJO / eta * step_sq:
-                accepted = True
-                break
-            eta *= 0.5
-        if not accepted:
-            return x, it, True
-        moved = step_sq**0.5
-        decrease = fx - fn
-        x, fx = xn, fn
-        eta = min(eta * 2.0, 1e6)
-        if moved <= param_tol:
-            return x, it, True
-        if decrease <= value_tol * (1.0 + abs(fx)):
-            flat_steps += 1
-            if flat_steps >= 2:
-                return x, it, True
-        else:
-            flat_steps = 0
+            s *= 0.5
+        x, phi = xn, phin
     return x, max_iters, False
 
 
-def minimize_over_local_set(
-    fun,
-    grad,
-    x0,
-    param_tol: float,
-    value_tol: float,
-    max_iters: int,
-    penalty_growth: float,
-    eps0: float = 0.0,
-) -> SolveReport:
-    """Continuation loop: solve the penalized problem for growing mu.
+def minimize_over_local_set(fun, grad, hess, max_iters: int) -> SolveReport:
+    """Minimize a convex f over the local set by the log-barrier method.
 
-    ``fun(x, eps)`` and ``grad(x, eps)`` take a smoothing width eps, which is
-    driven to (near) zero alongside the penalty growth; objectives that are
-    already smooth ignore it.
+    ``fun(x, eps)``, ``grad(x, eps)`` and ``hess(x, eps)`` give f, its
+    gradient and its Hessian (rows of a symmetric 3x3) on float triples. eps
+    is the barrier weight t, which an objective with kinks may use as its
+    smoothing width; smooth objectives ignore it. A stage that takes
+    max_iters Newton steps without meeting DECREMENT_TOL leaves the report
+    unconverged; the later stages still run from where it stopped.
     """
-    x = project_tetrahedron((float(x0[0]), float(x0[1]), float(x0[2])))
-    mu = MU_FIRST
-    eps = eps0
+    x = (0.0, 0.0, 0.0)
+    t = T_FIRST
     total = 0
-    tol_stopped = False
+    converged = True
     while True:
-        # early stages only warm-start the next subproblem; convergence is
-        # judged on the final one at mu = MU_LAST
-        x, iters, tol_stopped = _descend_stage(
-            fun, grad, x, mu, eps, param_tol, value_tol, max_iters
-        )
-        total += iters
-        if mu >= MU_LAST:
+        x, steps, done = _newton_stage(fun, grad, hess, x, t, max_iters)
+        total += steps
+        converged = converged and done
+        if N_CONSTRAINTS * t <= GAP:
             break
-        mu = min(mu * max(penalty_growth, 1.5), MU_LAST)
-        if eps > 0.0:
-            eps = max(eps * 0.1, 1e-12)
-    return SolveReport(
-        x=x,
-        iterations=total,
-        tol_stopped=tol_stopped,
-        max_violation=max(0.0, max(pair_violations(x))),
-    )
-
-
-def polish_feasible(x, rounds: int = 50) -> np.ndarray:
-    """Drive a near-feasible point onto the local set without drifting.
-
-    Alternates radial rescaling of the worst-violating pair with tetrahedron
-    projection, then clips and renormalizes the weights so the returned point
-    is feasible to machine precision.
-    """
-    x = (float(x[0]), float(x[1]), float(x[2]))
-    for _ in range(rounds):
-        v = pair_violations(x)
-        worst = max(range(3), key=lambda idx: v[idx])
-        if v[worst] <= 1e-13 and min(probs(x)) >= 0.0:
-            break
-        if v[worst] > 0.0:
-            i, j = DISK_PAIRS[worst]
-            r = (x[i] * x[i] + x[j] * x[j]) ** 0.5
-            y = list(x)
-            y[i] /= r
-            y[j] /= r
-            x = tuple(y)
-        x = project_tetrahedron(x)
-    e = [max(ei, 0.0) for ei in probs(x)]
-    s = sum(e)
-    return np.array(corr([ei / s for ei in e]))
+        t *= 0.1
+    return SolveReport(x=x, iterations=total, converged=converged)

@@ -1,5 +1,6 @@
 """Self-check suite: measures against the Werner closed forms, grid
-stability, and independence of the minimizer from the random-start seed."""
+stability, and invariance of the numeric measures under symmetries of the
+local set."""
 
 from __future__ import annotations
 
@@ -22,9 +23,10 @@ from .qstate import BELL_CORNERS
 
 ORACLE_TOL = 1e-6
 GRID_TOL = 1e-6
-# seed-to-seed scatter on tetrahedron-boundary inputs reaches ~2e-6 for the
-# sqrt-singular objectives; 1e-5 still catches real instability
-MULTISEED_TOL = 1e-5
+# a symmetry of the tetrahedron and the cylinders maps the optimum onto the
+# optimum, so symmetric inputs differ only by the solver's own error, which
+# its gap keeps near 1e-11
+MULTISEED_TOL = 1e-9
 
 MULTISEED_POINTS = (
     (0.84, 0.63, -0.5),
@@ -43,7 +45,7 @@ class CheckResult:
     detail: str = ""
 
 
-def _oracle_werner(kind: DistanceKind, cfg: OptimizerConfig, seed: int, n: int = 20) -> CheckResult:
+def _oracle_werner(kind: DistanceKind, cfg: OptimizerConfig, n: int = 20) -> CheckResult:
     t0 = time.perf_counter()
     worst = 0.0
     unconverged = 0
@@ -55,7 +57,7 @@ def _oracle_werner(kind: DistanceKind, cfg: OptimizerConfig, seed: int, n: int =
     for i in range(1, n + 1):
         w = WERNER_THRESHOLD + (1.0 - WERNER_THRESHOLD) * i / n
         closed = werner_measure(kind, w).value
-        res = solve(kind, w * BELL_CORNERS[3], cfg, seed=seed)
+        res = solve(kind, w * BELL_CORNERS[3], cfg)
         worst = max(worst, abs(res.value - closed))
         if not res.converged:
             unconverged += 1
@@ -71,13 +73,13 @@ def _oracle_werner(kind: DistanceKind, cfg: OptimizerConfig, seed: int, n: int =
     )
 
 
-def _grid_convergence(cfg: OptimizerConfig, seed: int) -> CheckResult:
+def _grid_convergence(cfg: OptimizerConfig) -> CheckResult:
     t0 = time.perf_counter()
     tables = {}
     for n in (10, 20, 50):
         tables[n] = {
             (round(e1 * n), round(e2 * n), n): v
-            for e1, e2, v in bd_grid(DistanceKind.HS, n, cfg, seed=seed)
+            for e1, e2, v in bd_grid(DistanceKind.HS, n, cfg)
         }
     worst = 0.0
     for coarse, fine in ((10, 20), (10, 50), (20, 50)):
@@ -101,17 +103,24 @@ def _grid_convergence(cfg: OptimizerConfig, seed: int) -> CheckResult:
     )
 
 
-def _multiseed(cfg: OptimizerConfig, seed: int) -> CheckResult:
+def _symmetric_images(a) -> list:
+    """a, its cycle (a2, a3, a1) and its flip (-a1, -a2, a3): each map permutes
+    the Bell corners and the three cylinders, so it preserves the local set."""
+    a1, a2, a3 = a
+    return [np.array(a), np.array([a2, a3, a1]), np.array([-a1, -a2, a3])]
+
+
+def _multiseed(cfg: OptimizerConfig) -> CheckResult:
     t0 = time.perf_counter()
     worst = 0.0
     unconverged = 0
-    # only the numeric objectives depend on the seed: HS is the exact
-    # projection, and a Bures solve is the Hellinger one
+    # only the numeric objectives are checked: HS is the exact projection,
+    # and a Bures solve is the Hellinger one
     for point in MULTISEED_POINTS:
         for kind in OBJECTIVE_KINDS:
             values = []
-            for offset in range(3):
-                res = bd_measure_numeric(kind, np.array(point), cfg, seed=seed + offset)
+            for image in _symmetric_images(point):
+                res = bd_measure_numeric(kind, image, cfg)
                 values.append(res.value)
                 if not res.converged:
                     unconverged += 1
@@ -127,10 +136,10 @@ def _multiseed(cfg: OptimizerConfig, seed: int) -> CheckResult:
     )
 
 
-def run_validation(cfg: OptimizerConfig | None = None, seed: int = 0) -> list[CheckResult]:
+def run_validation(cfg: OptimizerConfig | None = None) -> list[CheckResult]:
     """All validation checks, in a fixed order."""
     cfg = cfg or OptimizerConfig()
-    checks = [_oracle_werner(kind, cfg, seed) for kind in DistanceKind]
-    checks.append(_grid_convergence(cfg, seed))
-    checks.append(_multiseed(cfg, seed))
+    checks = [_oracle_werner(kind, cfg) for kind in DistanceKind]
+    checks.append(_grid_convergence(cfg))
+    checks.append(_multiseed(cfg))
     return checks

@@ -71,7 +71,7 @@ def test_criterion_2_numeric_minimizer_matches_werner_closed_forms():
     worst = 0.0
     for kind in KINDS:
         for w in ws:
-            res = bd_measure(kind, w * corner, seed=3)
+            res = bd_measure(kind, w * corner)
             assert res.converged, f"{kind.value} w={w}"
             worst = max(worst, abs(res.value - werner_measure(kind, w).value))
     _verdict(
@@ -101,13 +101,13 @@ def test_criterion_3_cglmp_thresholds():
 def test_criterion_4_two_bell_mixture_endpoints_and_normalizers():
     worst = 0.0
     for kind in KINDS:
-        rows = bd_sweep(kind, "two_bell_mix", 9, seed=3)
+        rows = bd_sweep(kind, "two_bell_mix", 9)
         assert rows[0, 0] == 0.5 and rows[-1, 0] == 1.0
         # p = 1/2 sits inside the local set, so the measure is exactly zero
         assert rows[0, 1] == 0.0, kind.value
         worst = max(worst, abs(rows[-1, 1] - 1.0))
         # the family maximum at p = 1 is the Werner maximum itself
-        top = bd_measure(kind, two_bell_mix_corr(1.0), seed=3)
+        top = bd_measure(kind, two_bell_mix_corr(1.0))
         worst = max(worst, abs(top.value - werner_max(kind)))
     _verdict(
         4,
@@ -121,7 +121,7 @@ def test_criterion_5_hs_grid_vertices_zero_region_and_refinement():
     def as_map(grid_n):
         return {
             (round(e1 * grid_n), round(e2 * grid_n)): v
-            for e1, e2, v in bd_grid(DistanceKind.HS, grid_n, seed=3)
+            for e1, e2, v in bd_grid(DistanceKind.HS, grid_n)
         }
 
     g10 = as_map(10)

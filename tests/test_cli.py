@@ -51,7 +51,8 @@ def test_werner_sweep_schema_and_values(tmp_path):
     assert header == ["w", "hs", "he", "bu", "tr", "re"]
     assert any(line.startswith("# tool: nlgeo") for line in meta)
     assert any("hellinger=squared" in line for line in meta)
-    assert any(line.startswith("# optimizer:") for line in meta)
+    # werner-sweep never solves, so it records no optimizer settings
+    assert not any(line.startswith("# optimizer:") for line in meta)
     first, last = rows[0], rows[-1]
     assert float(first[0]) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
     assert all(float(v) == 0.0 for v in first[1:])
@@ -168,7 +169,7 @@ def test_validate_perturbed_reports_nonconvergence(tmp_path):
 @pytest.mark.parametrize(
     "args",
     [
-        ["bd-measure", "--a=0.84,0.63,-0.5", "--seeds", "0"],
+        ["bd-measure", "--a=0.84,0.63,-0.5", "--max-iters", "0"],
         ["bd-sweep", "--n", "1"],
         ["bd-grid", "--grid-n", "0"],
         ["iso", "--d", "1"],
@@ -184,11 +185,46 @@ def test_flag_range_errors_exit_2(args, tmp_path, capsys):
 
 
 def test_all_infinite_starts_exit_5(tmp_path, capsys):
+    # every start of the former multi-start solver scored inf here and the
+    # command exited 5; the one barrier solve converges
     out = tmp_path / "x.csv"
     code = run([
         "bd-measure", "--a=0.9990814418247234,-0.06587608316916732,0.06497482141988592",
-        "--kind", "re", "--seeds", "1", "--out", str(out),
+        "--kind", "re", "--out", str(out),
     ])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    _, header, rows = read_csv(out)
+    assert rows[0][header.index("converged")] == "true"
+    assert math.isfinite(float(rows[0][header.index("value")]))
+
+
+@pytest.mark.parametrize("command", [["bd-grid", "--grid-n", "11"], ["bd-sweep", "--n", "5"]])
+def test_unconverged_grid_and_sweep_exit_5(command, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = run(command + ["--kind", "re", "--max-iters", "1", "--out", str(out)])
     assert code == 5
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("nlgeo: ")
+    assert len(err) == 1 and err[0].startswith("nlgeo: re solve at ")
+    assert "did not converge" in err[0]
+
+
+def test_solver_flags_only_on_commands_that_solve(tmp_path):
+    out = str(tmp_path / "x.csv")
+    assert run(["werner-sweep", "--max-iters", "5", "--out", out]) == 2
+    assert run(["iso", "--max-iters", "5", "--out", out]) == 2
+    assert run(["bd-measure", "--a=0.84,0.63,-0.5", "--seeds", "2", "--out", out]) == 2
+    assert run(["bd-measure", "--a=0.84,0.63,-0.5", "--kind", "he", "--max-iters", "50", "--out", out]) == 0
+    meta, _, _ = read_csv(out)
+    assert "# optimizer: max_iters=50\n" in meta
+
+
+def test_family_choices(tmp_path):
+    out = str(tmp_path / "x.csv")
+    assert run(["bd-sweep", "--family", "two_bell_mix", "--out", out]) == 2
+    assert run(["bd-sweep", "--family", "werner-line", "--n", "3", "--kind", "tr", "--out", out]) == 0
+    meta, _, _ = read_csv(out)
+    assert "# family: werner_line\n" in meta
+    assert run(["bd-sweep", "--n", "3", "--kind", "hs", "--out", out]) == 0
+    meta, _, _ = read_csv(out)
+    assert "# family: two_bell_mix\n" in meta

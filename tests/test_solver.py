@@ -1,18 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import random_tetra_corr
-from nlgeo.locality import in_tetrahedron, max_pair_sum
-from nlgeo.solver import (
-    corr,
-    minimize_over_local_set,
-    pair_violations,
-    penalty,
-    polish_feasible,
-    probs,
-    project_simplex,
-    project_tetrahedron,
-)
+from conftest import random_nonlocal_corr, random_tetra_corr
+from nlgeo.locality import project_local
+from nlgeo.solver import GAP, minimize_over_local_set, pair_violations, probs
 
 
 def test_probs_corr_match_qstate_maps(rng):
@@ -22,86 +13,51 @@ def test_probs_corr_match_qstate_maps(rng):
         a = tuple(random_tetra_corr(rng))
         assert np.max(np.abs(np.array(probs(a)) - bd_corr_to_probs(np.array(a)))) <= 1e-15
         e = rng.dirichlet(np.ones(4))
-        assert np.max(np.abs(np.array(corr(tuple(e))) - bd_probs_to_corr(e))) <= 1e-15
+        assert np.max(np.abs(np.array(probs(tuple(bd_probs_to_corr(e)))) - e)) <= 1e-15
 
 
-def test_project_simplex_known_cases():
-    assert project_simplex((1.0, 1.0, 0.0, 0.0)) == pytest.approx((0.5, 0.5, 0.0, 0.0))
-    assert project_simplex((0.25, 0.25, 0.25, 0.25)) == pytest.approx((0.25,) * 4)
-    assert project_simplex((2.0, 0.0, 0.0, 0.0)) == pytest.approx((1.0, 0.0, 0.0, 0.0))
-
-
-def test_project_simplex_properties(rng):
-    for _ in range(300):
-        v = tuple(rng.normal(scale=2.0, size=4))
-        p = project_simplex(v)
-        assert min(p) >= 0.0
-        assert sum(p) == pytest.approx(1.0, abs=1e-12)
-        # kept coordinates share one common shift from the input
-        shifts = [vi - pi for vi, pi in zip(v, p) if pi > 1e-12]
-        assert max(shifts) - min(shifts) <= 1e-12
-        again = project_simplex(p)
-        assert np.max(np.abs(np.array(again) - np.array(p))) <= 1e-12
-
-
-def test_project_tetrahedron(rng):
-    for _ in range(300):
-        x = tuple(rng.normal(scale=1.5, size=3))
-        p = project_tetrahedron(x)
-        assert in_tetrahedron(np.array(p), tol=1e-10)
-    inside = tuple(random_tetra_corr(rng) * 0.9)
-    assert project_tetrahedron(inside) == pytest.approx(inside, abs=1e-12)
-
-
-def test_project_tetrahedron_is_metric_projection(rng):
-    # the affine map e -> a scales the metric uniformly, so projecting the
-    # weights onto the simplex is the exact nearest point in a-space too
-    for _ in range(100):
-        x = rng.normal(scale=1.2, size=3)
-        p = np.array(project_tetrahedron(tuple(x)))
-        d_proj = np.linalg.norm(x - p)
-        for _ in range(30):
-            other = random_tetra_corr(rng)
-            assert d_proj <= np.linalg.norm(x - other) + 1e-10
-
-
-def test_pair_violations_and_penalty():
+def test_pair_violations():
     a = (0.8, 0.6, 0.1)
     v = pair_violations(a)
     assert v[0] == pytest.approx(0.0, abs=1e-15)  # 0.64 + 0.36 - 1
     assert v[1] == pytest.approx(-0.35, abs=1e-15)
     assert v[2] == pytest.approx(-0.63, abs=1e-15)
-    assert penalty(a) == pytest.approx(0.0, abs=1e-30)
-    hot = (1.0, 1.0, 0.0)
-    assert penalty(hot) == pytest.approx(1.0, abs=1e-15)  # one squared unit violation
+    assert pair_violations((1.0, 1.0, 0.0)) == pytest.approx((1.0, 0.0, 0.0), abs=1e-15)
 
 
-def test_polish_feasible_lands_on_feasible_set(rng):
-    for _ in range(100):
-        x = rng.uniform(-1.0, 1.0, size=3)
-        y = polish_feasible(x)
-        assert in_tetrahedron(y, tol=1e-9)
-        assert max_pair_sum(y) <= 1.0 + 1e-9
-    y = polish_feasible(np.array([0.5, 0.1, -0.4]))
-    assert y == pytest.approx([0.5, 0.1, -0.4], abs=1e-12)
-
-
-def test_minimize_over_local_set_projects_euclidean():
-    # minimizing half the squared distance from an exterior point recovers
-    # the metric projection onto the local set, here on a known disk arc
-    target = (0.84, 0.63, -0.5)
+def _euclidean(target):
+    """A quarter of the squared distance to target, with its derivatives."""
+    tx = tuple(float(v) for v in target)
 
     def fun(x, eps):
-        return 0.25 * sum((xi - ti) ** 2 for xi, ti in zip(x, target))
+        return 0.25 * sum((xi - ti) ** 2 for xi, ti in zip(x, tx))
 
     def grad(x, eps):
-        return tuple(0.5 * (xi - ti) for xi, ti in zip(x, target))
+        return tuple(0.5 * (xi - ti) for xi, ti in zip(x, tx))
 
-    report = minimize_over_local_set(
-        fun, grad, target, param_tol=1e-9, value_tol=1e-10, max_iters=500,
-        penalty_growth=10.0, eps0=0.0,
-    )
-    x = polish_feasible(np.array(report.x))
-    assert report.tol_stopped
-    assert report.max_violation <= 1e-6
-    assert x == pytest.approx([0.8, 0.6, -0.5], abs=1e-5)
+    def hess(x, eps):
+        return ((0.5, 0.0, 0.0), (0.0, 0.5, 0.0), (0.0, 0.0, 0.5))
+
+    return fun, grad, hess
+
+
+def test_minimize_over_local_set_projects_euclidean(rng):
+    # minimizing a quarter of the squared distance from an exterior point
+    # recovers the metric projection onto the local set, here on a known disk arc
+    target = np.array([0.84, 0.63, -0.5])
+    report = minimize_over_local_set(*_euclidean(target), max_iters=500)
+    assert report.converged
+    assert np.max(np.abs(np.array(report.x) - project_local(target).point)) <= 1e-9
+    assert report.x == pytest.approx([0.8, 0.6, -0.5], abs=1e-9)
+    # on random targets, whatever boundary piece is active, the value is
+    # within the solver's gap; for x in L, |x-t|^2 >= |p-t|^2 + |x-p|^2 at
+    # the projection p, so the point is within sqrt(4 GAP) of it
+    for _ in range(30):
+        target = random_nonlocal_corr(rng)
+        fun, grad, hess = _euclidean(target)
+        report = minimize_over_local_set(fun, grad, hess, max_iters=500)
+        assert report.converged
+        assert min(probs(report.x)) > 0.0 and max(pair_violations(report.x)) < 0.0
+        p = project_local(target).point
+        assert fun(report.x, 0.0) <= fun(tuple(p), 0.0) + GAP, target
+        assert np.linalg.norm(np.array(report.x) - p) <= (4.0 * GAP) ** 0.5, target
