@@ -1,16 +1,19 @@
 """Command line interface.
 
 Exit codes: 0 success, 2 argument error, 3 non-physical input, 4 validation
-failure, 5 optimizer non-convergence. Output is CSV (default) or JSON with the
-same records; metadata lines carry the tool version, the value conventions,
-the optimizer configuration (for the commands that solve) and the seed, so a
-fixed command line reproduces byte-identical files.
+failure, 5 optimizer non-convergence. A reader that closes the output pipe
+early (``nlgeo werner-sweep | head -2``) has chosen to stop, so that exits 0
+without a traceback. Output is CSV (default) or JSON with the same records;
+metadata lines carry the tool version, the value conventions, the optimizer
+configuration (for the commands that solve) and the seed, so a fixed command
+line reproduces byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -26,7 +29,7 @@ from .measures import (
     isotropic_consistency,
     two_bell_mix_corr,
     werner_max,
-    werner_measure,
+    werner_values,
     WERNER_THRESHOLD,
 )
 from .metrics import DistanceKind
@@ -71,7 +74,7 @@ def write_table(out, columns, rows, meta_pairs, fmt: str) -> None:
                 for r in rows
             ],
         }
-        out.write(json.dumps(payload, indent=2))
+        json.dump(payload, out, indent=2)
         out.write("\n")
         return
     for k, v in meta_pairs:
@@ -125,10 +128,8 @@ def cmd_werner_sweep(args) -> int:
     if not (WERNER_THRESHOLD <= args.w_min < args.w_max <= 1.0 + 1e-12):
         raise ValueError("need 1/sqrt(2) <= w-min < w-max <= 1")
     ws = np.linspace(args.w_min, args.w_max, args.n)
-    norms = {k: werner_max(k) for k in kinds}
-    rows = [
-        [w] + [werner_measure(k, w).value / norms[k] for k in kinds] for w in ws
-    ]
+    # one expression, so no column array outlives the conversion to rows
+    rows = np.column_stack([ws] + [werner_values(k, ws) / werner_max(k) for k in kinds]).tolist()
     emit(args, ["w"] + [k.value for k in kinds], rows, _meta_lines("werner-sweep", args))
     return 0
 
@@ -320,10 +321,19 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"nlgeo: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        return 0
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe; send what is still buffered to devnull,
+        # so the flush at interpreter shutdown cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ entropy is in bits. A local input yields exactly 0.0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +42,7 @@ from .qstate import (
     BELL_CORNERS,
     PROBS_FROM_CORR,
     BellDiagonal,
+    DensityMatrix,
     IsotropicParam,
     WernerParam,
     bd_corr_to_probs,
@@ -101,46 +103,66 @@ def _zero_result(kind: DistanceKind, closest: object) -> MeasureResult:
     )
 
 
-def _rel_entropy_spectra(p: np.ndarray, q: np.ndarray) -> float:
-    """sum p_i log2(p_i / q_i) with the 0 log 0 = 0 convention."""
-    total = 0.0
-    for pi, qi in zip(p, q):
-        if pi > 1e-15:
-            if qi <= 1e-15:
-                return math.inf
-            total += pi * math.log2(pi / qi)
-    return max(total, 0.0)
-
-
-def _werner_spectrum(w: float) -> np.ndarray:
-    return np.array([(1.0 + 3.0 * w) / 4.0] + [(1.0 - w) / 4.0] * 3)
-
-
-def werner_measure(kind: DistanceKind, w: float) -> MeasureResult:
-    """Measure of the Werner state with parameter w, in closed form.
+def werner_values(kind: DistanceKind, w) -> np.ndarray:
+    """Measure of the Werner states with parameters w (an array), in closed form.
 
     The closest local state is the Werner state at the CHSH threshold
-    1/sqrt(2) for every kind; local inputs (w <= 1/sqrt(2)) give zero.
+    1/sqrt(2) for every kind; local entries (w <= 1/sqrt(2)) give exactly 0.0.
+    Every entry must be a valid Werner parameter, or OutOfRange is raised.
     """
-    WernerParam(w)
+    w = np.asarray(w, dtype=float)
+    if w.size:
+        # the admissible range is an interval, so checking the extremes checks
+        # every entry (a nan becomes both extremes and fails)
+        WernerParam(float(w.min()))
+        WernerParam(float(w.max()))
     t = WERNER_THRESHOLD
-    if w <= t + BOUNDARY_TOL:
-        return _zero_result(kind, WernerParam(w))
+    out = np.zeros(w.shape)
+    is_nonlocal = w > t + BOUNDARY_TOL
+    w = w[is_nonlocal]
     if kind is DistanceKind.HS:
         value = (math.sqrt(3.0) / 2.0) * (w - t)
     elif kind in (DistanceKind.HELLINGER, DistanceKind.BURES):
+        # 1 - w is clipped at 0 for the rounding slack WernerParam admits above 1
         value = 2.0 - 0.5 * (
-            3.0 * math.sqrt((1.0 - w) * (1.0 - t))
-            + math.sqrt((1.0 + 3.0 * w) * (1.0 + 3.0 * t))
+            3.0 * np.sqrt(np.maximum(1.0 - w, 0.0) * (1.0 - t))
+            + np.sqrt((1.0 + 3.0 * w) * (1.0 + 3.0 * t))
         )
     elif kind is DistanceKind.TRACE:
         value = 0.75 * (w - t)
     else:
-        value = _rel_entropy_spectra(_werner_spectrum(w), _werner_spectrum(t))
+        # Werner spectra: (1 + 3w)/4 once and (1 - w)/4 three times. Each term
+        # takes math.log2 (numpy's log2 kernel can differ in the last bit), a
+        # weight <= 1e-15 contributes nothing (0 log 0 = 0), and the sum runs
+        # in spectrum order.
+        big, small = (1.0 + 3.0 * w) / 4.0, (1.0 - w) / 4.0
+        big_term = big * _log2(big / ((1.0 + 3.0 * t) / 4.0))
+        small_term = np.zeros(w.shape)
+        keep = small > 1e-15
+        small_term[keep] = small[keep] * _log2(small[keep] / ((1.0 - t) / 4.0))
+        value = np.maximum(big_term + small_term + small_term + small_term, 0.0)
+    out[is_nonlocal] = value
+    return out
+
+
+def _log2(x: np.ndarray) -> np.ndarray:
+    """Elementwise math.log2."""
+    return np.fromiter(map(math.log2, x.tolist()), dtype=float, count=x.size)
+
+
+def werner_measure(kind: DistanceKind, w: float) -> MeasureResult:
+    """Measure of the Werner state with parameter w: werner_values at one point.
+
+    The closest local state is the Werner state at 1/sqrt(2), or the input
+    itself when it is local.
+    """
+    value = float(werner_values(kind, [w])[0])
+    if w <= WERNER_THRESHOLD + BOUNDARY_TOL:
+        return _zero_result(kind, WernerParam(w))
     return MeasureResult(
         kind=kind,
         value=value,
-        closest_local=WernerParam(t),
+        closest_local=WernerParam(WERNER_THRESHOLD),
         method="closed_form",
         surface=None,
         iterations=0,
@@ -154,19 +176,32 @@ def werner_max(kind: DistanceKind) -> float:
     return werner_measure(kind, 1.0).value
 
 
+@functools.lru_cache(maxsize=2)
+def _isotropic_state(d: int, omega: float) -> DensityMatrix:
+    """make_isotropic, validated once and shared read-only by every caller.
+
+    Two entries hold the state of the current omega and the threshold state
+    of the current d, so a sweep builds each state once for all kinds.
+    """
+    rho = make_isotropic(d, omega)
+    rho.mat.flags.writeable = False
+    return rho
+
+
 def isotropic_measure(kind: DistanceKind, d: int, omega: float) -> MeasureResult:
     """Measure of the d-dimensional isotropic state, from the definitions.
 
     The minimizing local state is the isotropic state at the CGLMP visibility
     threshold 2/I_d; each distance is evaluated on the two density matrices
     with the metrics module rather than through a pre-simplified expression.
+    Both matrices are built once and shared by every kind (_isotropic_state).
     """
     IsotropicParam(d=d, omega=omega)
     thr = cglmp_threshold(d).omega_threshold
     if omega <= thr + BOUNDARY_TOL:
         return _zero_result(kind, IsotropicParam(d=d, omega=omega))
-    rho = make_isotropic(d, omega)
-    loc = make_isotropic(d, thr)
+    rho = _isotropic_state(d, omega)
+    loc = _isotropic_state(d, thr)
     if kind is DistanceKind.HS:
         value = dist_hs(rho, loc)
     elif kind is DistanceKind.HELLINGER:

@@ -1,6 +1,12 @@
 import csv
 import json
 import math
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,3 +234,43 @@ def test_family_choices(tmp_path):
     assert run(["bd-sweep", "--n", "3", "--kind", "hs", "--out", out]) == 0
     meta, _, _ = read_csv(out)
     assert "# family: two_bell_mix\n" in meta
+
+
+def test_closed_pipe_exits_0_quietly():
+    # the output (about 2 MB) outgrows the pipe, so the writer sees the reader go
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from nlgeo.cli import entry; entry()", "werner-sweep", "--n", "20000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"# tool: nlgeo 0.1.0\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
+def readme_commands():
+    """Every nlgeo command line in the README's sh blocks, as argv lists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.S | re.M)
+    lines = [line for block in blocks for line in block.splitlines()]
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("nlgeo ")]
+
+
+def test_readme_cli_examples_run(tmp_path):
+    commands = readme_commands()
+    assert commands
+    for i, argv in enumerate(commands):
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            out = tmp_path / Path(argv[at]).name
+            argv = argv[:at] + [str(out)] + argv[at + 1:]
+        else:
+            out = tmp_path / f"example-{i}"
+            argv = argv + ["--out", str(out)]
+        assert run(argv) == 0, argv
+        assert out.stat().st_size > 0, argv

@@ -23,7 +23,10 @@ from nlgeo.measures import (
     two_bell_mix_corr,
     werner_max,
     werner_measure,
+    werner_values,
 )
+from nlgeo import measures
+from nlgeo.cli import main
 from nlgeo.metrics import (
     DistanceKind,
     dist_bures,
@@ -119,6 +122,67 @@ def test_werner_measure_range_errors():
 def test_werner_max_is_the_normalizer():
     for kind in KINDS:
         assert werner_max(kind) == werner_measure(kind, 1.0).value
+
+
+def _werner_scalar(kind, w):
+    """The scalar closed forms, written out with math as the reference."""
+    if w <= T + BOUNDARY_TOL:
+        return 0.0
+    if kind is DistanceKind.HS:
+        return (math.sqrt(3.0) / 2.0) * (w - T)
+    if kind in (DistanceKind.HELLINGER, DistanceKind.BURES):
+        return 2.0 - 0.5 * (
+            3.0 * math.sqrt((1.0 - w) * (1.0 - T)) + math.sqrt((1.0 + 3.0 * w) * (1.0 + 3.0 * T))
+        )
+    if kind is DistanceKind.TRACE:
+        return 0.75 * (w - T)
+    p = [(1.0 + 3.0 * w) / 4.0] + [(1.0 - w) / 4.0] * 3
+    q = [(1.0 + 3.0 * T) / 4.0] + [(1.0 - T) / 4.0] * 3
+    total = 0.0
+    for pi, qi in zip(p, q):
+        if pi > 1e-15:
+            total += pi * math.log2(pi / qi)
+    return max(total, 0.0)
+
+
+def test_werner_values_match_scalar_closed_forms():
+    ws = np.concatenate(
+        [np.linspace(T, 1.0, 2001), [1.0, T - 1e-13, T + 1e-13, T, 0.5, 0.0, -0.3]]
+    )
+    for kind in KINDS:
+        got = werner_values(kind, ws)
+        assert got.tolist() == [_werner_scalar(kind, float(w)) for w in ws], kind
+        for w in ws[::97]:
+            assert werner_measure(kind, float(w)).value == werner_values(kind, [w])[0]
+        for bad in ([0.9, 1.2], [-0.34, 0.9], [0.9, math.nan]):
+            with pytest.raises(OutOfRange):
+                werner_values(kind, bad)
+        # WernerParam admits rounding slack above 1, where 1 - w < 0
+        assert werner_values(kind, [1.0 + 5e-13])[0] == pytest.approx(werner_max(kind), abs=1e-11)
+
+
+def test_isotropic_states_built_once_per_sweep(monkeypatch, tmp_path):
+    builds = []
+
+    def counting(d, omega):
+        builds.append((d, omega))
+        return make_isotropic(d, omega)
+
+    monkeypatch.setattr(measures, "make_isotropic", counting)
+    kinds = [flag for k in KINDS for flag in ("--kind", k.value)]
+    assert main(["iso", "--d", "3", "--n", "20", *kinds, "--out", str(tmp_path / "iso.csv")]) == 0
+    thr = cglmp_threshold(3).omega_threshold
+    omegas = np.linspace(thr, 1.0, 20)
+    nonlocal_omegas = int(np.sum(omegas > thr + BOUNDARY_TOL))
+    assert 0 < len(builds) <= nonlocal_omegas + 1
+    # the shared states give the same values in either loop order
+    grid = [0.75, 0.8, 0.95, 1.0]
+    by_omega = {(k, om): isotropic_measure(k, 3, om).value for om in grid for k in KINDS}
+    by_kind = {(k, om): isotropic_measure(k, 3, om).value for k in KINDS for om in grid}
+    assert by_omega == by_kind
+    state = measures._isotropic_state(3, 0.9)
+    with pytest.raises(ValueError):
+        state.mat[0, 0] = 0.0
 
 
 def test_bures_equals_hellinger_on_werner_line():
