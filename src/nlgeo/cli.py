@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 argument error, 3 non-physical input, 4 validation
 failure, 5 optimizer non-convergence. A reader that closes the output pipe
 early (``nlgeo werner-sweep | head -2``) has chosen to stop, so that exits 0
-without a traceback. Output is CSV (default) or JSON with the same records;
+without a traceback. Output is CSV (default) or JSON with the same records
+(JSON writes a non-finite float, which it cannot represent, as null);
 metadata lines carry the tool version, the value conventions, the optimizer
 configuration (for the commands that solve) and the seed, so a fixed command
 line reproduces byte-identical files.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -26,7 +28,9 @@ from .measures import (
     bd_grid,
     bd_measure,
     bd_sweep,
-    isotropic_consistency,
+    formula_agrees,
+    isotropic_reference_formula,
+    isotropic_values,
     two_bell_mix_corr,
     werner_max,
     werner_values,
@@ -66,15 +70,19 @@ def _meta_lines(command: str, args, extra: dict | None = None) -> list[tuple[str
 
 def write_table(out, columns, rows, meta_pairs, fmt: str) -> None:
     if fmt == "json":
+        # JSON has no inf or nan (RFC 8259), so a non-finite float is written
+        # as null; the CSV writer keeps it as inf, -inf or nan
         payload = {
             "meta": {k: v for k, v in meta_pairs},
             "columns": list(columns),
             "records": [
-                {c: (None if r[i] is None else r[i]) for i, c in enumerate(columns)}
+                {c: (None if isinstance(v, float) and not math.isfinite(v) else v)
+                 for c, v in zip(columns, r)}
                 for r in rows
             ],
         }
-        json.dump(payload, out, indent=2)
+        # the payload is built here from scalars, so it cannot hold a cycle
+        json.dump(payload, out, indent=2, check_circular=False)
         out.write("\n")
         return
     for k, v in meta_pairs:
@@ -214,12 +222,13 @@ def cmd_iso(args) -> int:
     columns = ["omega"]
     for k in kinds:
         columns += [f"value_{k.value}", f"formula_{k.value}", f"consistent_{k.value}"]
+    values = [isotropic_values(k, args.d, omegas).tolist() for k in kinds]
     rows = []
-    for omega in omegas:
+    for i, omega in enumerate(omegas):
         row = [omega]
-        for k in kinds:
-            value, reference, flag = isotropic_consistency(k, args.d, omega)
-            row += [value, reference, flag]
+        for k, column in zip(kinds, values):
+            reference = isotropic_reference_formula(k, args.d, omega)
+            row += [column[i], reference, formula_agrees(column[i], reference)]
         rows.append(row)
     meta = {
         "d": args.d,

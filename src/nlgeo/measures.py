@@ -15,7 +15,6 @@ entropy is in bits. A local input yields exactly 0.0.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -30,24 +29,15 @@ from .locality import (
     in_tetrahedron,
     project_local,
 )
-from .metrics import (
-    DistanceKind,
-    dist_bures,
-    dist_hellinger_sq,
-    dist_hs,
-    dist_trace,
-    rel_entropy,
-)
+from .metrics import DistanceKind
 from .qstate import (
     BELL_CORNERS,
     PROBS_FROM_CORR,
     BellDiagonal,
-    DensityMatrix,
     IsotropicParam,
     WernerParam,
     bd_corr_to_probs,
     bd_probs_to_corr,
-    make_isotropic,
 )
 from . import solver
 
@@ -90,10 +80,10 @@ class MeasureResult:
     residual: float
 
 
-def _zero_result(kind: DistanceKind, closest: object) -> MeasureResult:
+def _closed_form(kind: DistanceKind, value: float, closest: object) -> MeasureResult:
     return MeasureResult(
         kind=kind,
-        value=0.0,
+        value=value,
         closest_local=closest,
         method="closed_form",
         surface=None,
@@ -157,18 +147,8 @@ def werner_measure(kind: DistanceKind, w: float) -> MeasureResult:
     itself when it is local.
     """
     value = float(werner_values(kind, [w])[0])
-    if w <= WERNER_THRESHOLD + BOUNDARY_TOL:
-        return _zero_result(kind, WernerParam(w))
-    return MeasureResult(
-        kind=kind,
-        value=value,
-        closest_local=WernerParam(WERNER_THRESHOLD),
-        method="closed_form",
-        surface=None,
-        iterations=0,
-        converged=True,
-        residual=0.0,
-    )
+    is_local = w <= WERNER_THRESHOLD + BOUNDARY_TOL
+    return _closed_form(kind, value, WernerParam(w if is_local else WERNER_THRESHOLD))
 
 
 def werner_max(kind: DistanceKind) -> float:
@@ -176,61 +156,66 @@ def werner_max(kind: DistanceKind) -> float:
     return werner_measure(kind, 1.0).value
 
 
-@functools.lru_cache(maxsize=2)
-def _isotropic_state(d: int, omega: float) -> DensityMatrix:
-    """make_isotropic, validated once and shared read-only by every caller.
+def isotropic_values(kind: DistanceKind, d: int, omega) -> np.ndarray:
+    """Measure of the d-dimensional isotropic states with weights omega (an array).
 
-    Two entries hold the state of the current omega and the threshold state
-    of the current d, so a sweep builds each state once for all kinds.
+    The closest local state is the isotropic state at the CGLMP threshold
+    t = 2/I_d. Both states are diagonal in {|phi+>} and its complement, with
+    spectrum ((d^2 - 1) omega + 1)/d^2 once and (1 - omega)/d^2 d^2 - 1 times,
+    so each distance is a classical one between two spectra. Local entries
+    (omega <= t) give exactly 0.0; an invalid weight raises OutOfRange.
     """
-    rho = make_isotropic(d, omega)
-    rho.mat.flags.writeable = False
-    return rho
+    omega = np.asarray(omega, dtype=float)
+    if omega.size:
+        # an interval, as in werner_values: the extremes check every entry
+        IsotropicParam(d=d, omega=float(omega.min()))
+        IsotropicParam(d=d, omega=float(omega.max()))
+    t = cglmp_threshold(d).omega_threshold
+    d2 = float(d * d)
+    out = np.zeros(omega.shape)
+    is_nonlocal = omega > t + BOUNDARY_TOL
+    omega = omega[is_nonlocal]
+    if kind is DistanceKind.HS:
+        value = math.sqrt(1.0 - 1.0 / d2) * (omega - t)
+    elif kind is DistanceKind.TRACE:
+        value = (d2 - 1.0) / d2 * (omega - t)
+    else:
+        big, big_t = ((d2 - 1.0) * omega + 1.0) / d2, ((d2 - 1.0) * t + 1.0) / d2
+        # 1 - omega is clipped at 0 for the rounding slack IsotropicParam admits above 1
+        small, small_t = np.maximum(1.0 - omega, 0.0) / d2, (1.0 - t) / d2
+        if kind in (DistanceKind.HELLINGER, DistanceKind.BURES):
+            value = 2.0 - 2.0 * (np.sqrt(big * big_t) + (d2 - 1.0) * np.sqrt(small * small_t))
+        else:
+            small_term = np.zeros(omega.shape)
+            keep = small > 1e-15
+            small_term[keep] = small[keep] * _log2(small[keep] / small_t)
+            value = np.maximum(big * _log2(big / big_t) + (d2 - 1.0) * small_term, 0.0)
+    out[is_nonlocal] = value
+    return out
 
 
 def isotropic_measure(kind: DistanceKind, d: int, omega: float) -> MeasureResult:
-    """Measure of the d-dimensional isotropic state, from the definitions.
+    """Measure of the d-dimensional isotropic state: isotropic_values at one point.
 
-    The minimizing local state is the isotropic state at the CGLMP visibility
-    threshold 2/I_d; each distance is evaluated on the two density matrices
-    with the metrics module rather than through a pre-simplified expression.
-    Both matrices are built once and shared by every kind (_isotropic_state).
+    The closest local state is the isotropic state at the CGLMP threshold, or
+    the input itself when it is local.
     """
-    IsotropicParam(d=d, omega=omega)
+    value = float(isotropic_values(kind, d, [omega])[0])
     thr = cglmp_threshold(d).omega_threshold
-    if omega <= thr + BOUNDARY_TOL:
-        return _zero_result(kind, IsotropicParam(d=d, omega=omega))
-    rho = _isotropic_state(d, omega)
-    loc = _isotropic_state(d, thr)
-    if kind is DistanceKind.HS:
-        value = dist_hs(rho, loc)
-    elif kind is DistanceKind.HELLINGER:
-        value = dist_hellinger_sq(rho, loc)
-    elif kind is DistanceKind.BURES:
-        value = dist_bures(rho, loc) ** 2
-    elif kind is DistanceKind.TRACE:
-        value = dist_trace(rho, loc)
-    else:
-        value = rel_entropy(rho, loc)
-    return MeasureResult(
-        kind=kind,
-        value=value,
-        closest_local=IsotropicParam(d=d, omega=thr),
-        method="closed_form",
-        surface=None,
-        iterations=0,
-        converged=True,
-        residual=0.0,
-    )
+    is_local = omega <= thr + BOUNDARY_TOL
+    return _closed_form(kind, value, IsotropicParam(d=d, omega=omega if is_local else thr))
 
 
 def isotropic_reference_formula(kind: DistanceKind, d: int, omega: float) -> float | None:
     """Commonly quoted closed forms for the isotropic measures, verbatim.
 
-    Kept as a cross-check against isotropic_measure; for some kinds the quoted
-    prefactors disagree with the definition-based values, which the
-    consistency flag downstream makes visible. No quoted form exists for the
-    Bures kind, so it returns None.
+    A cross-check against isotropic_values. They agree for HS only; the
+    consistency flag downstream shows the other mismatches, whose causes are:
+    * trace: exactly twice the value, from the full norm ||rho - sigma||_1
+      where the measure is (1/2) ||rho - sigma||_1;
+    * Hellinger: the prefactor is 2/d where the spectra give 2/d^2;
+    * relative entropy: wrong signs and weights, and -inf at omega = 1.
+    Bures has no quoted form, so it returns None.
     """
     IsotropicParam(d=d, omega=omega)
     if kind is DistanceKind.BURES:
@@ -262,14 +247,19 @@ def isotropic_reference_formula(kind: DistanceKind, d: int, omega: float) -> flo
 def isotropic_consistency(
     kind: DistanceKind, d: int, omega: float, tol: float = 1e-9
 ) -> tuple[float, float | None, bool | None]:
-    """Definition-based value, quoted closed form, and their agreement flag."""
-    value = isotropic_measure(kind, d, omega).value
+    """isotropic_values at one point, the quoted closed form, and their agreement flag."""
+    value = float(isotropic_values(kind, d, [omega])[0])
     reference = isotropic_reference_formula(kind, d, omega)
+    return value, reference, formula_agrees(value, reference, tol)
+
+
+def formula_agrees(value: float, reference: float | None, tol: float = 1e-9) -> bool | None:
+    """Whether a quoted closed form matches the value; None when there is none."""
     if reference is None:
-        return value, None, None
+        return None
     if math.isinf(reference) or math.isinf(value):
-        return value, reference, bool(reference == value)
-    return value, reference, bool(abs(value - reference) <= tol * max(1.0, abs(value)))
+        return bool(reference == value)
+    return bool(abs(value - reference) <= tol * max(1.0, abs(value)))
 
 
 # The kinds with a numeric objective. HS is the exact projection
@@ -390,7 +380,7 @@ def bd_measure_hs(a) -> MeasureResult:
     """
     proj = project_local(a)
     if proj.surface is None:
-        return _zero_result(DistanceKind.HS, BellDiagonal.from_corr(a))
+        return _closed_form(DistanceKind.HS, 0.0, BellDiagonal.from_corr(a))
     return MeasureResult(
         kind=DistanceKind.HS,
         value=0.5 * proj.distance,
@@ -451,7 +441,7 @@ def bd_measure_numeric(
     if not in_tetrahedron(a):
         raise NonPhysical(f"correlators {a.tolist()} outside the tetrahedron")
     if bd_is_chsh_local(a):
-        return _zero_result(kind, BellDiagonal.from_corr(a))
+        return _closed_form(kind, 0.0, BellDiagonal.from_corr(a))
     obj = BdObjective(DistanceKind.HELLINGER if kind is DistanceKind.BURES else kind, a)
     report = solver.minimize_over_local_set(
         obj.value_at, obj.gradient_at, obj.hessian_at, cfg.max_iters

@@ -140,6 +140,22 @@ def test_iso_output_and_metadata(tmp_path):
         assert rec["consistent_tr"] is False
 
 
+def test_iso_json_is_strict_json_and_csv_keeps_inf(tmp_path):
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    base = ["iso", "--d", "3", "--kind", "re", "--kind", "bu", "--n", "5"]
+    out = tmp_path / "iso.json"
+    assert run(base + ["--format", "json", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text(), parse_constant=reject)
+    last = doc["records"][-1]
+    assert last["omega"] == 1.0 and last["formula_re"] is None
+    assert last["formula_bu"] is None and math.isfinite(last["value_re"])
+    assert run(base + ["--out", str(tmp_path / "iso.csv")]) == 0
+    _, header, rows = read_csv(tmp_path / "iso.csv")
+    assert rows[-1][header.index("formula_re")] == "-inf"
+
+
 def test_stdout_output(capsys):
     assert run(["bd-measure", "--a", "0.84,0.63,-0.5", "--kind", "hs"]) == 0
     captured = capsys.readouterr().out

@@ -20,12 +20,13 @@ from nlgeo.measures import (
     isotropic_consistency,
     isotropic_measure,
     isotropic_reference_formula,
+    isotropic_values,
     two_bell_mix_corr,
     werner_max,
     werner_measure,
     werner_values,
 )
-from nlgeo import measures
+from nlgeo import qstate
 from nlgeo.cli import main
 from nlgeo.metrics import (
     DistanceKind,
@@ -161,28 +162,68 @@ def test_werner_values_match_scalar_closed_forms():
         assert werner_values(kind, [1.0 + 5e-13])[0] == pytest.approx(werner_max(kind), abs=1e-11)
 
 
-def test_isotropic_states_built_once_per_sweep(monkeypatch, tmp_path):
-    builds = []
+def test_iso_builds_no_density_matrix(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("iso must not build or diagonalize a density matrix")
 
-    def counting(d, omega):
-        builds.append((d, omega))
-        return make_isotropic(d, omega)
-
-    monkeypatch.setattr(measures, "make_isotropic", counting)
+    monkeypatch.setattr(qstate, "make_isotropic", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     kinds = [flag for k in KINDS for flag in ("--kind", k.value)]
     assert main(["iso", "--d", "3", "--n", "20", *kinds, "--out", str(tmp_path / "iso.csv")]) == 0
-    thr = cglmp_threshold(3).omega_threshold
-    omegas = np.linspace(thr, 1.0, 20)
-    nonlocal_omegas = int(np.sum(omegas > thr + BOUNDARY_TOL))
-    assert 0 < len(builds) <= nonlocal_omegas + 1
-    # the shared states give the same values in either loop order
+    # one array evaluation per kind gives the same values in either loop order
     grid = [0.75, 0.8, 0.95, 1.0]
     by_omega = {(k, om): isotropic_measure(k, 3, om).value for om in grid for k in KINDS}
     by_kind = {(k, om): isotropic_measure(k, 3, om).value for k in KINDS for om in grid}
     assert by_omega == by_kind
-    state = measures._isotropic_state(3, 0.9)
-    with pytest.raises(ValueError):
-        state.mat[0, 0] = 0.0
+
+
+def test_isotropic_values_match_dense_definitions():
+    dense = {
+        DistanceKind.HS: dist_hs,
+        DistanceKind.HELLINGER: dist_hellinger_sq,
+        DistanceKind.BURES: lambda r, s: dist_bures(r, s) ** 2,
+        DistanceKind.TRACE: dist_trace,
+        DistanceKind.RELATIVE_ENTROPY: rel_entropy,
+    }
+    for d in (2, 3, 5, 8):
+        thr = cglmp_threshold(d).omega_threshold
+        loc = make_isotropic(d, thr)
+        omegas = np.concatenate(
+            [np.linspace(thr - 0.05, 0.999, 13), [thr, thr + 1e-9, 1.0 - 1e-4, 1.0 - 1e-6]]
+        )
+        for kind in KINDS:
+            got = isotropic_values(kind, d, omegas)
+            want = [dense[kind](make_isotropic(d, om), loc) if om > thr else 0.0 for om in omegas]
+            # the dense Bures path takes the fidelity of a nearly rank-1 matrix
+            # root, which alone costs up to ~7e-12 at d = 8 near omega = 1
+            tol = 1e-11 if kind is DistanceKind.BURES else 1e-12
+            assert np.max(np.abs(got - want)) <= tol, (d, kind)
+        # at omega = 1 the dense path is off by up to ~3e-7, so check identities
+        at_one = {k: isotropic_values(k, d, [1.0])[0] for k in KINDS}
+        assert at_one[DistanceKind.BURES] == at_one[DistanceKind.HELLINGER]
+        assert at_one[DistanceKind.HS] == math.sqrt(1.0 - 1.0 / d**2) * (1.0 - thr)
+        assert at_one[DistanceKind.TRACE] == (d**2 - 1.0) / d**2 * (1.0 - thr)
+        assert isotropic_values(DistanceKind.BURES, d, omegas).tolist() == isotropic_values(
+            DistanceKind.HELLINGER, d, omegas
+        ).tolist()
+
+
+def test_isotropic_values_at_d2_are_werner_values():
+    ws = np.concatenate([np.linspace(0.0, 1.0, 1001), [T, T + 1e-13, T + 1e-11]])
+    for kind in KINDS:
+        assert np.max(np.abs(isotropic_values(kind, 2, ws) - werner_values(kind, ws))) <= 1e-15, kind
+
+
+def test_isotropic_values_range_errors():
+    for kind in KINDS:
+        for d, bad in ((3, [0.9, math.nan]), (3, [0.9, 1.2]), (3, [-0.2, 0.9]), (2, [-0.34])):
+            with pytest.raises(OutOfRange):
+                isotropic_values(kind, d, bad)
+        with pytest.raises(OutOfRange):
+            isotropic_values(kind, 1, [0.5])
+        # IsotropicParam admits rounding slack above 1, where 1 - omega < 0
+        assert math.isfinite(isotropic_values(kind, 3, [1.0 + 5e-13])[0])
 
 
 def test_bures_equals_hellinger_on_werner_line():
@@ -503,7 +544,6 @@ def test_relative_entropy_finite_for_interior_inputs(rng):
 
 
 def test_isotropic_d2_matches_werner():
-    # bures is checked apart: rank deficiency at omega = 1 costs a few 1e-9
     for omega in (0.75, 0.9, 1.0):
         for kind in (
             DistanceKind.HS,
@@ -517,7 +557,7 @@ def test_isotropic_d2_matches_werner():
         werner_measure(DistanceKind.BURES, 0.9).value, abs=1e-9
     )
     assert isotropic_measure(DistanceKind.BURES, 2, 1.0).value == pytest.approx(
-        werner_measure(DistanceKind.BURES, 1.0).value, abs=5e-8
+        werner_measure(DistanceKind.BURES, 1.0).value, abs=1e-12
     )
 
 
