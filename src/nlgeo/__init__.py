@@ -30,13 +30,9 @@ from .locality import (
 )
 from .measures import (
     MeasureResult,
-    OptimizerConfig,
     bd_grid,
     bd_measure,
-    bd_measure_hs,
-    bd_measure_numeric,
     bd_sweep,
-    isotropic_consistency,
     isotropic_measure,
     isotropic_reference_formula,
     two_bell_mix_corr,
@@ -115,15 +111,11 @@ __all__ = [
     "bd_is_chsh_local",
     "in_tetrahedron",
     "MeasureResult",
-    "OptimizerConfig",
     "werner_measure",
     "werner_max",
     "isotropic_measure",
     "isotropic_reference_formula",
-    "isotropic_consistency",
     "bd_measure",
-    "bd_measure_hs",
-    "bd_measure_numeric",
     "bd_sweep",
     "bd_grid",
     "two_bell_mix_corr",

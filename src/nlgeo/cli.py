@@ -5,9 +5,9 @@ failure, 5 optimizer non-convergence. A reader that closes the output pipe
 early (``nlgeo werner-sweep | head -2``) has chosen to stop, so that exits 0
 without a traceback. Output is CSV (default) or JSON with the same records
 (JSON writes a non-finite float, which it cannot represent, as null);
-metadata lines carry the tool version, the value conventions, the optimizer
-configuration (for the commands that solve) and the seed, so a fixed command
-line reproduces byte-identical files.
+metadata lines carry the tool version, the value conventions, the optimizer's
+Newton-step budget (for the commands that solve) and the seed, so a fixed
+command line reproduces byte-identical files.
 """
 
 from __future__ import annotations
@@ -24,20 +24,19 @@ from . import __version__
 from .errors import NlgeoError, NotConverged
 from .locality import cglmp_threshold
 from .measures import (
-    OptimizerConfig,
     bd_grid,
     bd_measure,
     bd_sweep,
     formula_agrees,
     isotropic_reference_formula,
     isotropic_values,
-    two_bell_mix_corr,
     werner_max,
     werner_values,
     WERNER_THRESHOLD,
 )
 from .metrics import DistanceKind
 from .qstate import BellDiagonal
+from .solver import MAX_ITERS
 from .validation import run_validation
 
 KIND_CODES = [k.value for k in DistanceKind]
@@ -103,10 +102,6 @@ def emit(args, columns, rows, meta_pairs) -> None:
         write_table(out, columns, rows, meta_pairs, args.format)
 
 
-def _optimizer_config(args) -> OptimizerConfig:
-    return OptimizerConfig(max_iters=args.max_iters)
-
-
 def _at_least(low: int):
     """argparse type: an integer no smaller than low, so a range error exits 2."""
 
@@ -144,9 +139,8 @@ def cmd_werner_sweep(args) -> int:
 
 def cmd_bd_sweep(args) -> int:
     kinds = _kinds(args)
-    cfg = _optimizer_config(args)
     family = args.family.replace("-", "_")
-    tables = [bd_sweep(k, family, args.n, cfg) for k in kinds]
+    tables = [bd_sweep(k, family, args.n, args.max_iters) for k in kinds]
     rows = [
         [tables[0][i, 0]] + [t[i, 1] for t in tables] for i in range(args.n)
     ]
@@ -159,8 +153,7 @@ def cmd_bd_grid(args) -> int:
     kinds = _kinds(args, default=["hs"])
     if len(kinds) != 1:
         raise ValueError("bd-grid takes exactly one --kind")
-    cfg = _optimizer_config(args)
-    rows = bd_grid(kinds[0], args.grid_n, cfg)
+    rows = bd_grid(kinds[0], args.grid_n, args.max_iters)
     meta = _meta_lines("bd-grid", args, {"kind": kinds[0].value, "grid_n": args.grid_n})
     emit(args, ["e1", "e2", "value"], rows, meta)
     return 0
@@ -175,11 +168,10 @@ def cmd_bd_measure(args) -> int:
     else:
         bd = BellDiagonal.from_probs(_parse_vector(args.e, 4, "--e"))
     kinds = _kinds(args)
-    cfg = _optimizer_config(args)
     rows = []
     unconverged = False
     for k in kinds:
-        res = bd_measure(k, bd.a, cfg)
+        res = bd_measure(k, bd.a, args.max_iters)
         closest = res.closest_local
         rows.append(
             [k.value, res.value]
@@ -240,8 +232,7 @@ def cmd_iso(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = _optimizer_config(args)
-    checks = run_validation(cfg)
+    checks = run_validation(args.max_iters)
     columns = ["check", "status", "max_error", "tolerance", "seconds", "detail"]
     rows = [
         [c.name, "pass" if c.passed else "FAIL", c.max_error, c.tolerance, c.seconds, c.detail]
@@ -272,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     def solving(p):
         common(p)
         p.add_argument(
-            "--max-iters", type=_at_least(1), default=500, dest="max_iters",
+            "--max-iters", type=_at_least(1), default=MAX_ITERS, dest="max_iters",
             help="Newton steps allowed per barrier stage",
         )
 

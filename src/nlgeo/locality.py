@@ -58,7 +58,7 @@ def chsh_verdict(rep: PauliRep) -> ChshVerdict:
 
 def cglmp_qk(d: int, k: int) -> float:
     """Joint outcome weight q_k = 1 / (2 d^3 sin^2(pi (k + 1/4) / d))."""
-    if int(d) != d or d < 2:
+    if not (d >= 2 and float(d).is_integer()):
         raise OutOfRange(f"local dimension must be an integer >= 2, got {d}")
     s = np.sin(np.pi * (k + 0.25) / d)
     return float(1.0 / (2.0 * d**3 * s * s))
@@ -71,7 +71,7 @@ def cglmp_threshold(d: int) -> CglmpThreshold:
     evaluated literally; at d = 2 the sum is the single k = 0 term and the
     threshold reduces to the CHSH value 1/sqrt(2).
     """
-    if int(d) != d or d < 2:
+    if not (d >= 2 and float(d).is_integer()):
         raise OutOfRange(f"local dimension must be an integer >= 2, got {d}")
     total = 0.0
     for k in range(d // 2):

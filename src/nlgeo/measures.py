@@ -20,15 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPhysical, NotConverged, OutOfRange
-from .locality import (
-    BOUNDARY_TOL,
-    DISK_PAIRS,
-    bd_is_chsh_local,
-    cglmp_threshold,
-    in_tetrahedron,
-    project_local,
-)
+from .errors import NotConverged, OutOfRange
+from .locality import BOUNDARY_TOL, DISK_PAIRS, bd_is_chsh_local, cglmp_threshold, project_local
 from .metrics import DistanceKind
 from .qstate import (
     BELL_CORNERS,
@@ -47,17 +40,6 @@ WERNER_THRESHOLD = 1.0 / math.sqrt(2.0)
 _JAC_E = PROBS_FROM_CORR[:, 1:].copy()
 
 _LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Newton-step budget of each barrier stage of the numeric minimizer."""
-
-    max_iters: int = 500
-
-    def __post_init__(self) -> None:
-        if self.max_iters <= 0:
-            raise OutOfRange("optimizer max_iters must be positive")
 
 
 @dataclass(frozen=True)
@@ -244,15 +226,6 @@ def isotropic_reference_formula(kind: DistanceKind, d: int, omega: float) -> flo
         )
 
 
-def isotropic_consistency(
-    kind: DistanceKind, d: int, omega: float, tol: float = 1e-9
-) -> tuple[float, float | None, bool | None]:
-    """isotropic_values at one point, the quoted closed form, and their agreement flag."""
-    value = float(isotropic_values(kind, d, [omega])[0])
-    reference = isotropic_reference_formula(kind, d, omega)
-    return value, reference, formula_agrees(value, reference, tol)
-
-
 def formula_agrees(value: float, reference: float | None, tol: float = 1e-9) -> bool | None:
     """Whether a quoted closed form matches the value; None when there is none."""
     if reference is None:
@@ -416,11 +389,7 @@ def _stationarity_residual(obj: BdObjective, x: np.ndarray) -> float:
     return float(np.linalg.norm(grad + mat @ lam))
 
 
-def bd_measure_numeric(
-    kind: DistanceKind,
-    a,
-    cfg: OptimizerConfig | None = None,
-) -> MeasureResult:
+def bd_measure_numeric(kind: DistanceKind, a, max_iters: int = solver.MAX_ITERS) -> MeasureResult:
     """Measure of a Bell-diagonal state by constrained minimization.
 
     One log-barrier Newton solve over the local set from the maximally mixed
@@ -432,19 +401,17 @@ def bd_measure_numeric(
     Solves the Hellinger, trace and relative-entropy kinds. Bures equals
     Hellinger on commuting states, so a Bures request gets the Hellinger
     solve under its own kind. HS raises OutOfRange: it is the exact
-    projection, bd_measure_hs.
+    projection, bd_measure_hs. max_iters is the Newton-step budget of each
+    barrier stage.
     """
     if kind is DistanceKind.HS:
         raise OutOfRange("HS is the exact projection; use bd_measure or bd_measure_hs")
-    cfg = cfg or OptimizerConfig()
     a = np.asarray(a, dtype=float)
-    if not in_tetrahedron(a):
-        raise NonPhysical(f"correlators {a.tolist()} outside the tetrahedron")
     if bd_is_chsh_local(a):
         return _closed_form(kind, 0.0, BellDiagonal.from_corr(a))
     obj = BdObjective(DistanceKind.HELLINGER if kind is DistanceKind.BURES else kind, a)
     report = solver.minimize_over_local_set(
-        obj.value_at, obj.gradient_at, obj.hessian_at, cfg.max_iters
+        obj.value_at, obj.gradient_at, obj.hessian_at, max_iters
     )
     x = np.array(report.x)
     surface = None
@@ -464,15 +431,15 @@ def bd_measure_numeric(
     )
 
 
-def bd_measure(
-    kind: DistanceKind,
-    a,
-    cfg: OptimizerConfig | None = None,
-) -> MeasureResult:
-    """Dispatch: exact projection for HS, numeric minimization otherwise."""
+def bd_measure(kind: DistanceKind, a, max_iters: int = solver.MAX_ITERS) -> MeasureResult:
+    """Dispatch: exact projection for HS, numeric minimization otherwise.
+
+    max_iters, the Newton-step budget of each barrier stage, only applies to
+    the numeric kinds.
+    """
     if kind is DistanceKind.HS:
         return bd_measure_hs(a)
-    return bd_measure_numeric(kind, a, cfg)
+    return bd_measure_numeric(kind, a, max_iters)
 
 
 def two_bell_mix_corr(p: float) -> np.ndarray:
@@ -483,10 +450,7 @@ def two_bell_mix_corr(p: float) -> np.ndarray:
 
 
 def bd_sweep(
-    kind: DistanceKind,
-    family: str,
-    n_points: int,
-    cfg: OptimizerConfig | None = None,
+    kind: DistanceKind, family: str, n_points: int, max_iters: int = solver.MAX_ITERS
 ) -> np.ndarray:
     """Normalized measure along a one-parameter Bell-diagonal family.
 
@@ -510,7 +474,7 @@ def bd_sweep(
     else:
         raise OutOfRange(f"unknown family {family!r}")
     for idx, (p, a) in enumerate(zip(params, corr)):
-        res = bd_measure(kind, a, cfg)
+        res = bd_measure(kind, a, max_iters)
         if not res.converged:
             raise NotConverged(f"{kind.value} solve at {family} parameter {p!r} did not converge")
         rows[idx, 0] = p
@@ -519,9 +483,7 @@ def bd_sweep(
 
 
 def bd_grid(
-    kind: DistanceKind,
-    grid_n: int,
-    cfg: OptimizerConfig | None = None,
+    kind: DistanceKind, grid_n: int, max_iters: int = solver.MAX_ITERS
 ) -> list[tuple[float, float, float]]:
     """Normalized measure over the facet e4 = 0 of the tetrahedron.
 
@@ -537,7 +499,7 @@ def bd_grid(
     for i in range(grid_n + 1):
         for j in range(grid_n + 1 - i):
             e = np.array([i / grid_n, j / grid_n, (grid_n - i - j) / grid_n, 0.0])
-            res = bd_measure(kind, bd_probs_to_corr(e), cfg)
+            res = bd_measure(kind, bd_probs_to_corr(e), max_iters)
             if not res.converged:
                 raise NotConverged(f"{kind.value} solve at e = {e.tolist()} did not converge")
             rows.append((float(e[0]), float(e[1]), float(res.value / norm)))

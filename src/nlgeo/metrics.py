@@ -32,10 +32,6 @@ class DistanceKind(enum.Enum):
     TRACE = "tr"
     RELATIVE_ENTROPY = "re"
 
-    @property
-    def symmetric(self) -> bool:
-        return self is not DistanceKind.RELATIVE_ENTROPY
-
 
 def _mat(rho) -> np.ndarray:
     """Accept a DensityMatrix or a plain matrix."""

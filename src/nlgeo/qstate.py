@@ -87,12 +87,14 @@ class DensityMatrix:
             raise DimensionMismatch(
                 f"expected a {n}x{n} matrix for local dimension {self.dim}, got {m.shape}"
             )
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_ATOL:
+        # every check is written so that a nan fails it; a non-finite entry
+        # makes m - m^H nan, so it never reaches eigvalsh
+        if not np.max(np.abs(m - m.conj().T)) <= HERMITIAN_ATOL:
             raise NotHermitian("density matrix is not Hermitian within 1e-12")
         tr = np.trace(m)
-        if abs(tr - 1.0) > TRACE_ATOL:
+        if not abs(tr - 1.0) <= TRACE_ATOL:
             raise NonPhysical(f"density matrix trace {tr} differs from one")
-        if np.linalg.eigvalsh(m)[0] < PSD_EIG_FLOOR:
+        if not np.linalg.eigvalsh(m)[0] >= PSD_EIG_FLOOR:
             raise NotPSD("density matrix has an eigenvalue below -1e-10")
         return self
 
@@ -114,30 +116,13 @@ class PauliRep:
             raise DimensionMismatch("alpha must be a 4x4 real matrix")
         if a[0, 0] != 1.0:
             raise OutOfRange("alpha[0, 0] must be exactly 1")
+        if not np.all(np.isfinite(a)):
+            raise OutOfRange("alpha entries must be finite")
         object.__setattr__(self, "alpha", a)
-
-    @property
-    def row_vec(self) -> np.ndarray:
-        return self.alpha[0, 1:]
-
-    @property
-    def col_vec(self) -> np.ndarray:
-        return self.alpha[1:, 0]
 
     @property
     def corr(self) -> np.ndarray:
         return self.alpha[1:, 1:]
-
-    @classmethod
-    def from_blocks(
-        cls, row_vec: np.ndarray, col_vec: np.ndarray, corr: np.ndarray
-    ) -> "PauliRep":
-        alpha = np.empty((4, 4))
-        alpha[0, 0] = 1.0
-        alpha[0, 1:] = row_vec
-        alpha[1:, 0] = col_vec
-        alpha[1:, 1:] = corr
-        return cls(alpha)
 
 
 @dataclass(frozen=True)
@@ -157,7 +142,8 @@ class BellDiagonal:
         if a.shape != (3,):
             raise DimensionMismatch("correlator vector must have length 3")
         e = bd_corr_to_probs(a)
-        if e.min() < -PROB_NEG_ATOL:
+        # written so that a nan weight fails too
+        if not e.min() >= -PROB_NEG_ATOL:
             raise NonPhysical(f"correlators {a.tolist()} lie outside the physical tetrahedron")
         return cls(a=a, e=e)
 
@@ -186,7 +172,7 @@ class IsotropicParam:
     omega: float
 
     def __post_init__(self) -> None:
-        if int(self.d) != self.d or self.d < 2:
+        if not (self.d >= 2 and float(self.d).is_integer()):
             raise OutOfRange(f"local dimension must be an integer >= 2, got {self.d}")
         lo = -1.0 / (self.d * self.d - 1.0)
         if not (lo - 1e-12 <= self.omega <= 1.0 + 1e-12):
@@ -223,9 +209,10 @@ def bd_probs_to_corr(e) -> np.ndarray:
     e = np.asarray(e, dtype=float)
     if e.shape != (4,):
         raise DimensionMismatch("probability vector must have length 4")
-    if e.min() < -PROB_NEG_ATOL:
-        raise InvalidProbability(f"negative weight in {e.tolist()}")
-    if abs(e.sum() - 1.0) > PROB_SUM_ATOL:
+    # both checks are written so that a nan weight fails them
+    if not e.min() >= -PROB_NEG_ATOL:
+        raise InvalidProbability(f"negative or nan weight in {e.tolist()}")
+    if not abs(e.sum() - 1.0) <= PROB_SUM_ATOL:
         raise InvalidProbability(f"weights {e.tolist()} sum to {e.sum()}, not 1")
     return CORR_FROM_PROBS @ e
 
@@ -242,7 +229,7 @@ def bd_corr_to_probs(a) -> np.ndarray:
 
 def _eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and matching eigenvector columns of a Hermitian matrix."""
-    if np.max(np.abs(m - m.conj().T)) > 1e-10:
+    if not np.max(np.abs(m - m.conj().T)) <= 1e-10:
         raise NotHermitian("matrix is not Hermitian within 1e-10")
     vals, vecs = np.linalg.eigh(m)
     return vals[::-1], vecs[:, ::-1]

@@ -22,8 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import OutOfRange
 from .locality import DISK_PAIRS
 
+# Newton steps allowed per barrier stage, unless a caller passes its own
+MAX_ITERS = 500
 T_FIRST = 1.0
 GAP = 1e-11
 ARMIJO = 1e-4
@@ -160,8 +163,11 @@ def minimize_over_local_set(fun, grad, hess, max_iters: int) -> SolveReport:
     is the barrier weight t, which an objective with kinks may use as its
     smoothing width; smooth objectives ignore it. A stage that takes
     max_iters Newton steps without meeting DECREMENT_TOL leaves the report
-    unconverged; the later stages still run from where it stopped.
+    unconverged; the later stages still run from where it stopped. A budget
+    below one step raises OutOfRange.
     """
+    if not max_iters >= 1:
+        raise OutOfRange(f"max_iters must be at least 1, got {max_iters}")
     x = (0.0, 0.0, 0.0)
     t = T_FIRST
     total = 0

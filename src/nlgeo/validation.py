@@ -11,7 +11,6 @@ import numpy as np
 
 from .measures import (
     OBJECTIVE_KINDS,
-    OptimizerConfig,
     bd_grid,
     bd_measure,
     bd_measure_numeric,
@@ -20,6 +19,7 @@ from .measures import (
 )
 from .metrics import DistanceKind
 from .qstate import BELL_CORNERS
+from .solver import MAX_ITERS
 
 ORACLE_TOL = 1e-6
 GRID_TOL = 1e-6
@@ -45,7 +45,7 @@ class CheckResult:
     detail: str = ""
 
 
-def _oracle_werner(kind: DistanceKind, cfg: OptimizerConfig, n: int = 20) -> CheckResult:
+def _oracle_werner(kind: DistanceKind, max_iters: int, n: int = 20) -> CheckResult:
     t0 = time.perf_counter()
     worst = 0.0
     unconverged = 0
@@ -57,7 +57,7 @@ def _oracle_werner(kind: DistanceKind, cfg: OptimizerConfig, n: int = 20) -> Che
     for i in range(1, n + 1):
         w = WERNER_THRESHOLD + (1.0 - WERNER_THRESHOLD) * i / n
         closed = werner_measure(kind, w).value
-        res = solve(kind, w * BELL_CORNERS[3], cfg)
+        res = solve(kind, w * BELL_CORNERS[3], max_iters)
         worst = max(worst, abs(res.value - closed))
         if not res.converged:
             unconverged += 1
@@ -73,13 +73,13 @@ def _oracle_werner(kind: DistanceKind, cfg: OptimizerConfig, n: int = 20) -> Che
     )
 
 
-def _grid_convergence(cfg: OptimizerConfig) -> CheckResult:
+def _grid_convergence(max_iters: int) -> CheckResult:
     t0 = time.perf_counter()
     tables = {}
     for n in (10, 20, 50):
         tables[n] = {
             (round(e1 * n), round(e2 * n), n): v
-            for e1, e2, v in bd_grid(DistanceKind.HS, n, cfg)
+            for e1, e2, v in bd_grid(DistanceKind.HS, n, max_iters)
         }
     worst = 0.0
     for coarse, fine in ((10, 20), (10, 50), (20, 50)):
@@ -110,7 +110,7 @@ def _symmetric_images(a) -> list:
     return [np.array(a), np.array([a2, a3, a1]), np.array([-a1, -a2, a3])]
 
 
-def _multiseed(cfg: OptimizerConfig) -> CheckResult:
+def _multiseed(max_iters: int) -> CheckResult:
     t0 = time.perf_counter()
     worst = 0.0
     unconverged = 0
@@ -120,7 +120,7 @@ def _multiseed(cfg: OptimizerConfig) -> CheckResult:
         for kind in OBJECTIVE_KINDS:
             values = []
             for image in _symmetric_images(point):
-                res = bd_measure_numeric(kind, image, cfg)
+                res = bd_measure_numeric(kind, image, max_iters)
                 values.append(res.value)
                 if not res.converged:
                     unconverged += 1
@@ -136,10 +136,10 @@ def _multiseed(cfg: OptimizerConfig) -> CheckResult:
     )
 
 
-def run_validation(cfg: OptimizerConfig | None = None) -> list[CheckResult]:
-    """All validation checks, in a fixed order."""
-    cfg = cfg or OptimizerConfig()
-    checks = [_oracle_werner(kind, cfg) for kind in DistanceKind]
-    checks.append(_grid_convergence(cfg))
-    checks.append(_multiseed(cfg))
+def run_validation(max_iters: int = MAX_ITERS) -> list[CheckResult]:
+    """All validation checks, in a fixed order, each solve with the Newton-step
+    budget max_iters per barrier stage."""
+    checks = [_oracle_werner(kind, max_iters) for kind in DistanceKind]
+    checks.append(_grid_convergence(max_iters))
+    checks.append(_multiseed(max_iters))
     return checks

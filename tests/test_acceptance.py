@@ -27,8 +27,8 @@ from nlgeo import (
     dist_hs,
     dist_trace,
     density_to_pauli,
-    isotropic_consistency,
     isotropic_measure,
+    isotropic_reference_formula,
     make_bell_diagonal,
     pauli_to_density,
     rel_entropy,
@@ -38,7 +38,7 @@ from nlgeo import (
     WERNER_THRESHOLD,
     bd_corr_to_probs,
 )
-from nlgeo.measures import OBJECTIVE_KINDS, BdObjective
+from nlgeo.measures import OBJECTIVE_KINDS, BdObjective, formula_agrees, isotropic_values
 
 T = 1.0 / math.sqrt(2.0)
 KINDS = tuple(DistanceKind)
@@ -259,9 +259,13 @@ def test_criterion_7_gradients_match_finite_differences(rng):
 
 
 def test_criterion_8_isotropic_consistency_flags():
-    hs_flags = [isotropic_consistency(DistanceKind.HS, d, 0.9)[2] for d in (2, 3, 5)]
+    def flag(kind, d, omega):
+        value = float(isotropic_values(kind, d, [omega])[0])
+        return formula_agrees(value, isotropic_reference_formula(kind, d, omega))
+
+    hs_flags = [flag(DistanceKind.HS, d, 0.9) for d in (2, 3, 5)]
     printed = [
-        isotropic_consistency(kind, 2, 0.9)[2]
+        flag(kind, 2, 0.9)
         for kind in (
             DistanceKind.TRACE,
             DistanceKind.HELLINGER,

@@ -176,6 +176,8 @@ def test_exit_codes(tmp_path):
     assert run(["iso", "--d", "2", "--omega", "1.5", "--out", out]) == 2
     assert run(["bd-measure", "--a", "0.9,-0.9,0.2", "--out", out]) == 3
     assert run(["bd-measure", "--e", "0.5,0.6,0,-0.1", "--out", out]) == 3
+    assert run(["bd-measure", "--a=nan,0,0", "--out", out]) == 3
+    assert run(["bd-measure", "--e=nan,0,0,1", "--out", out]) == 3
     assert run(["bd-measure", "--a=-0.88,-0.88,-0.88", "--max-iters", "1", "--out", out]) == 5
 
 

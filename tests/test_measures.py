@@ -11,13 +11,12 @@ from nlgeo.locality import BOUNDARY_TOL, cglmp_threshold, in_tetrahedron, max_pa
 from nlgeo.measures import (
     OBJECTIVE_KINDS,
     BdObjective,
-    OptimizerConfig,
     bd_grid,
     bd_measure,
     bd_measure_hs,
     bd_measure_numeric,
     bd_sweep,
-    isotropic_consistency,
+    formula_agrees,
     isotropic_measure,
     isotropic_reference_formula,
     isotropic_values,
@@ -569,17 +568,24 @@ def test_isotropic_zero_at_and_below_threshold():
     assert res.closest_local.omega == 0.4
 
 
+def _consistency(kind, d, omega):
+    """The value, the quoted formula and their flag, as iso writes them."""
+    value = float(isotropic_values(kind, d, [omega])[0])
+    reference = isotropic_reference_formula(kind, d, omega)
+    return value, reference, formula_agrees(value, reference)
+
+
 def test_isotropic_consistency_flags():
     for d in (2, 3, 5):
         thr = cglmp_threshold(d).omega_threshold
         for omega in np.linspace(thr + 0.05, 1.0, 4):
-            _, _, flag = isotropic_consistency(DistanceKind.HS, d, omega)
+            _, _, flag = _consistency(DistanceKind.HS, d, omega)
             assert flag is True, (d, omega)
     for kind in (DistanceKind.TRACE, DistanceKind.HELLINGER, DistanceKind.RELATIVE_ENTROPY):
-        value, reference, flag = isotropic_consistency(kind, 2, 0.9)
+        value, reference, flag = _consistency(kind, 2, 0.9)
         assert flag is False
         assert reference is not None and reference != pytest.approx(value, abs=1e-9)
-    value, reference, flag = isotropic_consistency(DistanceKind.BURES, 2, 0.9)
+    value, reference, flag = _consistency(DistanceKind.BURES, 2, 0.9)
     assert reference is None and flag is None
 
 
@@ -648,11 +654,11 @@ def test_bd_grid_structure_and_anchors():
         bd_grid(DistanceKind.HS, 0)
 
 
-def test_optimizer_config_validation():
+def test_max_iters_validation():
+    # the solver checks the budget, so only a nonlocal input reaches the check
     with pytest.raises(OutOfRange):
-        OptimizerConfig(max_iters=0)
-    cfg = OptimizerConfig(max_iters=50)
-    res = bd_measure_numeric(DistanceKind.TRACE, 0.9 * BELL_CORNERS[3], cfg=cfg)
+        bd_measure(DistanceKind.TRACE, 0.9 * BELL_CORNERS[3], max_iters=0)
+    res = bd_measure_numeric(DistanceKind.TRACE, 0.9 * BELL_CORNERS[3], max_iters=50)
     assert res.value == pytest.approx(W09[DistanceKind.TRACE], abs=1e-9)
 
 

@@ -157,13 +157,3 @@ def test_dimension_mismatch():
 
 def test_distance_kind_enum():
     assert {k.value for k in DistanceKind} == {"hs", "he", "bu", "tr", "re"}
-    assert DistanceKind.RELATIVE_ENTROPY.symmetric is False
-    assert all(
-        k.symmetric
-        for k in (
-            DistanceKind.HS,
-            DistanceKind.HELLINGER,
-            DistanceKind.BURES,
-            DistanceKind.TRACE,
-        )
-    )

@@ -9,6 +9,7 @@ from conftest import haar_unitary, random_density, random_tetra_corr
 from nlgeo.errors import (
     DimensionMismatch,
     InvalidProbability,
+    NlgeoError,
     NonPhysical,
     NotHermitian,
     NotPSD,
@@ -35,8 +36,41 @@ from nlgeo.qstate import (
     twirl_isotropic,
 )
 from nlgeo.qstate import _eig_hermitian
+from nlgeo.locality import cglmp_threshold
+from nlgeo.measures import bd_measure
+from nlgeo.metrics import DistanceKind
 
 N_ROUNDTRIPS = 200
+
+
+def _nan_off_diagonal() -> np.ndarray:
+    m = np.eye(4, dtype=complex) / 4.0
+    m[0, 1] = m[1, 0] = math.nan
+    return m
+
+
+NAN_CALLS = {
+    "from_corr": lambda: BellDiagonal.from_corr((math.nan, 0.0, 0.0)),
+    "from_probs": lambda: BellDiagonal.from_probs((math.nan, 0.0, 0.0, 1.0)),
+    "bd_probs_to_corr": lambda: bd_probs_to_corr((math.nan, 0.0, 0.0, 1.0)),
+    "validate_off_diagonal": lambda: DensityMatrix(2, _nan_off_diagonal()).validate(),
+    "validate_all_nan": lambda: DensityMatrix(2, np.full((4, 4), math.nan)).validate(),
+    "make_bell_diagonal_e": lambda: make_bell_diagonal(e=(math.nan, 0.0, 0.0, 1.0)),
+    "make_bell_diagonal_a": lambda: make_bell_diagonal(a=(math.nan, 0.0, 0.0)),
+    "matrix_sqrt_psd": lambda: matrix_sqrt_psd(np.full((4, 4), math.nan)),
+    "pauli_rep": lambda: PauliRep(np.diag([1.0, math.nan, 0.0, 0.0])),
+    "isotropic_dimension": lambda: IsotropicParam(d=math.nan, omega=0.5),
+    "cglmp_dimension": lambda: cglmp_threshold(math.nan),
+    "bd_measure": lambda: bd_measure(DistanceKind.RELATIVE_ENTROPY, (math.nan, 0.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_CALLS))
+def test_nan_input_raises_package_error(name):
+    # a comparison such as x < -tol is false for nan, so each check must be
+    # written the other way round for nan to fail it
+    with pytest.raises(NlgeoError):
+        NAN_CALLS[name]()
 
 unit_interval = st.floats(min_value=0.0, max_value=1.0)
 

@@ -1,4 +1,3 @@
-from nlgeo.measures import OptimizerConfig
 from nlgeo.validation import MULTISEED_POINTS, run_validation
 from nlgeo.qstate import BellDiagonal
 
@@ -13,7 +12,7 @@ def test_multiseed_points_are_physical_and_nonlocal():
 
 def test_run_validation_reports_structure_and_failure_path():
     # a starved optimizer must be reported, not hidden
-    checks = run_validation(OptimizerConfig(max_iters=1))
+    checks = run_validation(max_iters=1)
     names = [c.name for c in checks]
     assert "oracle_werner_hs" in names
     assert "grid_convergence_hs" in names
