@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonPhysical
 from .qstate import DensityMatrix, matrix_sqrt_psd
 
 SUPPORT_TOL = 1e-12
@@ -46,6 +46,8 @@ def _pair(rho1, rho2) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatch(
             f"states of shape {m1.shape} and {m2.shape} are incomparable"
         )
+    if not (np.all(np.isfinite(m1)) and np.all(np.isfinite(m2))):
+        raise NonPhysical("a state has a non-finite entry")
     return m1, m2
 
 

@@ -6,6 +6,10 @@ from nlgeo.locality import max_pair_sum
 
 SEED = 20260814
 
+# a nonlocal input whose HS projection lies on the arc where the cylinders
+# (1, 2) and (2, 3) meet
+ARC_INPUT = np.array([-0.6174579677587797, -0.9860375554040087, -0.6034955233912539])
+
 
 @pytest.fixture
 def rng():

@@ -267,6 +267,7 @@ def test_closed_pipe_exits_0_quietly():
     assert proc.stdout.readline() == b"# tool: nlgeo 0.1.0\n"
     proc.stdout.close()
     err = proc.stderr.read()
+    proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert err == b""
 

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -6,12 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_local_corr, random_nonlocal_corr, random_tetra_corr
+from conftest import ARC_INPUT, random_local_corr, random_nonlocal_corr, random_tetra_corr
 from nlgeo.errors import NonPhysical, OutOfRange
 from nlgeo.locality import (
-    _ELL_U,
-    _ELL_V,
-    _VERTICES,
     bd_is_chsh_local,
     cglmp_qk,
     cglmp_threshold,
@@ -235,19 +231,26 @@ def test_bell_corners_and_werner_line_map_to_threshold_vertex():
             assert proj.distance == pytest.approx(math.sqrt(3.0) * (w - T), abs=1e-14)
 
 
-def test_vertex_table_matches_derivation():
-    # three active constraints: all three cylinders, or one of the six arcs
-    # where two cylinders meet crossing a facet plane n . x = -1
-    points = [np.array(s) * T for s in itertools.product((1.0, -1.0), repeat=3)]
-    for u, v in zip(_ELL_U, _ELL_V):
-        for n in BELL_CORNERS:
-            p, q, r = n @ u, n @ v, -1.0
-            radius = math.hypot(p, q)
-            if radius < 1e-12 or abs(r) > radius:
-                continue  # the ellipse lies in the plane, or misses it
-            for t in np.arctan2(q, p) + np.array([-1.0, 1.0]) * math.acos(r / radius):
-                points.append(u * math.cos(t) + v * math.sin(t))
-    derived = {tuple(np.round(x, 9) + 0.0) for x in points if _is_local(x)}
-    table = {tuple(np.round(x, 9) + 0.0) for x in _VERTICES}
-    assert derived == table
-    assert len(table) == len(_VERTICES) == 10
+def _arc_tangent_residual(a, proj) -> float:
+    """Component of a - p along the arc through p where the two named
+    cylinders meet, whose tangent is the cross product of their normals."""
+    normals = np.zeros((2, 3))
+    for row, name in enumerate(proj.surface.split("+")):
+        for c in name[len("disk_"):]:
+            normals[row, int(c) - 1] = proj.point[int(c) - 1]
+    tangent = np.cross(normals[0], normals[1])
+    return abs(float((a - proj.point) @ tangent)) / float(np.linalg.norm(tangent))
+
+
+def test_arc_projection_is_stationary_on_its_arc(rng):
+    proj = project_local(ARC_INPUT)
+    assert proj.surface == "disk_12+disk_23"
+    assert _arc_tangent_residual(ARC_INPUT, proj) <= 1e-13
+    arcs = 0
+    for _ in range(300):
+        a = random_nonlocal_corr(rng)
+        proj = project_local(a)
+        if "+" in proj.surface:
+            arcs += 1
+            assert _arc_tangent_residual(a, proj) <= 1e-13
+    assert arcs >= 50

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_local_corr, random_nonlocal_corr, random_tetra_corr
-from nlgeo.errors import NonPhysical, OutOfRange
+from conftest import ARC_INPUT, random_local_corr, random_nonlocal_corr, random_tetra_corr
+from nlgeo.errors import DimensionMismatch, NonPhysical, OutOfRange
 from nlgeo.locality import BOUNDARY_TOL, cglmp_threshold, in_tetrahedron, max_pair_sum
 from nlgeo.measures import (
     OBJECTIVE_KINDS,
@@ -461,6 +461,15 @@ def test_nonphysical_rejected_everywhere():
             bd_measure(kind, bad)
 
 
+def test_wrong_length_correlators_rejected_everywhere():
+    for a in ((0.9, 0.9), (0.9, 0.9, 0.1, 0.0)):
+        with pytest.raises(DimensionMismatch):
+            in_tetrahedron(a)
+        for kind in KINDS:
+            with pytest.raises(DimensionMismatch):
+                bd_measure(kind, a)
+
+
 def test_numeric_matches_werner_closed_forms():
     for kind in KINDS:
         for w in np.linspace(0.72, 1.0, 5):
@@ -501,7 +510,8 @@ def test_value_reproduced_by_metrics(rng):
 def test_measure_invariant_under_tetra_symmetries():
     syms = tetra_symmetries()
     assert len(syms) == 24
-    points = [np.array([0.84, 0.63, -0.5]), 0.88 * BELL_CORNERS[1]]
+    # a single cylinder, an arc where two cylinders meet, and a vertex
+    points = [np.array([0.84, 0.63, -0.5]), ARC_INPUT, 0.88 * BELL_CORNERS[1]]
     kinds = [k for k in KINDS if k is not DistanceKind.BURES]  # bu shares he
     for a in points:
         for kind in kinds:

@@ -38,7 +38,16 @@ from nlgeo.qstate import (
 from nlgeo.qstate import _eig_hermitian
 from nlgeo.locality import cglmp_threshold
 from nlgeo.measures import bd_measure
-from nlgeo.metrics import DistanceKind
+from nlgeo.metrics import (
+    DistanceKind,
+    dist_bures,
+    dist_hellinger,
+    dist_hellinger_sq,
+    dist_hs,
+    dist_trace,
+    fidelity,
+    rel_entropy,
+)
 
 N_ROUNDTRIPS = 200
 
@@ -63,6 +72,17 @@ NAN_CALLS = {
     "cglmp_dimension": lambda: cglmp_threshold(math.nan),
     "bd_measure": lambda: bd_measure(DistanceKind.RELATIVE_ENTROPY, (math.nan, 0.0, 0.0)),
 }
+# every distance functional, with the nan matrix as either argument
+NAN_CALLS.update(
+    {
+        f"{f.__name__}_{order}": lambda f=f, args=args: f(*args)
+        for f in (dist_hs, dist_hellinger_sq, dist_hellinger, fidelity, dist_bures, dist_trace, rel_entropy)
+        for order, args in (
+            ("first", (np.full((4, 4), math.nan), np.eye(4) / 4.0)),
+            ("second", (np.eye(4) / 4.0, np.full((4, 4), math.nan))),
+        )
+    }
+)
 
 
 @pytest.mark.parametrize("name", sorted(NAN_CALLS))
