@@ -4,8 +4,9 @@ Exit codes: 0 success, 2 argument error, 3 non-physical input, 4 validation
 failure, 5 optimizer non-convergence. A reader that closes the output pipe
 early (``nlgeo werner-sweep | head -2``) has chosen to stop, so that exits 0
 without a traceback. Output is CSV (default) or JSON with the same records
-(JSON writes a non-finite float, which it cannot represent, as null);
-metadata lines carry the tool version, the value conventions, the optimizer's
+(JSON writes a non-finite float, which it cannot represent, as null). nlgeo
+writes the JSON itself, row by row, in the json module's indent=2 layout.
+Metadata lines carry the tool version, the value conventions, the optimizer's
 Newton-step budget (for the commands that solve) and the seed, so a fixed
 command line reproduces byte-identical files.
 """
@@ -45,15 +46,28 @@ CONVENTIONS = "hellinger=squared bures=squared log_base=2 boundary=local"
 
 
 def _fmt(v) -> str:
+    """One CSV cell. Floats, nearly every cell, are tested first."""
+    if isinstance(v, float):
+        return "%.17g" % v
     if v is None:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, float):
-        return format(v, ".17g")
     return str(v)
+
+
+def _json_cell(v) -> str:
+    """One JSON value, as the json module writes it.
+
+    json writes every float, np.float64 included, as float.__repr__. JSON has
+    no inf or nan (RFC 8259), so a non-finite float is written as null; the
+    CSV writer keeps it as inf, -inf or nan.
+    """
+    if isinstance(v, float):
+        return float.__repr__(v) if math.isfinite(v) else "null"
+    return json.dumps(v)
 
 
 def _meta_lines(command: str, args, extra: dict | None = None) -> list[tuple[str, object]]:
@@ -68,27 +82,30 @@ def _meta_lines(command: str, args, extra: dict | None = None) -> list[tuple[str
 
 
 def write_table(out, columns, rows, meta_pairs, fmt: str) -> None:
+    """Write the header once, then each row through one row template.
+
+    CSV: `# key: value` metadata lines, the column line, one line per row.
+    JSON: {"meta", "columns", "records"} in the json module's indent=2
+    layout, written row by row, so no record dict is built. The column names
+    must be unique, as JSON object keys are.
+    """
     if fmt == "json":
-        # JSON has no inf or nan (RFC 8259), so a non-finite float is written
-        # as null; the CSV writer keeps it as inf, -inf or nan
-        payload = {
-            "meta": {k: v for k, v in meta_pairs},
-            "columns": list(columns),
-            "records": [
-                {c: (None if isinstance(v, float) and not math.isfinite(v) else v)
-                 for c, v in zip(columns, r)}
-                for r in rows
-            ],
-        }
-        # the payload is built here from scalars, so it cannot hold a cycle
-        json.dump(payload, out, indent=2, check_circular=False)
-        out.write("\n")
-        return
-    for k, v in meta_pairs:
-        out.write(f"# {k}: {_fmt(v)}\n")
-    out.write(",".join(columns) + "\n")
+        head = json.dumps({"meta": dict(meta_pairs), "columns": list(columns)}, indent=2)
+        # the dict's closing "\n}" makes way for the records array
+        out.write(head[:-2] + ',\n  "records": [')
+        fields = ",".join(f"\n      {json.dumps(c).replace('%', '%%')}: %s" for c in columns)
+        template, cell, sep = "\n    {" + fields + "\n    }", _json_cell, ","
+    else:
+        out.write("".join(f"# {k}: {_fmt(v)}\n" for k, v in meta_pairs))
+        out.write(",".join(columns) + "\n")
+        template, cell, sep = ",".join(["%s"] * len(columns)) + "\n", _fmt, ""
+    lead = ""
     for r in rows:
-        out.write(",".join(_fmt(v) for v in r) + "\n")
+        out.write(lead + template % tuple(map(cell, r)))
+        lead = sep
+    if fmt == "json":
+        # an empty array closes on the same line: "records": []
+        out.write("\n  ]\n}\n" if lead else "]\n}\n")
 
 
 def emit(args, columns, rows, meta_pairs) -> None:
@@ -115,7 +132,8 @@ def _at_least(low: int):
 
 
 def _kinds(args, default=None) -> list[DistanceKind]:
-    codes = args.kind or (default or KIND_CODES)
+    # a repeated --kind counts once, so every column name is unique
+    codes = dict.fromkeys(args.kind or (default or KIND_CODES))
     return [DistanceKind(c) for c in codes]
 
 
@@ -150,9 +168,11 @@ def cmd_bd_sweep(args) -> int:
 
 
 def cmd_bd_grid(args) -> int:
-    kinds = _kinds(args, default=["hs"])
-    if len(kinds) != 1:
+    # the option as given, before _kinds drops repeats: --kind hs --kind hs
+    # is still two kinds here
+    if args.kind and len(args.kind) != 1:
         raise ValueError("bd-grid takes exactly one --kind")
+    kinds = _kinds(args, default=["hs"])
     rows = bd_grid(kinds[0], args.grid_n, args.max_iters)
     meta = _meta_lines("bd-grid", args, {"kind": kinds[0].value, "grid_n": args.grid_n})
     emit(args, ["e1", "e2", "value"], rows, meta)

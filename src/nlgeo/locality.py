@@ -5,12 +5,13 @@ symmetry reduces to one cylinder, one arc or one vertex."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPhysical, OutOfRange
+from .errors import NonPhysical, OutOfRange
 from .qstate import PauliRep, bd_corr_to_probs
 
 BOUNDARY_TOL = 1e-12
@@ -63,12 +64,16 @@ def cglmp_qk(d: int, k: int) -> float:
     return float(1.0 / (2.0 * d**3 * s * s))
 
 
+# typed: d = 3 and d = 3.0 are separate entries, so a call's result never
+# depends on which type an earlier call used
+@functools.lru_cache(maxsize=64, typed=True)
 def cglmp_threshold(d: int) -> CglmpThreshold:
     """Quantum CGLMP value I_d and the isotropic locality threshold 2/I_d.
 
     I_d = 4d sum_{k=0}^{floor(d/2)-1} (1 - 2k/(d-1)) (q_k - q_{-(k+1)}),
     evaluated literally; at d = 2 the sum is the single k = 0 term and the
-    threshold reduces to the CHSH value 1/sqrt(2).
+    threshold reduces to the CHSH value 1/sqrt(2). Cached per d (the result
+    is frozen): an isotropic sweep asks for it once per weight and kind.
     """
     if not (d >= 2 and float(d).is_integer()):
         raise OutOfRange(f"local dimension must be an integer >= 2, got {d}")
@@ -83,11 +88,8 @@ def cglmp_threshold(d: int) -> CglmpThreshold:
 def in_tetrahedron(a, tol: float = 1e-12) -> bool:
     """Whether correlators a lie in the physical Bell-diagonal tetrahedron.
 
-    Raises DimensionMismatch unless a holds 3 correlators.
+    Raises DimensionMismatch unless a holds 3 correlators (bd_corr_to_probs).
     """
-    a = np.asarray(a, dtype=float)
-    if a.shape != (3,):
-        raise DimensionMismatch(f"correlator vector must have length 3, got shape {a.shape}")
     return bool(bd_corr_to_probs(a).min() >= -tol)
 
 

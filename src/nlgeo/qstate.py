@@ -139,8 +139,6 @@ class BellDiagonal:
     @classmethod
     def from_corr(cls, a) -> "BellDiagonal":
         a = np.asarray(a, dtype=float)
-        if a.shape != (3,):
-            raise DimensionMismatch("correlator vector must have length 3")
         e = bd_corr_to_probs(a)
         # written so that a nan weight fails too
         if not e.min() >= -PROB_NEG_ATOL:
@@ -220,10 +218,13 @@ def bd_probs_to_corr(e) -> np.ndarray:
 def bd_corr_to_probs(a) -> np.ndarray:
     """Map correlators a to Bell weights e.
 
-    Total function: returns the affine image even when some e_i < 0, so that
-    callers can test physicality themselves.
+    Returns the affine image even when some e_i < 0, so that callers can test
+    physicality themselves. Raises DimensionMismatch unless a holds 3
+    correlators.
     """
     a = np.asarray(a, dtype=float)
+    if a.shape != (3,):
+        raise DimensionMismatch(f"correlator vector must have length 3, got shape {a.shape}")
     return PROBS_FROM_CORR @ np.concatenate(([1.0], a))
 
 

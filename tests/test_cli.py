@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -11,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlgeo.cli import main
+from nlgeo import cli
+from nlgeo.cli import _meta_lines, build_parser, main, write_table
 from nlgeo.measures import bd_measure
 from nlgeo.metrics import DistanceKind
 
@@ -156,6 +158,101 @@ def test_iso_json_is_strict_json_and_csv_keeps_inf(tmp_path):
     assert rows[-1][header.index("formula_re")] == "-inf"
 
 
+def oracle_write_table(out, columns, rows, meta_pairs, fmt):
+    """The table writer before row templates: a record dict per row and json.dumps."""
+
+    def cell(v):
+        if v is None:
+            return ""
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        if isinstance(v, float):
+            return format(v, ".17g")
+        return str(v)
+
+    if fmt == "json":
+        payload = {
+            "meta": dict(meta_pairs),
+            "columns": list(columns),
+            "records": [
+                {c: (None if isinstance(v, float) and not math.isfinite(v) else v) for c, v in zip(columns, r)}
+                for r in rows
+            ],
+        }
+        out.write(json.dumps(payload, indent=2) + "\n")
+        return
+    for k, v in meta_pairs:
+        out.write(f"# {k}: {cell(v)}\n")
+    out.write(",".join(columns) + "\n")
+    for r in rows:
+        out.write(",".join(cell(v) for v in r) + "\n")
+
+
+def written(writer, table, fmt):
+    """The text a writer produces for (columns, rows, meta), or the type it raises."""
+    out = io.StringIO()
+    try:
+        writer(out, *table, fmt)
+    except TypeError as exc:  # the json module encodes no numpy integer
+        return type(exc)
+    return out.getvalue()
+
+
+GRID_META = _meta_lines("bd-grid", build_parser().parse_args(["bd-grid", "--seed", "5"]), {"kind": "hs", "grid_n": 10})
+ISO_META = _meta_lines(
+    "iso", build_parser().parse_args(["iso", "--d", "3"]),
+    {"d": 3, "i_d_qm": 2.8729340511723365, "omega_threshold": 0.6961524227066316},
+)
+WRITER_TABLES = {
+    "floats": (
+        ["x", "y", "z"],
+        [[-0.0, 1e-300, 0.1 + 0.2], [math.nan, math.inf, -math.inf], [np.float64(0.7), np.float64(-math.inf), 1.0]],
+        ISO_META,
+    ),
+    "numpy_int": (["i", "x"], [[np.int64(3), np.float64(2.5)]], GRID_META),
+    "bool_none_int": (["ok", "none", "n"], [[True, None, 7], [False, None, -12]], GRID_META),
+    "strings": (["kind", "100% detail"], [["re", 'say "hi" to \u03c9 and caf\u00e9'], ["hs", ""]], ISO_META),
+    "empty": (["w", "hs"], [], GRID_META),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(WRITER_TABLES))
+def test_write_table_matches_record_dict_writer(name, fmt):
+    table = WRITER_TABLES[name]
+    assert written(write_table, table, fmt) == written(oracle_write_table, table, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["werner-sweep", "--n", "4"],
+        ["bd-measure", "--a=0.84,0.63,-0.5", "--kind", "hs", "--kind", "tr"],
+        ["iso", "--d", "3", "--n", "4", "--kind", "re", "--kind", "hs"],
+    ],
+)
+def test_commands_write_what_the_record_dict_writer_wrote(argv, fmt, tmp_path, monkeypatch):
+    new, old = tmp_path / "new", tmp_path / "old"
+    assert run(argv + ["--format", fmt, "--out", str(new)]) == 0
+    monkeypatch.setattr(cli, "write_table", oracle_write_table)
+    assert run(argv + ["--format", fmt, "--out", str(old)]) == 0
+    assert new.read_bytes() == old.read_bytes()
+
+
+def test_repeated_kind_is_one_column(tmp_path):
+    base = ["werner-sweep", "--n", "3", "--kind", "tr", "--kind", "hs", "--kind", "tr"]
+    assert run(base + ["--out", str(tmp_path / "w.csv")]) == 0
+    assert run(base + ["--format", "json", "--out", str(tmp_path / "w.json")]) == 0
+    _, header, rows = read_csv(tmp_path / "w.csv")
+    doc = json.loads((tmp_path / "w.json").read_text())
+    assert header == doc["columns"] == ["w", "tr", "hs"]
+    assert [list(rec) for rec in doc["records"]] == [header] * 3
+    assert [[float(v) for v in row] for row in rows] == [list(rec.values()) for rec in doc["records"]]
+
+
 def test_stdout_output(capsys):
     assert run(["bd-measure", "--a", "0.84,0.63,-0.5", "--kind", "hs"]) == 0
     captured = capsys.readouterr().out
@@ -170,6 +267,8 @@ def test_exit_codes(tmp_path):
     assert run(["bd-measure", "--out", out]) == 2
     assert run(["bd-measure", "--a", "0.1,0.1,0.1", "--e", "0,0.5,0.5,0", "--out", out]) == 2
     assert run(["bd-grid", "--kind", "hs", "--kind", "tr", "--out", out]) == 2
+    # a repeated --kind is one column elsewhere, but bd-grid takes the option once
+    assert run(["bd-grid", "--kind", "hs", "--kind", "hs", "--out", out]) == 2
     assert run(["iso", "--d", "1", "--omega", "0.8", "--out", out]) == 2
     # the sweep default omega-min also depends on d, so this path must not crash
     assert run(["iso", "--d", "1", "--out", out]) == 2

@@ -37,6 +37,7 @@ from nlgeo.metrics import (
 )
 from nlgeo.qstate import (
     BELL_CORNERS,
+    BellDiagonal,
     bd_corr_to_probs,
     make_bell_diagonal,
     make_isotropic,
@@ -463,8 +464,10 @@ def test_nonphysical_rejected_everywhere():
 
 def test_wrong_length_correlators_rejected_everywhere():
     for a in ((0.9, 0.9), (0.9, 0.9, 0.1, 0.0)):
-        with pytest.raises(DimensionMismatch):
-            in_tetrahedron(a)
+        # bd_corr_to_probs makes the one check that the others rely on
+        for check in (bd_corr_to_probs, BellDiagonal.from_corr, in_tetrahedron):
+            with pytest.raises(DimensionMismatch):
+                check(a)
         for kind in KINDS:
             with pytest.raises(DimensionMismatch):
                 bd_measure(kind, a)
