@@ -221,7 +221,7 @@ def cmd_iso(args) -> int:
         raise ValueError(f"omega {args.omega} outside [{lo:.6g}, 1]")
     thr = cglmp_threshold(args.d)
     if args.omega is not None:
-        omegas = [args.omega]
+        omegas = np.array([args.omega])
     else:
         if args.omega_min is None:
             args.omega_min = thr.omega_threshold
@@ -230,24 +230,17 @@ def cmd_iso(args) -> int:
                 f"need {lo:.6g} <= omega-min < omega-max <= 1, "
                 f"got [{args.omega_min}, {args.omega_max}]"
             )
-        omegas = list(np.linspace(args.omega_min, args.omega_max, args.n))
-    columns = ["omega"]
+        omegas = np.linspace(args.omega_min, args.omega_max, args.n)
+    names, columns, empty = ["omega"], [omegas.tolist()], [None] * len(omegas)
     for k in kinds:
-        columns += [f"value_{k.value}", f"formula_{k.value}", f"consistent_{k.value}"]
-    values = [isotropic_values(k, args.d, omegas).tolist() for k in kinds]
-    rows = []
-    for i, omega in enumerate(omegas):
-        row = [omega]
-        for k, column in zip(kinds, values):
-            reference = isotropic_reference_formula(k, args.d, omega)
-            row += [column[i], reference, formula_agrees(column[i], reference)]
-        rows.append(row)
-    meta = {
-        "d": args.d,
-        "i_d_qm": thr.i_d_qm,
-        "omega_threshold": thr.omega_threshold,
-    }
-    emit(args, columns, rows, _meta_lines("iso", args, meta))
+        names += [f"value_{k.value}", f"formula_{k.value}", f"consistent_{k.value}"]
+        value = isotropic_values(k, args.d, omegas)
+        reference = isotropic_reference_formula(k, args.d, omegas)
+        agrees = formula_agrees(value, reference)
+        # Bures has no quoted form, so its formula and flag cells are empty
+        columns += [value.tolist()] + [empty if c is None else c.tolist() for c in (reference, agrees)]
+    meta = {"d": args.d, "i_d_qm": thr.i_d_qm, "omega_threshold": thr.omega_threshold}
+    emit(args, names, zip(*columns), _meta_lines("iso", args, meta))
     return 0
 
 

@@ -49,70 +49,53 @@ class MeasureResult:
     value is the measure itself (squared distance for Hellinger and Bures),
     closest_local identifies the minimizing local state, method is one of
     closed_form, lagrange_case (the exact HS projection) and numeric, and
-    surface names the active boundary piece when one is identified.
+    surface names the active boundary piece when one is identified. The
+    diagnostics default to those of an exact result: no iterations,
+    converged, residual 0.
     """
 
     kind: DistanceKind
     value: float
     closest_local: object
     method: str
-    surface: str | None
-    iterations: int
-    converged: bool
-    residual: float
+    surface: str | None = None
+    iterations: int = 0
+    converged: bool = True
+    residual: float = 0.0
 
 
 def _closed_form(kind: DistanceKind, value: float, closest: object) -> MeasureResult:
-    return MeasureResult(
-        kind=kind,
-        value=value,
-        closest_local=closest,
-        method="closed_form",
-        surface=None,
-        iterations=0,
-        converged=True,
-        residual=0.0,
-    )
+    return MeasureResult(kind, value, closest, "closed_form")
 
 
-def werner_values(kind: DistanceKind, w) -> np.ndarray:
-    """Measure of the Werner states with parameters w (an array), in closed form.
+def _spectral_values(kind: DistanceKind, d: int, t: float, omega: np.ndarray) -> np.ndarray:
+    """Measure of the states with spectrum ((d^2 - 1) omega + 1)/d^2 once and
+    (1 - omega)/d^2 d^2 - 1 times against the state of the same family at t.
 
-    The closest local state is the Werner state at the CHSH threshold
-    1/sqrt(2) for every kind; local entries (w <= 1/sqrt(2)) give exactly 0.0.
-    Every entry must be a valid Werner parameter, or OutOfRange is raised.
+    Both states are diagonal in one basis, so each distance is a classical one
+    between the two spectra. Local entries (omega <= t) give exactly 0.0.
     """
-    w = np.asarray(w, dtype=float)
-    if w.size:
-        # the admissible range is an interval, so checking the extremes checks
-        # every entry (a nan becomes both extremes and fails)
-        WernerParam(float(w.min()))
-        WernerParam(float(w.max()))
-    t = WERNER_THRESHOLD
-    out = np.zeros(w.shape)
-    is_nonlocal = w > t + BOUNDARY_TOL
-    w = w[is_nonlocal]
+    d2 = float(d * d)
+    out = np.zeros(omega.shape)
+    is_nonlocal = omega > t + BOUNDARY_TOL
+    omega = omega[is_nonlocal]
     if kind is DistanceKind.HS:
-        value = (math.sqrt(3.0) / 2.0) * (w - t)
-    elif kind in (DistanceKind.HELLINGER, DistanceKind.BURES):
-        # 1 - w is clipped at 0 for the rounding slack WernerParam admits above 1
-        value = 2.0 - 0.5 * (
-            3.0 * np.sqrt(np.maximum(1.0 - w, 0.0) * (1.0 - t))
-            + np.sqrt((1.0 + 3.0 * w) * (1.0 + 3.0 * t))
-        )
+        value = math.sqrt(1.0 - 1.0 / d2) * (omega - t)
     elif kind is DistanceKind.TRACE:
-        value = 0.75 * (w - t)
+        value = (d2 - 1.0) / d2 * (omega - t)
     else:
-        # Werner spectra: (1 + 3w)/4 once and (1 - w)/4 three times. Each term
-        # takes math.log2 (numpy's log2 kernel can differ in the last bit), a
-        # weight <= 1e-15 contributes nothing (0 log 0 = 0), and the sum runs
-        # in spectrum order.
-        big, small = (1.0 + 3.0 * w) / 4.0, (1.0 - w) / 4.0
-        big_term = big * _log2(big / ((1.0 + 3.0 * t) / 4.0))
-        small_term = np.zeros(w.shape)
-        keep = small > 1e-15
-        small_term[keep] = small[keep] * _log2(small[keep] / ((1.0 - t) / 4.0))
-        value = np.maximum(big_term + small_term + small_term + small_term, 0.0)
+        big, big_t = ((d2 - 1.0) * omega + 1.0) / d2, ((d2 - 1.0) * t + 1.0) / d2
+        # 1 - omega is clipped at 0 for the rounding slack the parameters admit above 1
+        small, small_t = np.maximum(1.0 - omega, 0.0) / d2, (1.0 - t) / d2
+        if kind in (DistanceKind.HELLINGER, DistanceKind.BURES):
+            value = 2.0 - 2.0 * (np.sqrt(big * big_t) + (d2 - 1.0) * np.sqrt(small * small_t))
+        else:
+            # math.log2 per element (numpy's log2 kernel can differ in the last
+            # bit); a weight <= 1e-15 contributes nothing (0 log 0 = 0)
+            small_term = np.zeros(omega.shape)
+            keep = small > 1e-15
+            small_term[keep] = small[keep] * _log2(small[keep] / small_t)
+            value = np.maximum(big * _log2(big / big_t) + (d2 - 1.0) * small_term, 0.0)
     out[is_nonlocal] = value
     return out
 
@@ -120,6 +103,30 @@ def werner_values(kind: DistanceKind, w) -> np.ndarray:
 def _log2(x: np.ndarray) -> np.ndarray:
     """Elementwise math.log2."""
     return np.fromiter(map(math.log2, x.tolist()), dtype=float, count=x.size)
+
+
+def _checked(param, w) -> np.ndarray:
+    """w as a float array after checking its extremes with param.
+
+    The admissible range is an interval, so checking the extremes checks every
+    entry (a nan becomes both extremes and fails).
+    """
+    w = np.asarray(w, dtype=float)
+    if w.size:
+        param(float(w.min()))
+        param(float(w.max()))
+    return w
+
+
+def werner_values(kind: DistanceKind, w) -> np.ndarray:
+    """Measure of the Werner states with parameters w (an array), in closed form.
+
+    A Werner state is the d = 2 isotropic state up to a local unitary, and its
+    closest local state is the Werner state at the CHSH threshold 1/sqrt(2) for
+    every kind; local entries (w <= 1/sqrt(2)) give exactly 0.0. Every entry
+    must be a valid Werner parameter, or OutOfRange is raised.
+    """
+    return _spectral_values(kind, 2, WERNER_THRESHOLD, _checked(WernerParam, w))
 
 
 def werner_measure(kind: DistanceKind, w: float) -> MeasureResult:
@@ -142,38 +149,12 @@ def isotropic_values(kind: DistanceKind, d: int, omega) -> np.ndarray:
     """Measure of the d-dimensional isotropic states with weights omega (an array).
 
     The closest local state is the isotropic state at the CGLMP threshold
-    t = 2/I_d. Both states are diagonal in {|phi+>} and its complement, with
-    spectrum ((d^2 - 1) omega + 1)/d^2 once and (1 - omega)/d^2 d^2 - 1 times,
-    so each distance is a classical one between two spectra. Local entries
-    (omega <= t) give exactly 0.0; an invalid weight raises OutOfRange.
+    t = 2/I_d. Both states are diagonal in {|phi+>} and its complement, so
+    _spectral_values applies. Local entries (omega <= t) give exactly 0.0; an
+    invalid weight raises OutOfRange.
     """
-    omega = np.asarray(omega, dtype=float)
-    if omega.size:
-        # an interval, as in werner_values: the extremes check every entry
-        IsotropicParam(d=d, omega=float(omega.min()))
-        IsotropicParam(d=d, omega=float(omega.max()))
-    t = cglmp_threshold(d).omega_threshold
-    d2 = float(d * d)
-    out = np.zeros(omega.shape)
-    is_nonlocal = omega > t + BOUNDARY_TOL
-    omega = omega[is_nonlocal]
-    if kind is DistanceKind.HS:
-        value = math.sqrt(1.0 - 1.0 / d2) * (omega - t)
-    elif kind is DistanceKind.TRACE:
-        value = (d2 - 1.0) / d2 * (omega - t)
-    else:
-        big, big_t = ((d2 - 1.0) * omega + 1.0) / d2, ((d2 - 1.0) * t + 1.0) / d2
-        # 1 - omega is clipped at 0 for the rounding slack IsotropicParam admits above 1
-        small, small_t = np.maximum(1.0 - omega, 0.0) / d2, (1.0 - t) / d2
-        if kind in (DistanceKind.HELLINGER, DistanceKind.BURES):
-            value = 2.0 - 2.0 * (np.sqrt(big * big_t) + (d2 - 1.0) * np.sqrt(small * small_t))
-        else:
-            small_term = np.zeros(omega.shape)
-            keep = small > 1e-15
-            small_term[keep] = small[keep] * _log2(small[keep] / small_t)
-            value = np.maximum(big * _log2(big / big_t) + (d2 - 1.0) * small_term, 0.0)
-    out[is_nonlocal] = value
-    return out
+    omega = _checked(lambda om: IsotropicParam(d=d, omega=om), omega)
+    return _spectral_values(kind, d, cglmp_threshold(d).omega_threshold, omega)
 
 
 def isotropic_measure(kind: DistanceKind, d: int, omega: float) -> MeasureResult:
@@ -188,7 +169,7 @@ def isotropic_measure(kind: DistanceKind, d: int, omega: float) -> MeasureResult
     return _closed_form(kind, value, IsotropicParam(d=d, omega=omega if is_local else thr))
 
 
-def isotropic_reference_formula(kind: DistanceKind, d: int, omega: float) -> float | None:
+def isotropic_reference_formula(kind: DistanceKind, d: int, omega):
     """Commonly quoted closed forms for the isotropic measures, verbatim.
 
     A cross-check against isotropic_values. They agree for HS only; the
@@ -197,42 +178,59 @@ def isotropic_reference_formula(kind: DistanceKind, d: int, omega: float) -> flo
       where the measure is (1/2) ||rho - sigma||_1;
     * Hellinger: the prefactor is 2/d where the spectra give 2/d^2;
     * relative entropy: wrong signs and weights, and -inf at omega = 1.
-    Bures has no quoted form, so it returns None.
+    Bures has no quoted form, so it returns None. omega is a weight or an
+    array of weights, range-checked as in isotropic_values; a float comes
+    back for a scalar.
     """
-    IsotropicParam(d=d, omega=omega)
+    weights = _checked(lambda om: IsotropicParam(d=d, omega=om), omega)
     if kind is DistanceKind.BURES:
         return None
     thr = cglmp_threshold(d).omega_threshold
-    if omega <= thr + BOUNDARY_TOL:
-        return 0.0
     d2 = float(d * d)
+    out = np.zeros(weights.shape)
+    is_nonlocal = weights > thr + BOUNDARY_TOL
+    om = weights[is_nonlocal]
+    # 1 - omega is clipped at 0 for the rounding slack IsotropicParam admits above 1
+    one_minus = np.maximum(1.0 - om, 0.0)
     if kind is DistanceKind.HS:
-        return math.sqrt(1.0 - 1.0 / d2) * (omega - thr)
-    if kind is DistanceKind.TRACE:
-        return 2.0 * (d2 - 1.0) / d2 * (omega - thr)
-    if kind is DistanceKind.HELLINGER:
-        return 2.0 - (2.0 / d) * (
-            (d2 - 1.0) * math.sqrt((1.0 - omega) * (1.0 - thr))
-            + math.sqrt(((d2 - 1.0) * omega + 1.0) * ((d2 - 1.0) * thr + 1.0))
+        value = math.sqrt(1.0 - 1.0 / d2) * (om - thr)
+    elif kind is DistanceKind.TRACE:
+        value = 2.0 * (d2 - 1.0) / d2 * (om - thr)
+    elif kind is DistanceKind.HELLINGER:
+        value = 2.0 - (2.0 / d) * (
+            (d2 - 1.0) * np.sqrt(one_minus * (1.0 - thr))
+            + np.sqrt(((d2 - 1.0) * om + 1.0) * ((d2 - 1.0) * thr + 1.0))
         )
-    p_omega = ((d2 - 1.0) * omega + 1.0) / d2
-    p_thr = ((d2 - 1.0) * thr + 1.0) / d2
-    with np.errstate(divide="ignore"):
-        return float(
-            p_omega * np.log2(p_omega)
-            + (d2 - 1.0) / d2 * np.log2((1.0 - omega) / d2)
-            + p_thr * np.log2(p_thr)
-            + (d2 - 1.0) / d2 * np.log2((1.0 - thr) / d2)
-        )
+    else:
+        p_omega = ((d2 - 1.0) * om + 1.0) / d2
+        p_thr = ((d2 - 1.0) * thr + 1.0) / d2
+        with np.errstate(divide="ignore"):
+            value = (
+                p_omega * np.log2(p_omega)
+                + (d2 - 1.0) / d2 * np.log2(one_minus / d2)
+                + p_thr * np.log2(p_thr)
+                + (d2 - 1.0) / d2 * np.log2((1.0 - thr) / d2)
+            )
+    out[is_nonlocal] = value
+    return float(out) if np.ndim(omega) == 0 else out
 
 
-def formula_agrees(value: float, reference: float | None, tol: float = 1e-9) -> bool | None:
-    """Whether a quoted closed form matches the value; None when there is none."""
+_FORMULA_TOL = 1e-9
+
+
+def formula_agrees(value, reference):
+    """Whether a quoted closed form matches the value, entry by entry.
+
+    Finite entries agree within a relative _FORMULA_TOL, infinite ones only
+    when equal. None when there is no quoted form; a bool for scalars.
+    """
     if reference is None:
         return None
-    if math.isinf(reference) or math.isinf(value):
-        return bool(reference == value)
-    return bool(abs(value - reference) <= tol * max(1.0, abs(value)))
+    value, ref = np.asarray(value, dtype=float), np.asarray(reference, dtype=float)
+    with np.errstate(invalid="ignore"):
+        close = np.abs(value - ref) <= _FORMULA_TOL * np.maximum(1.0, np.abs(value))
+    agrees = np.where(np.isinf(ref) | np.isinf(value), ref == value, close)
+    return bool(agrees) if agrees.ndim == 0 else agrees
 
 
 # The kinds with a numeric objective. HS is the exact projection
@@ -360,9 +358,6 @@ def bd_measure_hs(a) -> MeasureResult:
         closest_local=BellDiagonal.from_corr(proj.point),
         method="lagrange_case",
         surface=proj.surface,
-        iterations=0,
-        converged=True,
-        residual=0.0,
     )
 
 

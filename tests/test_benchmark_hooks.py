@@ -3,8 +3,9 @@
 perfbench/worker.py wraps each (module, attribute) of SEGMENT_POINTS to time
 long commands in segments, and skips any that is gone. So a rename there
 would silently leave a command timed as one segment; this test fails instead.
-perfbench/tracer.py likewise wraps TRACED_NAMES, and a name that is gone
-would make its per-layer time read 0.
+perfbench/tracer.py likewise wraps each row of its PATCHES, and a name that is
+gone would make its per-layer time read 0; TRACED_NAMES lists the rows that
+must resolve.
 """
 
 import importlib
@@ -14,10 +15,22 @@ import nlgeo
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
+# (module or "module:Class", attribute), written as in perfbench/tracer.py
 TRACED_NAMES = (
+    ("nlgeo.cli", "bd_grid"),
+    ("nlgeo.cli", "bd_sweep"),
+    ("nlgeo.cli", "bd_measure"),
     ("nlgeo.cli", "write_table"),
     ("nlgeo.cli", "cglmp_threshold"),
     ("nlgeo.measures", "cglmp_threshold"),
+    ("nlgeo.measures", "werner_measure"),
+    ("nlgeo.measures", "isotropic_measure"),
+    ("nlgeo.measures", "bd_measure_hs"),
+    ("nlgeo.measures", "bd_measure_numeric"),
+    ("nlgeo.measures", "bd_is_chsh_local"),
+    ("nlgeo.solver", "minimize_over_local_set"),
+    ("nlgeo.measures:BdObjective", "value_at"),
+    ("nlgeo.measures:BdObjective", "gradient_at"),
 )
 
 
@@ -30,9 +43,18 @@ def test_segment_points_resolve_to_callables(monkeypatch):
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
 
 
-def test_traced_names_resolve_to_callables():
-    for module, attr in TRACED_NAMES:
-        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+def test_traced_names_resolve_to_callables(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import PATCHES
+
+    rows = {(path, attr) for path, attr, _ in PATCHES}
+    for path, attr in TRACED_NAMES:
+        assert (path, attr) in rows, (path, attr)
+        module, _, cls = path.partition(":")
+        owner = importlib.import_module(module)
+        if cls:
+            owner = getattr(owner, cls)
+        assert callable(getattr(owner, attr, None)), (path, attr)
 
 
 def test_library_names_the_benchmark_calls():

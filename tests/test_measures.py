@@ -1,6 +1,8 @@
 import dataclasses
+import decimal
 import itertools
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from nlgeo.measures import (
     werner_measure,
     werner_values,
 )
-from nlgeo import qstate
+from nlgeo import cli, qstate
 from nlgeo.cli import main
 from nlgeo.metrics import (
     DistanceKind,
@@ -137,13 +139,11 @@ def _werner_scalar(kind, w):
         )
     if kind is DistanceKind.TRACE:
         return 0.75 * (w - T)
-    p = [(1.0 + 3.0 * w) / 4.0] + [(1.0 - w) / 4.0] * 3
-    q = [(1.0 + 3.0 * T) / 4.0] + [(1.0 - T) / 4.0] * 3
-    total = 0.0
-    for pi, qi in zip(p, q):
-        if pi > 1e-15:
-            total += pi * math.log2(pi / qi)
-    return max(total, 0.0)
+    # the spectral kernel's order: the big weight's term plus three times the
+    # small weight's term (a weight <= 1e-15 contributes nothing)
+    big, small = (1.0 + 3.0 * w) / 4.0, (1.0 - w) / 4.0
+    small_term = small * math.log2(small / ((1.0 - T) / 4.0)) if small > 1e-15 else 0.0
+    return max(big * math.log2(big / ((1.0 + 3.0 * T) / 4.0)) + 3.0 * small_term, 0.0)
 
 
 def test_werner_values_match_scalar_closed_forms():
@@ -166,11 +166,20 @@ def test_iso_builds_no_density_matrix(monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("iso must not build or diagonalize a density matrix")
 
+    references = []
+
+    def counted(*args):
+        references.append(args)
+        return isotropic_reference_formula(*args)
+
     monkeypatch.setattr(qstate, "make_isotropic", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(cli, "isotropic_reference_formula", counted)
     kinds = [flag for k in KINDS for flag in ("--kind", k.value)]
     assert main(["iso", "--d", "3", "--n", "20", *kinds, "--out", str(tmp_path / "iso.csv")]) == 0
+    # the quoted forms too are one array evaluation per kind
+    assert len(references) == len(KINDS)
     # one array evaluation per kind gives the same values in either loop order
     grid = [0.75, 0.8, 0.95, 1.0]
     by_omega = {(k, om): isotropic_measure(k, 3, om).value for om in grid for k in KINDS}
@@ -220,10 +229,44 @@ def test_isotropic_values_range_errors():
         for d, bad in ((3, [0.9, math.nan]), (3, [0.9, 1.2]), (3, [-0.2, 0.9]), (2, [-0.34])):
             with pytest.raises(OutOfRange):
                 isotropic_values(kind, d, bad)
+            with pytest.raises(OutOfRange):
+                isotropic_reference_formula(kind, d, bad)
         with pytest.raises(OutOfRange):
             isotropic_values(kind, 1, [0.5])
         # IsotropicParam admits rounding slack above 1, where 1 - omega < 0
         assert math.isfinite(isotropic_values(kind, 3, [1.0 + 5e-13])[0])
+    above = {k: isotropic_reference_formula(k, 3, 1.0 + 5e-13) for k in KINDS}
+    for kind in (DistanceKind.HS, DistanceKind.HELLINGER, DistanceKind.TRACE):
+        assert math.isfinite(above[kind]), kind
+    assert above[DistanceKind.RELATIVE_ENTROPY] == -math.inf
+    assert above[DistanceKind.BURES] is None
+
+
+def _exact_re(d, t, omega):
+    """Relative entropy in bits between the spectra at omega and t, to 40 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        d2 = Decimal(d * d)
+        (p, s), (q, r) = [
+            (((d2 - 1) * Decimal(x) + 1) / d2, (1 - Decimal(x)) / d2) for x in (omega, t)
+        ]
+        total = p * (p / q).ln() + ((d2 - 1) * s * (s / r).ln() if s > 0 else 0)
+        return float(total / Decimal(2).ln())
+
+
+def test_relative_entropy_within_1e_15_of_decimal_reference():
+    # pins the accuracy of the relative-entropy closed forms, whatever the
+    # order in which they sum the spectrum's terms
+    re = DistanceKind.RELATIVE_ENTROPY
+    cases = [(2, T, lambda ws: werner_values(re, ws))]
+    for d in (2, 3, 5, 8):
+        t = cglmp_threshold(d).omega_threshold
+        cases.append((d, t, lambda ws, d=d: isotropic_values(re, d, ws)))
+    for d, t, values in cases:
+        ws = np.concatenate([np.linspace(t, 1.0, 401)[1:], [t + 1e-10, t + 1e-6]])
+        got = values(ws).tolist()
+        worst = max(abs(g - _exact_re(d, t, w)) for g, w in zip(got, ws.tolist()))
+        assert worst <= 1e-15, (d, t, worst)
 
 
 def test_bures_equals_hellinger_on_werner_line():
