@@ -155,10 +155,25 @@ def cmd_werner_sweep(args) -> int:
     return 0
 
 
+def _solve_once(kinds, solve) -> list:
+    """solve(k) for each kind, with Bures and Hellinger sharing one solve.
+
+    The two measures are equal on Bell-diagonal states, which commute, and
+    both are normalized by the same Werner maximum.
+    """
+    done, out = {}, []
+    for k in kinds:
+        shared = DistanceKind.HELLINGER if k is DistanceKind.BURES else k
+        if shared not in done:
+            done[shared] = solve(k)
+        out.append(done[shared])
+    return out
+
+
 def cmd_bd_sweep(args) -> int:
     kinds = _kinds(args)
     family = args.family.replace("-", "_")
-    tables = [bd_sweep(k, family, args.n, args.max_iters) for k in kinds]
+    tables = _solve_once(kinds, lambda k: bd_sweep(k, family, args.n, args.max_iters))
     rows = [
         [tables[0][i, 0]] + [t[i, 1] for t in tables] for i in range(args.n)
     ]
@@ -188,10 +203,10 @@ def cmd_bd_measure(args) -> int:
     else:
         bd = BellDiagonal.from_probs(_parse_vector(args.e, 4, "--e"))
     kinds = _kinds(args)
+    results = _solve_once(kinds, lambda k: bd_measure(k, bd.a, args.max_iters))
     rows = []
     unconverged = False
-    for k in kinds:
-        res = bd_measure(k, bd.a, args.max_iters)
+    for k, res in zip(kinds, results):
         closest = res.closest_local
         rows.append(
             [k.value, res.value]

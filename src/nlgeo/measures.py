@@ -483,19 +483,29 @@ def bd_grid(
     """Normalized measure over the facet e4 = 0 of the tetrahedron.
 
     The slice is sampled at steps of 1/grid_n in (e1, e2) with
-    e3 = 1 - e1 - e2, keeping only physical nodes, in row-major order.
-    Cells are independent, so refining the grid leaves values at coincident
-    nodes untouched. An unconverged solve raises NotConverged naming its node.
+    e3 = 1 - e1 - e2, keeping only physical nodes, in row-major order. Every
+    measure is invariant under permuting the Bell weights, so each symmetry
+    class of nodes, keyed by its sorted integer triple, is solved once at the
+    node whose weights are that sorted triple over grid_n; the other nodes of
+    the class reuse the value. i/grid_n is correctly rounded, so a node shared
+    by two grid sizes gets the same value in both. An unconverged solve raises
+    NotConverged naming that node, the first row of its class.
     """
     if grid_n < 1:
         raise OutOfRange("grid_n must be at least 1")
     norm = werner_max(kind)
+    values = {}
     rows = []
     for i in range(grid_n + 1):
         for j in range(grid_n + 1 - i):
-            e = np.array([i / grid_n, j / grid_n, (grid_n - i - j) / grid_n, 0.0])
-            res = bd_measure(kind, bd_probs_to_corr(e), max_iters)
-            if not res.converged:
-                raise NotConverged(f"{kind.value} solve at e = {e.tolist()} did not converge")
-            rows.append((float(e[0]), float(e[1]), float(res.value / norm)))
+            key = tuple(sorted((i, j, grid_n - i - j)))
+            if key not in values:
+                # row-major order meets each class first at its ascending
+                # triple, so e is both the class's solve point and this row
+                e = [k / grid_n for k in key] + [0.0]
+                res = bd_measure(kind, bd_probs_to_corr(e), max_iters)
+                if not res.converged:
+                    raise NotConverged(f"{kind.value} solve at e = {e} did not converge")
+                values[key] = float(res.value / norm)
+            rows.append((i / grid_n, j / grid_n, values[key]))
     return rows

@@ -37,17 +37,6 @@ _S2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _S3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = (_S0, _S1, _S2, _S3)
 
-# Bell kets over the product basis |00>, |01>, |10>, |11>.
-BELL_KETS = np.array(
-    [
-        [1.0, 0.0, 0.0, 1.0],
-        [1.0, 0.0, 0.0, -1.0],
-        [0.0, 1.0, 1.0, 0.0],
-        [0.0, 1.0, -1.0, 0.0],
-    ],
-    dtype=complex,
-) / np.sqrt(2.0)
-
 # Linear maps between Bell-basis weights e (4-vector) and diagonal
 # correlators a (3-vector): a = CORR_FROM_PROBS @ e and
 # e = PROBS_FROM_CORR @ (1, a1, a2, a3).

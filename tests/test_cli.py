@@ -12,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlgeo import cli
+from nlgeo import cli, solver
 from nlgeo.cli import _meta_lines, build_parser, main, write_table
-from nlgeo.measures import bd_measure
+from nlgeo.locality import bd_is_chsh_local
+from nlgeo.measures import bd_measure, two_bell_mix_corr
 from nlgeo.metrics import DistanceKind
 
 
@@ -110,6 +111,30 @@ def test_bd_measure_report_fields(tmp_path):
             closest[1] ** 2 + closest[2] ** 2,
         )
         assert pair <= 1.0 + 1e-8
+
+
+def test_hellinger_is_solved_once_for_bures(tmp_path, monkeypatch):
+    calls = []
+    minimize = solver.minimize_over_local_set
+
+    def counting(*args):
+        calls.append(args)
+        return minimize(*args)
+
+    monkeypatch.setattr(solver, "minimize_over_local_set", counting)
+    out = tmp_path / "s.csv"
+    assert run(["bd-sweep", "--n", "9", "--kind", "he", "--kind", "bu", "--out", str(out)]) == 0
+    nonlocal_points = [p for p in np.linspace(0.5, 1.0, 9) if not bd_is_chsh_local(two_bell_mix_corr(p))]
+    assert len(calls) == len(nonlocal_points) == 8
+    _, header, rows = read_csv(out)
+    assert header == ["param", "he", "bu"]
+    assert all(r[1] == r[2] for r in rows) and rows[-1][1] != "0"
+
+    calls.clear()
+    assert run(["bd-measure", "--e", "0.85,0.1,0.05,0", "--kind", "bu", "--kind", "he", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    _, _, rows = read_csv(out)
+    assert [r[0] for r in rows] == ["bu", "he"] and rows[0][1:] == rows[1][1:]
 
 
 def test_bd_grid_rows_are_physical_and_ordered(tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import ARC_INPUT, random_local_corr, random_nonlocal_corr, random_tetra_corr
-from nlgeo.errors import DimensionMismatch, NonPhysical, OutOfRange
+from nlgeo.errors import DimensionMismatch, NonPhysical, NotConverged, OutOfRange
 from nlgeo.locality import BOUNDARY_TOL, cglmp_threshold, in_tetrahedron, max_pair_sum
 from nlgeo.measures import (
     OBJECTIVE_KINDS,
@@ -27,7 +27,7 @@ from nlgeo.measures import (
     werner_measure,
     werner_values,
 )
-from nlgeo import cli, qstate
+from nlgeo import cli, measures, qstate
 from nlgeo.cli import main
 from nlgeo.metrics import (
     DistanceKind,
@@ -708,6 +708,48 @@ def test_bd_grid_structure_and_anchors():
     assert by_node[(0.25, 0.25)] == 0.0  # central local plateau
     with pytest.raises(OutOfRange):
         bd_grid(DistanceKind.HS, 0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_bd_grid_solves_each_symmetry_class_once(kind, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return bd_measure(*args)
+
+    monkeypatch.setattr(measures, "bd_measure", counting)
+    n = 11
+    rows = bd_grid(kind, n)
+    assert len(rows) == 78 and len(calls) == 16  # 16 sorted triples summing to 11
+    by_class = {}
+    for e1, e2, value in rows:
+        i, j = round(e1 * n), round(e2 * n)
+        by_class.setdefault(tuple(sorted((i, j, n - i - j))), set()).add(value)
+    assert len(by_class) == 16
+    # up to 6 permuted nodes per class, all holding the bit-identical value
+    assert all(len(values) == 1 for values in by_class.values())
+    assert len({v for values in by_class.values() for v in values}) > 2
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_bd_grid_refinement_keeps_a_shared_node(kind):
+    # e = (0.8, 0.1, 0.1) is a node of grids 10, 20 and 50, with the same floats
+    values = {v for n in (10, 20, 50) for e1, e2, v in bd_grid(kind, n) if (e1, e2) == (0.8, 0.1)}
+    assert len(values) == 1 and values.pop() > 0.0
+
+
+def test_bd_grid_unconverged_names_the_first_row_of_its_class(monkeypatch):
+    def failing(kind, a, max_iters):
+        res = bd_measure(kind, a, max_iters)
+        weights = sorted(round(11 * x) for x in bd_corr_to_probs(a)[:3])
+        return dataclasses.replace(res, converged=False) if weights == [1, 2, 8] else res
+
+    monkeypatch.setattr(measures, "bd_measure", failing)
+    with pytest.raises(NotConverged) as err:
+        bd_grid(DistanceKind.TRACE, 11)
+    # (1, 2, 8) is the first node of its class in row-major order
+    assert str(err.value) == f"tr solve at e = {[1 / 11, 2 / 11, 8 / 11, 0.0]} did not converge"
 
 
 def test_max_iters_validation():

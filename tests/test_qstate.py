@@ -17,7 +17,6 @@ from nlgeo.errors import (
 )
 from nlgeo.qstate import (
     BELL_CORNERS,
-    BELL_KETS,
     BellDiagonal,
     DensityMatrix,
     IsotropicParam,
@@ -48,6 +47,17 @@ from nlgeo.metrics import (
     fidelity,
     rel_entropy,
 )
+
+# Bell kets over the product basis |00>, |01>, |10>, |11>.
+BELL_KETS = np.array(
+    [
+        [1.0, 0.0, 0.0, 1.0],
+        [1.0, 0.0, 0.0, -1.0],
+        [0.0, 1.0, 1.0, 0.0],
+        [0.0, 1.0, -1.0, 0.0],
+    ],
+    dtype=complex,
+) / np.sqrt(2.0)
 
 N_ROUNDTRIPS = 200
 
