@@ -1,14 +1,14 @@
 """Command line interface.
 
-Exit codes: 0 success, 2 argument error, 3 non-physical input, 4 validation
-failure, 5 optimizer non-convergence. A reader that closes the output pipe
-early (``nlgeo werner-sweep | head -2``) has chosen to stop, so that exits 0
+Exit codes: 0 success, 2 argument error or an output path that cannot be
+opened, 3 non-physical input, 4 validation failure, 5 optimizer
+non-convergence. A reader that closes the output pipe early
+(``nlgeo werner-sweep | head -2``) has chosen to stop, so that exits 0
 without a traceback. Output is CSV (default) or JSON with the same records
 (JSON writes a non-finite float, which it cannot represent, as null). nlgeo
 writes the JSON itself, row by row, in the json module's indent=2 layout.
-Metadata lines carry the tool version, the value conventions, the optimizer's
-Newton-step budget (for the commands that solve) and the seed, so a fixed
-command line reproduces byte-identical files.
+Metadata lines carry the tool version, the value conventions and the seed, so
+a fixed command line reproduces byte-identical files.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .measures import (
 )
 from .metrics import DistanceKind
 from .qstate import BellDiagonal
-from .solver import MAX_ITERS
 from .validation import run_validation
 
 KIND_CODES = [k.value for k in DistanceKind]
@@ -71,11 +70,12 @@ def _json_cell(v) -> str:
 
 
 def _meta_lines(command: str, args, extra: dict | None = None) -> list[tuple[str, object]]:
-    pairs = [("tool", f"nlgeo {__version__}"), ("command", command), ("conventions", CONVENTIONS)]
-    # only the commands that solve take --max-iters
-    if hasattr(args, "max_iters"):
-        pairs.append(("optimizer", f"max_iters={_fmt(args.max_iters)}"))
-    pairs.append(("seed", args.seed))
+    pairs = [
+        ("tool", f"nlgeo {__version__}"),
+        ("command", command),
+        ("conventions", CONVENTIONS),
+        ("seed", args.seed),
+    ]
     # keep native values here; the csv writer formats, json keeps the types
     pairs.extend((extra or {}).items())
     return pairs
@@ -173,7 +173,7 @@ def _solve_once(kinds, solve) -> list:
 def cmd_bd_sweep(args) -> int:
     kinds = _kinds(args)
     family = args.family.replace("-", "_")
-    tables = _solve_once(kinds, lambda k: bd_sweep(k, family, args.n, args.max_iters))
+    tables = _solve_once(kinds, lambda k: bd_sweep(k, family, args.n))
     rows = [
         [tables[0][i, 0]] + [t[i, 1] for t in tables] for i in range(args.n)
     ]
@@ -188,7 +188,7 @@ def cmd_bd_grid(args) -> int:
     if args.kind and len(args.kind) != 1:
         raise ValueError("bd-grid takes exactly one --kind")
     kinds = _kinds(args, default=["hs"])
-    rows = bd_grid(kinds[0], args.grid_n, args.max_iters)
+    rows = bd_grid(kinds[0], args.grid_n)
     meta = _meta_lines("bd-grid", args, {"kind": kinds[0].value, "grid_n": args.grid_n})
     emit(args, ["e1", "e2", "value"], rows, meta)
     return 0
@@ -203,7 +203,7 @@ def cmd_bd_measure(args) -> int:
     else:
         bd = BellDiagonal.from_probs(_parse_vector(args.e, 4, "--e"))
     kinds = _kinds(args)
-    results = _solve_once(kinds, lambda k: bd_measure(k, bd.a, args.max_iters))
+    results = _solve_once(kinds, lambda k: bd_measure(k, bd.a))
     rows = []
     unconverged = False
     for k, res in zip(kinds, results):
@@ -260,7 +260,7 @@ def cmd_iso(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    checks = run_validation(args.max_iters)
+    checks = run_validation()
     columns = ["check", "status", "max_error", "tolerance", "seconds", "detail"]
     rows = [
         [c.name, "pass" if c.passed else "FAIL", c.max_error, c.tolerance, c.seconds, c.detail]
@@ -288,13 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    def solving(p):
-        common(p)
-        p.add_argument(
-            "--max-iters", type=_at_least(1), default=MAX_ITERS, dest="max_iters",
-            help="Newton steps allowed per barrier stage",
-        )
-
     p = sub.add_parser("werner-sweep", help="normalized Werner measures on [1/sqrt 2, 1]")
     common(p)
     p.add_argument("--w-min", type=float, default=WERNER_THRESHOLD, dest="w_min")
@@ -303,18 +296,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_werner_sweep)
 
     p = sub.add_parser("bd-sweep", help="normalized measures along a Bell-diagonal family")
-    solving(p)
+    common(p)
     p.add_argument("--family", choices=["two-bell-mix", "werner-line"], default="two-bell-mix")
     p.add_argument("--n", type=_at_least(2), default=50)
     p.set_defaults(func=cmd_bd_sweep)
 
     p = sub.add_parser("bd-grid", help="normalized measure over the e4 = 0 facet")
-    solving(p)
+    common(p)
     p.add_argument("--grid-n", type=_at_least(1), default=10, dest="grid_n")
     p.set_defaults(func=cmd_bd_grid)
 
     p = sub.add_parser("bd-measure", help="measures of one Bell-diagonal state")
-    solving(p)
+    common(p)
     p.add_argument("--a", help="three comma-separated correlators a1,a2,a3")
     p.add_argument("--e", help="four comma-separated Bell weights e1,e2,e3,e4")
     p.set_defaults(func=cmd_bd_measure)
@@ -329,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("validate", help="self checks: oracle, grid stability, symmetry consistency")
-    solving(p)
+    common(p)
     p.set_defaults(func=cmd_validate)
 
     return parser
@@ -351,6 +344,11 @@ def main(argv=None) -> int:
         return 2
     except BrokenPipeError:
         return 0
+    except OSError as exc:
+        # an --out path that cannot be opened or written; BrokenPipeError is
+        # an OSError too, so its clause comes first and a closed pipe exits 0
+        print(f"nlgeo: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

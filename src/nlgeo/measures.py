@@ -243,11 +243,11 @@ class BdObjective:
     """Distance objective between a fixed Bell-diagonal state and a variable
     one, in correlator coordinates x.
 
-    value/gradient are the exact objective (a subgradient at trace kinks);
-    value_at/gradient_at/hessian_at accept a smoothing width used only by the
-    trace kind and work on plain float triples for the solver's benefit. The
-    minimized quantity is the squared Hellinger distance, the trace distance
-    itself, or the relative entropy in bits; any other kind raises OutOfRange.
+    value_at/gradient_at/hessian_at take a float triple and a smoothing width
+    used only by the trace kind; at width 0 they are the exact objective and
+    its gradient (a subgradient at trace kinks). The minimized quantity is the
+    squared Hellinger distance, the trace distance itself, or the relative
+    entropy in bits; any other kind raises OutOfRange.
     """
 
     def __init__(self, kind: DistanceKind, a: np.ndarray):
@@ -333,14 +333,6 @@ class BdObjective:
                     h[i] = self._e[i] / (ex[i] * ex[i] * _LN2)
         return solver.weights_hessian(h)
 
-    def value(self, x) -> float:
-        """Exact objective at x (no smoothing)."""
-        return self.value_at((float(x[0]), float(x[1]), float(x[2])), 0.0)
-
-    def gradient(self, x) -> np.ndarray:
-        """Exact gradient at x; a subgradient at trace kinks."""
-        return np.array(self.gradient_at((float(x[0]), float(x[1]), float(x[2])), 0.0))
-
 
 def bd_measure_hs(a) -> MeasureResult:
     """Hilbert-Schmidt measure of a Bell-diagonal state.
@@ -361,9 +353,10 @@ def bd_measure_hs(a) -> MeasureResult:
     )
 
 
-def _stationarity_residual(obj: BdObjective, x: np.ndarray) -> float:
-    """Norm of the gradient after removing its active-constraint components."""
-    grad = obj.gradient(x)
+def _stationarity_residual(obj: BdObjective, x) -> float:
+    """Norm of the gradient at the float triple x after removing its
+    active-constraint components."""
+    grad = np.array(obj.gradient_at(x))
     if not np.all(np.isfinite(grad)):
         return math.inf
     cols = []
@@ -384,7 +377,7 @@ def _stationarity_residual(obj: BdObjective, x: np.ndarray) -> float:
     return float(np.linalg.norm(grad + mat @ lam))
 
 
-def bd_measure_numeric(kind: DistanceKind, a, max_iters: int = solver.MAX_ITERS) -> MeasureResult:
+def bd_measure_numeric(kind: DistanceKind, a) -> MeasureResult:
     """Measure of a Bell-diagonal state by constrained minimization.
 
     One log-barrier Newton solve over the local set from the maximally mixed
@@ -396,8 +389,7 @@ def bd_measure_numeric(kind: DistanceKind, a, max_iters: int = solver.MAX_ITERS)
     Solves the Hellinger, trace and relative-entropy kinds. Bures equals
     Hellinger on commuting states, so a Bures request gets the Hellinger
     solve under its own kind. HS raises OutOfRange: it is the exact
-    projection, bd_measure_hs. max_iters is the Newton-step budget of each
-    barrier stage.
+    projection, bd_measure_hs.
     """
     if kind is DistanceKind.HS:
         raise OutOfRange("HS is the exact projection; use bd_measure or bd_measure_hs")
@@ -405,10 +397,8 @@ def bd_measure_numeric(kind: DistanceKind, a, max_iters: int = solver.MAX_ITERS)
     if bd_is_chsh_local(a):
         return _closed_form(kind, 0.0, BellDiagonal.from_corr(a))
     obj = BdObjective(DistanceKind.HELLINGER if kind is DistanceKind.BURES else kind, a)
-    report = solver.minimize_over_local_set(
-        obj.value_at, obj.gradient_at, obj.hessian_at, max_iters
-    )
-    x = np.array(report.x)
+    report = solver.minimize_over_local_set(obj.value_at, obj.gradient_at, obj.hessian_at)
+    x = report.x
     surface = None
     for (i, j), v in zip(DISK_PAIRS, solver.pair_violations(x)):
         if abs(v) <= 1e-8:
@@ -416,7 +406,7 @@ def bd_measure_numeric(kind: DistanceKind, a, max_iters: int = solver.MAX_ITERS)
             break
     return MeasureResult(
         kind=kind,
-        value=obj.value(x),
+        value=obj.value_at(x),
         closest_local=BellDiagonal.from_corr(x),
         method="numeric",
         surface=surface,
@@ -426,15 +416,11 @@ def bd_measure_numeric(kind: DistanceKind, a, max_iters: int = solver.MAX_ITERS)
     )
 
 
-def bd_measure(kind: DistanceKind, a, max_iters: int = solver.MAX_ITERS) -> MeasureResult:
-    """Dispatch: exact projection for HS, numeric minimization otherwise.
-
-    max_iters, the Newton-step budget of each barrier stage, only applies to
-    the numeric kinds.
-    """
+def bd_measure(kind: DistanceKind, a) -> MeasureResult:
+    """Dispatch: exact projection for HS, numeric minimization otherwise."""
     if kind is DistanceKind.HS:
         return bd_measure_hs(a)
-    return bd_measure_numeric(kind, a, max_iters)
+    return bd_measure_numeric(kind, a)
 
 
 def two_bell_mix_corr(p: float) -> np.ndarray:
@@ -444,9 +430,7 @@ def two_bell_mix_corr(p: float) -> np.ndarray:
     return np.array([2.0 * p - 1.0, -(2.0 * p - 1.0), 1.0])
 
 
-def bd_sweep(
-    kind: DistanceKind, family: str, n_points: int, max_iters: int = solver.MAX_ITERS
-) -> np.ndarray:
+def bd_sweep(kind: DistanceKind, family: str, n_points: int) -> np.ndarray:
     """Normalized measure along a one-parameter Bell-diagonal family.
 
     family "two_bell_mix" sweeps p in [1/2, 1] over a = (2p-1, -(2p-1), 1);
@@ -469,7 +453,7 @@ def bd_sweep(
     else:
         raise OutOfRange(f"unknown family {family!r}")
     for idx, (p, a) in enumerate(zip(params, corr)):
-        res = bd_measure(kind, a, max_iters)
+        res = bd_measure(kind, a)
         if not res.converged:
             raise NotConverged(f"{kind.value} solve at {family} parameter {p!r} did not converge")
         rows[idx, 0] = p
@@ -477,9 +461,7 @@ def bd_sweep(
     return rows
 
 
-def bd_grid(
-    kind: DistanceKind, grid_n: int, max_iters: int = solver.MAX_ITERS
-) -> list[tuple[float, float, float]]:
+def bd_grid(kind: DistanceKind, grid_n: int) -> list[tuple[float, float, float]]:
     """Normalized measure over the facet e4 = 0 of the tetrahedron.
 
     The slice is sampled at steps of 1/grid_n in (e1, e2) with
@@ -503,7 +485,7 @@ def bd_grid(
                 # row-major order meets each class first at its ascending
                 # triple, so e is both the class's solve point and this row
                 e = [k / grid_n for k in key] + [0.0]
-                res = bd_measure(kind, bd_probs_to_corr(e), max_iters)
+                res = bd_measure(kind, bd_probs_to_corr(e))
                 if not res.converged:
                     raise NotConverged(f"{kind.value} solve at e = {e} did not converge")
                 values[key] = float(res.value / norm)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -60,7 +61,6 @@ def test_werner_sweep_schema_and_values(tmp_path):
     assert header == ["w", "hs", "he", "bu", "tr", "re"]
     assert any(line.startswith("# tool: nlgeo") for line in meta)
     assert any("hellinger=squared" in line for line in meta)
-    # werner-sweep never solves, so it records no optimizer settings
     assert not any(line.startswith("# optimizer:") for line in meta)
     first, last = rows[0], rows[-1]
     assert float(first[0]) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
@@ -89,7 +89,7 @@ def test_json_mirrors_csv(tmp_path):
     _, header, rows = read_csv(fc)
     doc = json.loads(fj.read_text())
     assert doc["columns"] == header
-    assert {"tool", "command", "conventions", "optimizer", "seed"} <= set(doc["meta"])
+    assert set(doc["meta"]) == {"tool", "command", "conventions", "seed"}
     assert len(doc["records"]) == len(rows) == 2
     for rec, row in zip(doc["records"], rows):
         assert rec["kind"] == row[header.index("kind")]
@@ -285,7 +285,7 @@ def test_stdout_output(capsys):
     assert "lagrange_case" in captured
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, monkeypatch):
     out = str(tmp_path / "x.csv")
     assert run(["werner-sweep", "--w-min", "0.8", "--w-max", "0.75", "--out", out]) == 2
     assert run(["bd-measure", "--a", "0.9,-0.9", "--out", out]) == 2
@@ -302,12 +302,21 @@ def test_exit_codes(tmp_path):
     assert run(["bd-measure", "--e", "0.5,0.6,0,-0.1", "--out", out]) == 3
     assert run(["bd-measure", "--a=nan,0,0", "--out", out]) == 3
     assert run(["bd-measure", "--e=nan,0,0,1", "--out", out]) == 3
-    assert run(["bd-measure", "--a=-0.88,-0.88,-0.88", "--max-iters", "1", "--out", out]) == 5
+    monkeypatch.setattr(solver, "MAX_ITERS", 1)
+    assert run(["bd-measure", "--a=-0.88,-0.88,-0.88", "--out", out]) == 5
 
 
-def test_validate_perturbed_reports_nonconvergence(tmp_path):
+def test_unopenable_out_path_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert run(["werner-sweep", "--n", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("nlgeo: ") and str(out) in err[0]
+
+
+def test_validate_perturbed_reports_nonconvergence(tmp_path, monkeypatch):
     out = tmp_path / "v.csv"
-    code = run(["validate", "--max-iters", "1", "--out", str(out)])
+    monkeypatch.setattr(solver, "MAX_ITERS", 1)
+    code = run(["validate", "--out", str(out)])
     assert code == 5
     text = out.read_text()
     assert "NotConverged" in text
@@ -317,7 +326,6 @@ def test_validate_perturbed_reports_nonconvergence(tmp_path):
 @pytest.mark.parametrize(
     "args",
     [
-        ["bd-measure", "--a=0.84,0.63,-0.5", "--max-iters", "0"],
         ["bd-sweep", "--n", "1"],
         ["bd-grid", "--grid-n", "0"],
         ["iso", "--d", "1"],
@@ -332,7 +340,7 @@ def test_flag_range_errors_exit_2(args, tmp_path, capsys):
     assert "must be at least" in err
 
 
-def test_all_infinite_starts_exit_5(tmp_path, capsys):
+def test_former_all_infinite_starts_input_exits_0(tmp_path, capsys):
     # every start of the former multi-start solver scored inf here and the
     # command exited 5; the one barrier solve converges
     out = tmp_path / "x.csv"
@@ -348,23 +356,45 @@ def test_all_infinite_starts_exit_5(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [["bd-grid", "--grid-n", "11"], ["bd-sweep", "--n", "5"]])
-def test_unconverged_grid_and_sweep_exit_5(command, tmp_path, capsys):
+def test_unconverged_grid_and_sweep_exit_5(command, tmp_path, capsys, monkeypatch):
     out = tmp_path / "x.csv"
-    code = run(command + ["--kind", "re", "--max-iters", "1", "--out", str(out)])
+    monkeypatch.setattr(solver, "MAX_ITERS", 1)
+    code = run(command + ["--kind", "re", "--out", str(out)])
     assert code == 5
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("nlgeo: re solve at ")
     assert "did not converge" in err[0]
 
 
-def test_solver_flags_only_on_commands_that_solve(tmp_path):
-    out = str(tmp_path / "x.csv")
-    assert run(["werner-sweep", "--max-iters", "5", "--out", out]) == 2
-    assert run(["iso", "--max-iters", "5", "--out", out]) == 2
-    assert run(["bd-measure", "--a=0.84,0.63,-0.5", "--seeds", "2", "--out", out]) == 2
-    assert run(["bd-measure", "--a=0.84,0.63,-0.5", "--kind", "he", "--max-iters", "50", "--out", out]) == 0
-    meta, _, _ = read_csv(out)
-    assert "# optimizer: max_iters=50\n" in meta
+def subparsers():
+    """build_parser()'s subcommands, by name."""
+    parser = build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+# one cheap command line per subcommand
+SMALL_RUNS = {
+    "werner-sweep": ["--n", "2"],
+    "bd-sweep": ["--n", "2", "--kind", "tr"],
+    "bd-grid": ["--grid-n", "1", "--kind", "re"],
+    "bd-measure": ["--a=0.84,0.63,-0.5", "--kind", "he"],
+    "iso": ["--n", "2"],
+    "validate": [],
+}
+
+
+def test_no_command_takes_a_solver_budget(tmp_path):
+    assert set(SMALL_RUNS) == set(subparsers())
+    out = tmp_path / "x"
+    assert run(["bd-measure", "--a=0.84,0.63,-0.5", "--seeds", "2", "--out", str(out)]) == 2
+    for command, argv in SMALL_RUNS.items():
+        assert run([command, *argv, "--max-iters", "50", "--out", str(out)]) == 2, command
+        assert run([command, *argv, "--out", str(out)]) == 0, command
+        meta, _, _ = read_csv(out)
+        assert not any(line.startswith("# optimizer:") for line in meta), command
+        assert run([command, *argv, "--format", "json", "--out", str(out)]) == 0, command
+        assert "optimizer" not in json.loads(out.read_text())["meta"], command
 
 
 def test_family_choices(tmp_path):
@@ -402,6 +432,15 @@ def readme_commands():
     blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.S | re.M)
     lines = [line for block in blocks for line in block.splitlines()]
     return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("nlgeo ")]
+
+
+def test_readme_cli_flags_exist():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    assert {"--kind", "--out", "--format", "--seed", "--family", "--grid-n"} <= flags
+    accepted = {f for p in subparsers().values() for f in p._option_string_actions}
+    assert flags <= accepted, flags - accepted
 
 
 def test_readme_cli_examples_run(tmp_path):

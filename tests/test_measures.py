@@ -27,7 +27,7 @@ from nlgeo.measures import (
     werner_measure,
     werner_values,
 )
-from nlgeo import cli, measures, qstate
+from nlgeo import cli, measures, qstate, solver
 from nlgeo.cli import main
 from nlgeo.metrics import (
     DistanceKind,
@@ -474,7 +474,7 @@ def test_numeric_not_above_slsqp(rng):
         assert max_pair_sum(res.closest_local.a) <= 1.0 + BOUNDARY_TOL
 
 
-def test_all_infinite_starts_raise_not_converged():
+def test_former_all_infinite_starts_input_converges():
     # on this relative-entropy input every start of the former multi-start
     # solver scored inf and the solve raised NotConverged; the barrier solve
     # stays strictly inside L, where the divergence is finite
@@ -740,8 +740,8 @@ def test_bd_grid_refinement_keeps_a_shared_node(kind):
 
 
 def test_bd_grid_unconverged_names_the_first_row_of_its_class(monkeypatch):
-    def failing(kind, a, max_iters):
-        res = bd_measure(kind, a, max_iters)
+    def failing(kind, a):
+        res = bd_measure(kind, a)
         weights = sorted(round(11 * x) for x in bd_corr_to_probs(a)[:3])
         return dataclasses.replace(res, converged=False) if weights == [1, 2, 8] else res
 
@@ -752,11 +752,10 @@ def test_bd_grid_unconverged_names_the_first_row_of_its_class(monkeypatch):
     assert str(err.value) == f"tr solve at e = {[1 / 11, 2 / 11, 8 / 11, 0.0]} did not converge"
 
 
-def test_max_iters_validation():
-    # the solver checks the budget, so only a nonlocal input reaches the check
-    with pytest.raises(OutOfRange):
-        bd_measure(DistanceKind.TRACE, 0.9 * BELL_CORNERS[3], max_iters=0)
-    res = bd_measure_numeric(DistanceKind.TRACE, 0.9 * BELL_CORNERS[3], max_iters=50)
+def test_max_iters_validation(monkeypatch):
+    # a tenth of the budget still reaches the closed form
+    monkeypatch.setattr(solver, "MAX_ITERS", 50)
+    res = bd_measure_numeric(DistanceKind.TRACE, 0.9 * BELL_CORNERS[3])
     assert res.value == pytest.approx(W09[DistanceKind.TRACE], abs=1e-9)
 
 
@@ -771,12 +770,12 @@ def test_gradient_matches_finite_differences(rng):
                 np.abs(bd_corr_to_probs(a) - bd_corr_to_probs(x))
             ) < 1e-3:
                 continue  # keep clear of the kink
-            g = obj.gradient(x)
+            g = np.array(obj.gradient_at(tuple(x)))
             fd = np.empty(3)
             for i in range(3):
                 step = np.zeros(3)
                 step[i] = 1e-6
-                fd[i] = (obj.value(x + step) - obj.value(x - step)) / 2e-6
+                fd[i] = (obj.value_at(tuple(x + step)) - obj.value_at(tuple(x - step))) / 2e-6
             denom = max(np.linalg.norm(g), 1e-9)
             assert np.linalg.norm(fd - g) / denom < 1e-4, kind
             # the Hessian against differences of the gradient; the trace kind

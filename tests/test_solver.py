@@ -3,6 +3,7 @@ import pytest
 
 from conftest import random_nonlocal_corr, random_tetra_corr
 from nlgeo.locality import project_local
+from nlgeo import solver
 from nlgeo.solver import GAP, minimize_over_local_set, pair_violations, probs
 
 
@@ -45,7 +46,7 @@ def test_minimize_over_local_set_projects_euclidean(rng):
     # minimizing a quarter of the squared distance from an exterior point
     # recovers the metric projection onto the local set, here on a known disk arc
     target = np.array([0.84, 0.63, -0.5])
-    report = minimize_over_local_set(*_euclidean(target), max_iters=500)
+    report = minimize_over_local_set(*_euclidean(target))
     assert report.converged
     assert np.max(np.abs(np.array(report.x) - project_local(target).point)) <= 1e-9
     assert report.x == pytest.approx([0.8, 0.6, -0.5], abs=1e-9)
@@ -55,9 +56,17 @@ def test_minimize_over_local_set_projects_euclidean(rng):
     for _ in range(30):
         target = random_nonlocal_corr(rng)
         fun, grad, hess = _euclidean(target)
-        report = minimize_over_local_set(fun, grad, hess, max_iters=500)
+        report = minimize_over_local_set(fun, grad, hess)
         assert report.converged
         assert min(probs(report.x)) > 0.0 and max(pair_violations(report.x)) < 0.0
         p = project_local(target).point
         assert fun(report.x, 0.0) <= fun(tuple(p), 0.0) + GAP, target
         assert np.linalg.norm(np.array(report.x) - p) <= (4.0 * GAP) ** 0.5, target
+
+
+def test_starved_solve_reports_unconverged(monkeypatch):
+    # the budget is read at call time; one step per stage cannot finish a stage
+    monkeypatch.setattr(solver, "MAX_ITERS", 1)
+    report = minimize_over_local_set(*_euclidean((0.84, 0.63, -0.5)))
+    assert not report.converged
+    assert min(probs(report.x)) > 0.0 and max(pair_violations(report.x)) < 0.0

@@ -1,3 +1,4 @@
+from nlgeo import solver
 from nlgeo.validation import MULTISEED_POINTS, run_validation
 from nlgeo.qstate import BellDiagonal
 
@@ -10,9 +11,10 @@ def test_multiseed_points_are_physical_and_nonlocal():
         assert max_pair_sum(bd.a) > 1.0
 
 
-def test_run_validation_reports_structure_and_failure_path():
+def test_run_validation_reports_structure_and_failure_path(monkeypatch):
     # a starved optimizer must be reported, not hidden
-    checks = run_validation(max_iters=1)
+    monkeypatch.setattr(solver, "MAX_ITERS", 1)
+    checks = run_validation()
     names = [c.name for c in checks]
     assert "oracle_werner_hs" in names
     assert "grid_convergence_hs" in names
