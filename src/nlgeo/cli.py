@@ -213,14 +213,14 @@ def cmd_bd_measure(args) -> int:
             + list(bd.a)
             + list(closest.a)
             + list(closest.e)
-            + [res.method, res.surface, res.iterations, res.converged, res.residual]
+            + [res.method, res.surface, res.iterations, res.converged]
         )
         unconverged = unconverged or not res.converged
     columns = (
         ["kind", "value", "a1", "a2", "a3"]
         + ["closest_a1", "closest_a2", "closest_a3"]
         + ["closest_e1", "closest_e2", "closest_e3", "closest_e4"]
-        + ["method", "surface", "iterations", "converged", "residual"]
+        + ["method", "surface", "iterations", "converged"]
     )
     emit(args, columns, rows, _meta_lines("bd-measure", args))
     if unconverged:
@@ -282,8 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"nlgeo {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--kind", action="append", choices=KIND_CODES, help="distance kind; repeatable")
+    def common(p, kinds=True):
+        if kinds:
+            p.add_argument("--kind", action="append", choices=KIND_CODES, help="distance kind; repeatable")
         p.add_argument("--seed", type=int, default=0, help="recorded in the metadata; no result depends on it")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -321,8 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_at_least(1), default=20)
     p.set_defaults(func=cmd_iso)
 
+    # validate checks every kind, so it takes no --kind
     p = sub.add_parser("validate", help="self checks: oracle, grid stability, symmetry consistency")
-    common(p)
+    common(p, kinds=False)
     p.set_defaults(func=cmd_validate)
 
     return parser

@@ -20,6 +20,17 @@ BOUNDARY_TOL = 1e-12
 DISK_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
+def surface_name(pairs) -> str | None:
+    """Name of the boundary piece where the cylinders a_i^2 + a_j^2 = 1 of the
+    index pairs (i, j) meet: None for no pair, "disk_ij" for one (indices
+    from 1), "disk_ij+disk_kl" in lexicographic order for two, and "vertex"
+    for all three."""
+    names = sorted(f"disk_{min(p) + 1}{max(p) + 1}" for p in pairs)
+    if len(names) == 3:
+        return "vertex"
+    return "+".join(names) or None
+
+
 @dataclass(frozen=True)
 class ChshVerdict:
     """Outcome of the CHSH criterion: correlation singular values d1 >= d2 >= d3,
@@ -139,11 +150,6 @@ def bd_is_chsh_local(a) -> bool:
 #   no such root: F(pi/4) <= 0.
 
 
-def _disk_name(i: int, j: int) -> str:
-    i, j = sorted((i, j))
-    return f"disk_{i + 1}{j + 1}"
-
-
 def _arc_angle(b_i: float, b_jk: float) -> float:
     """The root t in (0, pi/4) of sin t cos t + b_i sin t - b_jk cos t, which
     increases there: Newton steps from t = atan(b_jk / (1 + b_i)) <= pi/4,
@@ -171,9 +177,8 @@ def _arc_angle(b_i: float, b_jk: float) -> float:
 @dataclass(frozen=True)
 class LocalProjection:
     """Nearest point of the local set to a, its Euclidean distance from a, and
-    the active boundary piece: "disk_ij" for one cylinder, two pieces joined
-    by "+" for an arc where two cylinders meet, "vertex", or None when a is
-    local itself."""
+    the active boundary piece as surface_name names it (None when a is local
+    itself)."""
 
     point: np.ndarray
     distance: float
@@ -185,7 +190,7 @@ def project_local(a) -> LocalProjection:
 
     The projection of a physical nonlocal a is its projection onto the
     intersection of the three cylinders, inside the symmetry chamber of a
-    (see the comment above _disk_name): the radial rescaling onto the
+    (see the comment above _arc_angle): the radial rescaling onto the
     cylinder of the two largest |a_i|, the arc where that cylinder meets the
     one of the largest and smallest, or their vertex. Raises NonPhysical
     outside the tetrahedron.
@@ -200,16 +205,16 @@ def project_local(a) -> LocalProjection:
         point = a.copy()
         point[i] /= s
         point[j] /= s
-        return LocalProjection(point=point, distance=s - 1.0, surface=_disk_name(i, j))
+        return LocalProjection(point=point, distance=s - 1.0, surface=surface_name([(i, j)]))
     if 0.5 + (b_i - b_j - b_k) / math.sqrt(2.0) <= 0.0:
         point = np.full(3, 1.0 / math.sqrt(2.0))
-        surface = "vertex"
+        pairs = DISK_PAIRS
     else:
         t = _arc_angle(b_i, b_j + b_k)
         point = np.full(3, math.sin(t))
         point[i] = math.cos(t)
-        surface = f"{_disk_name(i, min(j, k))}+{_disk_name(i, max(j, k))}"
+        pairs = ((i, j), (i, k))
     point = np.copysign(point, a)
     return LocalProjection(
-        point=point, distance=math.sqrt(np.sum((point - a) ** 2)), surface=surface
+        point=point, distance=math.sqrt(np.sum((point - a) ** 2)), surface=surface_name(pairs)
     )

@@ -21,11 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotConverged, OutOfRange
-from .locality import BOUNDARY_TOL, DISK_PAIRS, bd_is_chsh_local, cglmp_threshold, project_local
+from .locality import (
+    BOUNDARY_TOL,
+    DISK_PAIRS,
+    bd_is_chsh_local,
+    cglmp_threshold,
+    project_local,
+    surface_name,
+)
 from .metrics import DistanceKind
 from .qstate import (
     BELL_CORNERS,
-    PROBS_FROM_CORR,
     BellDiagonal,
     IsotropicParam,
     WernerParam,
@@ -35,9 +41,6 @@ from .qstate import (
 from . import solver
 
 WERNER_THRESHOLD = 1.0 / math.sqrt(2.0)
-
-# Jacobian of the weight vector e with respect to the correlators a.
-_JAC_E = PROBS_FROM_CORR[:, 1:].copy()
 
 _LN2 = math.log(2.0)
 
@@ -49,9 +52,9 @@ class MeasureResult:
     value is the measure itself (squared distance for Hellinger and Bures),
     closest_local identifies the minimizing local state, method is one of
     closed_form, lagrange_case (the exact HS projection) and numeric, and
-    surface names the active boundary piece when one is identified. The
-    diagnostics default to those of an exact result: no iterations,
-    converged, residual 0.
+    surface names the active boundary piece (locality.surface_name) when one
+    is identified. The diagnostics default to those of an exact result: no
+    iterations, converged.
     """
 
     kind: DistanceKind
@@ -61,7 +64,6 @@ class MeasureResult:
     surface: str | None = None
     iterations: int = 0
     converged: bool = True
-    residual: float = 0.0
 
 
 def _closed_form(kind: DistanceKind, value: float, closest: object) -> MeasureResult:
@@ -353,30 +355,6 @@ def bd_measure_hs(a) -> MeasureResult:
     )
 
 
-def _stationarity_residual(obj: BdObjective, x) -> float:
-    """Norm of the gradient at the float triple x after removing its
-    active-constraint components."""
-    grad = np.array(obj.gradient_at(x))
-    if not np.all(np.isfinite(grad)):
-        return math.inf
-    cols = []
-    for (i, j), v in zip(DISK_PAIRS, solver.pair_violations(x)):
-        if abs(v) <= 1e-8:
-            g = np.zeros(3)
-            g[i] = 2.0 * x[i]
-            g[j] = 2.0 * x[j]
-            cols.append(g)
-    ex = bd_corr_to_probs(x)
-    for k in range(4):
-        if ex[k] <= 1e-10:
-            cols.append(-_JAC_E[k])
-    if not cols:
-        return float(np.linalg.norm(grad))
-    mat = np.column_stack(cols)
-    lam, *_ = np.linalg.lstsq(mat, -grad, rcond=None)
-    return float(np.linalg.norm(grad + mat @ lam))
-
-
 def bd_measure_numeric(kind: DistanceKind, a) -> MeasureResult:
     """Measure of a Bell-diagonal state by constrained minimization.
 
@@ -399,20 +377,15 @@ def bd_measure_numeric(kind: DistanceKind, a) -> MeasureResult:
     obj = BdObjective(DistanceKind.HELLINGER if kind is DistanceKind.BURES else kind, a)
     report = solver.minimize_over_local_set(obj.value_at, obj.gradient_at, obj.hessian_at)
     x = report.x
-    surface = None
-    for (i, j), v in zip(DISK_PAIRS, solver.pair_violations(x)):
-        if abs(v) <= 1e-8:
-            surface = f"disk_{i + 1}{j + 1}"
-            break
+    active = [p for p, v in zip(DISK_PAIRS, solver.pair_violations(x)) if abs(v) <= 1e-8]
     return MeasureResult(
         kind=kind,
         value=obj.value_at(x),
         closest_local=BellDiagonal.from_corr(x),
         method="numeric",
-        surface=surface,
+        surface=surface_name(active),
         iterations=report.iterations,
         converged=report.converged,
-        residual=_stationarity_residual(obj, x),
     )
 
 

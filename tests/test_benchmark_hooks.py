@@ -5,13 +5,15 @@ long commands in segments, and skips any that is gone. So a rename there
 would silently leave a command timed as one segment; this test fails instead.
 perfbench/tracer.py likewise wraps each row of its PATCHES, and a name that is
 gone would make its per-layer time read 0; TRACED_NAMES lists the rows that
-must resolve.
+must resolve. perfbench/checks.py requires every check of
+workloads.VALIDATION_CHECKS in the validate report, each with a positive time.
 """
 
 import importlib
 from pathlib import Path
 
 import nlgeo
+from nlgeo.validation import run_validation
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -60,3 +62,14 @@ def test_traced_names_resolve_to_callables(monkeypatch):
 def test_library_names_the_benchmark_calls():
     assert callable(nlgeo.bd_measure)
     assert nlgeo.DistanceKind("hs") is nlgeo.DistanceKind.HS
+
+
+def test_validate_reports_every_check_the_benchmark_requires(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import VALIDATION_CHECKS
+
+    checks = run_validation()
+    names = [c.name for c in checks]
+    for name in VALIDATION_CHECKS:
+        assert names.count(name) == 1, name
+    assert all(c.seconds > 0.0 for c in checks)

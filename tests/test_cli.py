@@ -298,6 +298,8 @@ def test_exit_codes(tmp_path, monkeypatch):
     # the sweep default omega-min also depends on d, so this path must not crash
     assert run(["iso", "--d", "1", "--out", out]) == 2
     assert run(["iso", "--d", "2", "--omega", "1.5", "--out", out]) == 2
+    # validate checks every kind, so a --kind there is an argument error
+    assert run(["validate", "--kind", "hs", "--out", out]) == 2
     assert run(["bd-measure", "--a", "0.9,-0.9,0.2", "--out", out]) == 3
     assert run(["bd-measure", "--e", "0.5,0.6,0,-0.1", "--out", out]) == 3
     assert run(["bd-measure", "--a=nan,0,0", "--out", out]) == 3

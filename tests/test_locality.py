@@ -15,6 +15,7 @@ from nlgeo.locality import (
     in_tetrahedron,
     max_pair_sum,
     project_local,
+    surface_name,
 )
 from nlgeo.qstate import BELL_CORNERS, PauliRep, bd_probs_to_corr
 
@@ -220,6 +221,15 @@ def test_project_local_is_feasible_and_idempotent(rng):
     assert project_local(local).distance == 0.0
     with pytest.raises(NonPhysical):
         project_local(np.array([0.9, -0.9, 0.2]))
+
+
+def test_surface_name():
+    assert surface_name([]) is None
+    assert surface_name([(2, 1)]) == "disk_23"
+    # two pieces in lexicographic order, whatever order they come in
+    assert surface_name([(1, 2), (0, 2)]) == "disk_13+disk_23"
+    assert surface_name([(0, 2), (1, 0)]) == "disk_12+disk_13"
+    assert surface_name([(1, 2), (0, 1), (0, 2)]) == "vertex"
 
 
 def test_bell_corners_and_werner_line_map_to_threshold_vertex():

@@ -345,6 +345,50 @@ def test_hs_corner_is_exact():
     assert top.value == pytest.approx(WMAX[DistanceKind.HS], abs=1e-14)
 
 
+def _named_pieces(surface) -> set:
+    """The cylinders a surface name stands for."""
+    if surface is None:
+        return set()
+    if surface == "vertex":
+        return {"disk_12", "disk_13", "disk_23"}
+    return set(surface.split("+"))
+
+
+def test_numeric_surface_names_every_active_cylinder(rng):
+    # at (0.85, 0.85, -0.85) every kind's closest state is the vertex where
+    # the three cylinders meet; at (0.95, 0.9, -0.9) the Hellinger (and so
+    # the Bures) one lies on the arc of two of them
+    arc = "disk_12+disk_13"
+    expected = {
+        (0.85, 0.85, -0.85): dict.fromkeys(KINDS, "vertex"),
+        (0.95, 0.9, -0.9): {
+            DistanceKind.HS: "vertex",
+            DistanceKind.HELLINGER: arc,
+            DistanceKind.BURES: arc,
+            DistanceKind.TRACE: "vertex",
+            DistanceKind.RELATIVE_ENTROPY: "vertex",
+        },
+    }
+    for a, surfaces in expected.items():
+        for kind, surface in surfaces.items():
+            assert bd_measure(kind, np.array(a)).surface == surface, (a, kind)
+    # a numeric surface lists exactly the cylinders within 1e-8 of its point
+    names = set()
+    for _ in range(40):
+        a = random_nonlocal_corr(rng)
+        for kind in OBJECTIVE_KINDS:
+            res = bd_measure_numeric(kind, a)
+            x = res.closest_local.a
+            active = {
+                f"disk_{i + 1}{j + 1}"
+                for i, j in itertools.combinations(range(3), 2)
+                if abs(x[i] * x[i] + x[j] * x[j] - 1.0) <= 1e-8
+            }
+            assert _named_pieces(res.surface) == active, (a, kind)
+            names.add(res.surface)
+    assert {"disk_12", "disk_12+disk_13", "vertex"} <= names
+
+
 # Bell weights w = (1 + S a) / 4; the reference below is written from them
 # and does not use nlgeo's objectives or solver.
 S = np.array([[1.0, 1.0, -1.0], [1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]])

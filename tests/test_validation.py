@@ -1,5 +1,7 @@
-from nlgeo import solver
-from nlgeo.validation import MULTISEED_POINTS, run_validation
+from nlgeo import solver, validation
+from nlgeo.measures import bd_measure_numeric
+from nlgeo.metrics import DistanceKind
+from nlgeo.validation import MULTISEED_POINTS, ORACLE_POINTS, run_validation
 from nlgeo.qstate import BellDiagonal
 
 
@@ -25,3 +27,19 @@ def test_run_validation_reports_structure_and_failure_path(monkeypatch):
         assert c.seconds >= 0.0
         assert c.tolerance > 0.0
         assert c.max_error >= 0.0
+
+
+def test_validation_solves_each_numeric_input_once(monkeypatch):
+    # the Bures check scores the Hellinger solves, so the numeric solves are
+    # the Werner line for he, tr and re and the symmetric images of each
+    # multiseed point for the three objectives
+    calls = []
+
+    def counting(kind, a):
+        calls.append(kind)
+        return bd_measure_numeric(kind, a)
+
+    monkeypatch.setattr(validation, "bd_measure_numeric", counting)
+    assert all(c.passed for c in run_validation())
+    assert len(calls) == 3 * ORACLE_POINTS + 3 * 3 * len(MULTISEED_POINTS)
+    assert DistanceKind.BURES not in calls
