@@ -357,6 +357,17 @@ def test_former_all_infinite_starts_input_exits_0(tmp_path, capsys):
     assert math.isfinite(float(rows[0][header.index("value")]))
 
 
+def test_facet_input_with_a_vanishing_weight_exits_0(tmp_path, capsys):
+    # a warm-started stage without the fraction-to-boundary floor drove the
+    # zero weight's slack to 2e-15 here, and the Cholesky factor of the
+    # barrier Hessian failed
+    out = tmp_path / "x.csv"
+    assert run(["bd-measure", "--e=0.02,0.68,0.3,0", "--kind", "he", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    _, header, rows = read_csv(out)
+    assert rows[0][header.index("converged")] == "true"
+
+
 @pytest.mark.parametrize("command", [["bd-grid", "--grid-n", "11"], ["bd-sweep", "--n", "5"]])
 def test_unconverged_grid_and_sweep_exit_5(command, tmp_path, capsys, monkeypatch):
     out = tmp_path / "x.csv"

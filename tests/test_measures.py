@@ -41,10 +41,12 @@ from nlgeo.qstate import (
     BELL_CORNERS,
     BellDiagonal,
     bd_corr_to_probs,
+    bd_probs_to_corr,
     make_bell_diagonal,
     make_isotropic,
     make_werner,
 )
+from nlgeo.validation import MULTISEED_TOL
 
 T = 1.0 / math.sqrt(2.0)
 KINDS = list(DistanceKind)
@@ -516,6 +518,47 @@ def test_numeric_not_above_slsqp(rng):
         assert res.value <= slsqp_value(kind, a) + 1e-9, (kind, a)
         assert in_tetrahedron(res.closest_local.a, tol=BOUNDARY_TOL)
         assert max_pair_sum(res.closest_local.a) <= 1.0 + BOUNDARY_TOL
+
+
+# a facet class on which a warm-started stage without the fraction-to-boundary
+# floor failed: the zero weight's slack fell from 1.2e-11 to 2e-15 in one
+# Armijo step, and the barrier Hessian lost positive definiteness
+FACET_E = (0.02, 0.3, 0.68, 0.0)
+
+
+@pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+def test_facet_class_permutations_converge_and_agree(kind):
+    values = []
+    for e in itertools.permutations(FACET_E):
+        res = bd_measure_numeric(kind, bd_probs_to_corr(np.array(e)))
+        assert res.converged, e
+        values.append(res.value)
+    assert max(values) - min(values) <= MULTISEED_TOL
+
+
+def test_numeric_within_gap_of_a_tight_barrier(rng, monkeypatch):
+    # each value is an upper bound within GAP of the optimum, so it sits
+    # between a much tighter barrier solve and that solve plus GAP
+    inputs = [random_nonlocal_corr(rng) for _ in range(20)]
+    facet = (FACET_E, (0.0, 0.68, 0.3, 0.02), (0.46, 0.0, 0.0, 0.54), (0.1, 0.0, 0.06, 0.84))
+    inputs += [bd_probs_to_corr(np.array(e)) for e in facet]
+    gap = solver.GAP
+    values = [[bd_measure_numeric(k, a).value for k in OBJECTIVE_KINDS] for a in inputs]
+    monkeypatch.setattr(solver, "GAP", 1e-15)
+    for a, row in zip(inputs, values):
+        for kind, value in zip(OBJECTIVE_KINDS, row):
+            ref = bd_measure_numeric(kind, a).value
+            assert ref - 1e-13 <= value <= ref + gap, (kind, a, value - ref)
+
+
+def test_mean_newton_steps_per_solve(rng):
+    # a deterministic count: the central-path warm start and the
+    # fraction-to-boundary floor keep the 13 barrier stages to about 36 Newton
+    # steps per solve on these inputs (59 when every stage restarted from the
+    # last minimizer)
+    inputs = [random_nonlocal_corr(rng) for _ in range(40)]
+    steps = [bd_measure_numeric(k, a).iterations for a in inputs for k in OBJECTIVE_KINDS]
+    assert np.mean(steps) <= 45
 
 
 def test_former_all_infinite_starts_input_converges():

@@ -70,3 +70,16 @@ def test_starved_solve_reports_unconverged(monkeypatch):
     report = minimize_over_local_set(*_euclidean((0.84, 0.63, -0.5)))
     assert not report.converged
     assert min(probs(report.x)) > 0.0 and max(pair_violations(report.x)) < 0.0
+
+
+def test_indefinite_hessian_reports_unconverged():
+    # a Newton system that is not positive definite has a non-positive
+    # Cholesky pivot; it ends the stage unconverged instead of raising
+    fun, grad, _ = _euclidean((0.84, 0.63, -0.5))
+
+    def hess(x, eps):
+        return ((-1e6, 0.0, 0.0), (0.0, -1e6, 0.0), (0.0, 0.0, -1e6))
+
+    report = minimize_over_local_set(fun, grad, hess)
+    assert not report.converged
+    assert min(probs(report.x)) > 0.0 and max(pair_violations(report.x)) < 0.0
