@@ -243,97 +243,90 @@ OBJECTIVE_KINDS = (DistanceKind.HELLINGER, DistanceKind.TRACE, DistanceKind.RELA
 
 class BdObjective:
     """Distance objective between a fixed Bell-diagonal state and a variable
-    one, in correlator coordinates x.
+    one, as a sum of one term per Bell weight of the variable state.
 
-    value_at/gradient_at/hessian_at take a float triple and a smoothing width
-    used only by the trace kind; at width 0 they are the exact objective and
-    its gradient (a subgradient at trace kinks). The minimized quantity is the
-    squared Hellinger distance, the trace distance itself, or the relative
-    entropy in bits; any other kind raises OutOfRange.
+    value(w, t) is the objective at the weights w, and derivatives(w, t), at
+    positive weights, each term's first and second derivative in its weight:
+    the pair that solver.minimize_over_local_set takes, picked for the kind
+    at construction. t is a smoothing width used only by the trace kind; at
+    width 0 they are exact (a subgradient at trace kinks). value_at and
+    gradient_at are the same in correlator coordinates x. The minimized
+    quantity is the squared Hellinger distance, the trace distance itself,
+    or the relative entropy in bits; any other kind raises OutOfRange.
     """
 
     def __init__(self, kind: DistanceKind, a: np.ndarray):
         if kind not in OBJECTIVE_KINDS:
             raise OutOfRange(f"no numeric objective for kind {kind.value!r}")
-        self.kind = kind
-        self.a = np.asarray(a, dtype=float)
-        self.e = bd_corr_to_probs(self.a)
-        self._sqrt_e = tuple(math.sqrt(max(ei, 0.0)) for ei in self.e)
-        self._e = tuple(float(ei) for ei in self.e)
+        self._e = tuple(float(ei) for ei in bd_corr_to_probs(np.asarray(a, dtype=float)))
+        self._sqrt_e = tuple(math.sqrt(max(ei, 0.0)) for ei in self._e)
+        self.value, self.derivatives = {
+            DistanceKind.HELLINGER: (self._hellinger, self._hellinger_derivatives),
+            DistanceKind.TRACE: (self._trace, self._trace_derivatives),
+            DistanceKind.RELATIVE_ENTROPY: (self._relative_entropy, self._relative_entropy_derivatives),
+        }[kind]
 
     def value_at(self, x, eps: float = 0.0) -> float:
-        k = self.kind
-        ex = solver.probs(x)
-        if k is DistanceKind.HELLINGER:
-            s = 0.0
-            for si, xi in zip(self._sqrt_e, ex):
-                if xi > 0.0:
-                    s += si * math.sqrt(xi)
-            return max(2.0 - 2.0 * s, 0.0)
-        if k is DistanceKind.TRACE:
-            if eps > 0.0:
-                total = 0.0
-                for ei, xi in zip(self._e, ex):
-                    d = xi - ei
-                    total += math.sqrt(d * d + eps * eps)
-                return 0.5 * total
-            return 0.5 * sum(abs(xi - ei) for ei, xi in zip(self._e, ex))
-        total = 0.0
-        for ei, xi in zip(self._e, ex):
-            if ei > 1e-15:
-                if xi <= 0.0:
-                    return math.inf
-                total += ei * math.log2(ei / xi)
-        return total
+        return self.value(solver.probs(x), eps)
 
     def gradient_at(self, x, eps: float = 0.0) -> tuple[float, float, float]:
-        k = self.kind
-        ex = solver.probs(x)
-        de = [0.0, 0.0, 0.0, 0.0]
-        if k is DistanceKind.HELLINGER:
-            for i in range(4):
-                if self._e[i] > 1e-15:
-                    de[i] = -self._sqrt_e[i] / math.sqrt(max(ex[i], 1e-12))
-        elif k is DistanceKind.TRACE:
-            if eps > 0.0:
-                for i in range(4):
-                    d = ex[i] - self._e[i]
-                    de[i] = 0.5 * d / math.sqrt(d * d + eps * eps)
-            else:
-                for i in range(4):
-                    d = ex[i] - self._e[i]
-                    de[i] = 0.5 * (0.0 if d == 0.0 else math.copysign(1.0, d))
-        else:
-            for i in range(4):
-                if self._e[i] > 1e-15:
-                    de[i] = -self._e[i] / (max(ex[i], 1e-300) * _LN2)
-        return solver.weights_gradient(de)
+        return solver.weights_gradient(self.derivatives(solver.probs(x), eps)[0])
 
-    def hessian_at(self, x, eps: float = 0.0) -> tuple[tuple[float, float, float], ...]:
-        """Hessian at a point with every Bell weight positive, as three rows.
+    def _hellinger(self, w, t):
+        s = 0.0
+        for si, wk in zip(self._sqrt_e, w):
+            if wk > 0.0:
+                s += si * math.sqrt(wk)
+        return max(2.0 - 2.0 * s, 0.0)
 
-        The objective is a sum of one term per Bell weight, so only the
-        second derivative of each term in its weight is needed. At eps = 0 the
-        trace kind's Hessian is zero away from its kinks.
-        """
-        k = self.kind
-        ex = solver.probs(x)
-        h = [0.0, 0.0, 0.0, 0.0]
-        if k is DistanceKind.HELLINGER:
-            for i in range(4):
-                h[i] = 0.5 * self._sqrt_e[i] / (ex[i] * math.sqrt(ex[i]))
-        elif k is DistanceKind.TRACE:
-            if eps > 0.0:
-                e2 = eps * eps
-                for i in range(4):
-                    d = ex[i] - self._e[i]
-                    r = d * d + e2
-                    h[i] = 0.5 * e2 / (r * math.sqrt(r))
+    def _hellinger_derivatives(self, w, t):
+        d, h = [], []
+        for si, wk in zip(self._sqrt_e, w):
+            r = si / math.sqrt(wk)
+            d.append(-r)
+            h.append(0.5 * r / wk)
+        return d, h
+
+    def _trace(self, w, t):
+        total = 0.0
+        if t > 0.0:
+            for ek, wk in zip(self._e, w):
+                dk = wk - ek
+                total += math.sqrt(dk * dk + t * t)
         else:
-            for i in range(4):
-                if self._e[i] > 1e-15:
-                    h[i] = self._e[i] / (ex[i] * ex[i] * _LN2)
-        return solver.weights_hessian(h)
+            for ek, wk in zip(self._e, w):
+                total += abs(wk - ek)
+        return 0.5 * total
+
+    def _trace_derivatives(self, w, t):
+        if t <= 0.0:
+            return [0.0 if wk == ek else math.copysign(0.5, wk - ek) for ek, wk in zip(self._e, w)], [0.0] * 4
+        d, h = [], []
+        for ek, wk in zip(self._e, w):
+            dk = wk - ek
+            r = dk * dk + t * t
+            root = math.sqrt(r)
+            d.append(0.5 * dk / root)
+            h.append(0.5 * t * t / (r * root))
+        return d, h
+
+    def _relative_entropy(self, w, t):
+        total = 0.0
+        for ek, wk in zip(self._e, w):
+            # a weight <= 1e-15 contributes nothing (0 log 0 = 0)
+            if ek > 1e-15:
+                if wk <= 0.0:
+                    return math.inf
+                total += ek * math.log2(ek / wk)
+        return total
+
+    def _relative_entropy_derivatives(self, w, t):
+        d, h = [], []
+        for ek, wk in zip(self._e, w):
+            q = ek / (wk * _LN2) if ek > 1e-15 else 0.0
+            d.append(-q)
+            h.append(q / wk)
+        return d, h
 
 
 def bd_measure_hs(a) -> MeasureResult:
@@ -375,7 +368,7 @@ def bd_measure_numeric(kind: DistanceKind, a) -> MeasureResult:
     if bd_is_chsh_local(a):
         return _closed_form(kind, 0.0, BellDiagonal.from_corr(a))
     obj = BdObjective(DistanceKind.HELLINGER if kind is DistanceKind.BURES else kind, a)
-    report = solver.minimize_over_local_set(obj.value_at, obj.gradient_at, obj.hessian_at)
+    report = solver.minimize_over_local_set(obj.value, obj.derivatives)
     x = report.x
     active = [p for p, v in zip(DISK_PAIRS, solver.pair_violations(x)) if abs(v) <= 1e-8]
     return MeasureResult(

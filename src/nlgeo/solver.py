@@ -1,16 +1,20 @@
 """Log-barrier Newton solver for minimization over the CHSH-local Bell-diagonal set.
 
 The local set L is the tetrahedron of Bell weights w_k >= 0 intersected with
-the three cylinders a_i^2 + a_j^2 <= 1. Every objective used with this solver
-is convex on L, so one start suffices: the maximally mixed state x = 0, where
+the three cylinders a_i^2 + a_j^2 <= 1, in correlator coordinates x. Every
+objective used with this solver is a convex sum f(w) = sum_k f_k(w_k) of one
+term per Bell weight, given by f and each term's first and second derivative
+in its weight. So one start suffices: the maximally mixed state x = 0, where
 every weight is 1/4 and every cylinder has slack 1. Each stage minimizes
 
-    f(x) - t * (sum_k log w_k + sum_(i,j) log(1 - x_i^2 - x_j^2))
+    f(w(x)) - t * (sum_k log w_k + sum_(i,j) log(1 - x_i^2 - x_j^2))
 
 by damped Newton steps, and t falls tenfold per stage. A stage minimizer is
 within 7 t of the optimum over L, one t per constraint (Boyd & Vandenberghe,
 Convex Optimization, section 11.2), so the last stage is the first with
-7 t <= GAP. Every iterate is strictly inside L.
+7 t <= GAP. Every iterate is strictly inside L. The log terms of the weights
+are per-weight terms too: each Newton system adds them to f's derivatives and
+maps the sum to x once (each weight is affine in x), then adds the cylinders.
 
 Warm start: the stage minimizers x(t) lie on the central path, along which a
 slack that vanishes at the optimum goes like t. So from the third stage on a
@@ -26,12 +30,13 @@ definiteness in floating point. A Newton system that is not numerically
 positive definite ends its stage unconverged.
 
 The decision space has three coordinates, so the loop works on plain float
-triples; numpy is not needed.
+tuples; numpy is not needed.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .locality import DISK_PAIRS
@@ -102,35 +107,35 @@ def pair_violations(x) -> tuple[float, float, float]:
 
 def _slacks(x) -> tuple[float, ...]:
     """The seven constraint slacks: the Bell weights and 1 - a_i^2 - a_j^2."""
-    return probs(x) + tuple(-v for v in pair_violations(x))
+    return probs(x) + tuple(map(operator.neg, pair_violations(x)))
 
 
-def _barrier_value(fun, x, slacks, t: float) -> float:
-    """f(x) - t * (sum of the seven log slacks) at an interior x."""
-    return fun(x, t) - t * sum(math.log(s) for s in slacks)
+def _barrier_value(value, slacks, t: float) -> float:
+    """f - t * (sum of the seven log slacks) at an interior point."""
+    return value(slacks[:4], t) - t * sum(map(math.log, slacks))
 
 
-def _barrier_derivatives(grad, hess, x, t: float):
-    """Gradient and Hessian of the barrier objective at an interior x."""
-    w = probs(x)
-    g = list(grad(x, t))
-    fh = hess(x, t)
-    bg = weights_gradient([-t / wk for wk in w])
-    bh = weights_hessian([t / (wk * wk) for wk in w])
-    h = [[fh[r][c] + bh[r][c] for c in range(3)] for r in range(3)]
-    for r in range(3):
-        g[r] += bg[r]
-    for (i, j), v in zip(DISK_PAIRS, pair_violations(x)):
-        # -t log c with c = 1 - x_i^2 - x_j^2
-        c = -v
-        g[i] += 2.0 * t * x[i] / c
-        g[j] += 2.0 * t * x[j] / c
-        q = 4.0 * t / (c * c)
-        h[i][i] += q * x[i] * x[i] + 2.0 * t / c
-        h[j][j] += q * x[j] * x[j] + 2.0 * t / c
-        h[i][j] += q * x[i] * x[j]
-        h[j][i] = h[i][j]
-    return g, h
+def _newton_system(derivatives, x, slacks, t: float):
+    """Gradient and Hessian rows in x of the barrier objective at x with these slacks."""
+    w0, w1, w2, w3, c01, c02, c12 = slacks
+    d, h = derivatives(slacks[:4], t)
+    # each -t log w_k adds -t / w_k and t / w_k^2 to its weight's derivatives
+    g0, g1, g2 = weights_gradient((d[0] - t / w0, d[1] - t / w1, d[2] - t / w2, d[3] - t / w3))
+    (h00, h01, h02), (_, h11, h12), (_, _, h22) = weights_hessian(
+        (h[0] + t / (w0 * w0), h[1] + t / (w1 * w1), h[2] + t / (w2 * w2), h[3] + t / (w3 * w3))
+    )
+    x0, x1, x2 = x
+    # -t log c for c = 1 - x_i^2 - x_j^2: gradient u x on the pair (i, j), and
+    # Hessian q x x^T plus u on the pair's diagonal, u = 2 t / c, q = 4 t / c^2
+    u01, u02, u12 = 2.0 * t / c01, 2.0 * t / c02, 2.0 * t / c12
+    q01, q02, q12 = 2.0 * u01 / c01, 2.0 * u02 / c02, 2.0 * u12 / c12
+    g = (g0 + (u01 + u02) * x0, g1 + (u01 + u12) * x1, g2 + (u02 + u12) * x2)
+    h01, h02, h12 = h01 + q01 * x0 * x1, h02 + q02 * x0 * x2, h12 + q12 * x1 * x2
+    return g, (
+        (h00 + (q01 + q02) * x0 * x0 + u01 + u02, h01, h02),
+        (h01, h11 + (q01 + q12) * x1 * x1 + u01 + u12, h12),
+        (h02, h12, h22 + (q02 + q12) * x2 * x2 + u02 + u12),
+    )
 
 
 def _newton_step(g, h):
@@ -163,13 +168,13 @@ def _newton_step(g, h):
     return (d0, d1, d2), y0 * y0 + y1 * y1 + y2 * y2
 
 
-def _newton_stage(fun, grad, hess, x, t: float):
+def _newton_stage(value, derivatives, x, t: float):
     """Damped Newton on the barrier objective at t from an interior x;
     returns (x, steps, converged)."""
     slacks = _slacks(x)
-    phi = _barrier_value(fun, x, slacks, t)
+    phi = _barrier_value(value, slacks, t)
     for it in range(MAX_ITERS + 1):
-        newton = _newton_step(*_barrier_derivatives(grad, hess, x, t))
+        newton = _newton_step(*_newton_system(derivatives, x, slacks, t))
         if newton is None:
             return x, it, False
         step, dec = newton
@@ -177,6 +182,7 @@ def _newton_stage(fun, grad, hess, x, t: float):
             return x, it, True
         if it == MAX_ITERS:
             break
+        floor = [BOUNDARY_FRACTION * v for v in slacks]
         s = 1.0
         while True:
             xn = (x[0] + s * step[0], x[1] + s * step[1], x[2] + s * step[2])
@@ -184,8 +190,8 @@ def _newton_stage(fun, grad, hess, x, t: float):
                 # the step fell below float resolution without enough decrease
                 return x, it, False
             sn = _slacks(xn)
-            if all(v >= BOUNDARY_FRACTION * v0 for v, v0 in zip(sn, slacks)):
-                phin = _barrier_value(fun, xn, sn, t)
+            if all(map(operator.ge, sn, floor)):
+                phin = _barrier_value(value, sn, t)
                 if phin <= phi - ARMIJO * s * dec:
                     break
             s *= 0.5
@@ -193,15 +199,15 @@ def _newton_stage(fun, grad, hess, x, t: float):
     return x, MAX_ITERS, False
 
 
-def minimize_over_local_set(fun, grad, hess) -> SolveReport:
-    """Minimize a convex f over the local set by the log-barrier method.
+def minimize_over_local_set(value, derivatives) -> SolveReport:
+    """Minimize a convex f = sum_k f_k(w_k) over the local set by the log-barrier method.
 
-    ``fun(x, eps)``, ``grad(x, eps)`` and ``hess(x, eps)`` give f, its
-    gradient and its Hessian (rows of a symmetric 3x3) on float triples. eps
-    is the barrier weight t, which an objective with kinks may use as its
-    smoothing width; smooth objectives ignore it. A stage that takes
-    MAX_ITERS Newton steps without meeting DECREMENT_TOL leaves the report
-    unconverged; the later stages still run from where it stopped.
+    ``value(w, t)`` gives f at the four Bell weights w, all positive, and
+    ``derivatives(w, t)`` the sequences (f_k'(w_k)) and (f_k''(w_k)). t is the
+    barrier weight, which an objective with kinks may use as its smoothing
+    width. A stage that ends without meeting DECREMENT_TOL (after MAX_ITERS
+    Newton steps, at a non-positive Cholesky pivot, or at a step below float
+    resolution) leaves the report unconverged; later stages still run.
     """
     start = (0.0, 0.0, 0.0)
     prev = None
@@ -209,7 +215,7 @@ def minimize_over_local_set(fun, grad, hess) -> SolveReport:
     total = 0
     converged = True
     while True:
-        x, steps, done = _newton_stage(fun, grad, hess, start, t)
+        x, steps, done = _newton_stage(value, derivatives, start, t)
         total += steps
         converged = converged and done
         if N_CONSTRAINTS * t <= GAP:

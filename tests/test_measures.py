@@ -868,7 +868,7 @@ def test_gradient_matches_finite_differences(rng):
             # the Hessian against differences of the gradient; the trace kind
             # at its smoothing width, the only place it is curved
             eps = 1e-2
-            h = np.array(obj.hessian_at(tuple(x), eps))
+            h = np.array(solver.weights_hessian(obj.derivatives(solver.probs(tuple(x)), eps)[1]))
             assert np.array_equal(h, h.T)
             fd_h = np.empty((3, 3))
             for i in range(3):

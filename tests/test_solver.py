@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import random_nonlocal_corr, random_tetra_corr
 from nlgeo.locality import project_local
+from nlgeo.measures import OBJECTIVE_KINDS, BdObjective
 from nlgeo import solver
 from nlgeo.solver import GAP, minimize_over_local_set, pair_violations, probs
 
@@ -27,25 +30,28 @@ def test_pair_violations():
 
 
 def _euclidean(target):
-    """A quarter of the squared distance to target, with its derivatives."""
-    tx = tuple(float(v) for v in target)
+    """sum_k (w_k - e_k)^2 to the weights e of the correlators target, with its
+    per-weight derivatives; the weights sum to 1, so this is a quarter of the
+    squared distance in correlators."""
+    e = probs(tuple(float(v) for v in target))
 
-    def fun(x, eps):
-        return 0.25 * sum((xi - ti) ** 2 for xi, ti in zip(x, tx))
+    def value(w, t):
+        return sum((wk - ek) ** 2 for wk, ek in zip(w, e))
 
-    def grad(x, eps):
-        return tuple(0.5 * (xi - ti) for xi, ti in zip(x, tx))
+    def derivatives(w, t):
+        return [2.0 * (wk - ek) for wk, ek in zip(w, e)], [2.0] * 4
 
-    def hess(x, eps):
-        return ((0.5, 0.0, 0.0), (0.0, 0.5, 0.0), (0.0, 0.0, 0.5))
-
-    return fun, grad, hess
+    return value, derivatives
 
 
 def test_minimize_over_local_set_projects_euclidean(rng):
     # minimizing a quarter of the squared distance from an exterior point
     # recovers the metric projection onto the local set, here on a known disk arc
     target = np.array([0.84, 0.63, -0.5])
+    value, _ = _euclidean(target)
+    for _ in range(5):
+        x = rng.uniform(-1.0, 1.0, 3)
+        assert value(probs(tuple(x)), 0.0) == pytest.approx(0.25 * np.sum((x - target) ** 2), abs=1e-15)
     report = minimize_over_local_set(*_euclidean(target))
     assert report.converged
     assert np.max(np.abs(np.array(report.x) - project_local(target).point)) <= 1e-9
@@ -55,12 +61,12 @@ def test_minimize_over_local_set_projects_euclidean(rng):
     # the projection p, so the point is within sqrt(4 GAP) of it
     for _ in range(30):
         target = random_nonlocal_corr(rng)
-        fun, grad, hess = _euclidean(target)
-        report = minimize_over_local_set(fun, grad, hess)
+        value, derivatives = _euclidean(target)
+        report = minimize_over_local_set(value, derivatives)
         assert report.converged
         assert min(probs(report.x)) > 0.0 and max(pair_violations(report.x)) < 0.0
         p = project_local(target).point
-        assert fun(report.x, 0.0) <= fun(tuple(p), 0.0) + GAP, target
+        assert value(probs(report.x), 0.0) <= value(probs(tuple(p)), 0.0) + GAP, target
         assert np.linalg.norm(np.array(report.x) - p) <= (4.0 * GAP) ** 0.5, target
 
 
@@ -75,11 +81,47 @@ def test_starved_solve_reports_unconverged(monkeypatch):
 def test_indefinite_hessian_reports_unconverged():
     # a Newton system that is not positive definite has a non-positive
     # Cholesky pivot; it ends the stage unconverged instead of raising
-    fun, grad, _ = _euclidean((0.84, 0.63, -0.5))
+    value, derivatives = _euclidean((0.84, 0.63, -0.5))
 
-    def hess(x, eps):
-        return ((-1e6, 0.0, 0.0), (0.0, -1e6, 0.0), (0.0, 0.0, -1e6))
+    def indefinite(w, t):
+        return derivatives(w, t)[0], [-1e6] * 4
 
-    report = minimize_over_local_set(fun, grad, hess)
+    report = minimize_over_local_set(value, indefinite)
     assert not report.converged
     assert min(probs(report.x)) > 0.0 and max(pair_violations(report.x)) < 0.0
+
+
+@pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+def test_newton_system_matches_finite_differences_of_the_barrier(rng, kind):
+    # the Newton system folds the barrier's log terms into the objective's
+    # per-weight derivatives and adds the cylinders in x; check it against
+    # central differences of f - t * sum(log slacks) itself, near a cylinder,
+    # where the cylinder terms dominate
+    t = 1e-2
+
+    def barrier(obj, x):
+        slacks = probs(x) + tuple(-v for v in pair_violations(x))
+        return obj.value_at(x, t) - t * sum(math.log(s) for s in slacks)
+
+    step = 1e-8
+    for _ in range(10):
+        obj = BdObjective(kind, random_nonlocal_corr(rng))
+        # the projection of a nonlocal point lies on a cylinder, strictly
+        # inside the tetrahedron; pull it in so that one slack is 1e-4..1e-3
+        p = project_local(random_nonlocal_corr(rng)).point
+        x = tuple(float(v) for v in p * (1.0 - rng.uniform(5e-5, 5e-4)))
+        slacks = solver._slacks(x)
+        assert min(slacks) > 0.0 and min(slacks[4:]) <= 1e-3
+        g, h = (np.array(m) for m in solver._newton_system(obj.derivatives, x, slacks, t))
+        fd_g, fd_h = np.empty(3), np.empty((3, 3))
+        for i in range(3):
+            xp, xm = list(x), list(x)
+            xp[i] += step
+            xm[i] -= step
+            fd_g[i] = (barrier(obj, tuple(xp)) - barrier(obj, tuple(xm))) / (2.0 * step)
+            gp = solver._newton_system(obj.derivatives, tuple(xp), solver._slacks(tuple(xp)), t)[0]
+            gm = solver._newton_system(obj.derivatives, tuple(xm), solver._slacks(tuple(xm)), t)[0]
+            fd_h[:, i] = (np.array(gp) - np.array(gm)) / (2.0 * step)
+        assert np.linalg.norm(fd_g - g) <= 1e-6 * np.linalg.norm(g), (kind, x)
+        assert np.array_equal(h, h.T)
+        assert np.linalg.norm(fd_h - h) <= 1e-6 * np.linalg.norm(h), (kind, x)
