@@ -176,13 +176,49 @@ def _arc_angle(b_i: float, b_jk: float) -> float:
 
 @dataclass(frozen=True)
 class LocalProjection:
-    """Nearest point of the local set to a, its Euclidean distance from a, and
-    the active boundary piece as surface_name names it (None when a is local
+    """Nearest point of the local set to a, its distance from a, and the
+    active boundary piece as surface_name names it (None when a is local
     itself)."""
 
     point: np.ndarray
     distance: float
     surface: str | None
+
+
+def nearest_in_chamber(a, solve) -> LocalProjection:
+    """Nearest local point to a nonlocal a in a distance that permuting the
+    coordinates and flipping their signs leaves unchanged.
+
+    The cylinders are unchanged by both maps too, so the nearest point keeps
+    the signs of a and the order of their magnitudes. solve(b_i, b_j, b_k)
+    finds it for |a| sorted in descending order: it returns the point in that
+    order, the index pairs of its active cylinders in that order, and its
+    distance. The point is mapped back to the order and signs of a.
+    """
+    order = sorted(range(3), key=lambda n: -abs(a[n]))
+    point, pairs, distance = solve(*(abs(a[n]) for n in order))
+    out = np.empty(3)
+    out[order] = point
+    return LocalProjection(
+        point=np.copysign(out, a),
+        distance=distance,
+        surface=surface_name([(order[p], order[q]) for p, q in pairs]),
+    )
+
+
+def _euclidean_in_chamber(b_i: float, b_j: float, b_k: float):
+    s = math.sqrt(b_i * b_i + b_j * b_j)
+    if b_j / s >= b_k - BOUNDARY_TOL:
+        return (b_i / s, b_j / s, b_k), ((0, 1),), s - 1.0
+    if 0.5 + (b_i - b_j - b_k) / math.sqrt(2.0) <= 0.0:
+        point = (1.0 / math.sqrt(2.0),) * 3
+        pairs = DISK_PAIRS
+    else:
+        t = _arc_angle(b_i, b_j + b_k)
+        point = (math.cos(t), math.sin(t), math.sin(t))
+        pairs = ((0, 1), (0, 2))
+    distance = math.sqrt(sum((p - b) ** 2 for p, b in zip(point, (b_i, b_j, b_k))))
+    return point, pairs, distance
 
 
 def project_local(a) -> LocalProjection:
@@ -198,23 +234,4 @@ def project_local(a) -> LocalProjection:
     a = np.asarray(a, dtype=float)
     if bd_is_chsh_local(a):
         return LocalProjection(point=a.copy(), distance=0.0, surface=None)
-    i, j, k = sorted(range(3), key=lambda n: -abs(a[n]))
-    b_i, b_j, b_k = abs(a[i]), abs(a[j]), abs(a[k])
-    s = math.sqrt(a[i] * a[i] + a[j] * a[j])
-    if b_j / s >= b_k - BOUNDARY_TOL:
-        point = a.copy()
-        point[i] /= s
-        point[j] /= s
-        return LocalProjection(point=point, distance=s - 1.0, surface=surface_name([(i, j)]))
-    if 0.5 + (b_i - b_j - b_k) / math.sqrt(2.0) <= 0.0:
-        point = np.full(3, 1.0 / math.sqrt(2.0))
-        pairs = DISK_PAIRS
-    else:
-        t = _arc_angle(b_i, b_j + b_k)
-        point = np.full(3, math.sin(t))
-        point[i] = math.cos(t)
-        pairs = ((i, j), (i, k))
-    point = np.copysign(point, a)
-    return LocalProjection(
-        point=point, distance=math.sqrt(np.sum((point - a) ** 2)), surface=surface_name(pairs)
-    )
+    return nearest_in_chamber(a, _euclidean_in_chamber)

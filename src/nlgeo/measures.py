@@ -4,10 +4,12 @@ For Werner and isotropic inputs the minimizing local state stays inside the
 family, which reduces every measure to a one-parameter evaluation at the
 family's locality threshold. For general Bell-diagonal states the
 Hilbert-Schmidt measure is half the distance to the exact Euclidean
-projection onto the CHSH-local region. The Hellinger, trace and
-relative-entropy measures are minimized over that region by one log-barrier
-Newton solve. The Bures measure reuses the Hellinger solve: Bell-diagonal
-states commute, and on commuting states the two squared distances are equal.
+projection onto the CHSH-local region, and the trace measure is the exact
+distance to that region in a polyhedral norm; both are found in one symmetry
+chamber. The Hellinger and relative-entropy measures are minimized over the
+region by one log-barrier Newton solve. The Bures measure reuses the
+Hellinger solve: Bell-diagonal states commute, and on commuting states the
+two squared distances are equal.
 
 Hellinger and Bures measures are reported as squared distances; relative
 entropy is in bits. A local input yields exactly 0.0.
@@ -24,8 +26,10 @@ from .errors import NotConverged, OutOfRange
 from .locality import (
     BOUNDARY_TOL,
     DISK_PAIRS,
+    LocalProjection,
     bd_is_chsh_local,
     cglmp_threshold,
+    nearest_in_chamber,
     project_local,
     surface_name,
 )
@@ -51,7 +55,8 @@ class MeasureResult:
 
     value is the measure itself (squared distance for Hellinger and Bures),
     closest_local identifies the minimizing local state, method is one of
-    closed_form, lagrange_case (the exact HS projection) and numeric, and
+    closed_form, lagrange_case (the exact HS and trace measures of a
+    Bell-diagonal state) and numeric, and
     surface names the active boundary piece (locality.surface_name) when one
     is identified. The diagnostics default to those of an exact result: no
     iterations, converged.
@@ -235,23 +240,21 @@ def formula_agrees(value, reference):
     return bool(agrees) if agrees.ndim == 0 else agrees
 
 
-# The kinds with a numeric objective. HS is the exact projection
-# (bd_measure_hs), and Bures equals Hellinger on commuting states, so neither
-# has an objective of its own.
-OBJECTIVE_KINDS = (DistanceKind.HELLINGER, DistanceKind.TRACE, DistanceKind.RELATIVE_ENTROPY)
+# The kinds with a numeric objective. HS and trace are exact (bd_measure_hs,
+# bd_measure_trace), and Bures equals Hellinger on commuting states, so none
+# of them has an objective of its own.
+OBJECTIVE_KINDS = (DistanceKind.HELLINGER, DistanceKind.RELATIVE_ENTROPY)
 
 
 class BdObjective:
     """Distance objective between a fixed Bell-diagonal state and a variable
     one, as a sum of one term per Bell weight of the variable state.
 
-    value(w, t) is the objective at the weights w, and derivatives(w, t), at
+    value(w) is the objective at the weights w, and derivatives(w), at
     positive weights, each term's first and second derivative in its weight:
     the pair that solver.minimize_over_local_set takes, picked for the kind
-    at construction. t is a smoothing width used only by the trace kind; at
-    width 0 they are exact (a subgradient at trace kinks). value_at and
-    gradient_at are the same in correlator coordinates x. The minimized
-    quantity is the squared Hellinger distance, the trace distance itself,
+    at construction. value_at and gradient_at are the same in correlator
+    coordinates x. The minimized quantity is the squared Hellinger distance
     or the relative entropy in bits; any other kind raises OutOfRange.
     """
 
@@ -262,24 +265,23 @@ class BdObjective:
         self._sqrt_e = tuple(math.sqrt(max(ei, 0.0)) for ei in self._e)
         self.value, self.derivatives = {
             DistanceKind.HELLINGER: (self._hellinger, self._hellinger_derivatives),
-            DistanceKind.TRACE: (self._trace, self._trace_derivatives),
             DistanceKind.RELATIVE_ENTROPY: (self._relative_entropy, self._relative_entropy_derivatives),
         }[kind]
 
-    def value_at(self, x, eps: float = 0.0) -> float:
-        return self.value(solver.probs(x), eps)
+    def value_at(self, x) -> float:
+        return self.value(solver.probs(x))
 
-    def gradient_at(self, x, eps: float = 0.0) -> tuple[float, float, float]:
-        return solver.weights_gradient(self.derivatives(solver.probs(x), eps)[0])
+    def gradient_at(self, x) -> tuple[float, float, float]:
+        return solver.weights_gradient(self.derivatives(solver.probs(x))[0])
 
-    def _hellinger(self, w, t):
+    def _hellinger(self, w):
         s = 0.0
         for si, wk in zip(self._sqrt_e, w):
             if wk > 0.0:
                 s += si * math.sqrt(wk)
         return max(2.0 - 2.0 * s, 0.0)
 
-    def _hellinger_derivatives(self, w, t):
+    def _hellinger_derivatives(self, w):
         d, h = [], []
         for si, wk in zip(self._sqrt_e, w):
             r = si / math.sqrt(wk)
@@ -287,30 +289,7 @@ class BdObjective:
             h.append(0.5 * r / wk)
         return d, h
 
-    def _trace(self, w, t):
-        total = 0.0
-        if t > 0.0:
-            for ek, wk in zip(self._e, w):
-                dk = wk - ek
-                total += math.sqrt(dk * dk + t * t)
-        else:
-            for ek, wk in zip(self._e, w):
-                total += abs(wk - ek)
-        return 0.5 * total
-
-    def _trace_derivatives(self, w, t):
-        if t <= 0.0:
-            return [0.0 if wk == ek else math.copysign(0.5, wk - ek) for ek, wk in zip(self._e, w)], [0.0] * 4
-        d, h = [], []
-        for ek, wk in zip(self._e, w):
-            dk = wk - ek
-            r = dk * dk + t * t
-            root = math.sqrt(r)
-            d.append(0.5 * dk / root)
-            h.append(0.5 * t * t / (r * root))
-        return d, h
-
-    def _relative_entropy(self, w, t):
+    def _relative_entropy(self, w):
         total = 0.0
         for ek, wk in zip(self._e, w):
             # a weight <= 1e-15 contributes nothing (0 log 0 = 0)
@@ -320,13 +299,18 @@ class BdObjective:
                 total += ek * math.log2(ek / wk)
         return total
 
-    def _relative_entropy_derivatives(self, w, t):
+    def _relative_entropy_derivatives(self, w):
         d, h = [], []
         for ek, wk in zip(self._e, w):
             q = ek / (wk * _LN2) if ek > 1e-15 else 0.0
             d.append(-q)
             h.append(q / wk)
         return d, h
+
+
+def _lagrange_case(kind: DistanceKind, value: float, proj: LocalProjection) -> MeasureResult:
+    closest = BellDiagonal.from_corr(proj.point)
+    return MeasureResult(kind, value, closest, "lagrange_case", proj.surface)
 
 
 def bd_measure_hs(a) -> MeasureResult:
@@ -339,13 +323,60 @@ def bd_measure_hs(a) -> MeasureResult:
     proj = project_local(a)
     if proj.surface is None:
         return _closed_form(DistanceKind.HS, 0.0, BellDiagonal.from_corr(a))
-    return MeasureResult(
-        kind=DistanceKind.HS,
-        value=0.5 * proj.distance,
-        closest_local=BellDiagonal.from_corr(proj.point),
-        method="lagrange_case",
-        surface=proj.surface,
-    )
+    return _lagrange_case(DistanceKind.HS, 0.5 * proj.distance, proj)
+
+
+def _trace_distance(x, b) -> float:
+    """Trace distance (1/2) max(||x - b||_inf, ||x - b||_1 / 2) between the
+    Bell-diagonal states with correlators x and b."""
+    d = [abs(xi - bi) for xi, bi in zip(x, b)]
+    return 0.5 * max(max(d), 0.5 * sum(d))
+
+
+def _trace_in_chamber(b1: float, b2: float, b3: float):
+    """Trace-nearest local point to b1 >= b2 >= b3 >= 0, with b1^2 + b2^2 > 1.
+
+    The smallest of three candidates, each taken where it is feasible:
+    - the ray from b along the vertex -(1, 1, 0) of the norm's unit ball (a
+      cuboctahedron) onto the cylinder (1, 2): (b1 - r)^2 + (b2 - r)^2 = 1,
+      solved without cancellation. It is optimal for that cylinder alone, so
+      it wins whenever it also meets the cylinder (1, 3);
+    - the kink of the arc (cos t, sin t, sin t), 0 <= t <= pi/4, of the
+      cylinders (1, 2) and (1, 3), where the dual vertices -e1 and
+      -(1, 1, 1)/2 are both active: 2 sin t - cos t = b2 + b3 - b1;
+    - the vertex (1, 1, 1)/sqrt 2 of the three cylinders.
+    That no facet of the tetrahedron is active is checked, not derived: the
+    tests compare this with the minimum over every boundary candidate.
+    """
+    b = (b1, b2, b3)
+    r = (b1 * b1 + b2 * b2 - 1.0) / (b1 + b2 + math.sqrt(2.0 - (b1 - b2) ** 2))
+    if (b1 - r) ** 2 + b3 * b3 <= 1.0 + BOUNDARY_TOL:
+        return (b1 - r, b2 - r, b3), ((0, 1),), 0.5 * r
+    vertex = (1.0 / math.sqrt(2.0),) * 3
+    candidates = [(vertex, DISK_PAIRS, _trace_distance(vertex, b))]
+    s = (b2 + b3 - b1) / math.sqrt(5.0)
+    if -1.0 <= s <= 1.0:
+        t = math.atan(0.5) + math.asin(s)
+        if 0.0 <= t <= 0.25 * math.pi:
+            kink = (math.cos(t), math.sin(t), math.sin(t))
+            candidates.append((kink, ((0, 1), (0, 2)), _trace_distance(kink, b)))
+    return min(candidates, key=lambda c: c[2])
+
+
+def bd_measure_trace(a) -> MeasureResult:
+    """Trace measure of a Bell-diagonal state, exactly.
+
+    For Bell-diagonal states with correlators x and a, (1/2) sum_k |w_k - e_k|
+    equals (1/2) max(||x - a||_inf, ||x - a||_1 / 2), so the measure is the
+    distance from a to the local set in that norm. It is found in the
+    symmetry chamber of a (locality.nearest_in_chamber, _trace_in_chamber);
+    surface names the active boundary piece of the closest local state.
+    """
+    a = np.asarray(a, dtype=float)
+    if bd_is_chsh_local(a):
+        return _closed_form(DistanceKind.TRACE, 0.0, BellDiagonal.from_corr(a))
+    proj = nearest_in_chamber(a, _trace_in_chamber)
+    return _lagrange_case(DistanceKind.TRACE, proj.distance, proj)
 
 
 def bd_measure_numeric(kind: DistanceKind, a) -> MeasureResult:
@@ -353,17 +384,16 @@ def bd_measure_numeric(kind: DistanceKind, a) -> MeasureResult:
 
     One log-barrier Newton solve over the local set from the maximally mixed
     state (solver.minimize_over_local_set); its value is within the solver's
-    GAP of the optimum. The trace objective is smoothed by the barrier weight
-    during the solve, and every kind is scored exactly at the returned point,
-    which lies strictly inside the local set.
+    GAP of the optimum, and is scored at the returned point, which lies
+    strictly inside the local set.
 
-    Solves the Hellinger, trace and relative-entropy kinds. Bures equals
-    Hellinger on commuting states, so a Bures request gets the Hellinger
-    solve under its own kind. HS raises OutOfRange: it is the exact
-    projection, bd_measure_hs.
+    Solves the Hellinger and relative-entropy kinds. Bures equals Hellinger
+    on commuting states, so a Bures request gets the Hellinger solve under
+    its own kind. HS and trace raise OutOfRange: they are exact,
+    bd_measure_hs and bd_measure_trace.
     """
-    if kind is DistanceKind.HS:
-        raise OutOfRange("HS is the exact projection; use bd_measure or bd_measure_hs")
+    if kind in (DistanceKind.HS, DistanceKind.TRACE):
+        raise OutOfRange(f"{kind.value} is exact; use bd_measure")
     a = np.asarray(a, dtype=float)
     if bd_is_chsh_local(a):
         return _closed_form(kind, 0.0, BellDiagonal.from_corr(a))
@@ -383,9 +413,11 @@ def bd_measure_numeric(kind: DistanceKind, a) -> MeasureResult:
 
 
 def bd_measure(kind: DistanceKind, a) -> MeasureResult:
-    """Dispatch: exact projection for HS, numeric minimization otherwise."""
+    """Dispatch: exact for HS and trace, numeric minimization otherwise."""
     if kind is DistanceKind.HS:
         return bd_measure_hs(a)
+    if kind is DistanceKind.TRACE:
+        return bd_measure_trace(a)
     return bd_measure_numeric(kind, a)
 
 

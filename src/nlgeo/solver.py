@@ -112,13 +112,13 @@ def _slacks(x) -> tuple[float, ...]:
 
 def _barrier_value(value, slacks, t: float) -> float:
     """f - t * (sum of the seven log slacks) at an interior point."""
-    return value(slacks[:4], t) - t * sum(map(math.log, slacks))
+    return value(slacks[:4]) - t * sum(map(math.log, slacks))
 
 
 def _newton_system(derivatives, x, slacks, t: float):
     """Gradient and Hessian rows in x of the barrier objective at x with these slacks."""
     w0, w1, w2, w3, c01, c02, c12 = slacks
-    d, h = derivatives(slacks[:4], t)
+    d, h = derivatives(slacks[:4])
     # each -t log w_k adds -t / w_k and t / w_k^2 to its weight's derivatives
     g0, g1, g2 = weights_gradient((d[0] - t / w0, d[1] - t / w1, d[2] - t / w2, d[3] - t / w3))
     (h00, h01, h02), (_, h11, h12), (_, _, h22) = weights_hessian(
@@ -202,12 +202,11 @@ def _newton_stage(value, derivatives, x, t: float):
 def minimize_over_local_set(value, derivatives) -> SolveReport:
     """Minimize a convex f = sum_k f_k(w_k) over the local set by the log-barrier method.
 
-    ``value(w, t)`` gives f at the four Bell weights w, all positive, and
-    ``derivatives(w, t)`` the sequences (f_k'(w_k)) and (f_k''(w_k)). t is the
-    barrier weight, which an objective with kinks may use as its smoothing
-    width. A stage that ends without meeting DECREMENT_TOL (after MAX_ITERS
-    Newton steps, at a non-positive Cholesky pivot, or at a step below float
-    resolution) leaves the report unconverged; later stages still run.
+    ``value(w)`` gives f at the four Bell weights w, all positive, and
+    ``derivatives(w)`` the sequences (f_k'(w_k)) and (f_k''(w_k)). A stage
+    that ends without meeting DECREMENT_TOL (after MAX_ITERS Newton steps, at
+    a non-positive Cholesky pivot, or at a step below float resolution)
+    leaves the report unconverged; later stages still run.
     """
     start = (0.0, 0.0, 0.0)
     prev = None

@@ -48,12 +48,12 @@ class CheckResult:
 
 def _oracle_werner(kind: DistanceKind, solved: dict) -> CheckResult:
     t0 = time.perf_counter()
-    # HS has no numeric objective, so it is checked on bd_measure, the exact
-    # projection users get. bd_measure sends the other kinds to
-    # bd_measure_numeric, called here by the name that perfbench/worker.py
-    # hooks to time validate in segments. A Bures solve is the Hellinger one,
-    # so their checks share the solves kept in solved.
-    solve = bd_measure if kind is DistanceKind.HS else bd_measure_numeric
+    # HS and trace have no numeric objective, so they are checked on
+    # bd_measure, the exact measures users get. bd_measure sends the other
+    # kinds to bd_measure_numeric, called here by the name that
+    # perfbench/worker.py hooks to time validate in segments. A Bures solve is
+    # the Hellinger one, so their checks share the solves kept in solved.
+    solve = bd_measure if kind in (DistanceKind.HS, DistanceKind.TRACE) else bd_measure_numeric
     shared = DistanceKind.HELLINGER if kind is DistanceKind.BURES else kind
     ws = WERNER_THRESHOLD + (1.0 - WERNER_THRESHOLD) * np.arange(1, ORACLE_POINTS + 1) / ORACLE_POINTS
     if shared not in solved:
@@ -102,8 +102,8 @@ def _multiseed() -> CheckResult:
     t0 = time.perf_counter()
     worst = 0.0
     unconverged = 0
-    # only the numeric objectives are checked: HS is the exact projection,
-    # and a Bures solve is the Hellinger one
+    # only the numeric objectives are checked: HS and trace are exact, and a
+    # Bures solve is the Hellinger one
     for point in MULTISEED_POINTS:
         for kind in OBJECTIVE_KINDS:
             values = []

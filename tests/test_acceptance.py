@@ -234,9 +234,6 @@ def test_criterion_7_gradients_match_finite_differences(rng):
             # keep the evaluation point strictly inside the tetrahedron
             if ex.min() < 0.01:
                 continue
-            # the trace objective is piecewise linear; stay off its kinks
-            if kind is DistanceKind.TRACE and np.min(np.abs(ex - ea)) < 1e-3:
-                continue
             obj = BdObjective(kind, bd_probs_to_corr(ea))
             x = bd_probs_to_corr(ex)
             g = np.array(obj.gradient_at(tuple(x)))
@@ -252,7 +249,7 @@ def test_criterion_7_gradients_match_finite_differences(rng):
             done += 1
     _verdict(
         7,
-        "analytic gradients vs central differences, 100 points x 3 objectives",
+        "analytic gradients vs central differences, 100 points x 2 objectives",
         worst < 1e-4,
         f"max relative error {worst:.3g}",
     )

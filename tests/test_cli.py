@@ -137,6 +137,24 @@ def test_hellinger_is_solved_once_for_bures(tmp_path, monkeypatch):
     assert [r[0] for r in rows] == ["bu", "he"] and rows[0][1:] == rows[1][1:]
 
 
+def test_trace_commands_make_no_barrier_solve(tmp_path, monkeypatch):
+    # the trace measure is exact, so its commands must succeed without the solver
+    def refuse(*args):
+        raise AssertionError("the trace measure called the barrier solver")
+
+    monkeypatch.setattr(solver, "minimize_over_local_set", refuse)
+    out = tmp_path / "t.csv"
+    for command in (["bd-grid", "--grid-n", "50"], ["bd-sweep"]):
+        assert run(command + ["--kind", "tr", "--out", str(out)]) == 0, command
+        _, _, rows = read_csv(out)
+        assert max(float(r[-1]) for r in rows) == pytest.approx(1.0, abs=1e-12), command
+    assert run(["bd-measure", "--a", "0.84,0.63,-0.5", "--kind", "tr", "--out", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    fields = dict(zip(header, rows[0]))
+    assert float(fields["value"]) > 0.0
+    assert (fields["method"], fields["surface"], fields["iterations"]) == ("lagrange_case", "disk_12", "0")
+
+
 def test_bd_grid_rows_are_physical_and_ordered(tmp_path):
     out = tmp_path / "g.csv"
     assert run(["bd-grid", "--kind", "hs", "--grid-n", "6", "--out", str(out)]) == 0

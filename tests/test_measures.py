@@ -6,6 +6,8 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ARC_INPUT, random_local_corr, random_nonlocal_corr, random_tetra_corr
 from nlgeo.errors import DimensionMismatch, NonPhysical, NotConverged, OutOfRange
@@ -17,6 +19,7 @@ from nlgeo.measures import (
     bd_measure,
     bd_measure_hs,
     bd_measure_numeric,
+    bd_measure_trace,
     bd_sweep,
     formula_agrees,
     isotropic_measure,
@@ -296,10 +299,12 @@ def test_bures_is_the_hellinger_result(rng):
 
 
 def test_hs_and_bures_have_no_objective():
+    # nor has the trace kind: HS and trace are exact
     a = np.array([0.84, 0.63, -0.5])
-    with pytest.raises(OutOfRange):
-        bd_measure_numeric(DistanceKind.HS, a)
-    for kind in (DistanceKind.HS, DistanceKind.BURES):
+    for kind in (DistanceKind.HS, DistanceKind.TRACE):
+        with pytest.raises(OutOfRange):
+            bd_measure_numeric(kind, a)
+    for kind in (DistanceKind.HS, DistanceKind.BURES, DistanceKind.TRACE):
         with pytest.raises(OutOfRange):
             BdObjective(kind, a)
 
@@ -507,13 +512,15 @@ def _face_and_edge_inputs(rng, n):
 
 
 def test_numeric_not_above_slsqp(rng):
-    # optimality off the Werner line: the one barrier solve is never worse
-    # than an independent SLSQP reference, and its point lies in L
-    inputs = [(k, random_nonlocal_corr(rng)) for _ in range(100) for k in OBJECTIVE_KINDS]
-    inputs += [(k, a) for a in _face_and_edge_inputs(rng, 30) for k in OBJECTIVE_KINDS]
+    # optimality off the Werner line: the one barrier solve, and the exact
+    # trace form, are never worse than an independent SLSQP reference, and
+    # their point lies in L
+    kinds = (*OBJECTIVE_KINDS, DistanceKind.TRACE)
+    inputs = [(k, random_nonlocal_corr(rng)) for _ in range(100) for k in kinds]
+    inputs += [(k, a) for a in _face_and_edge_inputs(rng, 30) for k in kinds]
     inputs += [(k, np.array(a)) for k, a in FALSE_CONVERGENCE]
     for kind, a in inputs:
-        res = bd_measure_numeric(kind, a)
+        res = bd_measure(kind, a)
         assert res.converged, (kind, a)
         assert res.value <= slsqp_value(kind, a) + 1e-9, (kind, a)
         assert in_tetrahedron(res.closest_local.a, tol=BOUNDARY_TOL)
@@ -526,11 +533,11 @@ def test_numeric_not_above_slsqp(rng):
 FACET_E = (0.02, 0.3, 0.68, 0.0)
 
 
-@pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
+@pytest.mark.parametrize("kind", (DistanceKind.HELLINGER, DistanceKind.TRACE, DistanceKind.RELATIVE_ENTROPY))
 def test_facet_class_permutations_converge_and_agree(kind):
     values = []
     for e in itertools.permutations(FACET_E):
-        res = bd_measure_numeric(kind, bd_probs_to_corr(np.array(e)))
+        res = bd_measure(kind, bd_probs_to_corr(np.array(e)))
         assert res.converged, e
         values.append(res.value)
     assert max(values) - min(values) <= MULTISEED_TOL
@@ -571,6 +578,165 @@ def test_former_all_infinite_starts_input_converges():
     assert math.isfinite(res.value) and res.value > 0.0
     assert res.value <= slsqp_value(DistanceKind.RELATIVE_ENTROPY, a) + 1e-9
 
+
+# The trace measure. For Bell-diagonal states with correlators x and a,
+# (1/2) sum_k |w_k - e_k| = (1/2) N(x - a) with N(v) = max(||v||_inf, ||v||_1 / 2),
+# the largest of c . v over the 14 dual vertices c below. N's unit ball is
+# the cuboctahedron with the 12 vertices BALL.
+DUAL = np.array(
+    [*np.eye(3), *-np.eye(3), *(0.5 * np.array(s) for s in itertools.product((1.0, -1.0), repeat=3))]
+)
+BALL = np.array([v for v in itertools.product((-1.0, 0.0, 1.0), repeat=3) if sorted(map(abs, v)) == [0, 1, 1]])
+
+
+def _arcs():
+    """The arcs c0 + u cos t + v sin t of the local set's boundary: the 6
+    where two cylinders meet and the 12 where a cylinder meets a facet
+    S_m . x = -1 (both written through the index pair (i, j) of a cylinder)."""
+    eye = np.eye(3)
+    arcs = []
+    for i in range(3):
+        j, k = (n for n in range(3) if n != i)
+        arcs += [(np.zeros(3), eye[i], eye[j] + sign * eye[k]) for sign in (1.0, -1.0)]
+    for (i, j), s in itertools.product(PAIRS, S):
+        (l,) = {0, 1, 2} - {i, j}
+        # x_l = -s_l (1 + s_i x_i + s_j x_j), as s_l^2 = 1
+        arcs.append((-s[l] * eye[l], eye[i] - s[i] * s[l] * eye[l], eye[j] - s[j] * s[l] * eye[l]))
+    return [np.array(part) for part in zip(*arcs)]
+
+
+ARC_C0, ARC_U, ARC_V = _arcs()
+
+
+def _on_local_set(points) -> np.ndarray:
+    """The rows of points that lie in L, up to rounding of the boundary pieces."""
+    tol = 1e-14
+    pair = np.max(points[:, [0, 0, 1]] ** 2 + points[:, [1, 2, 2]] ** 2, axis=1)
+    keep = (np.min(points @ S.T, axis=1) >= -1.0 - tol) & (pair <= 1.0 + tol)
+    return points[keep]
+
+
+def _fixed_candidates() -> np.ndarray:
+    """Candidates that do not depend on the input: the 10 vertices of L and,
+    on each arc, the stationary points of every c . x(t), where a square or
+    triangle facet of N's ball can touch the arc."""
+    vertices = [T * c for c in BELL_CORNERS] + [*np.eye(3), *-np.eye(3)]
+    phase = np.arctan2(ARC_V @ DUAL.T, ARC_U @ DUAL.T)[..., None] + np.array([0.0, math.pi])
+    t = phase.reshape(len(ARC_U), -1)[..., None]
+    on_arcs = ARC_C0[:, None] + ARC_U[:, None] * np.cos(t) + ARC_V[:, None] * np.sin(t)
+    return _on_local_set(np.vstack([np.array(vertices), on_arcs.reshape(-1, 3)]))
+
+
+FIXED = _fixed_candidates()
+DUAL_PAIRS = np.array([DUAL[p] - DUAL[q] for p, q in itertools.combinations(range(len(DUAL)), 2)])
+
+
+def trace_oracle(a) -> float:
+    """Smallest trace distance from a to every candidate point of L.
+
+    Minimizing the polyhedral norm N(x - a) over L, a vertex, edge or facet of
+    N's ball meets a boundary piece of L at the optimum, so the candidates
+    are: the 12 rays a + rho v, v in BALL, onto each cylinder and each facet
+    plane; on each of the 18 arcs, the kinks where two dual vertices c . (x - a)
+    are equal and the stationary points of each; and the 10 vertices of L.
+    Every candidate is a point of L, so each is an upper bound.
+    """
+    points = [FIXED]
+    for i, j in PAIRS:
+        # (a_i + rho v_i)^2 + (a_j + rho v_j)^2 = 1 for each ball vertex v
+        qa = BALL[:, i] ** 2 + BALL[:, j] ** 2
+        qb = 2.0 * (a[i] * BALL[:, i] + a[j] * BALL[:, j])
+        disc = qb * qb - 4.0 * qa * (a[i] ** 2 + a[j] ** 2 - 1.0)
+        ok = disc >= 0.0
+        for sign in (1.0, -1.0):
+            rho = (-qb[ok] + sign * np.sqrt(disc[ok])) / (2.0 * qa[ok])
+            points.append(a + rho[:, None] * BALL[ok])
+    for s in S:
+        # s . (a + rho v) = -1
+        dot = BALL @ s
+        ok = dot != 0.0
+        points.append(a + ((-1.0 - s @ a) / dot[ok])[:, None] * BALL[ok])
+    # kinks: (c - d) . (c0 - a) + (c - d) . u cos t + (c - d) . v sin t = 0
+    amp_u, amp_v = ARC_U @ DUAL_PAIRS.T, ARC_V @ DUAL_PAIRS.T
+    const = (ARC_C0 - a) @ DUAL_PAIRS.T
+    radius = np.hypot(amp_u, amp_v)
+    ok = (radius > 1e-12) & (np.abs(const) <= radius)
+    phase = np.arctan2(amp_v, amp_u)[ok]
+    turn = np.arccos(-const[ok] / radius[ok])
+    arc = np.nonzero(ok)[0]
+    for t in (phase + turn, phase - turn):
+        points.append(ARC_C0[arc] + ARC_U[arc] * np.cos(t)[:, None] + ARC_V[arc] * np.sin(t)[:, None])
+    feasible = _on_local_set(np.vstack(points))
+    return 0.5 * float(np.min(np.max((feasible - a) @ DUAL.T, axis=1)))
+
+
+def _trace_inputs(rng):
+    """100 seeded nonlocal Dirichlet inputs for each concentration, and every
+    nonlocal node of the grid-50 facet census (e4 = 0, as bd_grid samples it)."""
+    inputs = []
+    for alpha in (0.1, 0.3, 1.0, 3.0):
+        corr = rng.dirichlet(np.full(4, alpha), size=40_000) @ S
+        pair = np.max(corr[:, [0, 0, 1]] ** 2 + corr[:, [1, 2, 2]] ** 2, axis=1)
+        inputs += list(corr[pair > 1.0 + BOUNDARY_TOL][:100])
+    n = 50
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            a = bd_probs_to_corr(np.array([i / n, j / n, (n - i - j) / n, 0.0]))
+            if max_pair_sum(a) > 1.0 + BOUNDARY_TOL:
+                inputs.append(a)
+    return inputs
+
+
+def test_trace_closed_form_is_the_enumerated_minimum(rng):
+    # the oracle's arcs lie on two boundary pieces of L each
+    t = rng.uniform(0.0, 2.0 * math.pi, (1, 50, 1))
+    x = (ARC_C0[:, None] + ARC_U[:, None] * np.cos(t) + ARC_V[:, None] * np.sin(t)).reshape(-1, 3)
+    pair = x[:, [0, 0, 1]] ** 2 + x[:, [1, 2, 2]] ** 2
+    active = np.sum(np.abs(pair - 1.0) <= 1e-14, axis=1) + np.sum(np.abs(x @ S.T + 1.0) <= 1e-14, axis=1)
+    assert np.all(active >= 2)
+    # the three chamber candidates never lose to any boundary candidate
+    # (the facets and the other arcs included), and never beat them either
+    surfaces = set()
+    for a in _trace_inputs(rng):
+        res = bd_measure_trace(a)
+        surfaces.add(res.surface)
+        assert abs(res.value - trace_oracle(a)) <= 1e-13, a
+    assert {"disk_12", "disk_12+disk_13", "vertex"} <= surfaces
+
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
+def test_trace_distance_is_a_norm_of_the_correlators(coords):
+    # (1/2) sum_k |w_k - e_k| = (1/2) max(||x - a||_inf, ||x - a||_1 / 2)
+    x, a = np.array(coords[:3]), np.array(coords[3:])
+    direct = 0.5 * float(np.sum(np.abs(bd_corr_to_probs(x) - bd_corr_to_probs(a))))
+    assert measures._trace_distance(x, a) == pytest.approx(direct, abs=1e-15)
+
+
+def test_trace_closest_state_is_local_and_gives_the_value(rng):
+    inputs = [random_nonlocal_corr(rng) for _ in range(200)]
+    inputs += _face_and_edge_inputs(rng, 40) + [ARC_INPUT]
+    for a in inputs:
+        res = bd_measure_trace(a)
+        assert (res.method, res.iterations, res.converged) == ("lagrange_case", 0, True)
+        x = res.closest_local.a
+        assert in_tetrahedron(x, tol=1e-15)
+        assert max_pair_sum(x) <= 1.0 + 1e-15
+        # the surface names exactly the cylinders the point lies on
+        active = {f"disk_{i + 1}{j + 1}" for i, j in PAIRS if abs(x[i] ** 2 + x[j] ** 2 - 1.0) <= 1e-12}
+        assert _named_pieces(res.surface) == active, a
+        direct = dist_trace(make_bell_diagonal(a=a), make_bell_diagonal(a=x))
+        assert res.value == pytest.approx(direct, abs=1e-13), a
+
+
+def test_trace_on_the_werner_line_is_the_vertex():
+    for corner in BELL_CORNERS:
+        for w in np.linspace(T + 1e-3, 1.0, 15):
+            res = bd_measure(DistanceKind.TRACE, w * corner)
+            assert res.surface == "vertex"
+            assert res.value == pytest.approx(0.75 * (w - T), abs=1e-15)
+            assert np.array_equal(res.closest_local.a, T * corner)
 
 def test_zero_on_local(rng):
     for _ in range(1000):
@@ -669,9 +835,7 @@ def test_monotone_along_rays_hs(rng):
 def test_monotone_along_rays_numeric():
     a = np.array([0.3, -0.3, 1.0])
     for kind in (DistanceKind.TRACE, DistanceKind.RELATIVE_ENTROPY, DistanceKind.HELLINGER):
-        values = [
-            bd_measure_numeric(kind, lam * a).value for lam in np.linspace(0.6, 1.0, 8)
-        ]
+        values = [bd_measure(kind, lam * a).value for lam in np.linspace(0.6, 1.0, 8)]
         assert all(b >= a_ - 1e-7 for a_, b in zip(values, values[1:]))
 
 
@@ -842,8 +1006,9 @@ def test_bd_grid_unconverged_names_the_first_row_of_its_class(monkeypatch):
 def test_max_iters_validation(monkeypatch):
     # a tenth of the budget still reaches the closed form
     monkeypatch.setattr(solver, "MAX_ITERS", 50)
-    res = bd_measure_numeric(DistanceKind.TRACE, 0.9 * BELL_CORNERS[3])
-    assert res.value == pytest.approx(W09[DistanceKind.TRACE], abs=1e-9)
+    res = bd_measure_numeric(DistanceKind.HELLINGER, 0.9 * BELL_CORNERS[3])
+    assert res.converged
+    assert res.value == pytest.approx(W09[DistanceKind.HELLINGER], abs=1e-9)
 
 
 def test_gradient_matches_finite_differences(rng):
@@ -853,10 +1018,6 @@ def test_gradient_matches_finite_differences(rng):
         obj = BdObjective(kind, a)
         for _ in range(5):
             x = 0.97 * random_local_corr(rng)
-            if kind is DistanceKind.TRACE and np.min(
-                np.abs(bd_corr_to_probs(a) - bd_corr_to_probs(x))
-            ) < 1e-3:
-                continue  # keep clear of the kink
             g = np.array(obj.gradient_at(tuple(x)))
             fd = np.empty(3)
             for i in range(3):
@@ -865,16 +1026,14 @@ def test_gradient_matches_finite_differences(rng):
                 fd[i] = (obj.value_at(tuple(x + step)) - obj.value_at(tuple(x - step))) / 2e-6
             denom = max(np.linalg.norm(g), 1e-9)
             assert np.linalg.norm(fd - g) / denom < 1e-4, kind
-            # the Hessian against differences of the gradient; the trace kind
-            # at its smoothing width, the only place it is curved
-            eps = 1e-2
-            h = np.array(solver.weights_hessian(obj.derivatives(solver.probs(tuple(x)), eps)[1]))
+            # the Hessian against differences of the gradient
+            h = np.array(solver.weights_hessian(obj.derivatives(solver.probs(tuple(x)))[1]))
             assert np.array_equal(h, h.T)
             fd_h = np.empty((3, 3))
             for i in range(3):
                 step = np.zeros(3)
                 step[i] = 1e-6
-                gp = np.array(obj.gradient_at(tuple(x + step), eps))
-                gm = np.array(obj.gradient_at(tuple(x - step), eps))
+                gp = np.array(obj.gradient_at(tuple(x + step)))
+                gm = np.array(obj.gradient_at(tuple(x - step)))
                 fd_h[:, i] = (gp - gm) / 2e-6
             assert np.linalg.norm(fd_h - h) / max(np.linalg.norm(h), 1e-9) < 1e-4, kind

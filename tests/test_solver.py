@@ -35,10 +35,10 @@ def _euclidean(target):
     squared distance in correlators."""
     e = probs(tuple(float(v) for v in target))
 
-    def value(w, t):
+    def value(w):
         return sum((wk - ek) ** 2 for wk, ek in zip(w, e))
 
-    def derivatives(w, t):
+    def derivatives(w):
         return [2.0 * (wk - ek) for wk, ek in zip(w, e)], [2.0] * 4
 
     return value, derivatives
@@ -51,7 +51,7 @@ def test_minimize_over_local_set_projects_euclidean(rng):
     value, _ = _euclidean(target)
     for _ in range(5):
         x = rng.uniform(-1.0, 1.0, 3)
-        assert value(probs(tuple(x)), 0.0) == pytest.approx(0.25 * np.sum((x - target) ** 2), abs=1e-15)
+        assert value(probs(tuple(x))) == pytest.approx(0.25 * np.sum((x - target) ** 2), abs=1e-15)
     report = minimize_over_local_set(*_euclidean(target))
     assert report.converged
     assert np.max(np.abs(np.array(report.x) - project_local(target).point)) <= 1e-9
@@ -66,7 +66,7 @@ def test_minimize_over_local_set_projects_euclidean(rng):
         assert report.converged
         assert min(probs(report.x)) > 0.0 and max(pair_violations(report.x)) < 0.0
         p = project_local(target).point
-        assert value(probs(report.x), 0.0) <= value(probs(tuple(p)), 0.0) + GAP, target
+        assert value(probs(report.x)) <= value(probs(tuple(p))) + GAP, target
         assert np.linalg.norm(np.array(report.x) - p) <= (4.0 * GAP) ** 0.5, target
 
 
@@ -83,8 +83,8 @@ def test_indefinite_hessian_reports_unconverged():
     # Cholesky pivot; it ends the stage unconverged instead of raising
     value, derivatives = _euclidean((0.84, 0.63, -0.5))
 
-    def indefinite(w, t):
-        return derivatives(w, t)[0], [-1e6] * 4
+    def indefinite(w):
+        return derivatives(w)[0], [-1e6] * 4
 
     report = minimize_over_local_set(value, indefinite)
     assert not report.converged
@@ -101,7 +101,7 @@ def test_newton_system_matches_finite_differences_of_the_barrier(rng, kind):
 
     def barrier(obj, x):
         slacks = probs(x) + tuple(-v for v in pair_violations(x))
-        return obj.value_at(x, t) - t * sum(math.log(s) for s in slacks)
+        return obj.value_at(x) - t * sum(math.log(s) for s in slacks)
 
     step = 1e-8
     for _ in range(10):

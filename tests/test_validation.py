@@ -30,9 +30,9 @@ def test_run_validation_reports_structure_and_failure_path(monkeypatch):
 
 
 def test_validation_solves_each_numeric_input_once(monkeypatch):
-    # the Bures check scores the Hellinger solves, so the numeric solves are
-    # the Werner line for he, tr and re and the symmetric images of each
-    # multiseed point for the three objectives
+    # the Bures check scores the Hellinger solves, and HS and trace are exact,
+    # so the numeric solves are the Werner line for he and re and the
+    # symmetric images of each multiseed point for those two objectives
     calls = []
 
     def counting(kind, a):
@@ -41,5 +41,5 @@ def test_validation_solves_each_numeric_input_once(monkeypatch):
 
     monkeypatch.setattr(validation, "bd_measure_numeric", counting)
     assert all(c.passed for c in run_validation())
-    assert len(calls) == 3 * ORACLE_POINTS + 3 * 3 * len(MULTISEED_POINTS)
-    assert DistanceKind.BURES not in calls
+    assert len(calls) == 2 * ORACLE_POINTS + 2 * 3 * len(MULTISEED_POINTS)
+    assert set(calls) == {DistanceKind.HELLINGER, DistanceKind.RELATIVE_ENTROPY}
