@@ -6,7 +6,10 @@ non-convergence. A reader that closes the output pipe early
 (``nlgeo werner-sweep | head -2``) has chosen to stop, so that exits 0
 without a traceback. Output is CSV (default) or JSON with the same records
 (JSON writes a non-finite float, which it cannot represent, as null). nlgeo
-writes the JSON itself, row by row, in the json module's indent=2 layout.
+writes both formats itself, row by row; the JSON follows the json module's
+indent=2 layout. Each command declares its float columns, whose cells go
+straight into one row template per table; only the other cells are
+formatted one by one.
 Metadata lines carry the tool version, the value conventions and the seed, so
 a fixed command line reproduces byte-identical files.
 """
@@ -81,42 +84,67 @@ def _meta_lines(command: str, args, extra: dict | None = None) -> list[tuple[str
     return pairs
 
 
-def write_table(out, columns, rows, meta_pairs, fmt: str) -> None:
+def write_table(out, columns, rows, meta_pairs, fmt: str, floats=()) -> None:
     """Write the header once, then each row through one row template.
 
     CSV: `# key: value` metadata lines, the column line, one line per row.
     JSON: {"meta", "columns", "records"} in the json module's indent=2
     layout, written row by row, so no record dict is built. The column names
     must be unique, as JSON object keys are.
+
+    floats names the columns whose every cell is a float (np.float64
+    included). The row template takes their cells as they are, as %.17g in
+    CSV and as str, which for a Python float is float.__repr__, in JSON, so a
+    float cell costs no Python call. Every other cell is written by _fmt or
+    _json_cell. In JSON, the float cells of a row whose sum is not a finite
+    Python float go through _json_cell too: a non-finite value is written as
+    null, and an np.float64, whose str follows numpy's print options, as
+    float.__repr__.
     """
+    other_at = [i for i, c in enumerate(columns) if c not in floats]
     if fmt == "json":
         head = json.dumps({"meta": dict(meta_pairs), "columns": list(columns)}, indent=2)
         # the dict's closing "\n}" makes way for the records array
         out.write(head[:-2] + ',\n  "records": [')
         fields = ",".join(f"\n      {json.dumps(c).replace('%', '%%')}: %s" for c in columns)
         template, cell, sep = "\n    {" + fields + "\n    }", _json_cell, ","
+        checked = [i for i, c in enumerate(columns) if c in floats]
     else:
         out.write("".join(f"# {k}: {_fmt(v)}\n" for k, v in meta_pairs))
         out.write(",".join(columns) + "\n")
-        template, cell, sep = ",".join(["%s"] * len(columns)) + "\n", _fmt, ""
+        slots = ["%.17g" if c in floats else "%s" for c in columns]
+        template, cell, sep = ",".join(slots) + "\n", _fmt, ""
+        # %.17g writes inf, nan and np.float64 as _fmt does, so no row is checked
+        checked = []
     lead = ""
     for r in rows:
-        out.write(lead + template % tuple(map(cell, r)))
+        cells = list(r)
+        for i in other_at:
+            cells[i] = cell(cells[i])
+        if checked:
+            total = sum(map(cells.__getitem__, checked))
+            if type(total) is not float or not math.isfinite(total):
+                for i in checked:
+                    cells[i] = cell(cells[i])
+        out.write(lead + template % tuple(cells))
         lead = sep
     if fmt == "json":
         # an empty array closes on the same line: "records": []
         out.write("\n  ]\n}\n" if lead else "]\n}\n")
 
 
-def emit(args, columns, rows, meta_pairs) -> None:
-    """Write the table to args.out (stdout for None or "-") in args.format."""
+def emit(args, columns, rows, meta_pairs, floats=()) -> None:
+    """Write the table to args.out (stdout for None or "-") in args.format.
+
+    floats names the float columns, as in write_table.
+    """
     # write_table is looked up here at call time, so a wrapper installed on
     # nlgeo.cli.write_table (the benchmark's tracer) sees every table
     if args.out in (None, "-"):
-        write_table(sys.stdout, columns, rows, meta_pairs, args.format)
+        write_table(sys.stdout, columns, rows, meta_pairs, args.format, floats)
         return
     with open(args.out, "w") as out:
-        write_table(out, columns, rows, meta_pairs, args.format)
+        write_table(out, columns, rows, meta_pairs, args.format, floats)
 
 
 def _at_least(low: int):
@@ -151,7 +179,8 @@ def cmd_werner_sweep(args) -> int:
     ws = np.linspace(args.w_min, args.w_max, args.n)
     # one expression, so no column array outlives the conversion to rows
     rows = np.column_stack([ws] + [werner_values(k, ws) / werner_max(k) for k in kinds]).tolist()
-    emit(args, ["w"] + [k.value for k in kinds], rows, _meta_lines("werner-sweep", args))
+    columns = ["w"] + [k.value for k in kinds]
+    emit(args, columns, rows, _meta_lines("werner-sweep", args), floats=columns)
     return 0
 
 
@@ -174,11 +203,9 @@ def cmd_bd_sweep(args) -> int:
     kinds = _kinds(args)
     family = args.family.replace("-", "_")
     tables = _solve_once(kinds, lambda k: bd_sweep(k, family, args.n))
-    rows = [
-        [tables[0][i, 0]] + [t[i, 1] for t in tables] for i in range(args.n)
-    ]
-    meta = _meta_lines("bd-sweep", args, {"family": family})
-    emit(args, ["param"] + [k.value for k in kinds], rows, meta)
+    rows = np.column_stack([tables[0][:, 0]] + [t[:, 1] for t in tables]).tolist()
+    columns = ["param"] + [k.value for k in kinds]
+    emit(args, columns, rows, _meta_lines("bd-sweep", args, {"family": family}), floats=columns)
     return 0
 
 
@@ -190,7 +217,8 @@ def cmd_bd_grid(args) -> int:
     kinds = _kinds(args, default=["hs"])
     rows = bd_grid(kinds[0], args.grid_n)
     meta = _meta_lines("bd-grid", args, {"kind": kinds[0].value, "grid_n": args.grid_n})
-    emit(args, ["e1", "e2", "value"], rows, meta)
+    columns = ["e1", "e2", "value"]
+    emit(args, columns, rows, meta, floats=columns)
     return 0
 
 
@@ -209,20 +237,20 @@ def cmd_bd_measure(args) -> int:
     for k, res in zip(kinds, results):
         closest = res.closest_local
         rows.append(
-            [k.value, res.value]
-            + list(bd.a)
-            + list(closest.a)
-            + list(closest.e)
+            [k.value, float(res.value)]
+            + bd.a.tolist()
+            + closest.a.tolist()
+            + closest.e.tolist()
             + [res.method, res.surface, res.iterations, res.converged]
         )
         unconverged = unconverged or not res.converged
-    columns = (
-        ["kind", "value", "a1", "a2", "a3"]
+    floats = (
+        ["value", "a1", "a2", "a3"]
         + ["closest_a1", "closest_a2", "closest_a3"]
         + ["closest_e1", "closest_e2", "closest_e3", "closest_e4"]
-        + ["method", "surface", "iterations", "converged"]
     )
-    emit(args, columns, rows, _meta_lines("bd-measure", args))
+    columns = ["kind"] + floats + ["method", "surface", "iterations", "converged"]
+    emit(args, columns, rows, _meta_lines("bd-measure", args), floats)
     if unconverged:
         raise NotConverged("numeric minimization did not converge")
     return 0
@@ -247,6 +275,7 @@ def cmd_iso(args) -> int:
             )
         omegas = np.linspace(args.omega_min, args.omega_max, args.n)
     names, columns, empty = ["omega"], [omegas.tolist()], [None] * len(omegas)
+    floats = ["omega"]
     for k in kinds:
         names += [f"value_{k.value}", f"formula_{k.value}", f"consistent_{k.value}"]
         value = isotropic_values(k, args.d, omegas)
@@ -254,8 +283,11 @@ def cmd_iso(args) -> int:
         agrees = formula_agrees(value, reference)
         # Bures has no quoted form, so its formula and flag cells are empty
         columns += [value.tolist()] + [empty if c is None else c.tolist() for c in (reference, agrees)]
+        floats.append(f"value_{k.value}")
+        if reference is not None:
+            floats.append(f"formula_{k.value}")
     meta = {"d": args.d, "i_d_qm": thr.i_d_qm, "omega_threshold": thr.omega_threshold}
-    emit(args, names, zip(*columns), _meta_lines("iso", args, meta))
+    emit(args, names, zip(*columns), _meta_lines("iso", args, meta), floats)
     return 0
 
 
@@ -263,10 +295,10 @@ def cmd_validate(args) -> int:
     checks = run_validation()
     columns = ["check", "status", "max_error", "tolerance", "seconds", "detail"]
     rows = [
-        [c.name, "pass" if c.passed else "FAIL", c.max_error, c.tolerance, c.seconds, c.detail]
+        [c.name, "pass" if c.passed else "FAIL", float(c.max_error), c.tolerance, c.seconds, c.detail]
         for c in checks
     ]
-    emit(args, columns, rows, _meta_lines("validate", args))
+    emit(args, columns, rows, _meta_lines("validate", args), floats=["max_error", "tolerance", "seconds"])
     if all(c.passed for c in checks):
         return 0
     if any("NotConverged" in c.detail for c in checks):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from nlgeo import cli, solver
-from nlgeo.cli import _meta_lines, build_parser, main, write_table
+from nlgeo.cli import KIND_CODES, _meta_lines, build_parser, main, write_table
 from nlgeo.locality import bd_is_chsh_local
 from nlgeo.measures import bd_measure, two_bell_mix_corr
 from nlgeo.metrics import DistanceKind
@@ -201,8 +201,12 @@ def test_iso_json_is_strict_json_and_csv_keeps_inf(tmp_path):
     assert rows[-1][header.index("formula_re")] == "-inf"
 
 
-def oracle_write_table(out, columns, rows, meta_pairs, fmt):
-    """The table writer before row templates: a record dict per row and json.dumps."""
+def oracle_write_table(out, columns, rows, meta_pairs, fmt, floats=()):
+    """The table writer before row templates: a record dict per row and json.dumps.
+
+    It formats each cell by its type, so it ignores the float-column
+    declaration that write_table takes.
+    """
 
     def cell(v):
         if v is None:
@@ -233,11 +237,11 @@ def oracle_write_table(out, columns, rows, meta_pairs, fmt):
         out.write(",".join(cell(v) for v in r) + "\n")
 
 
-def written(writer, table, fmt):
+def written(writer, table, fmt, floats=()):
     """The text a writer produces for (columns, rows, meta), or the type it raises."""
     out = io.StringIO()
     try:
-        writer(out, *table, fmt)
+        writer(out, *table, fmt, floats)
     except TypeError as exc:  # the json module encodes no numpy integer
         return type(exc)
     return out.getvalue()
@@ -251,13 +255,32 @@ ISO_META = _meta_lines(
 WRITER_TABLES = {
     "floats": (
         ["x", "y", "z"],
-        [[-0.0, 1e-300, 0.1 + 0.2], [math.nan, math.inf, -math.inf], [np.float64(0.7), np.float64(-math.inf), 1.0]],
+        [
+            [-0.0, 1e-300, 0.1 + 0.2],
+            [math.nan, math.inf, -math.inf],
+            [np.float64(0.7), np.float64(-math.inf), 1.0],
+            [np.float64(1 / 3), np.float64(1e16), 0.5],
+        ],
         ISO_META,
     ),
     "numpy_int": (["i", "x"], [[np.int64(3), np.float64(2.5)]], GRID_META),
     "bool_none_int": (["ok", "none", "n"], [[True, None, 7], [False, None, -12]], GRID_META),
     "strings": (["kind", "100% detail"], [["re", 'say "hi" to \u03c9 and caf\u00e9'], ["hs", ""]], ISO_META),
     "empty": (["w", "hs"], [], GRID_META),
+    "mixed": (
+        ["kind", "value", "ok"],
+        [["hs", 0.5, True], ["re", -math.inf, None], ["bu", np.float64(0.25), False], ["tr", math.nan, True]],
+        GRID_META,
+    ),
+}
+# the columns each table declares as float columns: every cell a float
+WRITER_FLOATS = {
+    "floats": ["x", "y", "z"],
+    "numpy_int": ["x"],
+    "bool_none_int": [],
+    "strings": [],
+    "empty": ["w", "hs"],
+    "mixed": ["value"],
 }
 
 
@@ -265,7 +288,23 @@ WRITER_TABLES = {
 @pytest.mark.parametrize("name", sorted(WRITER_TABLES))
 def test_write_table_matches_record_dict_writer(name, fmt):
     table = WRITER_TABLES[name]
-    assert written(write_table, table, fmt) == written(oracle_write_table, table, fmt)
+    expected = written(oracle_write_table, table, fmt)
+    # declared or not, a float column is written as the record-dict writer
+    # wrote it, even where numpy's print options change the str of np.float64
+    with np.printoptions(legacy="1.13"):
+        assert written(write_table, table, fmt, WRITER_FLOATS[name]) == expected
+        assert written(write_table, table, fmt) == expected
+
+
+# commands that declare float columns, with every kind of cell they write:
+# Bures' all-None formula and flag columns, re's -inf formula (null in JSON)
+# and a Werner parameter just past 1
+TYPED_COMMANDS = [
+    ["bd-sweep", "--n", "5"],
+    ["bd-grid", "--grid-n", "4", "--kind", "hs"],
+    ["iso", "--d", "2", "--omega", "1.0", *(flag for k in KIND_CODES for flag in ("--kind", k))],
+    ["werner-sweep", "--w-max", "1.0000000000005", "--kind", "he", "--n", "3"],
+]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -275,6 +314,7 @@ def test_write_table_matches_record_dict_writer(name, fmt):
         ["werner-sweep", "--n", "4"],
         ["bd-measure", "--a=0.84,0.63,-0.5", "--kind", "hs", "--kind", "tr"],
         ["iso", "--d", "3", "--n", "4", "--kind", "re", "--kind", "hs"],
+        *TYPED_COMMANDS,
     ],
 )
 def test_commands_write_what_the_record_dict_writer_wrote(argv, fmt, tmp_path, monkeypatch):
@@ -283,6 +323,54 @@ def test_commands_write_what_the_record_dict_writer_wrote(argv, fmt, tmp_path, m
     monkeypatch.setattr(cli, "write_table", oracle_write_table)
     assert run(argv + ["--format", fmt, "--out", str(old)]) == 0
     assert new.read_bytes() == old.read_bytes()
+
+
+def test_float_cells_make_no_per_cell_call(tmp_path, monkeypatch):
+    # werner-sweep declares every column a float column, so no row cell may
+    # reach the per-cell formatters; the CSV metadata lines, which hold no
+    # float here, still use _fmt
+    fmt_cell = cli._fmt
+
+    def refuse(v):
+        raise AssertionError(f"cell {v!r} took the per-cell path")
+
+    def refuse_float(v):
+        return refuse(v) if isinstance(v, float) else fmt_cell(v)
+
+    argv = ["werner-sweep", "--n", "50"]
+    for fmt in ("csv", "json"):
+        assert run(argv + ["--format", fmt, "--out", str(tmp_path / "plain")]) == 0
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_fmt", refuse_float)
+            m.setattr(cli, "_json_cell", refuse)
+            assert run(argv + ["--format", fmt, "--out", str(tmp_path / "guarded")]) == 0, fmt
+        assert (tmp_path / "guarded").read_bytes() == (tmp_path / "plain").read_bytes(), fmt
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["werner-sweep", "--n", "4"], ["bd-measure", "--a=0.84,0.63,-0.5"], ["validate"], *TYPED_COMMANDS],
+)
+def test_json_floats_are_the_csv_floats(argv, tmp_path):
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    assert run(argv + ["--out", str(tmp_path / "t.csv")]) == 0
+    assert run(argv + ["--format", "json", "--out", str(tmp_path / "t.json")]) == 0
+    _, header, rows = read_csv(tmp_path / "t.csv")
+    # an np.float64 repr in a float slot would not parse
+    doc = json.loads((tmp_path / "t.json").read_text(), parse_constant=reject)
+    assert doc["columns"] == header and len(doc["records"]) == len(rows)
+    floats = 0
+    for rec, row in zip(doc["records"], rows):
+        for column, text in zip(header, row):
+            value = rec[column]
+            if text in ("inf", "-inf", "nan") or value is None:
+                assert value is None and text in ("inf", "-inf", "nan", ""), (column, text)
+            elif isinstance(value, float) and column != "seconds":
+                assert value.hex() == float(text).hex(), (column, text)
+                floats += 1
+    assert floats > 0
 
 
 def test_repeated_kind_is_one_column(tmp_path):
