@@ -3,8 +3,11 @@
 The package quantifies how far a quantum state sits from the set of states
 admitting a local model, with closed forms for the Werner and isotropic
 families and, for general Bell-diagonal two-qubit states, the exact
-projection (Hilbert-Schmidt) and a constrained numeric minimizer (the other
-kinds).
+projections (Hilbert-Schmidt, trace) and a constrained numeric minimizer (the
+other kinds).
+
+The Bell-diagonal path runs on Python floats, so ``import nlgeo`` does not
+import numpy; the dense layer and the array closed forms do, on first use.
 """
 
 __version__ = "0.1.0"
@@ -19,6 +22,7 @@ from .errors import (
     NotPSD,
     OutOfRange,
 )
+from .kinds import DistanceKind
 from .locality import (
     CglmpThreshold,
     ChshVerdict,
@@ -34,40 +38,51 @@ from .measures import (
     bd_measure,
     bd_sweep,
     isotropic_measure,
-    isotropic_reference_formula,
     two_bell_mix_corr,
     werner_max,
     werner_measure,
     WERNER_THRESHOLD,
 )
-from .metrics import (
-    DistanceKind,
-    dist_bures,
-    dist_hellinger,
-    dist_hellinger_sq,
-    dist_hs,
-    dist_trace,
-    fidelity,
-    rel_entropy,
-)
 from .qstate import (
     BellDiagonal,
-    DensityMatrix,
     IsotropicParam,
-    PauliRep,
     WernerParam,
     bd_corr_to_probs,
     bd_probs_to_corr,
-    bd_project,
-    density_to_pauli,
-    make_bell_diagonal,
-    make_isotropic,
-    make_werner,
-    matrix_sqrt_psd,
-    pauli_to_density,
-    phi_plus_ket,
-    twirl_isotropic,
 )
+
+# The numpy layers, imported on the first use of one of their names (PEP 562):
+# the dense states and distances, and the isotropic closed forms over arrays.
+_LAZY = {
+    "DensityMatrix": "dense",
+    "PauliRep": "dense",
+    "pauli_to_density": "dense",
+    "density_to_pauli": "dense",
+    "matrix_sqrt_psd": "dense",
+    "bd_project": "dense",
+    "twirl_isotropic": "dense",
+    "make_werner": "dense",
+    "make_isotropic": "dense",
+    "make_bell_diagonal": "dense",
+    "phi_plus_ket": "dense",
+    "dist_hs": "metrics",
+    "dist_hellinger": "metrics",
+    "dist_hellinger_sq": "metrics",
+    "fidelity": "metrics",
+    "dist_bures": "metrics",
+    "dist_trace": "metrics",
+    "rel_entropy": "metrics",
+    "isotropic_reference_formula": "arrays",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        import importlib
+
+        return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

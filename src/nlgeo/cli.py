@@ -12,6 +12,9 @@ straight into one row template per table; only the other cells are
 formatted one by one.
 Metadata lines carry the tool version, the value conventions and the seed, so
 a fixed command line reproduces byte-identical files.
+
+Only werner-sweep and iso, which evaluate closed forms over whole arrays,
+import numpy (nlgeo.arrays), and only when they run.
 """
 
 from __future__ import annotations
@@ -22,23 +25,17 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .errors import NlgeoError, NotConverged
+from .kinds import DistanceKind
 from .locality import cglmp_threshold
 from .measures import (
     bd_grid,
     bd_measure,
     bd_sweep,
-    formula_agrees,
-    isotropic_reference_formula,
-    isotropic_values,
     werner_max,
-    werner_values,
     WERNER_THRESHOLD,
 )
-from .metrics import DistanceKind
 from .qstate import BellDiagonal
 from .validation import run_validation
 
@@ -55,8 +52,6 @@ def _fmt(v) -> str:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
     return str(v)
 
 
@@ -165,14 +160,18 @@ def _kinds(args, default=None) -> list[DistanceKind]:
     return [DistanceKind(c) for c in codes]
 
 
-def _parse_vector(text: str, n: int, name: str) -> np.ndarray:
+def _parse_vector(text: str, n: int, name: str) -> tuple[float, ...]:
     parts = text.split(",")
     if len(parts) != n:
         raise ValueError(f"{name} needs {n} comma-separated values, got {len(parts)}")
-    return np.array([float(p) for p in parts])
+    return tuple(map(float, parts))
 
 
 def cmd_werner_sweep(args) -> int:
+    import numpy as np
+
+    from .arrays import werner_values
+
     kinds = _kinds(args)
     if not (WERNER_THRESHOLD <= args.w_min < args.w_max <= 1.0 + 1e-12):
         raise ValueError("need 1/sqrt(2) <= w-min < w-max <= 1")
@@ -203,7 +202,8 @@ def cmd_bd_sweep(args) -> int:
     kinds = _kinds(args)
     family = args.family.replace("-", "_")
     tables = _solve_once(kinds, lambda k: bd_sweep(k, family, args.n))
-    rows = np.column_stack([tables[0][:, 0]] + [t[:, 1] for t in tables]).tolist()
+    # every table has the same parameter column
+    rows = [(row[0][0], *(value for _, value in row)) for row in zip(*tables)]
     columns = ["param"] + [k.value for k in kinds]
     emit(args, columns, rows, _meta_lines("bd-sweep", args, {"family": family}), floats=columns)
     return 0
@@ -226,8 +226,7 @@ def cmd_bd_measure(args) -> int:
     if (args.a is None) == (args.e is None):
         raise ValueError("pass exactly one of --a and --e")
     if args.a is not None:
-        a = _parse_vector(args.a, 3, "--a")
-        bd = BellDiagonal.from_corr(a)
+        bd = BellDiagonal.from_corr(_parse_vector(args.a, 3, "--a"))
     else:
         bd = BellDiagonal.from_probs(_parse_vector(args.e, 4, "--e"))
     kinds = _kinds(args)
@@ -237,11 +236,8 @@ def cmd_bd_measure(args) -> int:
     for k, res in zip(kinds, results):
         closest = res.closest_local
         rows.append(
-            [k.value, float(res.value)]
-            + bd.a.tolist()
-            + closest.a.tolist()
-            + closest.e.tolist()
-            + [res.method, res.surface, res.iterations, res.converged]
+            (k.value, res.value, *bd.a, *closest.a, *closest.e)
+            + (res.method, res.surface, res.iterations, res.converged)
         )
         unconverged = unconverged or not res.converged
     floats = (
@@ -257,6 +253,10 @@ def cmd_bd_measure(args) -> int:
 
 
 def cmd_iso(args) -> int:
+    import numpy as np
+
+    from .arrays import formula_agrees, isotropic_reference_formula, isotropic_values
+
     kinds = _kinds(args, default=["hs"])
     # a bad omega is an argument error here, unlike library-level OutOfRange
     lo = -1.0 / (args.d * args.d - 1.0)
@@ -295,7 +295,7 @@ def cmd_validate(args) -> int:
     checks = run_validation()
     columns = ["check", "status", "max_error", "tolerance", "seconds", "detail"]
     rows = [
-        [c.name, "pass" if c.passed else "FAIL", float(c.max_error), c.tolerance, c.seconds, c.detail]
+        [c.name, "pass" if c.passed else "FAIL", c.max_error, c.tolerance, c.seconds, c.detail]
         for c in checks
     ]
     emit(args, columns, rows, _meta_lines("validate", args), floats=["max_error", "tolerance", "seconds"])

@@ -1,7 +1,11 @@
 """Locality criteria: the CHSH singular-value test for two qubits and the
 CGLMP visibility threshold for two qudits, plus the exact Euclidean
 projection onto the CHSH-local Bell-diagonal region, which the region's
-symmetry reduces to one cylinder, one arc or one vertex."""
+symmetry reduces to one cylinder, one arc or one vertex.
+
+Everything here but chsh_verdict, which takes a dense PauliRep and imports
+numpy on its first call, works on Python floats: correlators come in as any
+sequence of three numbers, and points go out as tuples."""
 
 from __future__ import annotations
 
@@ -9,10 +13,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NonPhysical, OutOfRange
-from .qstate import PauliRep, bd_corr_to_probs
+from .qstate import bd_corr_to_probs, float_vector
 
 BOUNDARY_TOL = 1e-12
 
@@ -51,13 +53,15 @@ class CglmpThreshold:
     omega_threshold: float
 
 
-def chsh_verdict(rep: PauliRep) -> ChshVerdict:
+def chsh_verdict(rep) -> ChshVerdict:
     """Apply the CHSH test to a two-qubit Pauli representation.
 
     The state admits a local model for all CHSH experiments iff the two
     largest singular values of the correlation matrix satisfy
-    d1^2 + d2^2 <= 1. The boundary counts as local.
+    d1^2 + d2^2 <= 1. The boundary counts as local. rep is a dense.PauliRep.
     """
+    import numpy as np
+
     s = np.linalg.svd(rep.corr, compute_uv=False)
     value = float(s[0] ** 2 + s[1] ** 2)
     return ChshVerdict(
@@ -71,8 +75,8 @@ def cglmp_qk(d: int, k: int) -> float:
     """Joint outcome weight q_k = 1 / (2 d^3 sin^2(pi (k + 1/4) / d))."""
     if not (d >= 2 and float(d).is_integer()):
         raise OutOfRange(f"local dimension must be an integer >= 2, got {d}")
-    s = np.sin(np.pi * (k + 0.25) / d)
-    return float(1.0 / (2.0 * d**3 * s * s))
+    s = math.sin(math.pi * (k + 0.25) / d)
+    return 1.0 / (2.0 * d**3 * s * s)
 
 
 # typed: d = 3 and d = 3.0 are separate entries, so a call's result never
@@ -101,13 +105,14 @@ def in_tetrahedron(a, tol: float = 1e-12) -> bool:
 
     Raises DimensionMismatch unless a holds 3 correlators (bd_corr_to_probs).
     """
-    return bool(bd_corr_to_probs(a).min() >= -tol)
+    # written so that a nan weight fails too
+    return all(ek >= -tol for ek in bd_corr_to_probs(a))
 
 
 def max_pair_sum(a) -> float:
     """Largest of a_i^2 + a_j^2 over the three index pairs."""
-    a = np.asarray(a, dtype=float)
-    return float(max(a[i] ** 2 + a[j] ** 2 for i, j in DISK_PAIRS))
+    a = float_vector(a, 3, "correlator")
+    return max(a[i] ** 2 + a[j] ** 2 for i, j in DISK_PAIRS)
 
 
 def bd_is_chsh_local(a) -> bool:
@@ -117,7 +122,7 @@ def bd_is_chsh_local(a) -> bool:
     and NonPhysical outside the tetrahedron. The boundary counts as local.
     """
     if not in_tetrahedron(a):
-        raise NonPhysical(f"correlators {np.asarray(a).tolist()} outside the tetrahedron")
+        raise NonPhysical(f"correlators {list(map(float, a))} outside the tetrahedron")
     return max_pair_sum(a) <= 1.0 + BOUNDARY_TOL
 
 
@@ -180,7 +185,7 @@ class LocalProjection:
     active boundary piece as surface_name names it (None when a is local
     itself)."""
 
-    point: np.ndarray
+    point: tuple[float, float, float]
     distance: float
     surface: str | None
 
@@ -193,14 +198,16 @@ def nearest_in_chamber(a, solve) -> LocalProjection:
     the signs of a and the order of their magnitudes. solve(b_i, b_j, b_k)
     finds it for |a| sorted in descending order: it returns the point in that
     order, the index pairs of its active cylinders in that order, and its
-    distance. The point is mapped back to the order and signs of a.
+    distance. The point is mapped back to the order and signs of a, a tuple
+    of three floats.
     """
     order = sorted(range(3), key=lambda n: -abs(a[n]))
     point, pairs, distance = solve(*(abs(a[n]) for n in order))
-    out = np.empty(3)
-    out[order] = point
+    out = [0.0] * 3
+    for n, p in zip(order, point):
+        out[n] = p
     return LocalProjection(
-        point=np.copysign(out, a),
+        point=tuple(map(math.copysign, out, a)),
         distance=distance,
         surface=surface_name([(order[p], order[q]) for p, q in pairs]),
     )
@@ -231,7 +238,7 @@ def project_local(a) -> LocalProjection:
     one of the largest and smallest, or their vertex. Raises NonPhysical
     outside the tetrahedron.
     """
-    a = np.asarray(a, dtype=float)
+    a = float_vector(a, 3, "correlator")
     if bd_is_chsh_local(a):
-        return LocalProjection(point=a.copy(), distance=0.0, surface=None)
+        return LocalProjection(point=a, distance=0.0, surface=None)
     return nearest_in_chamber(a, _euclidean_in_chamber)

@@ -12,7 +12,11 @@ Hellinger solve: Bell-diagonal states commute, and on commuting states the
 two squared distances are equal.
 
 Hellinger and Bures measures are reported as squared distances; relative
-entropy is in bits. A local input yields exactly 0.0.
+entropy is in bits. A local input yields exactly 0.0, and every value is a
+Python float.
+
+Everything here works on Python floats and tuples. The Werner and isotropic
+closed forms over whole arrays of parameters are numpy code, in nlgeo.arrays.
 """
 
 from __future__ import annotations
@@ -20,9 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NotConverged, OutOfRange
+from .kinds import DistanceKind
 from .locality import (
     BOUNDARY_TOL,
     DISK_PAIRS,
@@ -33,7 +36,6 @@ from .locality import (
     project_local,
     surface_name,
 )
-from .metrics import DistanceKind
 from .qstate import (
     BELL_CORNERS,
     BellDiagonal,
@@ -41,6 +43,7 @@ from .qstate import (
     WernerParam,
     bd_corr_to_probs,
     bd_probs_to_corr,
+    float_vector,
 )
 from . import solver
 
@@ -75,74 +78,56 @@ def _closed_form(kind: DistanceKind, value: float, closest: object) -> MeasureRe
     return MeasureResult(kind, value, closest, "closed_form")
 
 
-def _spectral_values(kind: DistanceKind, d: int, t: float, omega: np.ndarray) -> np.ndarray:
-    """Measure of the states with spectrum ((d^2 - 1) omega + 1)/d^2 once and
-    (1 - omega)/d^2 d^2 - 1 times against the state of the same family at t.
+def _nonneg(x: float) -> float:
+    return max(x, 0.0)
+
+
+def _xlog2(x: float, ref: float) -> float:
+    """x log2(x / ref), where a weight x <= 1e-15 contributes nothing (0 log 0 = 0)."""
+    return x * math.log2(x / ref) if x > 1e-15 else 0.0
+
+
+def spectral_formula(
+    kind: DistanceKind, d: int, t: float, omega, sqrt=math.sqrt, nonneg=_nonneg, xlog2=_xlog2
+):
+    """Measure of the nonlocal state with spectrum ((d^2 - 1) omega + 1)/d^2
+    once and (1 - omega)/d^2 d^2 - 1 times against the state of the same
+    family at t < omega.
 
     Both states are diagonal in one basis, so each distance is a classical one
-    between the two spectra. Local entries (omega <= t) give exactly 0.0.
+    between the two spectra. omega is a float, or an array of weights with
+    elementwise sqrt, nonneg (max with 0) and xlog2 passed in (nlgeo.arrays),
+    so both evaluate this one expression, with the same roundings.
     """
     d2 = float(d * d)
-    out = np.zeros(omega.shape)
-    is_nonlocal = omega > t + BOUNDARY_TOL
-    omega = omega[is_nonlocal]
     if kind is DistanceKind.HS:
-        value = math.sqrt(1.0 - 1.0 / d2) * (omega - t)
-    elif kind is DistanceKind.TRACE:
-        value = (d2 - 1.0) / d2 * (omega - t)
-    else:
-        big, big_t = ((d2 - 1.0) * omega + 1.0) / d2, ((d2 - 1.0) * t + 1.0) / d2
-        # 1 - omega is clipped at 0 for the rounding slack the parameters admit above 1
-        small, small_t = np.maximum(1.0 - omega, 0.0) / d2, (1.0 - t) / d2
-        if kind in (DistanceKind.HELLINGER, DistanceKind.BURES):
-            value = 2.0 - 2.0 * (np.sqrt(big * big_t) + (d2 - 1.0) * np.sqrt(small * small_t))
-        else:
-            # math.log2 per element (numpy's log2 kernel can differ in the last
-            # bit); a weight <= 1e-15 contributes nothing (0 log 0 = 0)
-            small_term = np.zeros(omega.shape)
-            keep = small > 1e-15
-            small_term[keep] = small[keep] * _log2(small[keep] / small_t)
-            value = np.maximum(big * _log2(big / big_t) + (d2 - 1.0) * small_term, 0.0)
-    out[is_nonlocal] = value
-    return out
+        return math.sqrt(1.0 - 1.0 / d2) * (omega - t)
+    if kind is DistanceKind.TRACE:
+        return (d2 - 1.0) / d2 * (omega - t)
+    big, big_t = ((d2 - 1.0) * omega + 1.0) / d2, ((d2 - 1.0) * t + 1.0) / d2
+    # 1 - omega is clipped at 0 for the rounding slack the parameters admit above 1
+    small, small_t = nonneg(1.0 - omega) / d2, (1.0 - t) / d2
+    if kind in (DistanceKind.HELLINGER, DistanceKind.BURES):
+        return 2.0 - 2.0 * (sqrt(big * big_t) + (d2 - 1.0) * sqrt(small * small_t))
+    # xlog2 is math.log2 per element (numpy's log2 kernel can differ in the last bit)
+    return nonneg(xlog2(big, big_t) + (d2 - 1.0) * xlog2(small, small_t))
 
 
-def _log2(x: np.ndarray) -> np.ndarray:
-    """Elementwise math.log2."""
-    return np.fromiter(map(math.log2, x.tolist()), dtype=float, count=x.size)
-
-
-def _checked(param, w) -> np.ndarray:
-    """w as a float array after checking its extremes with param.
-
-    The admissible range is an interval, so checking the extremes checks every
-    entry (a nan becomes both extremes and fails).
-    """
-    w = np.asarray(w, dtype=float)
-    if w.size:
-        param(float(w.min()))
-        param(float(w.max()))
-    return w
-
-
-def werner_values(kind: DistanceKind, w) -> np.ndarray:
-    """Measure of the Werner states with parameters w (an array), in closed form.
-
-    A Werner state is the d = 2 isotropic state up to a local unitary, and its
-    closest local state is the Werner state at the CHSH threshold 1/sqrt(2) for
-    every kind; local entries (w <= 1/sqrt(2)) give exactly 0.0. Every entry
-    must be a valid Werner parameter, or OutOfRange is raised.
-    """
-    return _spectral_values(kind, 2, WERNER_THRESHOLD, _checked(WernerParam, w))
+def _spectral_value(kind: DistanceKind, d: int, t: float, omega: float) -> float:
+    """spectral_formula at one weight; a local one (omega <= t) gives exactly 0.0."""
+    return spectral_formula(kind, d, t, omega) if omega > t + BOUNDARY_TOL else 0.0
 
 
 def werner_measure(kind: DistanceKind, w: float) -> MeasureResult:
-    """Measure of the Werner state with parameter w: werner_values at one point.
+    """Measure of the Werner state with parameter w, in closed form.
 
-    The closest local state is the Werner state at 1/sqrt(2), or the input
-    itself when it is local.
+    A Werner state is the d = 2 isotropic state up to a local unitary, and its
+    closest local state is the Werner state at the CHSH threshold 1/sqrt(2) for
+    every kind, or the input itself when it is local (value exactly 0.0). An
+    invalid w raises OutOfRange.
     """
-    value = float(werner_values(kind, [w])[0])
+    w = WernerParam(float(w)).w
+    value = _spectral_value(kind, 2, WERNER_THRESHOLD, w)
     is_local = w <= WERNER_THRESHOLD + BOUNDARY_TOL
     return _closed_form(kind, value, WernerParam(w if is_local else WERNER_THRESHOLD))
 
@@ -152,92 +137,19 @@ def werner_max(kind: DistanceKind) -> float:
     return werner_measure(kind, 1.0).value
 
 
-def isotropic_values(kind: DistanceKind, d: int, omega) -> np.ndarray:
-    """Measure of the d-dimensional isotropic states with weights omega (an array).
+def isotropic_measure(kind: DistanceKind, d: int, omega: float) -> MeasureResult:
+    """Measure of the d-dimensional isotropic state with weight omega, in closed form.
 
     The closest local state is the isotropic state at the CGLMP threshold
-    t = 2/I_d. Both states are diagonal in {|phi+>} and its complement, so
-    _spectral_values applies. Local entries (omega <= t) give exactly 0.0; an
-    invalid weight raises OutOfRange.
+    t = 2/I_d, or the input itself when it is local (value exactly 0.0). Both
+    states are diagonal in {|phi+>} and its complement, so spectral_formula
+    applies. An invalid weight raises OutOfRange.
     """
-    omega = _checked(lambda om: IsotropicParam(d=d, omega=om), omega)
-    return _spectral_values(kind, d, cglmp_threshold(d).omega_threshold, omega)
-
-
-def isotropic_measure(kind: DistanceKind, d: int, omega: float) -> MeasureResult:
-    """Measure of the d-dimensional isotropic state: isotropic_values at one point.
-
-    The closest local state is the isotropic state at the CGLMP threshold, or
-    the input itself when it is local.
-    """
-    value = float(isotropic_values(kind, d, [omega])[0])
+    omega = IsotropicParam(d=d, omega=float(omega)).omega
     thr = cglmp_threshold(d).omega_threshold
+    value = _spectral_value(kind, d, thr, omega)
     is_local = omega <= thr + BOUNDARY_TOL
     return _closed_form(kind, value, IsotropicParam(d=d, omega=omega if is_local else thr))
-
-
-def isotropic_reference_formula(kind: DistanceKind, d: int, omega):
-    """Commonly quoted closed forms for the isotropic measures, verbatim.
-
-    A cross-check against isotropic_values. They agree for HS only; the
-    consistency flag downstream shows the other mismatches, whose causes are:
-    * trace: exactly twice the value, from the full norm ||rho - sigma||_1
-      where the measure is (1/2) ||rho - sigma||_1;
-    * Hellinger: the prefactor is 2/d where the spectra give 2/d^2;
-    * relative entropy: wrong signs and weights, and -inf at omega = 1.
-    Bures has no quoted form, so it returns None. omega is a weight or an
-    array of weights, range-checked as in isotropic_values; a float comes
-    back for a scalar.
-    """
-    weights = _checked(lambda om: IsotropicParam(d=d, omega=om), omega)
-    if kind is DistanceKind.BURES:
-        return None
-    thr = cglmp_threshold(d).omega_threshold
-    d2 = float(d * d)
-    out = np.zeros(weights.shape)
-    is_nonlocal = weights > thr + BOUNDARY_TOL
-    om = weights[is_nonlocal]
-    # 1 - omega is clipped at 0 for the rounding slack IsotropicParam admits above 1
-    one_minus = np.maximum(1.0 - om, 0.0)
-    if kind is DistanceKind.HS:
-        value = math.sqrt(1.0 - 1.0 / d2) * (om - thr)
-    elif kind is DistanceKind.TRACE:
-        value = 2.0 * (d2 - 1.0) / d2 * (om - thr)
-    elif kind is DistanceKind.HELLINGER:
-        value = 2.0 - (2.0 / d) * (
-            (d2 - 1.0) * np.sqrt(one_minus * (1.0 - thr))
-            + np.sqrt(((d2 - 1.0) * om + 1.0) * ((d2 - 1.0) * thr + 1.0))
-        )
-    else:
-        p_omega = ((d2 - 1.0) * om + 1.0) / d2
-        p_thr = ((d2 - 1.0) * thr + 1.0) / d2
-        with np.errstate(divide="ignore"):
-            value = (
-                p_omega * np.log2(p_omega)
-                + (d2 - 1.0) / d2 * np.log2(one_minus / d2)
-                + p_thr * np.log2(p_thr)
-                + (d2 - 1.0) / d2 * np.log2((1.0 - thr) / d2)
-            )
-    out[is_nonlocal] = value
-    return float(out) if np.ndim(omega) == 0 else out
-
-
-_FORMULA_TOL = 1e-9
-
-
-def formula_agrees(value, reference):
-    """Whether a quoted closed form matches the value, entry by entry.
-
-    Finite entries agree within a relative _FORMULA_TOL, infinite ones only
-    when equal. None when there is no quoted form; a bool for scalars.
-    """
-    if reference is None:
-        return None
-    value, ref = np.asarray(value, dtype=float), np.asarray(reference, dtype=float)
-    with np.errstate(invalid="ignore"):
-        close = np.abs(value - ref) <= _FORMULA_TOL * np.maximum(1.0, np.abs(value))
-    agrees = np.where(np.isinf(ref) | np.isinf(value), ref == value, close)
-    return bool(agrees) if agrees.ndim == 0 else agrees
 
 
 # The kinds with a numeric objective. HS and trace are exact (bd_measure_hs,
@@ -258,10 +170,10 @@ class BdObjective:
     or the relative entropy in bits; any other kind raises OutOfRange.
     """
 
-    def __init__(self, kind: DistanceKind, a: np.ndarray):
+    def __init__(self, kind: DistanceKind, a):
         if kind not in OBJECTIVE_KINDS:
             raise OutOfRange(f"no numeric objective for kind {kind.value!r}")
-        self._e = tuple(float(ei) for ei in bd_corr_to_probs(np.asarray(a, dtype=float)))
+        self._e = bd_corr_to_probs(a)
         self._sqrt_e = tuple(math.sqrt(max(ei, 0.0)) for ei in self._e)
         self.value, self.derivatives = {
             DistanceKind.HELLINGER: (self._hellinger, self._hellinger_derivatives),
@@ -372,7 +284,7 @@ def bd_measure_trace(a) -> MeasureResult:
     symmetry chamber of a (locality.nearest_in_chamber, _trace_in_chamber);
     surface names the active boundary piece of the closest local state.
     """
-    a = np.asarray(a, dtype=float)
+    a = float_vector(a, 3, "correlator")
     if bd_is_chsh_local(a):
         return _closed_form(DistanceKind.TRACE, 0.0, BellDiagonal.from_corr(a))
     proj = nearest_in_chamber(a, _trace_in_chamber)
@@ -394,7 +306,7 @@ def bd_measure_numeric(kind: DistanceKind, a) -> MeasureResult:
     """
     if kind in (DistanceKind.HS, DistanceKind.TRACE):
         raise OutOfRange(f"{kind.value} is exact; use bd_measure")
-    a = np.asarray(a, dtype=float)
+    a = float_vector(a, 3, "correlator")
     if bd_is_chsh_local(a):
         return _closed_form(kind, 0.0, BellDiagonal.from_corr(a))
     obj = BdObjective(DistanceKind.HELLINGER if kind is DistanceKind.BURES else kind, a)
@@ -421,41 +333,48 @@ def bd_measure(kind: DistanceKind, a) -> MeasureResult:
     return bd_measure_numeric(kind, a)
 
 
-def two_bell_mix_corr(p: float) -> np.ndarray:
+def two_bell_mix_corr(p: float) -> tuple[float, float, float]:
     """Correlators (2p - 1, -(2p - 1), 1) of the mix of two Bell states."""
     if not (0.0 <= p <= 1.0):
         raise OutOfRange(f"mixing weight {p} outside [0, 1]")
-    return np.array([2.0 * p - 1.0, -(2.0 * p - 1.0), 1.0])
+    q = 2.0 * float(p) - 1.0
+    return (q, -q, 1.0)
 
 
-def bd_sweep(kind: DistanceKind, family: str, n_points: int) -> np.ndarray:
+def _linspace(start: float, stop: float, n: int) -> list[float]:
+    """n >= 2 evenly spaced floats from start to stop, rounded as numpy.linspace
+    rounds them: i * step + start, and stop itself last."""
+    step = (stop - start) / (n - 1)
+    return [i * step + start for i in range(n - 1)] + [stop]
+
+
+def bd_sweep(kind: DistanceKind, family: str, n_points: int) -> list[tuple[float, float]]:
     """Normalized measure along a one-parameter Bell-diagonal family.
 
     family "two_bell_mix" sweeps p in [1/2, 1] over a = (2p-1, -(2p-1), 1);
     family "werner_line" sweeps w in [1/sqrt 2, 1] along the singlet corner.
     Values are divided by the Werner maximum of the same kind, so every sweep
-    ends at 1 at the maximally nonlocal endpoint. Returns rows (parameter,
-    normalized value); an unconverged solve raises NotConverged naming its
-    point.
+    ends at 1 at the maximally nonlocal endpoint. Returns a list of
+    (parameter, normalized value) rows; an unconverged solve raises
+    NotConverged naming its point.
     """
     if n_points < 2:
         raise OutOfRange("a sweep needs at least two points")
     norm = werner_max(kind)
-    rows = np.empty((n_points, 2))
     if family == "two_bell_mix":
-        params = np.linspace(0.5, 1.0, n_points)
+        params = _linspace(0.5, 1.0, n_points)
         corr = [two_bell_mix_corr(p) for p in params]
     elif family == "werner_line":
-        params = np.linspace(WERNER_THRESHOLD, 1.0, n_points)
-        corr = [w * BELL_CORNERS[3] for w in params]
+        params = _linspace(WERNER_THRESHOLD, 1.0, n_points)
+        corr = [tuple(w * c for c in BELL_CORNERS[3]) for w in params]
     else:
         raise OutOfRange(f"unknown family {family!r}")
-    for idx, (p, a) in enumerate(zip(params, corr)):
+    rows = []
+    for p, a in zip(params, corr):
         res = bd_measure(kind, a)
         if not res.converged:
             raise NotConverged(f"{kind.value} solve at {family} parameter {p!r} did not converge")
-        rows[idx, 0] = p
-        rows[idx, 1] = res.value / norm
+        rows.append((p, res.value / norm))
     return rows
 
 
@@ -486,6 +405,6 @@ def bd_grid(kind: DistanceKind, grid_n: int) -> list[tuple[float, float, float]]
                 res = bd_measure(kind, bd_probs_to_corr(e))
                 if not res.converged:
                     raise NotConverged(f"{kind.value} solve at e = {e} did not converge")
-                values[key] = float(res.value / norm)
+                values[key] = res.value / norm
             rows.append((i / grid_n, j / grid_n, values[key]))
     return rows

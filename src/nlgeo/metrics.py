@@ -12,25 +12,15 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import enum
 import math
 
 import numpy as np
 
+from .dense import DensityMatrix, matrix_sqrt_psd
 from .errors import DimensionMismatch, NonPhysical
-from .qstate import DensityMatrix, matrix_sqrt_psd
+from .kinds import DistanceKind  # noqa: F401  (re-exported)
 
 SUPPORT_TOL = 1e-12
-
-
-class DistanceKind(enum.Enum):
-    """The five distance functionals, keyed by their CLI codes."""
-
-    HS = "hs"
-    HELLINGER = "he"
-    BURES = "bu"
-    TRACE = "tr"
-    RELATIVE_ENTROPY = "re"
 
 
 def _mat(rho) -> np.ndarray:

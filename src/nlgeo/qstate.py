@@ -1,143 +1,100 @@
-"""State representations for two-qubit and two-qudit systems.
+"""Float parametrizations of two-qubit and two-qudit states.
 
-Two-qubit states are handled in three interchangeable forms: the raw density
-matrix, the real 4x4 Pauli coefficient matrix, and (for Bell-diagonal states)
-the correlator/probability parametrization. Family constructors for Werner,
-isotropic and Bell-diagonal states validate physicality on the way in, and the
-symmetrizing maps (Bell-diagonal projection, isotropic twirl) reduce arbitrary
-states onto those families.
+A Bell-diagonal two-qubit state is given by its three diagonal correlators a
+or its four Bell weights e, as tuples of Python floats; the Werner and
+isotropic families by their parameters. These are what the measures and the
+solver work on, so this module needs no matrix library.
 
-All functions are pure; module-level arrays are constants and never mutated.
+The dense forms (density matrices, the Pauli coefficient matrix, the family
+constructors and the symmetrizing maps) live in nlgeo.dense, the numpy layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
+from .errors import DimensionMismatch, InvalidProbability, NonPhysical, OutOfRange
 
-from .errors import (
-    DimensionMismatch,
-    InvalidProbability,
-    NonPhysical,
-    NotHermitian,
-    NotPSD,
-    OutOfRange,
-)
-
-HERMITIAN_ATOL = 1e-12
-TRACE_ATOL = 1e-12
-PSD_EIG_FLOOR = -1e-10
 PROB_NEG_ATOL = 1e-12
 PROB_SUM_ATOL = 1e-9
 
-_S0 = np.eye(2, dtype=complex)
-_S1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_S2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_S3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULI = (_S0, _S1, _S2, _S3)
-
-# Linear maps between Bell-basis weights e (4-vector) and diagonal
-# correlators a (3-vector): a = CORR_FROM_PROBS @ e and
-# e = PROBS_FROM_CORR @ (1, a1, a2, a3).
-CORR_FROM_PROBS = np.array(
-    [
-        [1.0, 1.0, -1.0, -1.0],
-        [1.0, -1.0, 1.0, -1.0],
-        [-1.0, 1.0, 1.0, -1.0],
-    ]
-)
-PROBS_FROM_CORR = 0.25 * np.array(
-    [
-        [1.0, 1.0, 1.0, -1.0],
-        [1.0, 1.0, -1.0, 1.0],
-        [1.0, -1.0, 1.0, 1.0],
-        [1.0, -1.0, -1.0, -1.0],
-    ]
-)
-
 # Correlator directions of the four extremal Bell points; row k is the vertex
 # with e_{k+1} = 1. Row 3 is the singlet direction (-1, -1, -1).
-BELL_CORNERS = CORR_FROM_PROBS.T.copy()
+BELL_CORNERS = (
+    (1.0, 1.0, -1.0),
+    (1.0, -1.0, 1.0),
+    (-1.0, 1.0, 1.0),
+    (-1.0, -1.0, -1.0),
+)
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Bipartite state: a d^2 x d^2 complex matrix plus its local dimension d."""
-
-    dim: int
-    mat: np.ndarray
-
-    def validate(self) -> "DensityMatrix":
-        """Check shape, hermiticity, unit trace and positivity; raise on violation."""
-        m = self.mat
-        n = self.dim * self.dim
-        if m.shape != (n, n):
-            raise DimensionMismatch(
-                f"expected a {n}x{n} matrix for local dimension {self.dim}, got {m.shape}"
-            )
-        # every check is written so that a nan fails it; a non-finite entry
-        # makes m - m^H nan, so it never reaches eigvalsh
-        if not np.max(np.abs(m - m.conj().T)) <= HERMITIAN_ATOL:
-            raise NotHermitian("density matrix is not Hermitian within 1e-12")
-        tr = np.trace(m)
-        if not abs(tr - 1.0) <= TRACE_ATOL:
-            raise NonPhysical(f"density matrix trace {tr} differs from one")
-        if not np.linalg.eigvalsh(m)[0] >= PSD_EIG_FLOOR:
-            raise NotPSD("density matrix has an eigenvalue below -1e-10")
-        return self
+def float_vector(v, n: int, name: str) -> tuple:
+    """v as a tuple of n floats; DimensionMismatch unless it holds n numbers."""
+    try:
+        out = tuple(map(float, v))
+    except TypeError:
+        out = None
+    if out is None or len(out) != n:
+        raise DimensionMismatch(f"{name} vector must have length {n}, got {v!r}")
+    return out
 
 
-@dataclass(frozen=True)
-class PauliRep:
-    """Real 4x4 Pauli coefficient matrix alpha with alpha[0, 0] = 1.
+def bd_probs_to_corr(e) -> tuple[float, float, float]:
+    """Map Bell weights e to correlators a. Raises InvalidProbability on bad e."""
+    e = float_vector(e, 4, "probability")
+    # both checks are written so that a nan weight fails them
+    if not all(ek >= -PROB_NEG_ATOL for ek in e):
+        raise InvalidProbability(f"negative or nan weight in {list(e)}")
+    if not abs(sum(e) - 1.0) <= PROB_SUM_ATOL:
+        raise InvalidProbability(f"weights {list(e)} sum to {sum(e)}, not 1")
+    e0, e1, e2, e3 = e
+    # a_i = sum_k BELL_CORNERS[k][i] e_k, summed as (k = 0, 2) + (k = 1, 3):
+    # numpy's order for this product as a matrix, so the two agree bit for bit
+    return ((e0 - e2) + (e1 - e3), (e0 + e2) - (e1 + e3), (e2 - e0) + (e1 - e3))
 
-    alpha[i, j] is the expectation of sigma_i x sigma_j. Row 0 past the corner
-    holds the second qubit's local expectations, column 0 the first qubit's,
-    and the lower right 3x3 block is the correlation matrix.
+
+def bd_corr_to_probs(a) -> tuple[float, float, float, float]:
+    """Map correlators a to Bell weights e_k = (1 + BELL_CORNERS[k] . a) / 4.
+
+    Returns the affine image even when some e_k < 0, so that callers can test
+    physicality themselves. Raises DimensionMismatch unless a holds 3
+    correlators.
     """
-
-    alpha: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.array(self.alpha, dtype=float)
-        if a.shape != (4, 4):
-            raise DimensionMismatch("alpha must be a 4x4 real matrix")
-        if a[0, 0] != 1.0:
-            raise OutOfRange("alpha[0, 0] must be exactly 1")
-        if not np.all(np.isfinite(a)):
-            raise OutOfRange("alpha entries must be finite")
-        object.__setattr__(self, "alpha", a)
-
-    @property
-    def corr(self) -> np.ndarray:
-        return self.alpha[1:, 1:]
+    a1, a2, a3 = float_vector(a, 3, "correlator")
+    q1, q2, q3 = 0.25 * a1, 0.25 * a2, 0.25 * a3
+    # the terms of (1, a1, a2, a3), summed in the order bd_probs_to_corr uses
+    return (
+        (0.25 + q2) + (q1 - q3),
+        (0.25 - q2) + (q1 + q3),
+        (0.25 + q2) + (q3 - q1),
+        (0.25 - q2) - (q1 + q3),
+    )
 
 
 @dataclass(frozen=True)
 class BellDiagonal:
-    """Bell-diagonal state given by correlators a (3) and Bell weights e (4)."""
+    """Bell-diagonal state given by correlators a (3) and Bell weights e (4),
+    each a tuple of floats."""
 
-    a: np.ndarray
-    e: np.ndarray
+    a: tuple[float, ...]
+    e: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", np.array(self.a, dtype=float))
-        object.__setattr__(self, "e", np.array(self.e, dtype=float))
+        object.__setattr__(self, "a", tuple(map(float, self.a)))
+        object.__setattr__(self, "e", tuple(map(float, self.e)))
 
     @classmethod
     def from_corr(cls, a) -> "BellDiagonal":
-        a = np.asarray(a, dtype=float)
         e = bd_corr_to_probs(a)
         # written so that a nan weight fails too
-        if not e.min() >= -PROB_NEG_ATOL:
-            raise NonPhysical(f"correlators {a.tolist()} lie outside the physical tetrahedron")
+        if not all(ek >= -PROB_NEG_ATOL for ek in e):
+            raise NonPhysical(f"correlators {list(map(float, a))} lie outside the physical tetrahedron")
         return cls(a=a, e=e)
 
     @classmethod
     def from_probs(cls, e) -> "BellDiagonal":
         a = bd_probs_to_corr(e)
-        return cls(a=a, e=np.asarray(e, dtype=float))
+        return cls(a=a, e=e)
 
 
 @dataclass(frozen=True)
@@ -164,149 +121,3 @@ class IsotropicParam:
         lo = -1.0 / (self.d * self.d - 1.0)
         if not (lo - 1e-12 <= self.omega <= 1.0 + 1e-12):
             raise OutOfRange(f"omega {self.omega} outside [{lo}, 1] for d={self.d}")
-
-
-def pauli_to_density(rep: PauliRep) -> DensityMatrix:
-    """Assemble rho = (1/4) sum_ij alpha_ij sigma_i x sigma_j.
-
-    Total on real 4x4 coefficients; positivity is not checked here, callers
-    validate the result when physicality matters.
-    """
-    m = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            m += rep.alpha[i, j] * np.kron(PAULI[i], PAULI[j])
-    return DensityMatrix(dim=2, mat=m / 4.0)
-
-
-def density_to_pauli(rho: DensityMatrix) -> PauliRep:
-    """Extract alpha_ij = Tr[rho (sigma_i x sigma_j)] from a two-qubit state."""
-    if rho.dim != 2 or rho.mat.shape != (4, 4):
-        raise DimensionMismatch("Pauli extraction requires a two-qubit state")
-    alpha = np.empty((4, 4))
-    for i in range(4):
-        for j in range(4):
-            alpha[i, j] = np.trace(rho.mat @ np.kron(PAULI[i], PAULI[j])).real
-    alpha[0, 0] = 1.0
-    return PauliRep(alpha)
-
-
-def bd_probs_to_corr(e) -> np.ndarray:
-    """Map Bell weights e to correlators a. Raises InvalidProbability on bad e."""
-    e = np.asarray(e, dtype=float)
-    if e.shape != (4,):
-        raise DimensionMismatch("probability vector must have length 4")
-    # both checks are written so that a nan weight fails them
-    if not e.min() >= -PROB_NEG_ATOL:
-        raise InvalidProbability(f"negative or nan weight in {e.tolist()}")
-    if not abs(e.sum() - 1.0) <= PROB_SUM_ATOL:
-        raise InvalidProbability(f"weights {e.tolist()} sum to {e.sum()}, not 1")
-    return CORR_FROM_PROBS @ e
-
-
-def bd_corr_to_probs(a) -> np.ndarray:
-    """Map correlators a to Bell weights e.
-
-    Returns the affine image even when some e_i < 0, so that callers can test
-    physicality themselves. Raises DimensionMismatch unless a holds 3
-    correlators.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.shape != (3,):
-        raise DimensionMismatch(f"correlator vector must have length 3, got shape {a.shape}")
-    return PROBS_FROM_CORR @ np.concatenate(([1.0], a))
-
-
-def _eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and matching eigenvector columns of a Hermitian matrix."""
-    if not np.max(np.abs(m - m.conj().T)) <= 1e-10:
-        raise NotHermitian("matrix is not Hermitian within 1e-10")
-    vals, vecs = np.linalg.eigh(m)
-    return vals[::-1], vecs[:, ::-1]
-
-
-def matrix_sqrt_psd(m: np.ndarray) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix.
-
-    Eigenvalues in [-1e-10, 0) are clamped to zero; anything lower raises NotPSD.
-    """
-    vals, vecs = _eig_hermitian(m)
-    if vals[-1] < PSD_EIG_FLOOR:
-        raise NotPSD(f"eigenvalue {vals[-1]} below the PSD floor")
-    vals = np.clip(vals, 0.0, None)
-    root = (vecs * np.sqrt(vals)) @ vecs.conj().T
-    return (root + root.conj().T) / 2.0
-
-
-def bd_project(rho: DensityMatrix) -> BellDiagonal:
-    """Project a two-qubit state onto the Bell-diagonal family.
-
-    Averages rho with its conjugations under the simultaneous local pi
-    rotations sigma_1 x sigma_1 and sigma_2 x sigma_2; the surviving
-    correlators are exactly the diagonal entries of the correlation matrix.
-    """
-    if rho.dim != 2 or rho.mat.shape != (4, 4):
-        raise DimensionMismatch("Bell-diagonal projection requires a two-qubit state")
-    r1 = np.kron(PAULI[1], PAULI[1])
-    r2 = np.kron(PAULI[2], PAULI[2])
-    m = (rho.mat + r1 @ rho.mat @ r1) / 2.0
-    m = (m + r2 @ m @ r2) / 2.0
-    corr = density_to_pauli(DensityMatrix(dim=2, mat=m)).corr
-    return BellDiagonal.from_corr(np.diag(corr).copy())
-
-
-def phi_plus_ket(d: int) -> np.ndarray:
-    """Maximally entangled ket (1/sqrt d) sum_i |ii> as a d^2 vector."""
-    v = np.zeros(d * d, dtype=complex)
-    v[:: d + 1] = 1.0 / np.sqrt(d)
-    return v
-
-
-def twirl_isotropic(rho: DensityMatrix) -> IsotropicParam:
-    """Isotropic parameter of the U x U* twirl of rho.
-
-    The twirl preserves the maximally entangled fidelity F, so omega follows
-    in closed form as (d^2 F - 1)/(d^2 - 1) with no Haar integration.
-    """
-    d = rho.dim
-    phi = phi_plus_ket(d)
-    fid = np.real(phi.conj() @ rho.mat @ phi)
-    omega = (d * d * fid - 1.0) / (d * d - 1.0)
-    omega = min(max(omega, -1.0 / (d * d - 1.0)), 1.0)
-    return IsotropicParam(d=d, omega=omega)
-
-
-def make_bell_diagonal(a=None, e=None) -> DensityMatrix:
-    """Two-qubit density matrix (1/4)(id + sum_i a_i sigma_i x sigma_i).
-
-    Exactly one of the correlator vector a and the weight vector e must be
-    given. Raises NonPhysical or InvalidProbability outside the tetrahedron.
-    """
-    if (a is None) == (e is None):
-        raise OutOfRange("pass exactly one of a and e")
-    bd = BellDiagonal.from_corr(a) if a is not None else BellDiagonal.from_probs(e)
-    alpha = np.zeros((4, 4))
-    alpha[0, 0] = 1.0
-    alpha[1:, 1:] = np.diag(bd.a)
-    return pauli_to_density(PauliRep(alpha)).validate()
-
-
-def make_werner(w: float, corner: int = 4) -> DensityMatrix:
-    """Werner state of parameter w placed at one of the four Bell corners.
-
-    corner selects the extremal direction (1 to 4); the default 4 is the
-    singlet direction a = (-w, -w, -w). The measures downstream do not depend
-    on this choice.
-    """
-    WernerParam(w)
-    if corner not in (1, 2, 3, 4):
-        raise OutOfRange(f"corner must be 1..4, got {corner}")
-    return make_bell_diagonal(a=w * BELL_CORNERS[corner - 1])
-
-
-def make_isotropic(d: int, omega: float) -> DensityMatrix:
-    """Isotropic state omega |phi+><phi+| + (1 - omega)/d^2 id."""
-    IsotropicParam(d=d, omega=omega)
-    phi = phi_plus_ket(d)
-    m = omega * np.outer(phi, phi.conj()) + (1.0 - omega) / (d * d) * np.eye(d * d)
-    return DensityMatrix(dim=d, mat=m).validate()

@@ -8,8 +8,7 @@ import itertools
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
+from .kinds import DistanceKind
 from .measures import (
     OBJECTIVE_KINDS,
     bd_grid,
@@ -18,7 +17,6 @@ from .measures import (
     werner_measure,
     WERNER_THRESHOLD,
 )
-from .metrics import DistanceKind
 from .qstate import BELL_CORNERS
 
 ORACLE_POINTS = 20
@@ -55,9 +53,10 @@ def _oracle_werner(kind: DistanceKind, solved: dict) -> CheckResult:
     # the Hellinger one, so their checks share the solves kept in solved.
     solve = bd_measure if kind in (DistanceKind.HS, DistanceKind.TRACE) else bd_measure_numeric
     shared = DistanceKind.HELLINGER if kind is DistanceKind.BURES else kind
-    ws = WERNER_THRESHOLD + (1.0 - WERNER_THRESHOLD) * np.arange(1, ORACLE_POINTS + 1) / ORACLE_POINTS
+    step = 1.0 - WERNER_THRESHOLD
+    ws = [WERNER_THRESHOLD + step * i / ORACLE_POINTS for i in range(1, ORACLE_POINTS + 1)]
     if shared not in solved:
-        solved[shared] = [solve(kind, w * BELL_CORNERS[3]) for w in ws]
+        solved[shared] = [solve(kind, [w * c for c in BELL_CORNERS[3]]) for w in ws]
     results = solved[shared]
     worst = max(abs(res.value - werner_measure(kind, w).value) for res, w in zip(results, ws))
     unconverged = sum(not res.converged for res in results)
@@ -95,7 +94,7 @@ def _symmetric_images(a) -> list:
     """a, its cycle (a2, a3, a1) and its flip (-a1, -a2, a3): each map permutes
     the Bell corners and the three cylinders, so it preserves the local set."""
     a1, a2, a3 = a
-    return [np.array(a), np.array([a2, a3, a1]), np.array([-a1, -a2, a3])]
+    return [(a1, a2, a3), (a2, a3, a1), (-a1, -a2, a3)]
 
 
 def _multiseed() -> CheckResult:

@@ -34,7 +34,7 @@ def haar_unitary(rng, d: int) -> np.ndarray:
 
 def random_tetra_corr(rng) -> np.ndarray:
     """Correlators of a random Bell-diagonal state (flat over the simplex)."""
-    return bd_probs_to_corr(rng.dirichlet(np.ones(4)))
+    return np.array(bd_probs_to_corr(rng.dirichlet(np.ones(4))))
 
 
 def random_local_corr(rng) -> np.ndarray:
@@ -47,7 +47,7 @@ def random_local_corr(rng) -> np.ndarray:
 def random_nonlocal_corr(rng, margin: float = 1e-3) -> np.ndarray:
     # concentrate the weights near the vertices, where nonlocal states live
     while True:
-        a = bd_probs_to_corr(rng.dirichlet(np.full(4, 0.3)))
+        a = np.array(bd_probs_to_corr(rng.dirichlet(np.full(4, 0.3))))
         if max_pair_sum(a) > 1.0 + margin:
             return a
 

@@ -38,7 +38,8 @@ from nlgeo import (
     WERNER_THRESHOLD,
     bd_corr_to_probs,
 )
-from nlgeo.measures import OBJECTIVE_KINDS, BdObjective, formula_agrees, isotropic_values
+from nlgeo.arrays import formula_agrees, isotropic_values
+from nlgeo.measures import OBJECTIVE_KINDS, BdObjective
 
 T = 1.0 / math.sqrt(2.0)
 KINDS = tuple(DistanceKind)
@@ -101,7 +102,7 @@ def test_criterion_3_cglmp_thresholds():
 def test_criterion_4_two_bell_mixture_endpoints_and_normalizers():
     worst = 0.0
     for kind in KINDS:
-        rows = bd_sweep(kind, "two_bell_mix", 9)
+        rows = np.array(bd_sweep(kind, "two_bell_mix", 9))
         assert rows[0, 0] == 0.5 and rows[-1, 0] == 1.0
         # p = 1/2 sits inside the local set, so the measure is exactly zero
         assert rows[0, 1] == 0.0, kind.value
@@ -204,7 +205,7 @@ def test_criterion_6_property_suites(rng):
             failures.append("density<->pauli roundtrip")
         bd = bd_project(rho)
         again = bd_project(make_bell_diagonal(e=bd.e))
-        if np.max(np.abs(again.a - bd.a)) > 1e-12:
+        if np.max(np.abs(np.subtract(again.a, bd.a))) > 1e-12:
             failures.append("bd_project idempotence")
 
     for _ in range(1000):
@@ -235,7 +236,7 @@ def test_criterion_7_gradients_match_finite_differences(rng):
             if ex.min() < 0.01:
                 continue
             obj = BdObjective(kind, bd_probs_to_corr(ea))
-            x = bd_probs_to_corr(ex)
+            x = np.array(bd_probs_to_corr(ex))
             g = np.array(obj.gradient_at(tuple(x)))
             if np.linalg.norm(g) < 1e-6:
                 continue

@@ -17,10 +17,13 @@ from nlgeo.locality import (
     project_local,
     surface_name,
 )
-from nlgeo.qstate import BELL_CORNERS, PauliRep, bd_probs_to_corr
+from nlgeo.dense import PauliRep
+from nlgeo.qstate import BELL_CORNERS as CORNER_TUPLES, bd_probs_to_corr
 
 N_SAMPLES = 1000
 T = 1.0 / math.sqrt(2.0)
+# the corners as arrays, for the arithmetic below (nlgeo keeps them as tuples)
+BELL_CORNERS = np.array(CORNER_TUPLES)
 
 
 def diag_rep(a) -> PauliRep:
@@ -168,7 +171,7 @@ def _face_and_edge_corr(rng) -> np.ndarray:
     while True:
         e = rng.dirichlet(np.full(4, 0.3))
         e[rng.choice(4, size=rng.integers(1, 3), replace=False)] = 0.0
-        a = bd_probs_to_corr(e / e.sum())
+        a = np.array(bd_probs_to_corr(e / e.sum()))
         if max_pair_sum(a) > 1.0 + 1e-3:
             return a
 

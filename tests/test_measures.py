@@ -21,16 +21,13 @@ from nlgeo.measures import (
     bd_measure_numeric,
     bd_measure_trace,
     bd_sweep,
-    formula_agrees,
     isotropic_measure,
-    isotropic_reference_formula,
-    isotropic_values,
     two_bell_mix_corr,
     werner_max,
     werner_measure,
-    werner_values,
 )
-from nlgeo import cli, measures, qstate, solver
+from nlgeo import arrays, dense, measures, solver
+from nlgeo.arrays import formula_agrees, isotropic_reference_formula, isotropic_values, werner_values
 from nlgeo.cli import main
 from nlgeo.metrics import (
     DistanceKind,
@@ -41,17 +38,17 @@ from nlgeo.metrics import (
     rel_entropy,
 )
 from nlgeo.qstate import (
-    BELL_CORNERS,
+    BELL_CORNERS as CORNER_TUPLES,
     BellDiagonal,
     bd_corr_to_probs,
     bd_probs_to_corr,
-    make_bell_diagonal,
-    make_isotropic,
-    make_werner,
 )
+from nlgeo.dense import make_bell_diagonal, make_isotropic, make_werner
 from nlgeo.validation import MULTISEED_TOL
 
 T = 1.0 / math.sqrt(2.0)
+# the corners as arrays, for the arithmetic below (nlgeo keeps them as tuples)
+BELL_CORNERS = np.array(CORNER_TUPLES)
 KINDS = list(DistanceKind)
 
 # closed-form anchors, frozen from the formulas
@@ -177,10 +174,10 @@ def test_iso_builds_no_density_matrix(monkeypatch, tmp_path):
         references.append(args)
         return isotropic_reference_formula(*args)
 
-    monkeypatch.setattr(qstate, "make_isotropic", refuse)
+    monkeypatch.setattr(dense, "make_isotropic", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    monkeypatch.setattr(cli, "isotropic_reference_formula", counted)
+    monkeypatch.setattr(arrays, "isotropic_reference_formula", counted)
     kinds = [flag for k in KINDS for flag in ("--kind", k.value)]
     assert main(["iso", "--d", "3", "--n", "20", *kinds, "--out", str(tmp_path / "iso.csv")]) == 0
     # the quoted forms too are one array evaluation per kind
@@ -710,7 +707,7 @@ def test_trace_closed_form_is_the_enumerated_minimum(rng):
 def test_trace_distance_is_a_norm_of_the_correlators(coords):
     # (1/2) sum_k |w_k - e_k| = (1/2) max(||x - a||_inf, ||x - a||_1 / 2)
     x, a = np.array(coords[:3]), np.array(coords[3:])
-    direct = 0.5 * float(np.sum(np.abs(bd_corr_to_probs(x) - bd_corr_to_probs(a))))
+    direct = 0.5 * float(np.sum(np.abs(np.subtract(bd_corr_to_probs(x), bd_corr_to_probs(a)))))
     assert measures._trace_distance(x, a) == pytest.approx(direct, abs=1e-15)
 
 
@@ -822,7 +819,7 @@ def test_measure_invariant_under_tetra_symmetries():
 def test_monotone_along_rays_hs(rng):
     for _ in range(50):
         a = random_nonlocal_corr(rng)
-        e = bd_corr_to_probs(a)
+        e = np.array(bd_corr_to_probs(a))
         slopes = 4.0 * e - 1.0
         lam_max = min(-1.0 / s for s in slopes if s < 0)
         values = [
@@ -922,7 +919,7 @@ def test_two_bell_mix_family():
 
 def test_bd_sweep_two_bell_mix():
     for kind in KINDS:
-        rows = bd_sweep(kind, "two_bell_mix", 5)
+        rows = np.array(bd_sweep(kind, "two_bell_mix", 5))
         assert rows.shape == (5, 2)
         assert rows[0, 0] == 0.5 and rows[-1, 0] == 1.0
         assert rows[0, 1] == 0.0  # p = 1/2 is the local point
@@ -931,7 +928,7 @@ def test_bd_sweep_two_bell_mix():
 
 
 def test_bd_sweep_werner_line():
-    rows = bd_sweep(DistanceKind.TRACE, "werner_line", 7)
+    rows = np.array(bd_sweep(DistanceKind.TRACE, "werner_line", 7))
     assert rows[0, 1] == 0.0
     assert rows[-1, 1] == pytest.approx(1.0, abs=1e-9)
     assert np.all(np.diff(rows[:, 1]) >= -1e-9)

@@ -15,15 +15,10 @@ from nlgeo.errors import (
     NotPSD,
     OutOfRange,
 )
-from nlgeo.qstate import (
-    BELL_CORNERS,
-    BellDiagonal,
+from nlgeo.dense import (
     DensityMatrix,
-    IsotropicParam,
     PauliRep,
-    WernerParam,
-    bd_corr_to_probs,
-    bd_probs_to_corr,
+    _eig_hermitian,
     bd_project,
     density_to_pauli,
     make_bell_diagonal,
@@ -34,7 +29,14 @@ from nlgeo.qstate import (
     phi_plus_ket,
     twirl_isotropic,
 )
-from nlgeo.qstate import _eig_hermitian
+from nlgeo.qstate import (
+    BELL_CORNERS,
+    BellDiagonal,
+    IsotropicParam,
+    WernerParam,
+    bd_corr_to_probs,
+    bd_probs_to_corr,
+)
 from nlgeo.locality import cglmp_threshold
 from nlgeo.measures import bd_measure
 from nlgeo.metrics import (
@@ -119,7 +121,7 @@ def test_corr_prob_roundtrip(rng):
         e = rng.dirichlet(np.ones(4))
         a = bd_probs_to_corr(e)
         assert np.max(np.abs(bd_corr_to_probs(a) - e)) <= 1e-12
-        assert np.max(np.abs(bd_probs_to_corr(bd_corr_to_probs(a)) - a)) <= 1e-12
+        assert np.max(np.abs(np.subtract(bd_probs_to_corr(bd_corr_to_probs(a)), a))) <= 1e-12
 
 
 def test_bell_corners_are_unit_weight_points():
@@ -189,7 +191,7 @@ def test_bd_project_extracts_diagonal_and_is_idempotent(rng):
         corr = density_to_pauli(rho).corr
         assert np.max(np.abs(bd.a - np.diag(corr))) <= 1e-12
         again = bd_project(make_bell_diagonal(a=bd.a))
-        assert np.max(np.abs(again.a - bd.a)) <= 1e-12
+        assert np.max(np.abs(np.subtract(again.a, bd.a))) <= 1e-12
 
 
 def test_bd_project_product_state():

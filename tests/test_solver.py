@@ -108,7 +108,7 @@ def test_newton_system_matches_finite_differences_of_the_barrier(rng, kind):
         obj = BdObjective(kind, random_nonlocal_corr(rng))
         # the projection of a nonlocal point lies on a cylinder, strictly
         # inside the tetrahedron; pull it in so that one slack is 1e-4..1e-3
-        p = project_local(random_nonlocal_corr(rng)).point
+        p = np.array(project_local(random_nonlocal_corr(rng)).point)
         x = tuple(float(v) for v in p * (1.0 - rng.uniform(5e-5, 5e-4)))
         slacks = solver._slacks(x)
         assert min(slacks) > 0.0 and min(slacks[4:]) <= 1e-3
