@@ -162,12 +162,13 @@ class BdObjective:
     """Distance objective between a fixed Bell-diagonal state and a variable
     one, as a sum of one term per Bell weight of the variable state.
 
-    value(w) is the objective at the weights w, and derivatives(w), at
-    positive weights, each term's first and second derivative in its weight:
-    the pair that solver.minimize_over_local_set takes, picked for the kind
-    at construction. value_at and gradient_at are the same in correlator
-    coordinates x. The minimized quantity is the squared Hellinger distance
-    or the relative entropy in bits; any other kind raises OutOfRange.
+    terms(w0, w1, w2, w3), at positive weights, is the kernel that
+    solver.minimize_over_local_set takes: the objective, then each term's
+    first derivative in its weight, then each second derivative, as one flat
+    tuple. value_at and gradient_at read it in correlator coordinates x,
+    strictly inside the tetrahedron. The minimized quantity is the squared
+    Hellinger distance or the relative entropy in bits; any other kind raises
+    OutOfRange.
     """
 
     def __init__(self, kind: DistanceKind, a):
@@ -175,49 +176,47 @@ class BdObjective:
             raise OutOfRange(f"no numeric objective for kind {kind.value!r}")
         self._e = bd_corr_to_probs(a)
         self._sqrt_e = tuple(math.sqrt(max(ei, 0.0)) for ei in self._e)
-        self.value, self.derivatives = {
-            DistanceKind.HELLINGER: (self._hellinger, self._hellinger_derivatives),
-            DistanceKind.RELATIVE_ENTROPY: (self._relative_entropy, self._relative_entropy_derivatives),
-        }[kind]
+        self._hellinger = kind is DistanceKind.HELLINGER
 
     def value_at(self, x) -> float:
-        return self.value(solver.probs(x))
+        return self.terms(*solver.probs(x))[0]
 
     def gradient_at(self, x) -> tuple[float, float, float]:
-        return solver.weights_gradient(self.derivatives(solver.probs(x))[0])
+        return solver.weights_gradient(self.terms(*solver.probs(x))[1:5])
 
-    def _hellinger(self, w):
-        s = 0.0
-        for si, wk in zip(self._sqrt_e, w):
-            if wk > 0.0:
-                s += si * math.sqrt(wk)
-        return max(2.0 - 2.0 * s, 0.0)
-
-    def _hellinger_derivatives(self, w):
-        d, h = [], []
-        for si, wk in zip(self._sqrt_e, w):
-            r = si / math.sqrt(wk)
-            d.append(-r)
-            h.append(0.5 * r / wk)
-        return d, h
-
-    def _relative_entropy(self, w):
-        total = 0.0
-        for ek, wk in zip(self._e, w):
-            # a weight <= 1e-15 contributes nothing (0 log 0 = 0)
-            if ek > 1e-15:
-                if wk <= 0.0:
-                    return math.inf
-                total += ek * math.log2(ek / wk)
-        return total
-
-    def _relative_entropy_derivatives(self, w):
-        d, h = [], []
-        for ek, wk in zip(self._e, w):
-            q = ek / (wk * _LN2) if ek > 1e-15 else 0.0
-            d.append(-q)
-            h.append(q / wk)
-        return d, h
+    def terms(self, w0, w1, w2, w3):
+        # written out per weight: the barrier solve calls this about 50 times
+        if self._hellinger:
+            s0, s1, s2, s3 = self._sqrt_e
+            q0 = math.sqrt(w0)
+            q1 = math.sqrt(w1)
+            q2 = math.sqrt(w2)
+            q3 = math.sqrt(w3)
+            r0 = s0 / q0
+            r1 = s1 / q1
+            r2 = s2 / q2
+            r3 = s3 / q3
+            return (
+                max(2.0 - 2.0 * (s0 * q0 + s1 * q1 + s2 * q2 + s3 * q3), 0.0),
+                -r0, -r1, -r2, -r3,
+                0.5 * r0 / w0, 0.5 * r1 / w1, 0.5 * r2 / w2, 0.5 * r3 / w3,
+            )
+        e0, e1, e2, e3 = self._e
+        # a weight e_k <= 1e-15 contributes nothing (0 log 0 = 0)
+        f = q0 = q1 = q2 = q3 = 0.0
+        if e0 > 1e-15:
+            f += e0 * math.log2(e0 / w0)
+            q0 = e0 / (w0 * _LN2)
+        if e1 > 1e-15:
+            f += e1 * math.log2(e1 / w1)
+            q1 = e1 / (w1 * _LN2)
+        if e2 > 1e-15:
+            f += e2 * math.log2(e2 / w2)
+            q2 = e2 / (w2 * _LN2)
+        if e3 > 1e-15:
+            f += e3 * math.log2(e3 / w3)
+            q3 = e3 / (w3 * _LN2)
+        return f, -q0, -q1, -q2, -q3, q0 / w0, q1 / w1, q2 / w2, q3 / w3
 
 
 def _lagrange_case(kind: DistanceKind, value: float, proj: LocalProjection) -> MeasureResult:
@@ -310,7 +309,7 @@ def bd_measure_numeric(kind: DistanceKind, a) -> MeasureResult:
     if bd_is_chsh_local(a):
         return _closed_form(kind, 0.0, BellDiagonal.from_corr(a))
     obj = BdObjective(DistanceKind.HELLINGER if kind is DistanceKind.BURES else kind, a)
-    report = solver.minimize_over_local_set(obj.value, obj.derivatives)
+    report = solver.minimize_over_local_set(obj.terms)
     x = report.x
     active = [p for p, v in zip(DISK_PAIRS, solver.pair_violations(x)) if abs(v) <= 1e-8]
     return MeasureResult(

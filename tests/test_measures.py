@@ -45,6 +45,7 @@ from nlgeo.qstate import (
 )
 from nlgeo.dense import make_bell_diagonal, make_isotropic, make_werner
 from nlgeo.validation import MULTISEED_TOL
+from test_solver import weights_hessian
 
 T = 1.0 / math.sqrt(2.0)
 # the corners as arrays, for the arithmetic below (nlgeo keeps them as tuples)
@@ -576,6 +577,34 @@ def test_former_all_infinite_starts_input_converges():
     assert res.value <= slsqp_value(DistanceKind.RELATIVE_ENTROPY, a) + 1e-9
 
 
+# Bell weights from 0 through subnormal to small, and the shares of the other
+# three weights: near-pure states and two-Bell mixtures
+EXTREME_WEIGHTS = (0.0, 5e-324, 1e-300, 1e-200, 1e-100, 1e-50, 1e-20, 1e-16, 1e-15, 1e-14, 1e-10, 1e-6)
+EXTREME_SHARES = (
+    (1.0, 0.0, 0.0),
+    (0.0, 1.0, 0.0),
+    (0.0, 0.0, 1.0),
+    (0.5, 0.5, 0.0),
+    (0.9, 0.1, 0.0),
+    (0.0, 0.8, 0.2),
+    (0.3, 0.0, 0.7),
+)
+
+
+def test_extreme_inputs_converge_inside_the_local_set():
+    # no physical input may end in a traceback: each extreme weight in each
+    # position, next to each share pattern, for every kind
+    for v, k, shares in itertools.product(EXTREME_WEIGHTS, range(4), EXTREME_SHARES):
+        rest = [(1.0 - v) * s for s in shares]
+        a = bd_probs_to_corr(rest[:k] + [v] + rest[k:])
+        for kind in KINDS:
+            res = bd_measure(kind, a)
+            assert math.isfinite(res.value) and res.converged, (kind, a)
+            if res.method == "numeric":
+                x = res.closest_local.a
+                assert min(solver.probs(x)) > 0.0 and max(solver.pair_violations(x)) < 0.0, (kind, a)
+
+
 # The trace measure. For Bell-diagonal states with correlators x and a,
 # (1/2) sum_k |w_k - e_k| = (1/2) N(x - a) with N(v) = max(||v||_inf, ||v||_1 / 2),
 # the largest of c . v over the 14 dual vertices c below. N's unit ball is
@@ -1024,7 +1053,7 @@ def test_gradient_matches_finite_differences(rng):
             denom = max(np.linalg.norm(g), 1e-9)
             assert np.linalg.norm(fd - g) / denom < 1e-4, kind
             # the Hessian against differences of the gradient
-            h = np.array(solver.weights_hessian(obj.derivatives(solver.probs(tuple(x)))[1]))
+            h = np.array(weights_hessian(obj.terms(*solver.probs(tuple(x)))[5:]))
             assert np.array_equal(h, h.T)
             fd_h = np.empty((3, 3))
             for i in range(3):
