@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NonPhysical, OutOfRange
 from .qstate import bd_corr_to_probs, float_vector
@@ -33,24 +33,18 @@ def surface_name(pairs) -> str | None:
     return "+".join(names) or None
 
 
-@dataclass(frozen=True)
-class ChshVerdict:
+class ChshVerdict(namedtuple("ChshVerdict", "singulars criterion_value is_local")):
     """Outcome of the CHSH criterion: correlation singular values d1 >= d2 >= d3,
     the value d1^2 + d2^2, and whether the state admits a local model."""
 
-    singulars: tuple[float, float, float]
-    criterion_value: float
-    is_local: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CglmpThreshold:
+class CglmpThreshold(namedtuple("CglmpThreshold", "d i_d_qm omega_threshold")):
     """Quantum CGLMP maximum I_d and the visibility 2/I_d separating local from
     nonlocal isotropic states."""
 
-    d: int
-    i_d_qm: float
-    omega_threshold: float
+    __slots__ = ()
 
 
 def chsh_verdict(rep) -> ChshVerdict:
@@ -88,7 +82,7 @@ def cglmp_threshold(d: int) -> CglmpThreshold:
     I_d = 4d sum_{k=0}^{floor(d/2)-1} (1 - 2k/(d-1)) (q_k - q_{-(k+1)}),
     evaluated literally; at d = 2 the sum is the single k = 0 term and the
     threshold reduces to the CHSH value 1/sqrt(2). Cached per d (the result
-    is frozen): an isotropic sweep asks for it once per weight and kind.
+    is immutable): an isotropic sweep asks for it once per weight and kind.
     """
     if not (d >= 2 and float(d).is_integer()):
         raise OutOfRange(f"local dimension must be an integer >= 2, got {d}")
@@ -179,15 +173,12 @@ def _arc_angle(b_i: float, b_jk: float) -> float:
         t = step
 
 
-@dataclass(frozen=True)
-class LocalProjection:
-    """Nearest point of the local set to a, its distance from a, and the
-    active boundary piece as surface_name names it (None when a is local
-    itself)."""
+class LocalProjection(namedtuple("LocalProjection", "point distance surface")):
+    """Nearest point of the local set to a (a tuple of three floats), its
+    distance from a, and the active boundary piece as surface_name names it
+    (None when a is local itself)."""
 
-    point: tuple[float, float, float]
-    distance: float
-    surface: str | None
+    __slots__ = ()
 
 
 def nearest_in_chamber(a, solve) -> LocalProjection:

@@ -22,7 +22,7 @@ closed forms over whole arrays of parameters are numpy code, in nlgeo.arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NotConverged, OutOfRange
 from .kinds import DistanceKind
@@ -52,8 +52,8 @@ WERNER_THRESHOLD = 1.0 / math.sqrt(2.0)
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class MeasureResult:
+class MeasureResult(namedtuple("MeasureResult", "kind value closest_local method surface iterations converged",
+                               defaults=(None, 0, True))):
     """A computed measure together with its minimizer and solve diagnostics.
 
     value is the measure itself (squared distance for Hellinger and Bures),
@@ -62,16 +62,10 @@ class MeasureResult:
     Bell-diagonal state) and numeric, and
     surface names the active boundary piece (locality.surface_name) when one
     is identified. The diagnostics default to those of an exact result: no
-    iterations, converged.
+    surface, no iterations, converged.
     """
 
-    kind: DistanceKind
-    value: float
-    closest_local: object
-    method: str
-    surface: str | None = None
-    iterations: int = 0
-    converged: bool = True
+    __slots__ = ()
 
 
 def _closed_form(kind: DistanceKind, value: float, closest: object) -> MeasureResult:

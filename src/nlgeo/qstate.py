@@ -11,7 +11,7 @@ constructors and the symmetrizing maps) live in nlgeo.dense, the numpy layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DimensionMismatch, InvalidProbability, NonPhysical, OutOfRange
 
@@ -71,17 +71,22 @@ def bd_corr_to_probs(a) -> tuple[float, float, float, float]:
     )
 
 
-@dataclass(frozen=True)
-class BellDiagonal:
+class _Checked:
+    """Base of a record whose __new__ checks or converts its fields: _make, and
+    with it _replace, goes through __new__ too."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+
+class BellDiagonal(_Checked, namedtuple("BellDiagonal", "a e")):
     """Bell-diagonal state given by correlators a (3) and Bell weights e (4),
     each a tuple of floats."""
 
-    a: tuple[float, ...]
-    e: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", tuple(map(float, self.a)))
-        object.__setattr__(self, "e", tuple(map(float, self.e)))
+    def __new__(cls, a, e):
+        return super().__new__(cls, tuple(map(float, a)), tuple(map(float, e)))
 
     @classmethod
     def from_corr(cls, a) -> "BellDiagonal":
@@ -97,27 +102,26 @@ class BellDiagonal:
         return cls(a=a, e=e)
 
 
-@dataclass(frozen=True)
-class WernerParam:
+class WernerParam(_Checked, namedtuple("WernerParam", "w")):
     """Werner family parameter w, admissible on (-1/3, 1]."""
 
-    w: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (-1.0 / 3.0 < self.w <= 1.0 + 1e-12):
-            raise OutOfRange(f"Werner parameter {self.w} outside (-1/3, 1]")
+    def __new__(cls, w):
+        if not (-1.0 / 3.0 < w <= 1.0 + 1e-12):
+            raise OutOfRange(f"Werner parameter {w} outside (-1/3, 1]")
+        return super().__new__(cls, w)
 
 
-@dataclass(frozen=True)
-class IsotropicParam:
+class IsotropicParam(_Checked, namedtuple("IsotropicParam", "d omega")):
     """Isotropic family parameter: local dimension d and mixing weight omega."""
 
-    d: int
-    omega: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.d >= 2 and float(self.d).is_integer()):
-            raise OutOfRange(f"local dimension must be an integer >= 2, got {self.d}")
-        lo = -1.0 / (self.d * self.d - 1.0)
-        if not (lo - 1e-12 <= self.omega <= 1.0 + 1e-12):
-            raise OutOfRange(f"omega {self.omega} outside [{lo}, 1] for d={self.d}")
+    def __new__(cls, d, omega):
+        if not (d >= 2 and float(d).is_integer()):
+            raise OutOfRange(f"local dimension must be an integer >= 2, got {d}")
+        lo = -1.0 / (d * d - 1.0)
+        if not (lo - 1e-12 <= omega <= 1.0 + 1e-12):
+            raise OutOfRange(f"omega {omega} outside [{lo}, 1] for d={d}")
+        return super().__new__(cls, d, omega)

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .locality import DISK_PAIRS
 
@@ -59,11 +59,10 @@ BOUNDARY_FRACTION = 0.01
 N_CONSTRAINTS = 4 + len(DISK_PAIRS)
 
 
-@dataclass
-class SolveReport:
-    x: tuple[float, float, float]
-    iterations: int
-    converged: bool
+class SolveReport(namedtuple("SolveReport", "x iterations converged")):
+    """The last stage's point, the Newton steps of all stages, and whether all converged."""
+
+    __slots__ = ()
 
 
 def probs(x) -> tuple[float, float, float, float]:
@@ -97,20 +96,26 @@ def _slacks(x) -> tuple[float, ...]:
     return probs(x) + tuple(map(operator.neg, pair_violations(x)))
 
 
-def _newton_stage(terms, x, t: float):
-    """Damped Newton on the barrier objective at t from an interior x; returns
-    (x, steps, converged). The float operations are those of the tests'
-    reference stage, in its order, so the results are the same bit for bit."""
+def _scored(terms, x, slacks) -> tuple:
+    """A stage's start state at an interior x: x, its slacks, the sum() of their
+    logs (as the reference takes it; CPython 3.12 compensates a float sum(), so
+    a chain of + would round differently) and terms there."""
+    return (*x, *slacks, sum(map(math.log, slacks)), terms(*slacks[:4]))
+
+
+def _newton_stage(terms, state, t: float):
+    """Damped Newton on the barrier objective at t from a _scored state; returns
+    (state, steps, converged) with the state of its end point, where the next
+    stage can start without scoring it again: nothing in it depends on t. The
+    float operations are those of the tests' reference stage, in its order,
+    so the results are the same bit for bit."""
     max_iters, armijo, tol, fraction = MAX_ITERS, ARMIJO, DECREMENT_TOL, BOUNDARY_FRACTION
     log, sqrt = math.log, math.sqrt
-    x0, x1, x2 = x
-    w0, w1, w2, w3, c01, c02, c12 = _slacks(x)
-    # a sum() of the logs, as the reference barrier value takes it: CPython
-    # 3.12 compensates a float sum(), so a chain of + would round differently
-    barrier = t * sum(map(log, (w0, w1, w2, w3, c01, c02, c12)))
-    f, d0, d1, d2, d3, h0, h1, h2, h3 = terms(w0, w1, w2, w3)
-    phi = f - barrier
+    x0, x1, x2, w0, w1, w2, w3, c01, c02, c12, logs, scored = state
+    f, d0, d1, d2, d3, h0, h1, h2, h3 = scored
+    phi = f - t * logs
     t2 = 2.0 * t
+    done = False
     for it in range(max_iters + 1):
         # each -t log w_k adds -t / w_k and t / w_k^2 to its weight's derivatives
         e0 = d0 - t / w0
@@ -142,25 +147,26 @@ def _newton_stage(terms, x, t: float):
         # a pivot that is not positive means H is not numerically positive definite
         p0 = diag + (q01 + q02) * x0 * x0 + u01 + u02
         if not p0 > 0.0:
-            return (x0, x1, x2), it, False
+            break
         l00 = sqrt(p0)
         l10 = a01 / l00
         l20 = a02 / l00
         p1 = diag + (q01 + q12) * x1 * x1 + u01 + u12 - l10 * l10
         if not p1 > 0.0:
-            return (x0, x1, x2), it, False
+            break
         l11 = sqrt(p1)
         l21 = (a12 - l20 * l10) / l11
         p2 = diag + (q02 + q12) * x2 * x2 + u02 + u12 - l20 * l20 - l21 * l21
         if not p2 > 0.0:
-            return (x0, x1, x2), it, False
+            break
         l22 = sqrt(p2)
         y0 = -g0 / l00
         y1 = (-g1 - l10 * y0) / l11
         y2 = (-g2 - l20 * y0 - l21 * y1) / l22
         dec = y0 * y0 + y1 * y1 + y2 * y2
         if 0.5 * dec <= tol:
-            return (x0, x1, x2), it, True
+            done = True
+            break
         if it == max_iters:
             break
         s2 = y2 / l22
@@ -174,8 +180,7 @@ def _newton_stage(terms, x, t: float):
             n1 = x1 + s * s1
             n2 = x2 + s * s2
             if n0 == x0 and n1 == x1 and n2 == x2:
-                # the step fell below float resolution without enough decrease
-                return (x0, x1, x2), it, False
+                break  # the step fell below float resolution without enough decrease
             v0 = 0.25 * (1.0 + n0 + n1 - n2)
             v1 = 0.25 * (1.0 + n0 - n1 + n2)
             v2 = 0.25 * (1.0 - n0 + n1 + n2)
@@ -185,16 +190,18 @@ def _newton_stage(terms, x, t: float):
             b12 = 1.0 - (n1 * n1 + n2 * n2)
             if (v0 >= floor0 and v1 >= floor1 and v2 >= floor2 and v3 >= floor3
                     and b01 >= floor01 and b02 >= floor02 and b12 >= floor12):
-                barrier = t * sum(map(log, (v0, v1, v2, v3, b01, b02, b12)))
+                logn = sum(map(log, (v0, v1, v2, v3, b01, b02, b12)))
                 trial = terms(v0, v1, v2, v3)
-                phin = trial[0] - barrier
+                phin = trial[0] - t * logn
                 if phin <= phi - armijo * s * dec:
                     break
             s *= 0.5
+        if n0 == x0 and n1 == x1 and n2 == x2:
+            break
         x0, x1, x2, w0, w1, w2, w3, c01, c02, c12 = n0, n1, n2, v0, v1, v2, v3, b01, b02, b12
-        phi = phin
+        phi, logs, scored = phin, logn, trial
         _, d0, d1, d2, d3, h0, h1, h2, h3 = trial
-    return (x0, x1, x2), max_iters, False
+    return (x0, x1, x2, w0, w1, w2, w3, c01, c02, c12, logs, scored), it, done
 
 
 def minimize_over_local_set(terms) -> SolveReport:
@@ -202,28 +209,29 @@ def minimize_over_local_set(terms) -> SolveReport:
 
     ``terms(w0, w1, w2, w3)`` gives the tuple (f, f_0'(w0), .., f_3'(w3),
     f_0''(w0), .., f_3''(w3)) at four Bell weights. It is called only where
-    all seven slacks are positive, and once per point the solver scores: each
-    stage start and each line-search trial that passes the boundary floor. A
-    stage that ends without meeting DECREMENT_TOL (after MAX_ITERS Newton
-    steps, at a non-positive Cholesky pivot, or at a step below float
+    all seven slacks are positive, and once per point the solver scores: the
+    origin, each secant start and each line-search trial past the boundary
+    floor. A stage that ends without meeting DECREMENT_TOL (after MAX_ITERS
+    Newton steps, at a non-positive Cholesky pivot, or at a step below float
     resolution) leaves the report unconverged; later stages still run.
     """
-    start = (0.0, 0.0, 0.0)
+    state = _scored(terms, (0.0, 0.0, 0.0), _slacks((0.0, 0.0, 0.0)))
     prev = None
     t = T_FIRST
     total = 0
     converged = True
     while True:
-        x, steps, done = _newton_stage(terms, start, t)
+        state, steps, done = _newton_stage(terms, state, t)
+        x = state[:3]
         total += steps
         converged = converged and done
         if N_CONSTRAINTS * t <= GAP:
             break
         t *= STAGE_REDUCTION
-        start = x
         if prev is not None:
             xp = tuple(xk + STAGE_REDUCTION * (xk - pk) for xk, pk in zip(x, prev))
-            if min(_slacks(xp)) > 0.0:
-                start = xp
+            slacks = _slacks(xp)
+            if min(slacks) > 0.0:
+                state = _scored(terms, xp, slacks)
         prev = x
     return SolveReport(x=x, iterations=total, converged=converged)

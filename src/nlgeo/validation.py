@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .kinds import DistanceKind
 from .measures import (
@@ -34,14 +34,10 @@ MULTISEED_POINTS = (
 )
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    max_error: float
-    tolerance: float
-    seconds: float
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "name passed max_error tolerance seconds detail", defaults=("",))):
+    """One check: its name, verdict, worst error, tolerance, wall seconds and a note."""
+
+    __slots__ = ()
 
 
 def _oracle_werner(kind: DistanceKind, solved: dict) -> CheckResult:

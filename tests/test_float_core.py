@@ -1,7 +1,7 @@
 """The Bell-diagonal core runs on Python floats: importing it, and running the
-Bell-diagonal commands, leaves numpy unimported, its values are Python
-floats, and its float maps reproduce the numpy expressions they replace bit
-for bit."""
+Bell-diagonal commands, leaves numpy and dataclasses unimported, its values
+are Python floats, its records are immutable named tuples, and its float maps
+reproduce the numpy expressions they replace bit for bit."""
 
 import math
 import os
@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 import nlgeo
-from nlgeo import locality, measures
+from nlgeo import locality, measures, solver
 from nlgeo.arrays import isotropic_values, werner_values
+from nlgeo.errors import NonPhysical, OutOfRange
 from nlgeo.kinds import DistanceKind
-from nlgeo.qstate import bd_corr_to_probs, bd_probs_to_corr
-from nlgeo.validation import run_validation
+from nlgeo.qstate import BellDiagonal, IsotropicParam, WernerParam, bd_corr_to_probs, bd_probs_to_corr
+from nlgeo.validation import CheckResult, run_validation
 
 KINDS = list(DistanceKind)
 
@@ -43,8 +44,13 @@ IMPORT_GUARD = textwrap.dedent(
     """
     import os, sys
     out = sys.argv[1]
+
+    def loaded():
+        # numpy, and dataclasses with the inspect module it imports
+        return [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
+
     import nlgeo, nlgeo.cli
-    assert "numpy" not in sys.modules, "import"
+    assert loaded() == [], ("import", loaded())
     for i, argv in enumerate((
         ["bd-measure", "--a=0.84,0.63,-0.5"],
         ["bd-sweep", "--n", "5"],
@@ -52,7 +58,7 @@ IMPORT_GUARD = textwrap.dedent(
         ["validate"],
     )):
         assert nlgeo.cli.main(argv + ["--out", os.path.join(out, f"{i}.csv")]) == 0, argv
-        assert "numpy" not in sys.modules, argv
+        assert loaded() == [], (argv, loaded())
     rho = nlgeo.DensityMatrix(dim=2, mat=nlgeo.make_werner(0.9).mat)
     from nlgeo import chsh_verdict, dist_trace, make_werner
     assert "numpy" in sys.modules
@@ -86,6 +92,42 @@ def test_measure_values_and_points_are_python_floats(kind, a):
             assert type(vector) is tuple and all(type(v) is float for v in vector)
     assert type(measures.werner_measure(kind, 0.9).value) is float
     assert type(measures.isotropic_measure(kind, 3, 0.9).value) is float
+
+
+def test_records_are_immutable_named_tuples():
+    a = (0.84, 0.63, -0.5)
+    res = measures.bd_measure(DistanceKind.HELLINGER, a)
+    records = [
+        res,
+        res.closest_local,
+        WernerParam(0.9),
+        IsotropicParam(d=3, omega=0.5),
+        locality.cglmp_threshold(3),
+        locality.project_local(a),
+        locality.chsh_verdict(nlgeo.density_to_pauli(nlgeo.make_werner(0.9))),
+        solver.minimize_over_local_set(measures.BdObjective(DistanceKind.HELLINGER, a).terms),
+        CheckResult("check", True, 0.0, 1e-6, 0.0),
+    ]
+    for record in records:
+        assert isinstance(record, tuple) and not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        assert tuple(record) == record and record._replace() == record
+    # the checks run on construction, and through _make and _replace too
+    with pytest.raises(OutOfRange):
+        WernerParam(-0.5)
+    with pytest.raises(OutOfRange):
+        IsotropicParam(d=1, omega=0.5)
+    with pytest.raises(OutOfRange):
+        WernerParam(0.9)._replace(w=-0.5)
+    with pytest.raises(NonPhysical):
+        BellDiagonal.from_corr((1.0, 1.0, 1.0))
+    for bd in (BellDiagonal(np.array(a), np.array(bd_corr_to_probs(a))), res.closest_local._replace(a=np.array(a))):
+        assert all(type(v) is tuple and all(type(x) is float for x in v) for v in bd)
+    exact = measures.bd_measure(DistanceKind.HS, (0.1, 0.2, -0.3))
+    assert (exact.surface, exact.iterations, exact.converged) == (None, 0, True)
+    assert measures.MeasureResult(DistanceKind.HS, 0.0, None, "closed_form") == exact._replace(closest_local=None)
+    assert CheckResult("check", True, 0.0, 1e-6, 0.0).detail == ""
 
 
 def test_validation_errors_are_python_floats():

@@ -1,4 +1,3 @@
-import dataclasses
 import decimal
 import itertools
 import math
@@ -290,9 +289,9 @@ def test_bures_is_the_hellinger_result(rng):
         he = bd_measure(DistanceKind.HELLINGER, a)
         assert bu.kind is DistanceKind.BURES
         # field for field, apart from kind; the closest state by its arrays
-        assert dataclasses.replace(
-            bu, kind=DistanceKind.HELLINGER, closest_local=None
-        ) == dataclasses.replace(he, closest_local=None), a
+        assert bu._replace(kind=DistanceKind.HELLINGER, closest_local=None) == he._replace(
+            closest_local=None
+        ), a
         assert np.array_equal(bu.closest_local.a, he.closest_local.a)
 
 
@@ -1020,7 +1019,7 @@ def test_bd_grid_unconverged_names_the_first_row_of_its_class(monkeypatch):
     def failing(kind, a):
         res = bd_measure(kind, a)
         weights = sorted(round(11 * x) for x in bd_corr_to_probs(a)[:3])
-        return dataclasses.replace(res, converged=False) if weights == [1, 2, 8] else res
+        return res._replace(converged=False) if weights == [1, 2, 8] else res
 
     monkeypatch.setattr(measures, "bd_measure", failing)
     with pytest.raises(NotConverged) as err:

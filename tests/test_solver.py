@@ -318,9 +318,11 @@ def test_solve_is_bit_identical_to_the_reference(rng, monkeypatch):
 
 
 def test_one_terms_call_per_scored_point(rng):
-    # a deterministic count: the kernel is called once per stage start and per
-    # line-search trial that passes the boundary floor, about 50 times per
-    # solve here; separate value and derivative calls made about 100
+    # a deterministic count: the kernel is called once per line-search trial
+    # that passes the boundary floor and once per stage start that is not
+    # where the last stage ended, about 46 times per solve here; scoring every
+    # stage start made about 49, and separate value and derivative calls
+    # about 100
     calls = 0
     inputs = [random_nonlocal_corr(rng) for _ in range(40)]
     for a in inputs:
@@ -333,7 +335,7 @@ def test_one_terms_call_per_scored_point(rng):
                 return terms(*w)
 
             assert minimize_over_local_set(counting).converged
-    assert calls / (len(inputs) * len(OBJECTIVE_KINDS)) <= 55
+    assert calls / (len(inputs) * len(OBJECTIVE_KINDS)) <= 47
 
 
 @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
