@@ -11,23 +11,28 @@ stage minimizes
 
     f(w(x)) - t * (sum_k log w_k + sum_(i,j) log(1 - x_i^2 - x_j^2))
 
-by damped Newton steps, and t falls tenfold per stage. A stage minimizer is
-within 7 t of the optimum over L, one t per constraint (Boyd & Vandenberghe,
-Convex Optimization, section 11.2), so the last stage is the first with
-7 t <= GAP. Every iterate is strictly inside L.
+by damped Newton steps, and t falls by STAGE_REDUCTION per stage. A stage
+minimizer is within 7 t of the optimum over L, one t per constraint (Boyd &
+Vandenberghe, Convex Optimization, section 11.2), so the last stage is the
+first with 7 t <= GAP: the eighth, at t = 1.28e-12. Every iterate is strictly
+inside L.
 
-Warm start: the stage minimizers x(t) lie on the central path, along which a
-slack that vanishes at the optimum goes like t. So from the third stage on a
-stage starts at the secant prediction x_k + STAGE_REDUCTION (x_k - x_(k-1))
-of its own minimizer, which predicts such a slack exactly, when that point is
-strictly inside L; otherwise at x_k. Each step is damped by a backtracking
-line search with a fraction-to-boundary floor (Nocedal & Wright, Numerical
-Optimization, section 19.2): a trial point must keep every slack at or above
-BOUNDARY_FRACTION of its value at the current iterate. Without the floor, a
-step that meets the Armijo condition can shrink a slack of about t by nearly
-four orders of magnitude, and the barrier Hessian then loses positive
-definiteness in floating point. A Newton system that is not numerically
-positive definite ends its stage unconverged.
+Warm start: the stage minimizers x(t) lie on the central path
+grad f + t grad B = 0, B = -sum log(slacks), whose tangent solves
+H dx/dt = -grad B, H the barrier Hessian. A converged stage holds the Cholesky
+factor of H at its end point x, so the next stage starts at the predictor
+x + (t_next - t) dx/dt (Nocedal & Wright, Numerical Optimization, section
+14.2) when that point is strictly inside L, and otherwise at x. The tangent
+predicts exactly a slack that vanishes like t along the path, so t can fall
+fiftyfold per stage.
+
+Each step is damped by a backtracking line search with a fraction-to-boundary
+floor (Nocedal & Wright, section 19.2): a trial point must keep every slack
+at or above BOUNDARY_FRACTION of its value at the current iterate. Without
+the floor, a step that meets the Armijo condition can shrink a slack of about
+t by nearly four orders of magnitude, and the barrier Hessian then loses
+positive definiteness in floating point. A Newton system that is not
+numerically positive definite ends its stage unconverged.
 
 The decision space has three coordinates, so a stage is one loop on local
 floats (a Python call costs more than the arithmetic it would wrap); numpy is
@@ -42,12 +47,13 @@ from collections import namedtuple
 
 from .locality import DISK_PAIRS
 
-# Newton steps allowed per barrier stage. A stage needs a handful: at most 17,
-# mean 2.7, over 32,968 stages of random, grid and sweep inputs
+# Newton steps allowed per barrier stage. A stage needs a handful: at most 14,
+# mean 3.1, over 18,944 stages of random, grid and sweep inputs
 MAX_ITERS = 500
 T_FIRST = 1.0
-# t falls by this factor per stage, and the warm start extrapolates by it
-STAGE_REDUCTION = 0.1
+# t falls by this factor per stage; the tangent start keeps stages short
+# at this steep fall
+STAGE_REDUCTION = 0.02
 GAP = 1e-11
 ARMIJO = 1e-4
 # a stage ends when half the squared Newton decrement, the predicted
@@ -105,17 +111,18 @@ def _scored(terms, x, slacks) -> tuple:
 
 def _newton_stage(terms, state, t: float):
     """Damped Newton on the barrier objective at t from a _scored state; returns
-    (state, steps, converged) with the state of its end point, where the next
+    (state, steps, tangent) with the state of its end point, where the next
     stage can start without scoring it again: nothing in it depends on t. The
-    float operations are those of the tests' reference stage, in its order,
-    so the results are the same bit for bit."""
+    tangent is the central path's dx/dt there when the stage converged, and
+    None when it did not. The float operations are those of the tests'
+    reference stage, in its order, so the results are the same bit for bit."""
     max_iters, armijo, tol, fraction = MAX_ITERS, ARMIJO, DECREMENT_TOL, BOUNDARY_FRACTION
     log, sqrt = math.log, math.sqrt
     x0, x1, x2, w0, w1, w2, w3, c01, c02, c12, logs, scored = state
     f, d0, d1, d2, d3, h0, h1, h2, h3 = scored
     phi = f - t * logs
     t2 = 2.0 * t
-    done = False
+    tangent = None
     for it in range(max_iters + 1):
         # each -t log w_k adds -t / w_k and t / w_k^2 to its weight's derivatives
         e0 = d0 - t / w0
@@ -165,7 +172,19 @@ def _newton_stage(terms, state, t: float):
         y2 = (-g2 - l20 * y0 - l21 * y1) / l22
         dec = y0 * y0 + y1 * y1 + y2 * y2
         if 0.5 * dec <= tol:
-            done = True
+            # the central path's tangent dx/dt = -H^{-1} grad B at the end point,
+            # B = -sum log(slacks), from the same Cholesky factor of H
+            r0, r1, r2, r3 = -1.0 / w0, -1.0 / w1, -1.0 / w2, -1.0 / w3
+            v01, v02, v12 = 2.0 / c01, 2.0 / c02, 2.0 / c12
+            b0 = 0.25 * (r0 + r1 - r2 - r3) + (v01 + v02) * x0
+            b1 = 0.25 * (r0 - r1 + r2 - r3) + (v01 + v12) * x1
+            b2 = 0.25 * (-r0 + r1 + r2 - r3) + (v02 + v12) * x2
+            z0 = -b0 / l00
+            z1 = (-b1 - l10 * z0) / l11
+            z2 = (-b2 - l20 * z0 - l21 * z1) / l22
+            m2 = z2 / l22
+            m1 = (z1 - l21 * m2) / l11
+            tangent = ((z0 - l10 * m1 - l20 * m2) / l00, m1, m2)
             break
         if it == max_iters:
             break
@@ -201,7 +220,7 @@ def _newton_stage(terms, state, t: float):
         x0, x1, x2, w0, w1, w2, w3, c01, c02, c12 = n0, n1, n2, v0, v1, v2, v3, b01, b02, b12
         phi, logs, scored = phin, logn, trial
         _, d0, d1, d2, d3, h0, h1, h2, h3 = trial
-    return (x0, x1, x2, w0, w1, w2, w3, c01, c02, c12, logs, scored), it, done
+    return (x0, x1, x2, w0, w1, w2, w3, c01, c02, c12, logs, scored), it, tangent
 
 
 def minimize_over_local_set(terms) -> SolveReport:
@@ -210,28 +229,27 @@ def minimize_over_local_set(terms) -> SolveReport:
     ``terms(w0, w1, w2, w3)`` gives the tuple (f, f_0'(w0), .., f_3'(w3),
     f_0''(w0), .., f_3''(w3)) at four Bell weights. It is called only where
     all seven slacks are positive, and once per point the solver scores: the
-    origin, each secant start and each line-search trial past the boundary
+    origin, each tangent start and each line-search trial past the boundary
     floor. A stage that ends without meeting DECREMENT_TOL (after MAX_ITERS
     Newton steps, at a non-positive Cholesky pivot, or at a step below float
     resolution) leaves the report unconverged; later stages still run.
     """
     state = _scored(terms, (0.0, 0.0, 0.0), _slacks((0.0, 0.0, 0.0)))
-    prev = None
     t = T_FIRST
     total = 0
     converged = True
     while True:
-        state, steps, done = _newton_stage(terms, state, t)
+        state, steps, tangent = _newton_stage(terms, state, t)
         x = state[:3]
         total += steps
-        converged = converged and done
+        converged = converged and tangent is not None
         if N_CONSTRAINTS * t <= GAP:
             break
-        t *= STAGE_REDUCTION
-        if prev is not None:
-            xp = tuple(xk + STAGE_REDUCTION * (xk - pk) for xk, pk in zip(x, prev))
+        t_next = t * STAGE_REDUCTION
+        if tangent is not None:
+            xp = tuple(xk + (t_next - t) * mk for xk, mk in zip(x, tangent))
             slacks = _slacks(xp)
             if min(slacks) > 0.0:
                 state = _scored(terms, xp, slacks)
-        prev = x
+        t = t_next
     return SolveReport(x=x, iterations=total, converged=converged)
