@@ -151,6 +151,8 @@ def _at_least(low: int):
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
         return value
 
+    # argparse names the type in its error for text int() rejects: "invalid int value"
+    parse.__name__ = "int"
     return parse
 
 

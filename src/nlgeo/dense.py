@@ -199,7 +199,7 @@ def make_werner(w: float, corner: int = 4) -> DensityMatrix:
 
 def make_isotropic(d: int, omega: float) -> DensityMatrix:
     """Isotropic state omega |phi+><phi+| + (1 - omega)/d^2 id."""
-    IsotropicParam(d=d, omega=omega)
+    d = IsotropicParam(d=d, omega=omega).d
     phi = phi_plus_ket(d)
     m = omega * np.outer(phi, phi.conj()) + (1.0 - omega) / (d * d) * np.eye(d * d)
     return DensityMatrix(dim=d, mat=m).validate()

@@ -9,12 +9,11 @@ sequence of three numbers, and points go out as tuples."""
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import namedtuple
 
-from .errors import NonPhysical, OutOfRange
-from .qstate import bd_corr_to_probs, float_vector
+from .errors import NonPhysical
+from .qstate import bd_corr_to_probs, float_vector, local_dimension
 
 BOUNDARY_TOL = 1e-12
 
@@ -67,25 +66,19 @@ def chsh_verdict(rep) -> ChshVerdict:
 
 def cglmp_qk(d: int, k: int) -> float:
     """Joint outcome weight q_k = 1 / (2 d^3 sin^2(pi (k + 1/4) / d))."""
-    if not (d >= 2 and float(d).is_integer()):
-        raise OutOfRange(f"local dimension must be an integer >= 2, got {d}")
+    d = local_dimension(d)
     s = math.sin(math.pi * (k + 0.25) / d)
     return 1.0 / (2.0 * d**3 * s * s)
 
 
-# typed: d = 3 and d = 3.0 are separate entries, so a call's result never
-# depends on which type an earlier call used
-@functools.lru_cache(maxsize=64, typed=True)
 def cglmp_threshold(d: int) -> CglmpThreshold:
     """Quantum CGLMP value I_d and the isotropic locality threshold 2/I_d.
 
     I_d = 4d sum_{k=0}^{floor(d/2)-1} (1 - 2k/(d-1)) (q_k - q_{-(k+1)}),
     evaluated literally; at d = 2 the sum is the single k = 0 term and the
-    threshold reduces to the CHSH value 1/sqrt(2). Cached per d (the result
-    is immutable): an isotropic sweep asks for it once per weight and kind.
+    threshold reduces to the CHSH value 1/sqrt(2).
     """
-    if not (d >= 2 and float(d).is_integer()):
-        raise OutOfRange(f"local dimension must be an integer >= 2, got {d}")
+    d = local_dimension(d)
     total = 0.0
     for k in range(d // 2):
         coeff = 1.0 - 2.0 * k / (d - 1.0)

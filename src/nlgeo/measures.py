@@ -107,11 +107,6 @@ def spectral_formula(
     return nonneg(xlog2(big, big_t) + (d2 - 1.0) * xlog2(small, small_t))
 
 
-def _spectral_value(kind: DistanceKind, d: int, t: float, omega: float) -> float:
-    """spectral_formula at one weight; a local one (omega <= t) gives exactly 0.0."""
-    return spectral_formula(kind, d, t, omega) if omega > t + BOUNDARY_TOL else 0.0
-
-
 def werner_measure(kind: DistanceKind, w: float) -> MeasureResult:
     """Measure of the Werner state with parameter w, in closed form.
 
@@ -121,9 +116,9 @@ def werner_measure(kind: DistanceKind, w: float) -> MeasureResult:
     invalid w raises OutOfRange.
     """
     w = WernerParam(float(w)).w
-    value = _spectral_value(kind, 2, WERNER_THRESHOLD, w)
-    is_local = w <= WERNER_THRESHOLD + BOUNDARY_TOL
-    return _closed_form(kind, value, WernerParam(w if is_local else WERNER_THRESHOLD))
+    if w <= WERNER_THRESHOLD + BOUNDARY_TOL:
+        return _closed_form(kind, 0.0, WernerParam(w))
+    return _closed_form(kind, spectral_formula(kind, 2, WERNER_THRESHOLD, w), WernerParam(WERNER_THRESHOLD))
 
 
 def werner_max(kind: DistanceKind) -> float:
@@ -139,11 +134,11 @@ def isotropic_measure(kind: DistanceKind, d: int, omega: float) -> MeasureResult
     states are diagonal in {|phi+>} and its complement, so spectral_formula
     applies. An invalid weight raises OutOfRange.
     """
-    omega = IsotropicParam(d=d, omega=float(omega)).omega
+    d, omega = IsotropicParam(d=d, omega=float(omega))
     thr = cglmp_threshold(d).omega_threshold
-    value = _spectral_value(kind, d, thr, omega)
-    is_local = omega <= thr + BOUNDARY_TOL
-    return _closed_form(kind, value, IsotropicParam(d=d, omega=omega if is_local else thr))
+    if omega <= thr + BOUNDARY_TOL:
+        return _closed_form(kind, 0.0, IsotropicParam(d=d, omega=omega))
+    return _closed_form(kind, spectral_formula(kind, d, thr, omega), IsotropicParam(d=d, omega=thr))
 
 
 # The kinds with a numeric objective. HS and trace are exact (bd_measure_hs,
@@ -159,10 +154,8 @@ class BdObjective:
     terms(w0, w1, w2, w3), at positive weights, is the kernel that
     solver.minimize_over_local_set takes: the objective, then each term's
     first derivative in its weight, then each second derivative, as one flat
-    tuple. value_at and gradient_at read it in correlator coordinates x,
-    strictly inside the tetrahedron. The minimized quantity is the squared
-    Hellinger distance or the relative entropy in bits; any other kind raises
-    OutOfRange.
+    tuple. The minimized quantity is the squared Hellinger distance or the
+    relative entropy in bits; any other kind raises OutOfRange.
     """
 
     def __init__(self, kind: DistanceKind, a):
@@ -172,14 +165,8 @@ class BdObjective:
         self._sqrt_e = tuple(math.sqrt(max(ei, 0.0)) for ei in self._e)
         self._hellinger = kind is DistanceKind.HELLINGER
 
-    def value_at(self, x) -> float:
-        return self.terms(*solver.probs(x))[0]
-
-    def gradient_at(self, x) -> tuple[float, float, float]:
-        return solver.weights_gradient(self.terms(*solver.probs(x))[1:5])
-
     def terms(self, w0, w1, w2, w3):
-        # written out per weight: the barrier solve calls this about 50 times
+        # written out per weight: the barrier solve calls this about 31 times
         if self._hellinger:
             s0, s1, s2, s3 = self._sqrt_e
             q0 = math.sqrt(w0)
@@ -289,8 +276,8 @@ def bd_measure_numeric(kind: DistanceKind, a) -> MeasureResult:
 
     One log-barrier Newton solve over the local set from the maximally mixed
     state (solver.minimize_over_local_set); its value is within the solver's
-    GAP of the optimum, and is scored at the returned point, which lies
-    strictly inside the local set.
+    GAP of the optimum, and is the objective at the returned point, which
+    lies strictly inside the local set.
 
     Solves the Hellinger and relative-entropy kinds. Bures equals Hellinger
     on commuting states, so a Bures request gets the Hellinger solve under
@@ -308,7 +295,7 @@ def bd_measure_numeric(kind: DistanceKind, a) -> MeasureResult:
     active = [p for p, v in zip(DISK_PAIRS, solver.pair_violations(x)) if abs(v) <= 1e-8]
     return MeasureResult(
         kind=kind,
-        value=obj.value_at(x),
+        value=report.value,
         closest_local=BellDiagonal.from_corr(x),
         method="numeric",
         surface=surface_name(active),

@@ -113,14 +113,21 @@ class WernerParam(_Checked, namedtuple("WernerParam", "w")):
         return super().__new__(cls, w)
 
 
+def local_dimension(d) -> int:
+    """d as an int; OutOfRange unless it is a whole number >= 2 (nan, inf and
+    bools are not)."""
+    if isinstance(d, bool) or not (d >= 2 and float(d).is_integer()):
+        raise OutOfRange(f"local dimension must be an integer >= 2, got {d}")
+    return int(d)
+
+
 class IsotropicParam(_Checked, namedtuple("IsotropicParam", "d omega")):
-    """Isotropic family parameter: local dimension d and mixing weight omega."""
+    """Isotropic family parameter: local dimension d, an int, and mixing weight omega."""
 
     __slots__ = ()
 
     def __new__(cls, d, omega):
-        if not (d >= 2 and float(d).is_integer()):
-            raise OutOfRange(f"local dimension must be an integer >= 2, got {d}")
+        d = local_dimension(d)
         lo = -1.0 / (d * d - 1.0)
         if not (lo - 1e-12 <= omega <= 1.0 + 1e-12):
             raise OutOfRange(f"omega {omega} outside [{lo}, 1] for d={d}")

@@ -65,8 +65,9 @@ BOUNDARY_FRACTION = 0.01
 N_CONSTRAINTS = 4 + len(DISK_PAIRS)
 
 
-class SolveReport(namedtuple("SolveReport", "x iterations converged")):
-    """The last stage's point, the Newton steps of all stages, and whether all converged."""
+class SolveReport(namedtuple("SolveReport", "x value iterations converged")):
+    """The last stage's point, the objective there, the Newton steps of all
+    stages, and whether all converged."""
 
     __slots__ = ()
 
@@ -79,15 +80,6 @@ def probs(x) -> tuple[float, float, float, float]:
         0.25 * (1.0 + x0 - x1 + x2),
         0.25 * (1.0 - x0 + x1 + x2),
         0.25 * (1.0 - x0 - x1 - x2),
-    )
-
-
-def weights_gradient(d) -> tuple[float, float, float]:
-    """Gradient in x of a sum of per-weight terms with first derivatives d."""
-    return (
-        0.25 * (d[0] + d[1] - d[2] - d[3]),
-        0.25 * (d[0] - d[1] + d[2] - d[3]),
-        0.25 * (-d[0] + d[1] + d[2] - d[3]),
     )
 
 
@@ -252,4 +244,4 @@ def minimize_over_local_set(terms) -> SolveReport:
             if min(slacks) > 0.0:
                 state = _scored(terms, xp, slacks)
         t = t_next
-    return SolveReport(x=x, iterations=total, converged=converged)
+    return SolveReport(x=x, value=state[-1][0], iterations=total, converged=converged)

@@ -31,8 +31,6 @@ TRACED_NAMES = (
     ("nlgeo.measures", "bd_measure_numeric"),
     ("nlgeo.measures", "bd_is_chsh_local"),
     ("nlgeo.solver", "minimize_over_local_set"),
-    ("nlgeo.measures:BdObjective", "value_at"),
-    ("nlgeo.measures:BdObjective", "gradient_at"),
 )
 
 

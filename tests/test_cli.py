@@ -448,6 +448,17 @@ def test_flag_range_errors_exit_2(args, tmp_path, capsys):
     assert "must be at least" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["bd-sweep", "--n", "x"], ["bd-grid", "--grid-n", "2.5"], ["iso", "--d", "2.5"], ["iso", "--d", "3.0"]],
+)
+def test_non_integer_flags_exit_2_as_invalid_ints(args, tmp_path, capsys):
+    assert run(args + ["--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"invalid int value: '{args[-1]}'" in err
+
+
 def test_former_all_infinite_starts_input_exits_0(tmp_path, capsys):
     # every start of the former multi-start solver scored inf here and the
     # command exited 5; the one barrier solve converges

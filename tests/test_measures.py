@@ -44,7 +44,7 @@ from nlgeo.qstate import (
 )
 from nlgeo.dense import make_bell_diagonal, make_isotropic, make_werner
 from nlgeo.validation import MULTISEED_TOL
-from test_solver import weights_hessian
+from test_solver import gradient_at, value_at, weights_hessian
 
 T = 1.0 / math.sqrt(2.0)
 # the corners as arrays, for the arithmetic below (nlgeo keeps them as tuples)
@@ -1036,6 +1036,22 @@ def test_max_iters_validation(monkeypatch):
     assert res.value == pytest.approx(W09[DistanceKind.HELLINGER], abs=1e-9)
 
 
+@pytest.mark.parametrize("max_iters", [None, 1])
+def test_numeric_value_is_the_objective_at_the_returned_point(rng, monkeypatch, max_iters):
+    # the value is the one the solve's end state holds; it equals the
+    # objective scored afresh at the returned point, bit for bit, also when a
+    # starved solve (one Newton step per stage) ends unconverged
+    if max_iters is not None:
+        monkeypatch.setattr(solver, "MAX_ITERS", max_iters)
+    for _ in range(20):
+        a = random_nonlocal_corr(rng)
+        for kind in OBJECTIVE_KINDS:
+            res = bd_measure_numeric(kind, a)
+            assert res.converged is (max_iters is None), (kind, a)
+            rescored = BdObjective(kind, a).terms(*solver.probs(res.closest_local.a))[0]
+            assert float.hex(res.value) == float.hex(rescored), (kind, a)
+
+
 def test_gradient_matches_finite_differences(rng):
     # light smoke; the acceptance suite runs the full 100-point gate
     for kind in OBJECTIVE_KINDS:
@@ -1043,12 +1059,12 @@ def test_gradient_matches_finite_differences(rng):
         obj = BdObjective(kind, a)
         for _ in range(5):
             x = 0.97 * random_local_corr(rng)
-            g = np.array(obj.gradient_at(tuple(x)))
+            g = np.array(gradient_at(obj.terms, tuple(x)))
             fd = np.empty(3)
             for i in range(3):
                 step = np.zeros(3)
                 step[i] = 1e-6
-                fd[i] = (obj.value_at(tuple(x + step)) - obj.value_at(tuple(x - step))) / 2e-6
+                fd[i] = (value_at(obj.terms, tuple(x + step)) - value_at(obj.terms, tuple(x - step))) / 2e-6
             denom = max(np.linalg.norm(g), 1e-9)
             assert np.linalg.norm(fd - g) / denom < 1e-4, kind
             # the Hessian against differences of the gradient
@@ -1058,7 +1074,7 @@ def test_gradient_matches_finite_differences(rng):
             for i in range(3):
                 step = np.zeros(3)
                 step[i] = 1e-6
-                gp = np.array(obj.gradient_at(tuple(x + step)))
-                gm = np.array(obj.gradient_at(tuple(x - step)))
+                gp = np.array(gradient_at(obj.terms, tuple(x + step)))
+                gm = np.array(gradient_at(obj.terms, tuple(x - step)))
                 fd_h[:, i] = (gp - gm) / 2e-6
             assert np.linalg.norm(fd_h - h) / max(np.linalg.norm(h), 1e-9) < 1e-4, kind

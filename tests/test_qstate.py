@@ -37,8 +37,8 @@ from nlgeo.qstate import (
     bd_corr_to_probs,
     bd_probs_to_corr,
 )
-from nlgeo.locality import cglmp_threshold
-from nlgeo.measures import bd_measure
+from nlgeo.locality import cglmp_qk, cglmp_threshold
+from nlgeo.measures import bd_measure, isotropic_measure
 from nlgeo.metrics import (
     DistanceKind,
     dist_bures,
@@ -275,6 +275,33 @@ def test_family_constructor_range_errors():
         make_isotropic(3, -0.2)
     with pytest.raises(OutOfRange):
         WernerParam(-0.34)
+
+
+@pytest.mark.parametrize("d", [3.0, np.int64(3)])
+def test_a_whole_number_dimension_acts_as_the_int(d):
+    # every result equals that of d = 3 bit for bit, and records an int d;
+    # repr tells 3.0 from 3 and round-trips every float exactly
+    assert repr(IsotropicParam(d=d, omega=0.9)) == repr(IsotropicParam(d=3, omega=0.9))
+    assert repr(cglmp_threshold(d)) == repr(cglmp_threshold(3))
+    assert repr([cglmp_qk(d, k) for k in (0, -1)]) == repr([cglmp_qk(3, k) for k in (0, -1)])
+    for kind in DistanceKind:
+        assert repr(isotropic_measure(kind, d, 0.9)) == repr(isotropic_measure(kind, 3, 0.9)), kind
+    state, ref = make_isotropic(d, 0.9), make_isotropic(3, 0.9)
+    assert type(state.dim) is int and np.array_equal(state.mat, ref.mat)
+
+
+@pytest.mark.parametrize("d", [2.5, math.nan, math.inf, True])
+def test_a_dimension_that_is_not_a_whole_number_raises(d):
+    calls = (
+        lambda: IsotropicParam(d=d, omega=0.5),
+        lambda: cglmp_threshold(d),
+        lambda: cglmp_qk(d, 0),
+        lambda: isotropic_measure(DistanceKind.HS, d, 0.9),
+        lambda: make_isotropic(d, 0.5),
+    )
+    for call in calls:
+        with pytest.raises(OutOfRange):
+            call()
 
 
 def test_make_bell_diagonal_argument_checks():

@@ -18,6 +18,25 @@ from nlgeo.solver import GAP, SolveReport, minimize_over_local_set, pair_violati
 # bit. Like the solver, it reads the solver's constants at call time.
 
 
+def weights_gradient(d) -> tuple[float, float, float]:
+    """Gradient in x of a sum of per-weight terms with first derivatives d."""
+    return (
+        0.25 * (d[0] + d[1] - d[2] - d[3]),
+        0.25 * (d[0] - d[1] + d[2] - d[3]),
+        0.25 * (-d[0] + d[1] + d[2] - d[3]),
+    )
+
+
+def value_at(terms, x) -> float:
+    """A terms kernel's objective at the correlators x, inside the tetrahedron."""
+    return terms(*probs(x))[0]
+
+
+def gradient_at(terms, x) -> tuple[float, float, float]:
+    """A terms kernel's objective gradient in x at the correlators x."""
+    return weights_gradient(terms(*probs(x))[1:5])
+
+
 def weights_hessian(h) -> tuple[tuple[float, float, float], ...]:
     """Hessian in x of a sum of per-weight terms with second derivatives h.
 
@@ -47,7 +66,7 @@ def _newton_system(derivatives, x, slacks, t: float):
     w0, w1, w2, w3, c01, c02, c12 = slacks
     d, h = derivatives(slacks[:4])
     # each -t log w_k adds -t / w_k and t / w_k^2 to its weight's derivatives
-    g0, g1, g2 = solver.weights_gradient((d[0] - t / w0, d[1] - t / w1, d[2] - t / w2, d[3] - t / w3))
+    g0, g1, g2 = weights_gradient((d[0] - t / w0, d[1] - t / w1, d[2] - t / w2, d[3] - t / w3))
     (h00, h01, h02), (_, h11, h12), (_, _, h22) = weights_hessian(
         (h[0] + t / (w0 * w0), h[1] + t / (w1 * w1), h[2] + t / (w2 * w2), h[3] + t / (w3 * w3))
     )
@@ -68,7 +87,7 @@ def _newton_system(derivatives, x, slacks, t: float):
 def _barrier_gradient(x, slacks):
     """Gradient in x of the barrier B = -sum log(slacks) at x with these slacks."""
     w0, w1, w2, w3, c01, c02, c12 = slacks
-    b0, b1, b2 = solver.weights_gradient((-1.0 / w0, -1.0 / w1, -1.0 / w2, -1.0 / w3))
+    b0, b1, b2 = weights_gradient((-1.0 / w0, -1.0 / w1, -1.0 / w2, -1.0 / w3))
     v01, v02, v12 = 2.0 / c01, 2.0 / c02, 2.0 / c12
     x0, x1, x2 = x
     return (b0 + (v01 + v02) * x0, b1 + (v01 + v12) * x1, b2 + (v02 + v12) * x2)
@@ -158,7 +177,7 @@ def reference_minimize(value, derivatives) -> SolveReport:
             if min(_slacks(xp)) > 0.0:
                 start = xp
         t = t_next
-    return SolveReport(x=x, iterations=total, converged=converged)
+    return SolveReport(x=x, value=value(probs(x)), iterations=total, converged=converged)
 
 
 def reference_objective(kind, a):
@@ -346,7 +365,7 @@ FALSE_CONVERGENCE = ((-0.93466, -0.33381, -0.39911), (-0.99139, 0.14711, 0.13851
 
 
 def _bits(report):
-    return [float.hex(v) for v in report.x], report.iterations, report.converged
+    return [float.hex(v) for v in report.x], float.hex(report.value), report.iterations, report.converged
 
 
 def test_solve_is_bit_identical_to_the_reference(rng, monkeypatch):
@@ -406,7 +425,7 @@ def test_newton_system_matches_finite_differences_of_the_barrier(rng, kind):
 
     def barrier(obj, x):
         slacks = probs(x) + tuple(-v for v in pair_violations(x))
-        return obj.value_at(x) - t * sum(math.log(s) for s in slacks)
+        return value_at(obj.terms, x) - t * sum(math.log(s) for s in slacks)
 
     step = 1e-8
     for _ in range(10):
