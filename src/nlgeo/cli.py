@@ -15,11 +15,17 @@ a fixed command line reproduces byte-identical files.
 
 Only werner-sweep and iso, which evaluate closed forms over whole arrays,
 import numpy (nlgeo.arrays), and only when they run.
+
+main() builds one parser per process, on its first call, and parses every
+later argv with it. build_parser() returns a fresh parser, so a caller that
+adds options gets its own. The parser binds the cmd_* functions when it is
+built (see main).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -42,6 +48,10 @@ from .validation import run_validation
 KIND_CODES = [k.value for k in DistanceKind]
 
 CONVENTIONS = "hellinger=squared bures=squared log_base=2 boundary=local"
+
+# iso's largest --d: cglmp_threshold's cost grows like d (about 0.1 s at this
+# bound) and iso calls it up to 1 + 2k times for k kinds
+ISO_MAX_D = 100_000
 
 
 def _fmt(v) -> str:
@@ -142,13 +152,15 @@ def emit(args, columns, rows, meta_pairs, floats=()) -> None:
         write_table(out, columns, rows, meta_pairs, args.format, floats)
 
 
-def _at_least(low: int):
-    """argparse type: an integer no smaller than low, so a range error exits 2."""
+def _at_least(low: int, at_most: int | None = None):
+    """argparse type: an integer in [low, at_most], so a range error exits 2."""
 
     def parse(text: str):
         value = int(text)
         if not value >= low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        if at_most is not None and value > at_most:
+            raise argparse.ArgumentTypeError(f"must be at most {at_most}, got {text}")
         return value
 
     # argparse names the type in its error for text int() rejects: "invalid int value"
@@ -349,7 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("iso", help="isotropic measures with quoted-formula cross-checks")
     common(p)
-    p.add_argument("--d", type=_at_least(2), default=2)
+    p.add_argument(
+        "--d", type=_at_least(2, ISO_MAX_D), default=2, help=f"local dimension, 2 to {ISO_MAX_D}"
+    )
     p.add_argument("--omega", type=float, default=None)
     p.add_argument("--omega-min", type=float, default=None, dest="omega_min")
     p.add_argument("--omega-max", type=float, default=1.0, dest="omega_max")
@@ -364,9 +378,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line (sys.argv[1:] for None) and return its exit code.
+
+    The parser is built on the first call and reused for every later one,
+    which is safe: every default is immutable, --kind's append action copies
+    its None default, each parse fills a fresh Namespace, and --help and
+    usage errors size their text when they print. A command function is bound
+    by set_defaults(func=cmd_*) when the parser is built, so a wrapper put on
+    nlgeo.cli.cmd_* later is not called; the commands look up the library
+    functions and write_table when they run, so wrappers on those are.
+    """
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except NotConverged as exc:

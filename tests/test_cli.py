@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -457,6 +458,63 @@ def test_non_integer_flags_exit_2_as_invalid_ints(args, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"invalid int value: '{args[-1]}'" in err
+
+
+def test_iso_dimension_is_bounded(tmp_path, capsys, monkeypatch):
+    out = str(tmp_path / "x.csv")
+
+    def refuse(d):
+        raise AssertionError(f"the threshold's sum ran at d = {d}")
+
+    # an unbounded --d would spend minutes in the sum, so it must not start
+    monkeypatch.setattr(cli, "cglmp_threshold", refuse)
+    start = time.perf_counter()
+    assert run(["iso", "--d", "1000000000", "--n", "2", "--out", out]) == 2
+    assert time.perf_counter() - start < 1.0
+    monkeypatch.undo()
+    err = capsys.readouterr().err.splitlines()
+    assert "Traceback" not in "\n".join(err)
+    assert err[-1].endswith("argument --d: must be at most 100000, got 1000000000")
+    assert run(["iso", "--d", "100001", "--n", "2", "--out", out]) == 2
+    assert run(["iso", "--d", "100000", "--n", "2", "--kind", "hs", "--out", out]) == 0
+    meta, _, rows = read_csv(out)
+    assert "# d: 100000\n" in meta and len(rows) == 2
+
+
+def test_reused_parser_keeps_no_state_between_commands(tmp_path, capsys, monkeypatch):
+    built = []
+
+    def counting_build_parser(real=cli.build_parser):
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+
+    def output(name, argv):
+        path = tmp_path / name
+        assert run(argv + ["--out", str(path)]) == 0, argv
+        return path.read_bytes()
+
+    def help_text():
+        assert run(["--help"]) == 0
+        return capsys.readouterr().out
+
+    measure = ["bd-measure", "--a", "0.84,0.63,-0.5"]
+    output("two.csv", measure + ["--kind", "he", "--kind", "re"])
+    five = output("five.csv", measure)
+    assert [r[0] for r in read_csv(tmp_path / "two.csv")[2]] == ["he", "re"]
+    assert [r[0] for r in read_csv(tmp_path / "five.csv")[2]] == KIND_CODES
+    iso = ["iso", "--d", "3", "--n", "5"]
+    first = output("iso1.csv", iso)
+    assert run(["bd-grid", "--kind", "hs", "--kind", "he"]) == 2
+    assert run(["iso", "--d", "1"]) == 2
+    narrowed = output("iso2.csv", iso + ["--omega-min", "0.7"])
+    assert narrowed != first
+    assert output("iso3.csv", iso) == first
+    assert output("five2.csv", measure) == five
+    assert help_text() == help_text() != ""
+    assert len(built) == 1
 
 
 def test_former_all_infinite_starts_input_exits_0(tmp_path, capsys):
