@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .kinds import DistanceKind
+from .kinds import DistanceKind, known_kind
 from .locality import BOUNDARY_TOL, cglmp_threshold
 from .measures import WERNER_THRESHOLD, spectral_formula
 from .qstate import IsotropicParam, WernerParam
@@ -93,10 +93,10 @@ def isotropic_reference_formula(kind: DistanceKind, d: int, omega):
     * relative entropy: wrong signs and weights, and -inf at omega = 1.
     Bures has no quoted form, so it returns None. omega is a weight or an
     array of weights, range-checked as in isotropic_values; a float comes
-    back for a scalar.
+    back for a scalar. A kind that is not a DistanceKind raises OutOfRange.
     """
     weights = _checked(lambda om: IsotropicParam(d=d, omega=om), omega)
-    if kind is DistanceKind.BURES:
+    if known_kind(kind) is DistanceKind.BURES:
         return None
     thr = cglmp_threshold(d).omega_threshold
     d2 = float(d * d)
@@ -114,7 +114,7 @@ def isotropic_reference_formula(kind: DistanceKind, d: int, omega):
             (d2 - 1.0) * np.sqrt(one_minus * (1.0 - thr))
             + np.sqrt(((d2 - 1.0) * om + 1.0) * ((d2 - 1.0) * thr + 1.0))
         )
-    else:
+    else:  # relative entropy, the one kind left
         p_omega = ((d2 - 1.0) * om + 1.0) / d2
         p_thr = ((d2 - 1.0) * thr + 1.0) / d2
         with np.errstate(divide="ignore"):

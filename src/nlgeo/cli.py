@@ -7,9 +7,9 @@ non-convergence. A reader that closes the output pipe early
 without a traceback. Output is CSV (default) or JSON with the same records
 (JSON writes a non-finite float, which it cannot represent, as null). nlgeo
 writes both formats itself, row by row; the JSON follows the json module's
-indent=2 layout. Each command declares its float columns, whose cells go
-straight into one row template per table; only the other cells are
-formatted one by one.
+indent=2 layout. A column whose first cell is a float is a float column,
+whose cells go straight into one row template per table; only the other
+cells are formatted one by one.
 Metadata lines carry the tool version, the value conventions and the seed, so
 a fixed command line reproduces byte-identical files.
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -39,6 +40,7 @@ from .measures import (
     bd_grid,
     bd_measure,
     bd_sweep,
+    per_kind,
     werner_max,
     WERNER_THRESHOLD,
 )
@@ -89,7 +91,7 @@ def _meta_lines(command: str, args, extra: dict | None = None) -> list[tuple[str
     return pairs
 
 
-def write_table(out, columns, rows, meta_pairs, fmt: str, floats=()) -> None:
+def write_table(out, columns, rows, meta_pairs, fmt: str) -> None:
     """Write the header once, then each row through one row template.
 
     CSV: `# key: value` metadata lines, the column line, one line per row.
@@ -97,27 +99,32 @@ def write_table(out, columns, rows, meta_pairs, fmt: str, floats=()) -> None:
     layout, written row by row, so no record dict is built. The column names
     must be unique, as JSON object keys are.
 
-    floats names the columns whose every cell is a float (np.float64
-    included). The row template takes their cells as they are, as %.17g in
-    CSV and as str, which for a Python float is float.__repr__, in JSON, so a
-    float cell costs no Python call. Every other cell is written by _fmt or
-    _json_cell. In JSON, the float cells of a row whose sum is not a finite
-    Python float go through _json_cell too: a non-finite value is written as
-    null, and an np.float64, whose str follows numpy's print options, as
-    float.__repr__.
+    A column whose cell in the first row is a float (np.float64 included;
+    a bool is not) is a float column, and each of its later cells must be a
+    float or an int. The row template takes those cells as they are, as
+    %.17g in CSV and as str, which for a Python float is float.__repr__, in
+    JSON, so a float cell costs no Python call. Every other cell is written
+    by _fmt or _json_cell. In JSON, the float cells of a row whose sum is not
+    a finite Python float go through _json_cell too: a non-finite value is
+    written as null, and an np.float64, whose str follows numpy's print
+    options, as float.__repr__.
     """
-    other_at = [i for i, c in enumerate(columns) if c not in floats]
+    rows = iter(rows)
+    first = next(rows, None)
+    rows = rows if first is None else itertools.chain((first,), rows)
+    floats = [i for i, v in enumerate(() if first is None else first) if isinstance(v, float)]
+    other_at = [i for i in range(len(columns)) if i not in floats]
     if fmt == "json":
         head = json.dumps({"meta": dict(meta_pairs), "columns": list(columns)}, indent=2)
         # the dict's closing "\n}" makes way for the records array
         out.write(head[:-2] + ',\n  "records": [')
         fields = ",".join(f"\n      {json.dumps(c).replace('%', '%%')}: %s" for c in columns)
         template, cell, sep = "\n    {" + fields + "\n    }", _json_cell, ","
-        checked = [i for i, c in enumerate(columns) if c in floats]
+        checked = floats
     else:
         out.write("".join(f"# {k}: {_fmt(v)}\n" for k, v in meta_pairs))
         out.write(",".join(columns) + "\n")
-        slots = ["%.17g" if c in floats else "%s" for c in columns]
+        slots = ["%.17g" if i in floats else "%s" for i in range(len(columns))]
         template, cell, sep = ",".join(slots) + "\n", _fmt, ""
         # %.17g writes inf, nan and np.float64 as _fmt does, so no row is checked
         checked = []
@@ -138,18 +145,15 @@ def write_table(out, columns, rows, meta_pairs, fmt: str, floats=()) -> None:
         out.write("\n  ]\n}\n" if lead else "]\n}\n")
 
 
-def emit(args, columns, rows, meta_pairs, floats=()) -> None:
-    """Write the table to args.out (stdout for None or "-") in args.format.
-
-    floats names the float columns, as in write_table.
-    """
+def emit(args, columns, rows, meta_pairs) -> None:
+    """Write the table to args.out (stdout for None or "-") in args.format."""
     # write_table is looked up here at call time, so a wrapper installed on
     # nlgeo.cli.write_table (the benchmark's tracer) sees every table
     if args.out in (None, "-"):
-        write_table(sys.stdout, columns, rows, meta_pairs, args.format, floats)
+        write_table(sys.stdout, columns, rows, meta_pairs, args.format)
         return
     with open(args.out, "w") as out:
-        write_table(out, columns, rows, meta_pairs, args.format, floats)
+        write_table(out, columns, rows, meta_pairs, args.format)
 
 
 def _at_least(low: int, at_most: int | None = None):
@@ -193,33 +197,18 @@ def cmd_werner_sweep(args) -> int:
     # one expression, so no column array outlives the conversion to rows
     rows = np.column_stack([ws] + [werner_values(k, ws) / werner_max(k) for k in kinds]).tolist()
     columns = ["w"] + [k.value for k in kinds]
-    emit(args, columns, rows, _meta_lines("werner-sweep", args), floats=columns)
+    emit(args, columns, rows, _meta_lines("werner-sweep", args))
     return 0
-
-
-def _solve_once(kinds, solve) -> list:
-    """solve(k) for each kind, with Bures and Hellinger sharing one solve.
-
-    The two measures are equal on Bell-diagonal states, which commute, and
-    both are normalized by the same Werner maximum.
-    """
-    done, out = {}, []
-    for k in kinds:
-        shared = DistanceKind.HELLINGER if k is DistanceKind.BURES else k
-        if shared not in done:
-            done[shared] = solve(k)
-        out.append(done[shared])
-    return out
 
 
 def cmd_bd_sweep(args) -> int:
     kinds = _kinds(args)
     family = args.family.replace("-", "_")
-    tables = _solve_once(kinds, lambda k: bd_sweep(k, family, args.n))
+    tables = per_kind(kinds, lambda k: bd_sweep(k, family, args.n))
     # every table has the same parameter column
     rows = [(row[0][0], *(value for _, value in row)) for row in zip(*tables)]
     columns = ["param"] + [k.value for k in kinds]
-    emit(args, columns, rows, _meta_lines("bd-sweep", args, {"family": family}), floats=columns)
+    emit(args, columns, rows, _meta_lines("bd-sweep", args, {"family": family}))
     return 0
 
 
@@ -231,8 +220,7 @@ def cmd_bd_grid(args) -> int:
     kinds = _kinds(args, default=["hs"])
     rows = bd_grid(kinds[0], args.grid_n)
     meta = _meta_lines("bd-grid", args, {"kind": kinds[0].value, "grid_n": args.grid_n})
-    columns = ["e1", "e2", "value"]
-    emit(args, columns, rows, meta, floats=columns)
+    emit(args, ["e1", "e2", "value"], rows, meta)
     return 0
 
 
@@ -244,24 +232,17 @@ def cmd_bd_measure(args) -> int:
     else:
         bd = BellDiagonal.from_probs(_parse_vector(args.e, 4, "--e"))
     kinds = _kinds(args)
-    results = _solve_once(kinds, lambda k: bd_measure(k, bd.a))
-    rows = []
-    unconverged = False
-    for k, res in zip(kinds, results):
-        closest = res.closest_local
-        rows.append(
-            (k.value, res.value, *bd.a, *closest.a, *closest.e)
-            + (res.method, res.surface, res.iterations, res.converged)
-        )
-        unconverged = unconverged or not res.converged
-    floats = (
-        ["value", "a1", "a2", "a3"]
-        + ["closest_a1", "closest_a2", "closest_a3"]
-        + ["closest_e1", "closest_e2", "closest_e3", "closest_e4"]
-    )
-    columns = ["kind"] + floats + ["method", "surface", "iterations", "converged"]
-    emit(args, columns, rows, _meta_lines("bd-measure", args), floats)
-    if unconverged:
+    results = list(per_kind(kinds, lambda k: bd_measure(k, bd.a)))
+    rows = [
+        (k.value, res.value, *bd.a, *res.closest_local.a, *res.closest_local.e)
+        + (res.method, res.surface, res.iterations, res.converged)
+        for k, res in zip(kinds, results)
+    ]
+    columns = ["kind", "value", "a1", "a2", "a3", "closest_a1", "closest_a2", "closest_a3"]
+    columns += ["closest_e1", "closest_e2", "closest_e3", "closest_e4"]
+    columns += ["method", "surface", "iterations", "converged"]
+    emit(args, columns, rows, _meta_lines("bd-measure", args))
+    if not all(res.converged for res in results):
         raise NotConverged("numeric minimization did not converge")
     return 0
 
@@ -289,7 +270,6 @@ def cmd_iso(args) -> int:
             )
         omegas = np.linspace(args.omega_min, args.omega_max, args.n)
     names, columns, empty = ["omega"], [omegas.tolist()], [None] * len(omegas)
-    floats = ["omega"]
     for k in kinds:
         names += [f"value_{k.value}", f"formula_{k.value}", f"consistent_{k.value}"]
         value = isotropic_values(k, args.d, omegas)
@@ -297,11 +277,8 @@ def cmd_iso(args) -> int:
         agrees = formula_agrees(value, reference)
         # Bures has no quoted form, so its formula and flag cells are empty
         columns += [value.tolist()] + [empty if c is None else c.tolist() for c in (reference, agrees)]
-        floats.append(f"value_{k.value}")
-        if reference is not None:
-            floats.append(f"formula_{k.value}")
     meta = {"d": args.d, "i_d_qm": thr.i_d_qm, "omega_threshold": thr.omega_threshold}
-    emit(args, names, zip(*columns), _meta_lines("iso", args, meta), floats)
+    emit(args, names, zip(*columns), _meta_lines("iso", args, meta))
     return 0
 
 
@@ -312,7 +289,7 @@ def cmd_validate(args) -> int:
         [c.name, "pass" if c.passed else "FAIL", c.max_error, c.tolerance, c.seconds, c.detail]
         for c in checks
     ]
-    emit(args, columns, rows, _meta_lines("validate", args), floats=["max_error", "tolerance", "seconds"])
+    emit(args, columns, rows, _meta_lines("validate", args))
     if all(c.passed for c in checks):
         return 0
     if any("NotConverged" in c.detail for c in checks):

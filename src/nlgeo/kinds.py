@@ -2,6 +2,8 @@
 
 import enum
 
+from .errors import OutOfRange
+
 
 class DistanceKind(enum.Enum):
     """The five distance functionals, keyed by their CLI codes."""
@@ -11,3 +13,10 @@ class DistanceKind(enum.Enum):
     BURES = "bu"
     TRACE = "tr"
     RELATIVE_ENTROPY = "re"
+
+
+def known_kind(kind) -> DistanceKind:
+    """kind itself; OutOfRange naming it unless it is a DistanceKind."""
+    if not isinstance(kind, DistanceKind):
+        raise OutOfRange(f"unknown distance kind {kind!r}")
+    return kind

@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import NonPhysical
-from .qstate import bd_corr_to_probs, float_vector, local_dimension
+from .qstate import PROB_NEG_ATOL, bd_corr_to_probs, float_vector, physical_probs, whole_number
 
 BOUNDARY_TOL = 1e-12
 
@@ -66,7 +65,7 @@ def chsh_verdict(rep) -> ChshVerdict:
 
 def cglmp_qk(d: int, k: int) -> float:
     """Joint outcome weight q_k = 1 / (2 d^3 sin^2(pi (k + 1/4) / d))."""
-    d = local_dimension(d)
+    d = whole_number(d, 2, "local dimension")
     s = math.sin(math.pi * (k + 0.25) / d)
     return 1.0 / (2.0 * d**3 * s * s)
 
@@ -79,7 +78,7 @@ def cglmp_threshold(d: int) -> CglmpThreshold:
     threshold reduces to the CHSH value 1/sqrt(2). The sum runs in a Python
     loop, so the cost grows like d: about 0.1 s at d = 10^5 and 1 s at 10^6.
     """
-    d = local_dimension(d)
+    d = whole_number(d, 2, "local dimension")
     total = 0.0
     for k in range(d // 2):
         coeff = 1.0 - 2.0 * k / (d - 1.0)
@@ -88,8 +87,9 @@ def cglmp_threshold(d: int) -> CglmpThreshold:
     return CglmpThreshold(d=d, i_d_qm=i_d, omega_threshold=2.0 / i_d)
 
 
-def in_tetrahedron(a, tol: float = 1e-12) -> bool:
-    """Whether correlators a lie in the physical Bell-diagonal tetrahedron.
+def in_tetrahedron(a, tol: float = PROB_NEG_ATOL) -> bool:
+    """Whether correlators a lie in the physical Bell-diagonal tetrahedron,
+    each Bell weight at least -tol (by default qstate.physical_probs's bound).
 
     Raises DimensionMismatch unless a holds 3 correlators (bd_corr_to_probs).
     """
@@ -106,11 +106,10 @@ def max_pair_sum(a) -> float:
 def bd_is_chsh_local(a) -> bool:
     """CHSH locality of a Bell-diagonal state: every pair sum a_i^2 + a_j^2 <= 1.
 
-    Raises DimensionMismatch unless a holds 3 correlators (in_tetrahedron)
-    and NonPhysical outside the tetrahedron. The boundary counts as local.
+    Raises DimensionMismatch unless a holds 3 correlators and NonPhysical
+    outside the tetrahedron (physical_probs). The boundary counts as local.
     """
-    if not in_tetrahedron(a):
-        raise NonPhysical(f"correlators {list(map(float, a))} outside the tetrahedron")
+    physical_probs(a)
     return max_pair_sum(a) <= 1.0 + BOUNDARY_TOL
 
 

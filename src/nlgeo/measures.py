@@ -25,7 +25,7 @@ import math
 from collections import namedtuple
 
 from .errors import NotConverged, OutOfRange
-from .kinds import DistanceKind
+from .kinds import DistanceKind, known_kind
 from .locality import (
     BOUNDARY_TOL,
     DISK_PAIRS,
@@ -44,6 +44,7 @@ from .qstate import (
     bd_corr_to_probs,
     bd_probs_to_corr,
     float_vector,
+    whole_number,
 )
 from . import solver
 
@@ -61,8 +62,9 @@ class MeasureResult(namedtuple("MeasureResult", "kind value closest_local method
     closed_form, lagrange_case (the exact HS and trace measures of a
     Bell-diagonal state) and numeric, and
     surface names the active boundary piece (locality.surface_name) when one
-    is identified. The diagnostics default to those of an exact result: no
-    surface, no iterations, converged.
+    is identified (a numeric one can miss it, see bd_measure_numeric). The
+    diagnostics default to those of an exact result: no surface, no
+    iterations, converged.
     """
 
     __slots__ = ()
@@ -93,6 +95,7 @@ def spectral_formula(
     elementwise sqrt, nonneg (max with 0) and xlog2 passed in (nlgeo.arrays),
     so both evaluate this one expression, with the same roundings.
     """
+    known_kind(kind)
     d2 = float(d * d)
     if kind is DistanceKind.HS:
         return math.sqrt(1.0 - 1.0 / d2) * (omega - t)
@@ -103,7 +106,8 @@ def spectral_formula(
     small, small_t = nonneg(1.0 - omega) / d2, (1.0 - t) / d2
     if kind in (DistanceKind.HELLINGER, DistanceKind.BURES):
         return 2.0 - 2.0 * (sqrt(big * big_t) + (d2 - 1.0) * sqrt(small * small_t))
-    # xlog2 is math.log2 per element (numpy's log2 kernel can differ in the last bit)
+    # relative entropy, as known_kind admits no other kind; xlog2 is
+    # math.log2 per element (numpy's log2 kernel can differ in the last bit)
     return nonneg(xlog2(big, big_t) + (d2 - 1.0) * xlog2(small, small_t))
 
 
@@ -113,8 +117,9 @@ def werner_measure(kind: DistanceKind, w: float) -> MeasureResult:
     A Werner state is the d = 2 isotropic state up to a local unitary, and its
     closest local state is the Werner state at the CHSH threshold 1/sqrt(2) for
     every kind, or the input itself when it is local (value exactly 0.0). An
-    invalid w raises OutOfRange.
+    invalid w or kind raises OutOfRange.
     """
+    known_kind(kind)
     w = WernerParam(float(w)).w
     if w <= WERNER_THRESHOLD + BOUNDARY_TOL:
         return _closed_form(kind, 0.0, WernerParam(w))
@@ -132,8 +137,9 @@ def isotropic_measure(kind: DistanceKind, d: int, omega: float) -> MeasureResult
     The closest local state is the isotropic state at the CGLMP threshold
     t = 2/I_d, or the input itself when it is local (value exactly 0.0). Both
     states are diagonal in {|phi+>} and its complement, so spectral_formula
-    applies. An invalid weight raises OutOfRange.
+    applies. An invalid weight or kind raises OutOfRange.
     """
+    known_kind(kind)
     d, omega = IsotropicParam(d=d, omega=float(omega))
     thr = cglmp_threshold(d).omega_threshold
     if omega <= thr + BOUNDARY_TOL:
@@ -145,6 +151,8 @@ def isotropic_measure(kind: DistanceKind, d: int, omega: float) -> MeasureResult
 # bd_measure_trace), and Bures equals Hellinger on commuting states, so none
 # of them has an objective of its own.
 OBJECTIVE_KINDS = (DistanceKind.HELLINGER, DistanceKind.RELATIVE_ENTROPY)
+# Bures is measured by the Hellinger solve (bd_measure_numeric, per_kind)
+_SOLVED_AS = {DistanceKind.BURES: DistanceKind.HELLINGER}
 
 
 class BdObjective:
@@ -159,7 +167,7 @@ class BdObjective:
     """
 
     def __init__(self, kind: DistanceKind, a):
-        if kind not in OBJECTIVE_KINDS:
+        if known_kind(kind) not in OBJECTIVE_KINDS:
             raise OutOfRange(f"no numeric objective for kind {kind.value!r}")
         self._e = bd_corr_to_probs(a)
         self._sqrt_e = tuple(math.sqrt(max(ei, 0.0)) for ei in self._e)
@@ -282,14 +290,16 @@ def bd_measure_numeric(kind: DistanceKind, a) -> MeasureResult:
     Solves the Hellinger and relative-entropy kinds. Bures equals Hellinger
     on commuting states, so a Bures request gets the Hellinger solve under
     its own kind. HS and trace raise OutOfRange: they are exact,
-    bd_measure_hs and bd_measure_trace.
+    bd_measure_hs and bd_measure_trace. surface names the cylinders within
+    1e-8 of the end point, so on a barely nonlocal input (a value near or
+    below the solver's GAP) it can be None although the value is positive.
     """
-    if kind in (DistanceKind.HS, DistanceKind.TRACE):
+    if known_kind(kind) in (DistanceKind.HS, DistanceKind.TRACE):
         raise OutOfRange(f"{kind.value} is exact; use bd_measure")
     a = float_vector(a, 3, "correlator")
     if bd_is_chsh_local(a):
         return _closed_form(kind, 0.0, BellDiagonal.from_corr(a))
-    obj = BdObjective(DistanceKind.HELLINGER if kind is DistanceKind.BURES else kind, a)
+    obj = BdObjective(_SOLVED_AS.get(kind, kind), a)
     report = solver.minimize_over_local_set(obj.terms)
     x = report.x
     active = [p for p, v in zip(DISK_PAIRS, solver.pair_violations(x)) if abs(v) <= 1e-8]
@@ -302,6 +312,18 @@ def bd_measure_numeric(kind: DistanceKind, a) -> MeasureResult:
         iterations=report.iterations,
         converged=report.converged,
     )
+
+
+def per_kind(kinds, solve):
+    """Yield solve(k) for each kind k, with one call for Bures and Hellinger
+    together (_SOLVED_AS), which also share their Werner maximum. Each call
+    runs when its item is taken, so a caller can time it."""
+    done = {}
+    for k in kinds:
+        shared = _SOLVED_AS.get(k, k)
+        if shared not in done:
+            done[shared] = solve(k)
+        yield done[shared]
 
 
 def bd_measure(kind: DistanceKind, a) -> MeasureResult:
@@ -338,8 +360,7 @@ def bd_sweep(kind: DistanceKind, family: str, n_points: int) -> list[tuple[float
     (parameter, normalized value) rows; an unconverged solve raises
     NotConverged naming its point.
     """
-    if n_points < 2:
-        raise OutOfRange("a sweep needs at least two points")
+    n_points = whole_number(n_points, 2, "n_points")
     norm = werner_max(kind)
     if family == "two_bell_mix":
         params = _linspace(0.5, 1.0, n_points)
@@ -370,8 +391,7 @@ def bd_grid(kind: DistanceKind, grid_n: int) -> list[tuple[float, float, float]]
     by two grid sizes gets the same value in both. An unconverged solve raises
     NotConverged naming that node, the first row of its class.
     """
-    if grid_n < 1:
-        raise OutOfRange("grid_n must be at least 1")
+    grid_n = whole_number(grid_n, 1, "grid_n")
     norm = werner_max(kind)
     values = {}
     rows = []

@@ -71,6 +71,16 @@ def bd_corr_to_probs(a) -> tuple[float, float, float, float]:
     )
 
 
+def physical_probs(a) -> tuple[float, float, float, float]:
+    """Bell weights of correlators a, the one physicality check: NonPhysical
+    unless each is >= -PROB_NEG_ATOL, DimensionMismatch unless a holds 3."""
+    e = bd_corr_to_probs(a)
+    # written so that a nan weight fails too
+    if not all(ek >= -PROB_NEG_ATOL for ek in e):
+        raise NonPhysical(f"correlators {list(map(float, a))} lie outside the physical tetrahedron")
+    return e
+
+
 class _Checked:
     """Base of a record whose __new__ checks or converts its fields: _make, and
     with it _replace, goes through __new__ too."""
@@ -90,15 +100,13 @@ class BellDiagonal(_Checked, namedtuple("BellDiagonal", "a e")):
 
     @classmethod
     def from_corr(cls, a) -> "BellDiagonal":
-        e = bd_corr_to_probs(a)
-        # written so that a nan weight fails too
-        if not all(ek >= -PROB_NEG_ATOL for ek in e):
-            raise NonPhysical(f"correlators {list(map(float, a))} lie outside the physical tetrahedron")
-        return cls(a=a, e=e)
+        return cls(a=a, e=physical_probs(a))
 
     @classmethod
     def from_probs(cls, e) -> "BellDiagonal":
+        # e passes with a sum within PROB_SUM_ATOL of 1, which can put a outside
         a = bd_probs_to_corr(e)
+        physical_probs(a)
         return cls(a=a, e=e)
 
 
@@ -113,12 +121,13 @@ class WernerParam(_Checked, namedtuple("WernerParam", "w")):
         return super().__new__(cls, w)
 
 
-def local_dimension(d) -> int:
-    """d as an int; OutOfRange unless it is a whole number >= 2 (nan, inf and
-    bools are not)."""
-    if isinstance(d, bool) or not (d >= 2 and float(d).is_integer()):
-        raise OutOfRange(f"local dimension must be an integer >= 2, got {d}")
-    return int(d)
+def whole_number(n, low: int, name: str) -> int:
+    """n as an int; OutOfRange naming it unless it is a whole number >= low
+    (nan, inf and bools are not)."""
+    # n % 1 rather than float(n): an int too large for a float is whole
+    if isinstance(n, bool) or not (n >= low and n % 1 == 0):
+        raise OutOfRange(f"{name} must be an integer >= {low}, got {n}")
+    return int(n)
 
 
 class IsotropicParam(_Checked, namedtuple("IsotropicParam", "d omega")):
@@ -127,7 +136,7 @@ class IsotropicParam(_Checked, namedtuple("IsotropicParam", "d omega")):
     __slots__ = ()
 
     def __new__(cls, d, omega):
-        d = local_dimension(d)
+        d = whole_number(d, 2, "local dimension")
         lo = -1.0 / (d * d - 1.0)
         if not (lo - 1e-12 <= omega <= 1.0 + 1e-12):
             raise OutOfRange(f"omega {omega} outside [{lo}, 1] for d={d}")

@@ -1,6 +1,7 @@
 """Self-check suite: measures against the Werner closed forms, grid
 stability, and invariance of the numeric measures under symmetries of the
-local set."""
+local set. The Bures check reuses the Hellinger solves (measures.per_kind);
+each check's seconds cover only its own solves."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from .measures import (
     bd_grid,
     bd_measure,
     bd_measure_numeric,
+    per_kind,
     werner_measure,
     WERNER_THRESHOLD,
 )
@@ -40,36 +42,39 @@ class CheckResult(namedtuple("CheckResult", "name passed max_error tolerance sec
     __slots__ = ()
 
 
-def _oracle_werner(kind: DistanceKind, solved: dict) -> CheckResult:
-    t0 = time.perf_counter()
-    # HS and trace have no numeric objective, so they are checked on
-    # bd_measure, the exact measures users get. bd_measure sends the other
-    # kinds to bd_measure_numeric, called here by the name that
-    # perfbench/worker.py hooks to time validate in segments. A Bures solve is
-    # the Hellinger one, so their checks share the solves kept in solved.
-    solve = bd_measure if kind in (DistanceKind.HS, DistanceKind.TRACE) else bd_measure_numeric
-    shared = DistanceKind.HELLINGER if kind is DistanceKind.BURES else kind
-    step = 1.0 - WERNER_THRESHOLD
-    ws = [WERNER_THRESHOLD + step * i / ORACLE_POINTS for i in range(1, ORACLE_POINTS + 1)]
-    if shared not in solved:
-        solved[shared] = [solve(kind, [w * c for c in BELL_CORNERS[3]]) for w in ws]
-    results = solved[shared]
-    worst = max(abs(res.value - werner_measure(kind, w).value) for res, w in zip(results, ws))
+def _check(name: str, tolerance: float, start: float, worst: float, results=()) -> CheckResult:
+    """The record of a check begun at perf_counter() start: it fails on an
+    error above tolerance or on an unconverged result."""
     unconverged = sum(not res.converged for res in results)
     detail = f"NotConverged x{unconverged}" if unconverged else ""
-    passed = worst <= ORACLE_TOL and unconverged == 0
-    return CheckResult(
-        name=f"oracle_werner_{kind.value}",
-        passed=passed,
-        max_error=worst,
-        tolerance=ORACLE_TOL,
-        seconds=time.perf_counter() - t0,
-        detail=detail,
-    )
+    seconds = time.perf_counter() - start
+    return CheckResult(name, worst <= tolerance and not unconverged, worst, tolerance, seconds, detail)
+
+
+def _oracle_werner() -> list[CheckResult]:
+    step = 1.0 - WERNER_THRESHOLD
+    ws = [WERNER_THRESHOLD + step * i / ORACLE_POINTS for i in range(1, ORACLE_POINTS + 1)]
+
+    def solve(kind):
+        # HS and trace have no numeric objective, so they are checked on
+        # bd_measure, the exact measures users get. bd_measure sends the
+        # other kinds to bd_measure_numeric, called here by the name that
+        # perfbench/worker.py hooks to time validate in segments.
+        measure = bd_measure if kind in (DistanceKind.HS, DistanceKind.TRACE) else bd_measure_numeric
+        return [measure(kind, [w * c for c in BELL_CORNERS[3]]) for w in ws]
+
+    solved = per_kind(DistanceKind, solve)
+    checks = []
+    for kind in DistanceKind:
+        start = time.perf_counter()
+        results = next(solved)
+        worst = max(abs(res.value - werner_measure(kind, w).value) for res, w in zip(results, ws))
+        checks.append(_check(f"oracle_werner_{kind.value}", ORACLE_TOL, start, worst, results))
+    return checks
 
 
 def _grid_convergence() -> CheckResult:
-    t0 = time.perf_counter()
+    start = time.perf_counter()
     # i/n is correctly rounded, so a node shared by two grids has the same
     # (e1, e2) floats in both
     tables = [{(e1, e2): v for e1, e2, v in bd_grid(DistanceKind.HS, n)} for n in (10, 20, 50)]
@@ -77,13 +82,7 @@ def _grid_convergence() -> CheckResult:
     for coarse, fine in itertools.combinations(tables, 2):
         for node in coarse.keys() & fine.keys():
             worst = max(worst, abs(coarse[node] - fine[node]))
-    return CheckResult(
-        name="grid_convergence_hs",
-        passed=worst <= GRID_TOL,
-        max_error=worst,
-        tolerance=GRID_TOL,
-        seconds=time.perf_counter() - t0,
-    )
+    return _check("grid_convergence_hs", GRID_TOL, start, worst)
 
 
 def _symmetric_images(a) -> list:
@@ -94,35 +93,20 @@ def _symmetric_images(a) -> list:
 
 
 def _multiseed() -> CheckResult:
-    t0 = time.perf_counter()
+    start = time.perf_counter()
     worst = 0.0
-    unconverged = 0
+    results = []
     # only the numeric objectives are checked: HS and trace are exact, and a
     # Bures solve is the Hellinger one
     for point in MULTISEED_POINTS:
         for kind in OBJECTIVE_KINDS:
-            values = []
-            for image in _symmetric_images(point):
-                res = bd_measure_numeric(kind, image)
-                values.append(res.value)
-                if not res.converged:
-                    unconverged += 1
+            images = [bd_measure_numeric(kind, image) for image in _symmetric_images(point)]
+            values = [res.value for res in images]
             worst = max(worst, max(values) - min(values))
-    detail = f"NotConverged x{unconverged}" if unconverged else ""
-    return CheckResult(
-        name="multiseed_consistency",
-        passed=worst <= MULTISEED_TOL and unconverged == 0,
-        max_error=worst,
-        tolerance=MULTISEED_TOL,
-        seconds=time.perf_counter() - t0,
-        detail=detail,
-    )
+            results += images
+    return _check("multiseed_consistency", MULTISEED_TOL, start, worst, results)
 
 
 def run_validation() -> list[CheckResult]:
     """All validation checks, in a fixed order."""
-    solved = {}
-    checks = [_oracle_werner(kind, solved) for kind in DistanceKind]
-    checks.append(_grid_convergence())
-    checks.append(_multiseed())
-    return checks
+    return _oracle_werner() + [_grid_convergence(), _multiseed()]

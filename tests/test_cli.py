@@ -19,6 +19,7 @@ from nlgeo.cli import KIND_CODES, _meta_lines, build_parser, main, write_table
 from nlgeo.locality import bd_is_chsh_local
 from nlgeo.measures import bd_measure, two_bell_mix_corr
 from nlgeo.metrics import DistanceKind
+from nlgeo.qstate import bd_probs_to_corr
 
 
 def run(args):
@@ -202,11 +203,11 @@ def test_iso_json_is_strict_json_and_csv_keeps_inf(tmp_path):
     assert rows[-1][header.index("formula_re")] == "-inf"
 
 
-def oracle_write_table(out, columns, rows, meta_pairs, fmt, floats=()):
+def oracle_write_table(out, columns, rows, meta_pairs, fmt):
     """The table writer before row templates: a record dict per row and json.dumps.
 
-    It formats each cell by its type, so it ignores the float-column
-    declaration that write_table takes.
+    It formats each cell by its own type, where write_table types each column
+    by its first cell.
     """
 
     def cell(v):
@@ -238,11 +239,11 @@ def oracle_write_table(out, columns, rows, meta_pairs, fmt, floats=()):
         out.write(",".join(cell(v) for v in r) + "\n")
 
 
-def written(writer, table, fmt, floats=()):
+def written(writer, table, fmt):
     """The text a writer produces for (columns, rows, meta), or the type it raises."""
     out = io.StringIO()
     try:
-        writer(out, *table, fmt, floats)
+        writer(out, *table, fmt)
     except TypeError as exc:  # the json module encodes no numpy integer
         return type(exc)
     return out.getvalue()
@@ -274,15 +275,6 @@ WRITER_TABLES = {
         GRID_META,
     ),
 }
-# the columns each table declares as float columns: every cell a float
-WRITER_FLOATS = {
-    "floats": ["x", "y", "z"],
-    "numpy_int": ["x"],
-    "bool_none_int": [],
-    "strings": [],
-    "empty": ["w", "hs"],
-    "mixed": ["value"],
-}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -290,16 +282,15 @@ WRITER_FLOATS = {
 def test_write_table_matches_record_dict_writer(name, fmt):
     table = WRITER_TABLES[name]
     expected = written(oracle_write_table, table, fmt)
-    # declared or not, a float column is written as the record-dict writer
-    # wrote it, even where numpy's print options change the str of np.float64
+    # a float column is written as the record-dict writer wrote it, even
+    # where numpy's print options change the str of np.float64
     with np.printoptions(legacy="1.13"):
-        assert written(write_table, table, fmt, WRITER_FLOATS[name]) == expected
         assert written(write_table, table, fmt) == expected
 
 
-# commands that declare float columns, with every kind of cell they write:
-# Bures' all-None formula and flag columns, re's -inf formula (null in JSON)
-# and a Werner parameter just past 1
+# commands with float columns, with every kind of cell they write: Bures'
+# all-None formula and flag columns, re's -inf formula (null in JSON) and a
+# Werner parameter just past 1
 TYPED_COMMANDS = [
     ["bd-sweep", "--n", "5"],
     ["bd-grid", "--grid-n", "4", "--kind", "hs"],
@@ -326,26 +317,66 @@ def test_commands_write_what_the_record_dict_writer_wrote(argv, fmt, tmp_path, m
     assert new.read_bytes() == old.read_bytes()
 
 
+def _without_seconds(text: str) -> str:
+    """validate's output without its seconds cells, which differ run to run."""
+    if text.startswith("{"):
+        return re.sub(r'"seconds": [^,\n]*', '"seconds"', text)
+    return re.sub(r"^((?:[^,\n]*,){4})[^,\n]*", r"\1", text, flags=re.M)
+
+
+# every command, with float columns of each kind; iso stays below omega = 1,
+# where re's quoted formula is -inf and, in JSON, its row takes the per-cell
+# path on purpose
+FLOAT_COLUMN_COMMANDS = [
+    ["werner-sweep", "--n", "50"],
+    ["werner-sweep", "--w-max", "1.0000000000005", "--kind", "he", "--n", "3"],
+    ["bd-sweep", "--n", "5"],
+    ["bd-grid", "--grid-n", "4", "--kind", "hs"],
+    ["bd-measure", "--a=0.84,0.63,-0.5"],
+    ["iso", "--d", "3", "--n", "6", "--omega-max", "0.99", *(flag for k in KIND_CODES for flag in ("--kind", k))],
+    ["validate"],
+]
+
+
 def test_float_cells_make_no_per_cell_call(tmp_path, monkeypatch):
-    # werner-sweep declares every column a float column, so no row cell may
-    # reach the per-cell formatters; the CSV metadata lines, which hold no
-    # float here, still use _fmt
-    fmt_cell = cli._fmt
+    # write_table finds every float column from the first row, so once the
+    # header is written no float cell may reach the per-cell formatters; the
+    # CSV metadata lines, written first, still use _fmt (iso's hold floats)
+    writes = []
+    real_write_table, fmt_cell, json_cell = cli.write_table, cli._fmt, cli._json_cell
 
-    def refuse(v):
-        raise AssertionError(f"cell {v!r} took the per-cell path")
+    class CountingOut:
+        def __init__(self, out):
+            self.out = out
 
-    def refuse_float(v):
-        return refuse(v) if isinstance(v, float) else fmt_cell(v)
+        def write(self, text):
+            writes.append(text)
+            return self.out.write(text)
 
-    argv = ["werner-sweep", "--n", "50"]
-    for fmt in ("csv", "json"):
-        assert run(argv + ["--format", fmt, "--out", str(tmp_path / "plain")]) == 0
-        with monkeypatch.context() as m:
-            m.setattr(cli, "_fmt", refuse_float)
-            m.setattr(cli, "_json_cell", refuse)
-            assert run(argv + ["--format", fmt, "--out", str(tmp_path / "guarded")]) == 0, fmt
-        assert (tmp_path / "guarded").read_bytes() == (tmp_path / "plain").read_bytes(), fmt
+    def guard(formatter):
+        def refuse_float(v):
+            if writes and isinstance(v, float):
+                raise AssertionError(f"cell {v!r} took the per-cell path")
+            return formatter(v)
+
+        return refuse_float
+
+    for argv in FLOAT_COLUMN_COMMANDS:
+        for fmt in ("csv", "json"):
+            plain, guarded = tmp_path / "plain", tmp_path / "guarded"
+            assert run(argv + ["--format", fmt, "--out", str(plain)]) == 0
+            writes.clear()
+            with monkeypatch.context() as m:
+                m.setattr(cli, "write_table", lambda out, *args: real_write_table(CountingOut(out), *args))
+                m.setattr(cli, "_fmt", guard(fmt_cell))
+                m.setattr(cli, "_json_cell", guard(json_cell))
+                assert run(argv + ["--format", fmt, "--out", str(guarded)]) == 0, (argv, fmt)
+            # the header, then the rows
+            assert len(writes) >= 2, (argv, fmt)
+            texts = [path.read_text() for path in (plain, guarded)]
+            if argv[0] == "validate":
+                texts = [_without_seconds(text) for text in texts]
+            assert texts[0] == texts[1], (argv, fmt)
 
 
 @pytest.mark.parametrize(
@@ -413,6 +444,14 @@ def test_exit_codes(tmp_path, monkeypatch):
     assert run(["bd-measure", "--e=nan,0,0,1", "--out", out]) == 3
     monkeypatch.setattr(solver, "MAX_ITERS", 1)
     assert run(["bd-measure", "--a=-0.88,-0.88,-0.88", "--out", out]) == 5
+
+
+def test_weights_outside_the_tetrahedron_exit_3_with_the_library_message(tmp_path, capsys):
+    # the weights pass the probability checks; their correlators do not
+    weights = (0.5000000004, 0.5000000004, 0.0, 0.0)
+    a = bd_probs_to_corr(weights)
+    assert run(["bd-measure", "--e", ",".join(map(str, weights)), "--out", str(tmp_path / "x.csv")]) == 3
+    assert capsys.readouterr().err == f"nlgeo: correlators {list(a)} lie outside the physical tetrahedron\n"
 
 
 def test_unopenable_out_path_exits_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import decimal
 import itertools
 import math
+import re
 from decimal import Decimal
 
 import numpy as np
@@ -984,6 +985,37 @@ def test_bd_grid_structure_and_anchors():
     assert by_node[(0.25, 0.25)] == 0.0  # central local plateau
     with pytest.raises(OutOfRange):
         bd_grid(DistanceKind.HS, 0)
+
+
+# every public entry that takes a kind, on a local and a nonlocal input
+KIND_ENTRIES = {
+    "werner_measure": lambda kind, local: werner_measure(kind, 0.5 if local else 0.9),
+    "isotropic_measure": lambda kind, local: isotropic_measure(kind, 3, 0.5 if local else 0.9),
+    "werner_values": lambda kind, local: werner_values(kind, [0.5 if local else 0.9]),
+    "isotropic_values": lambda kind, local: isotropic_values(kind, 3, [0.5 if local else 0.9]),
+    "isotropic_reference_formula": lambda kind, local: isotropic_reference_formula(kind, 3, 0.5 if local else 0.9),
+    "bd_measure": lambda kind, local: bd_measure(kind, (0.3, 0.3, -0.3) if local else (0.84, 0.63, -0.5)),
+    # each sweep and grid holds local and nonlocal points
+    "bd_sweep": lambda kind, local: bd_sweep(kind, "two_bell_mix" if local else "werner_line", 3),
+    "bd_grid": lambda kind, local: bd_grid(kind, 2),
+}
+
+
+@pytest.mark.parametrize("local", [True, False])
+@pytest.mark.parametrize("kind", ["hs", None])
+@pytest.mark.parametrize("entry", sorted(KIND_ENTRIES))
+def test_an_unknown_kind_raises_out_of_range(entry, kind, local):
+    # neither the relative-entropy fallthrough nor the local shortcut may
+    # answer for a kind that is not a DistanceKind
+    with pytest.raises(OutOfRange, match=re.escape(repr(kind))):
+        KIND_ENTRIES[entry](kind, local)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_whole_number_count_need_not_be_an_int(kind):
+    # the counts that are not whole numbers: test_qstate's dimension test
+    assert bd_grid(kind, 2.0) == bd_grid(kind, np.int64(2)) == bd_grid(kind, 2)
+    assert bd_sweep(kind, "two_bell_mix", 3.0) == bd_sweep(kind, "two_bell_mix", 3)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -1,0 +1,31 @@
+"""nlgeo/__init__.py keeps three lists by hand: the eager imports, the lazy
+names of _LAZY and __all__. They must name the same public surface."""
+
+import ast
+from pathlib import Path
+
+import nlgeo
+
+
+def _eager_names() -> list[str]:
+    """The public names bound by the package's own `from .x import ...` lines."""
+    tree = ast.parse(Path(nlgeo.__file__).read_text())
+    return [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    ]
+
+
+def test_all_is_the_eager_and_lazy_names_each_once():
+    expected = ["__version__", *_eager_names(), *nlgeo._LAZY]
+    assert len(set(expected)) == len(expected)
+    assert len(set(nlgeo.__all__)) == len(nlgeo.__all__)
+    assert set(nlgeo.__all__) == set(expected)
+
+
+def test_every_public_name_resolves():
+    for name in nlgeo.__all__:
+        assert getattr(nlgeo, name) is not None, name

@@ -37,8 +37,8 @@ from nlgeo.qstate import (
     bd_corr_to_probs,
     bd_probs_to_corr,
 )
-from nlgeo.locality import cglmp_qk, cglmp_threshold
-from nlgeo.measures import bd_measure, isotropic_measure
+from nlgeo.locality import bd_is_chsh_local, cglmp_qk, cglmp_threshold
+from nlgeo.measures import bd_grid, bd_measure, bd_sweep, isotropic_measure
 from nlgeo.metrics import (
     DistanceKind,
     dist_bures,
@@ -298,6 +298,9 @@ def test_a_dimension_that_is_not_a_whole_number_raises(d):
         lambda: cglmp_qk(d, 0),
         lambda: isotropic_measure(DistanceKind.HS, d, 0.9),
         lambda: make_isotropic(d, 0.5),
+        # counts go through the same check
+        lambda: bd_grid(DistanceKind.HS, d),
+        lambda: bd_sweep(DistanceKind.HS, "two_bell_mix", d),
     )
     for call in calls:
         with pytest.raises(OutOfRange):
@@ -313,6 +316,26 @@ def test_make_bell_diagonal_argument_checks():
         BellDiagonal.from_corr(np.array([0.9, -0.9, 0.2]))
     with pytest.raises(InvalidProbability):
         BellDiagonal.from_probs(np.array([0.5, 0.6, 0.0, -0.1]))
+
+
+# Bell weights that sum to 1 within PROB_SUM_ATOL, but whose correlators
+# (1.0000000008, 0, 0) lie outside the tetrahedron
+SLACK_WEIGHTS = (0.5000000004, 0.5000000004, 0.0, 0.0)
+
+
+def test_one_physicality_check_and_one_error():
+    a = bd_probs_to_corr(SLACK_WEIGHTS)
+    calls = [
+        lambda: BellDiagonal.from_probs(SLACK_WEIGHTS),
+        lambda: BellDiagonal.from_corr(a),
+        lambda: make_bell_diagonal(e=SLACK_WEIGHTS),
+        lambda: bd_is_chsh_local(a),
+        *(lambda kind=kind: bd_measure(kind, a) for kind in DistanceKind),
+    ]
+    for call in calls:
+        with pytest.raises(NonPhysical) as info:
+            call()
+        assert str(info.value) == f"correlators {list(a)} lie outside the physical tetrahedron"
 
 
 def test_random_tetra_points_are_physical(rng):
