@@ -6,10 +6,10 @@ family's locality threshold. For general Bell-diagonal states the
 Hilbert-Schmidt measure is half the distance to the exact Euclidean
 projection onto the CHSH-local region, and the trace measure is the exact
 distance to that region in a polyhedral norm; both are found in one symmetry
-chamber. The Hellinger and relative-entropy measures are minimized over the
-region by one log-barrier Newton solve. The Bures measure reuses the
-Hellinger solve: Bell-diagonal states commute, and on commuting states the
-two squared distances are equal.
+chamber. The Hellinger and relative-entropy measures are minimized exactly
+over the region, in the symmetry chamber of the state's Bell weights. The
+Bures measure reuses the Hellinger solve: Bell-diagonal states commute, and
+on commuting states the two squared distances are equal.
 
 Hellinger and Bures measures are reported as squared distances; relative
 entropy is in bits. A local input yields exactly 0.0, and every value is a
@@ -61,10 +61,9 @@ class MeasureResult(namedtuple("MeasureResult", "kind value closest_local method
     closest_local identifies the minimizing local state, method is one of
     closed_form, lagrange_case (the exact HS and trace measures of a
     Bell-diagonal state) and numeric, and
-    surface names the active boundary piece (locality.surface_name) when one
-    is identified (a numeric one can miss it, see bd_measure_numeric). The
-    diagnostics default to those of an exact result: no surface, no
-    iterations, converged.
+    surface names the active boundary piece (locality.surface_name) where
+    the method finds one; the closed forms do not. The diagnostics default
+    to those of an exact result: no surface, no iterations, converged.
     """
 
     __slots__ = ()
@@ -159,22 +158,29 @@ class BdObjective:
     """Distance objective between a fixed Bell-diagonal state and a variable
     one, as a sum of one term per Bell weight of the variable state.
 
-    terms(w0, w1, w2, w3), at positive weights, is the kernel that
-    solver.minimize_over_local_set takes: the objective, then each term's
-    first derivative in its weight, then each second derivative, as one flat
-    tuple. The minimized quantity is the squared Hellinger distance or the
+    terms(w0, w1, w2, w3) is the kernel that solver.minimize_over_local_set
+    takes: the objective, then each term's first derivative in its weight,
+    then each second derivative, as one flat tuple. It works in the fixed
+    state's symmetry chamber: its k-th weight is that of the Bell state
+    order[k], where order sorts the fixed state's weights in descending
+    order. The minimized quantity is the squared Hellinger distance or the
     relative entropy in bits; any other kind raises OutOfRange.
     """
 
     def __init__(self, kind: DistanceKind, a):
         if known_kind(kind) not in OBJECTIVE_KINDS:
             raise OutOfRange(f"no numeric objective for kind {kind.value!r}")
-        self._e = bd_corr_to_probs(a)
+        e = bd_corr_to_probs(a)
+        # the weights themselves are permuted, never their correlators
+        self.order = tuple(sorted(range(4), key=e.__getitem__, reverse=True))
+        self._e = tuple(e[k] for k in self.order)
         self._sqrt_e = tuple(math.sqrt(max(ei, 0.0)) for ei in self._e)
         self._hellinger = kind is DistanceKind.HELLINGER
 
     def terms(self, w0, w1, w2, w3):
-        # written out per weight: the barrier solve calls this about 31 times
+        # written out per weight: the solve calls this about 17 times. Only
+        # the last weight can be 0 there; an absent term then contributes
+        # nothing, and a present one raises ZeroDivisionError
         if self._hellinger:
             s0, s1, s2, s3 = self._sqrt_e
             q0 = math.sqrt(w0)
@@ -184,11 +190,11 @@ class BdObjective:
             r0 = s0 / q0
             r1 = s1 / q1
             r2 = s2 / q2
-            r3 = s3 / q3
+            r3 = s3 / q3 if s3 else 0.0
             return (
                 max(2.0 - 2.0 * (s0 * q0 + s1 * q1 + s2 * q2 + s3 * q3), 0.0),
                 -r0, -r1, -r2, -r3,
-                0.5 * r0 / w0, 0.5 * r1 / w1, 0.5 * r2 / w2, 0.5 * r3 / w3,
+                0.5 * r0 / w0, 0.5 * r1 / w1, 0.5 * r2 / w2, 0.5 * r3 / w3 if s3 else 0.0,
             )
         e0, e1, e2, e3 = self._e
         # a weight e_k <= 1e-15 contributes nothing (0 log 0 = 0)
@@ -205,7 +211,7 @@ class BdObjective:
         if e3 > 1e-15:
             f += e3 * math.log2(e3 / w3)
             q3 = e3 / (w3 * _LN2)
-        return f, -q0, -q1, -q2, -q3, q0 / w0, q1 / w1, q2 / w2, q3 / w3
+        return f, -q0, -q1, -q2, -q3, q0 / w0, q1 / w1, q2 / w2, q3 / w3 if q3 else 0.0
 
 
 def _lagrange_case(kind: DistanceKind, value: float, proj: LocalProjection) -> MeasureResult:
@@ -282,17 +288,17 @@ def bd_measure_trace(a) -> MeasureResult:
 def bd_measure_numeric(kind: DistanceKind, a) -> MeasureResult:
     """Measure of a Bell-diagonal state by constrained minimization.
 
-    One log-barrier Newton solve over the local set from the maximally mixed
-    state (solver.minimize_over_local_set); its value is within the solver's
-    GAP of the optimum, and is the objective at the returned point, which
-    lies strictly inside the local set.
+    One exact solve in the symmetry chamber of a's Bell weights
+    (solver.minimize_over_local_set): its value sits at the optimum to within
+    rounding, and is the objective at the closest local state's weights,
+    which lie on the boundary of the local set. converged says that the solve
+    met its stop test and that the KKT multipliers there certify the optimum.
 
     Solves the Hellinger and relative-entropy kinds. Bures equals Hellinger
     on commuting states, so a Bures request gets the Hellinger solve under
     its own kind. HS and trace raise OutOfRange: they are exact,
-    bd_measure_hs and bd_measure_trace. surface names the cylinders within
-    1e-8 of the end point, so on a barely nonlocal input (a value near or
-    below the solver's GAP) it can be None although the value is positive.
+    bd_measure_hs and bd_measure_trace. surface names the boundary piece the
+    solve ended on.
     """
     if known_kind(kind) in (DistanceKind.HS, DistanceKind.TRACE):
         raise OutOfRange(f"{kind.value} is exact; use bd_measure")
@@ -301,14 +307,16 @@ def bd_measure_numeric(kind: DistanceKind, a) -> MeasureResult:
         return _closed_form(kind, 0.0, BellDiagonal.from_corr(a))
     obj = BdObjective(_SOLVED_AS.get(kind, kind), a)
     report = solver.minimize_over_local_set(obj.terms)
-    x = report.x
-    active = [p for p, v in zip(DISK_PAIRS, solver.pair_violations(x)) if abs(v) <= 1e-8]
+    order = obj.order
+    # the chamber's axis j splits its weights into {0, j + 1} and the other
+    # two, and the axis (m ^ n) - 1 of a splits them into {m, n} and the rest
+    axes = [(order[0] ^ order[j]) - 1 for j in (1, 2, 3)]
     return MeasureResult(
         kind=kind,
         value=report.value,
-        closest_local=BellDiagonal.from_corr(x),
+        closest_local=BellDiagonal.from_probs([wk for _, wk in sorted(zip(order, report.x))]),
         method="numeric",
-        surface=surface_name(active),
+        surface=surface_name([(axes[i], axes[j]) for i, j in report.pairs]),
         iterations=report.iterations,
         converged=report.converged,
     )

@@ -1,247 +1,220 @@
-"""Log-barrier Newton solver for minimization over the CHSH-local Bell-diagonal set.
+"""Exact minimization over the CHSH-local Bell-diagonal set in one symmetry chamber.
 
-The local set L is the tetrahedron of Bell weights w_k >= 0 intersected with
-the three cylinders a_i^2 + a_j^2 <= 1, in correlator coordinates x. Every
-objective used with this solver is a convex sum f(w) = sum_k f_k(w_k) of one
-term per Bell weight, given by one kernel, terms(w0, w1, w2, w3) = (f, f_0',
-.., f_3', f_0'', .., f_3''), called once per point the solver scores, where
-all seven slacks are positive. So one start suffices: the maximally mixed
-state x = 0, where every weight is 1/4 and every cylinder has slack 1. Each
-stage minimizes
+The objectives are f(w) = sum_k phi(e_k, w_k) over the Bell weights w of a
+local state, one convex term per weight for a fixed state's weights e, with
+d^2 phi / de dw <= 0. They come as one kernel, terms(w1, w2, w3, w4) = (f,
+phi_1', .., phi_4', phi_1'', .., phi_4''), with e in descending order.
 
-    f(w(x)) - t * (sum_k log w_k + sum_(i,j) log(1 - x_i^2 - x_j^2))
+The local set L is the tetrahedron w_k >= 0 cut by the cylinders
+x_i^2 + x_j^2 <= 1 of the correlators x, w_k = (1 + C_k . x) / 4
+(qstate.BELL_CORNERS). A permutation of the weights permutes the axes of x
+with an even number of sign flips, so it maps L onto itself, and f is
+unchanged when it acts on both e and w. Exchanging two weights ordered
+against e does not raise f, so the minimizer's weights are ordered like e:
+x1 >= x2 >= |x3|, as x1 - x2 = 2 (w2 - w3), x2 - x3 = 2 (w1 - w2) and
+x2 + x3 = 2 (w3 - w4). For a nonlocal e it lies on the cylinder (1, 2), as a
+point inside every cylinder would minimize f over the whole tetrahedron,
+where e does. So x = (cos t, sin t, x3) with 0 <= t <= pi/4, and with u = w4,
+c = cos t and s = sin t,
 
-by damped Newton steps, and t falls by STAGE_REDUCTION per stage. A stage
-minimizer is within 7 t of the optimum over L, one t per constraint (Boyd &
-Vandenberghe, Convex Optimization, section 11.2), so the last stage is the
-first with 7 t <= GAP: the eighth, at t = 1.28e-12. Every iterate is strictly
-inside L.
+    w(t, u) = ((c + s)/2 + u, (1 - s)/2 - u, (1 - c)/2 - u, u),  0 <= u <= (1 - c)/4.
 
-Warm start: the stage minimizers x(t) lie on the central path
-grad f + t grad B = 0, B = -sum log(slacks), whose tangent solves
-H dx/dt = -grad B, H the barrier Hessian. A converged stage holds the Cholesky
-factor of H at its end point x, so the next stage starts at the predictor
-x + (t_next - t) dx/dt (Nocedal & Wright, Numerical Optimization, section
-14.2) when that point is strictly inside L, and otherwise at x. The tangent
-predicts exactly a slack that vanishes like t along the path, so t can fall
-fiftyfold per stage.
+u = (1 - c)/4 is the arc w3 = w4, x3 = -s, where the cylinder (1, 3) meets
+(1, 2); it ends at t = pi/4 in the vertex of all three. u = 0 is the facet
+w4 = 0, where the slope of a present e4 term is -inf (the kernel raises
+ZeroDivisionError there) and only an absent one can hold the minimum.
 
-Each step is damped by a backtracking line search with a fraction-to-boundary
-floor (Nocedal & Wright, section 19.2): a trial point must keep every slack
-at or above BOUNDARY_FRACTION of its value at the current iterate. Without
-the floor, a step that meets the Armijo condition can shrink a slack of about
-t by nearly four orders of magnitude, and the barrier Hessian then loses
-positive definiteness in floating point. A Newton system that is not
-numerically positive definite ends its stage unconverged.
+F(t, u) = f(w(t, u)) is convex in u, with F_u = phi_1' - phi_2' - phi_3' +
+phi_4' and F_uu = sum_k phi_k''. A safeguarded Newton iteration in u
+minimizes it; it takes an end point when the sign of F_u there says so, and
+stops on a step relative to u, since a tiny e4 puts the minimizer at a tiny
+u. An outer Newton iteration finds the root of G'(t), G(t) = min_u F(t, u):
+G' = F_t plus F_u s/4 on the arc, and G'' = F_tt - F_tu^2 / F_uu for u
+inside, or the total derivative along the arc or the facet. It tests
+t = pi/4 first, where G' <= 0 puts the minimizer; elsewhere it keeps its
+steps in the bracket [0, pi/4] by bisection and stops on a step of at most
+T_TOL, leaving an error of about G'' T_TOL^2 in the value. Each u solve
+starts from the last u moved along du/dt.
 
-The decision space has three coordinates, so a stage is one loop on local
-floats (a Python call costs more than the arithmetic it would wrap); numpy is
-not needed.
+f and L are convex, so the end point is the minimum when the gradient
+F_i = dF/dx_i = sum_k phi_k' C_ki / 4 is balanced there by multipliers >= 0
+of the active constraints (k = sqrt 2):
+- disk: lambda_12 = -(c F1 + s F2)/2;
+- arc: lambda_12 = -F2/(2s), lambda_13 = F3/(2s);
+- facet: mu = -4 F3 for w4 >= 0, lambda_12 = -(F1 - F3)/(2c);
+- vertex: lambda_12 = -(F1 + F2 + F3)/(2k), lambda_13 = -F1/k - lambda_12,
+  lambda_23 = -F2/k - lambda_12.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 
 from .locality import DISK_PAIRS
 
-# Newton steps allowed per barrier stage. A stage needs a handful: at most 14,
-# mean 3.1, over 18,944 stages of random, grid and sweep inputs
+# Angle steps allowed per solve, the probe at pi/4 included; a solve takes
+# about 4 to 5. One that spends them all ends unconverged, so that a budget
+# of 1 starves every solve
 MAX_ITERS = 500
-T_FIRST = 1.0
-# t falls by this factor per stage; the tangent start keeps stages short
-# at this steep fall
-STAGE_REDUCTION = 0.02
-GAP = 1e-11
-ARMIJO = 1e-4
-# a stage ends when half the squared Newton decrement, the predicted
-# decrease still left in its barrier objective, is below this
-DECREMENT_TOL = 1e-12
-# a trial step keeps every slack at or above this share of its current value
-BOUNDARY_FRACTION = 0.01
+# the angle iteration stops on a step at most this
+T_TOL = 1e-11
+# the u iteration stops on a step at most this share of u
+U_TOL = 1e-9
 
-N_CONSTRAINTS = 4 + len(DISK_PAIRS)
+_SQRT_HALF = math.sqrt(0.5)
+_SQRT_TWO = math.sqrt(2.0)
+# the active cylinders of each piece, in the chamber's axes
+_PAIRS = {"disk": DISK_PAIRS[:1], "facet": DISK_PAIRS[:1], "arc": DISK_PAIRS[:2], "vertex": DISK_PAIRS}
 
 
-class SolveReport(namedtuple("SolveReport", "x value iterations converged")):
-    """The last stage's point, the objective there, the Newton steps of all
-    stages, and whether all converged."""
+class SolveReport(namedtuple("SolveReport", "x value iterations converged pairs")):
+    """The minimizer's Bell weights in the order terms takes them, the
+    objective there, the angle steps taken, whether the stop test was met
+    within MAX_ITERS with every KKT multiplier >= 0, and the index pairs of
+    the cylinders it lies on, in the correlator axes of that order."""
 
     __slots__ = ()
 
 
-def probs(x) -> tuple[float, float, float, float]:
-    """Bell weights of the correlator triple x."""
-    x0, x1, x2 = x
-    return (
-        0.25 * (1.0 + x0 + x1 - x2),
-        0.25 * (1.0 + x0 - x1 + x2),
-        0.25 * (1.0 - x0 + x1 + x2),
-        0.25 * (1.0 - x0 - x1 - x2),
-    )
+def _inner(terms, c, s, u, facet):
+    """Minimize F(t, .) over [0, (1 - c)/4] from u, for c = cos t, s = sin t.
+
+    Returns (u, piece, terms at the last u scored, that u, facet), piece
+    "arc" at the top, "facet" at 0 and "disk" between. facet is False once
+    the kernel has raised at u = 0, which is then not scored again, True
+    once it has not, and None before.
+    """
+    p, q, half = 0.5 * (c + s), 0.5 * (1.0 - s), 0.5 * (1.0 - c)
+    top = 0.5 * half
+    lo, hi = 0.0, top
+    lo_seen = hi_seen = False
+    while True:
+        try:
+            k = terms(p + u, q - u, half - u, u)
+        except ZeroDivisionError:
+            # at u = 0 the last term is present; elsewhere the kernel is at fault
+            if u != 0.0:
+                raise
+            facet = False
+            u = 0.5 * hi
+            continue
+        _, d1, d2, d3, d4, h1, h2, h3, h4 = k
+        fu = d1 - d2 - d3 + d4
+        if u == 0.0:
+            facet = True
+            if fu >= 0.0:
+                return u, "facet", k, u, facet
+        if u == top and fu <= 0.0:
+            return u, "arc", k, u, facet
+        if fu > 0.0:
+            hi, hi_seen = u, True
+        else:
+            lo, lo_seen = u, True
+        n = u - fu / (h1 + h2 + h3 + h4)
+        if abs(n - u) <= U_TOL * u and (n == u or n < hi):
+            return n, "disk", k, u, facet
+        if n >= hi:
+            if not hi_seen:
+                u = top
+                continue
+            n = 0.5 * (lo + hi)
+        elif n <= lo:
+            if not lo_seen and facet is not False:
+                u = 0.0
+                continue
+            # the step that solves F_u = A - B / u: Newton's share of u in log u
+            n = u * u / (2.0 * u - n)
+            if n <= lo:
+                n = 0.5 * (lo + hi)
+            if n == 0.0:
+                # u is the least positive float
+                return u, "disk", k, u, facet
+        if abs(n - u) <= U_TOL * u:
+            return n, "disk", k, u, facet
+        u = n
 
 
-def pair_violations(x) -> tuple[float, float, float]:
-    """Values of a_i^2 + a_j^2 - 1 for the three disk constraints."""
-    x0, x1, x2 = x
-    return (x0 * x0 + x1 * x1 - 1.0, x0 * x0 + x2 * x2 - 1.0, x1 * x1 + x2 * x2 - 1.0)
+def _slopes(c, s, piece, k, du):
+    """G'(t), G''(t) and du/dt from the kernel's derivatives k at (t, u),
+    where the u iteration's last step du is not yet scored."""
+    _, d1, d2, d3, d4, h1, h2, h3, h4 = k
+    # dw_k/dt at fixed u for k = 1, 2, 3; w4 = u
+    a1, a2, a3 = 0.5 * (c - s), -0.5 * c, 0.5 * s
+    ft = d1 * a1 + d2 * a2 + d3 * a3
+    ftt = h1 * a1 * a1 + h2 * a2 * a2 + h3 * a3 * a3 - 0.5 * (c + s) * d1 + 0.5 * s * d2 + 0.5 * c * d3
+    ftu = h1 * a1 - h2 * a2 - h3 * a3
+    fuu = h1 + h2 + h3 + h4
+    if piece == "disk":
+        dudt = -ftu / fuu
+        return ft + ftu * du, ftt + ftu * dudt, dudt
+    if piece == "arc":
+        fu, v = d1 - d2 - d3 + d4, 0.25 * s
+        return ft + fu * v, ftt + 2.0 * ftu * v + fuu * v * v + 0.25 * c * fu, v
+    return ft, ftt, 0.0
 
 
-def _slacks(x) -> tuple[float, ...]:
-    """The seven constraint slacks: the Bell weights and 1 - a_i^2 - a_j^2."""
-    return probs(x) + tuple(map(operator.neg, pair_violations(x)))
-
-
-def _scored(terms, x, slacks) -> tuple:
-    """A stage's start state at an interior x: x, its slacks, the sum() of their
-    logs (as the reference takes it; CPython 3.12 compensates a float sum(), so
-    a chain of + would round differently) and terms there."""
-    return (*x, *slacks, sum(map(math.log, slacks)), terms(*slacks[:4]))
-
-
-def _newton_stage(terms, state, t: float):
-    """Damped Newton on the barrier objective at t from a _scored state; returns
-    (state, steps, tangent) with the state of its end point, where the next
-    stage can start without scoring it again: nothing in it depends on t. The
-    tangent is the central path's dx/dt there when the stage converged, and
-    None when it did not. The float operations are those of the tests'
-    reference stage, in its order, so the results are the same bit for bit."""
-    max_iters, armijo, tol, fraction = MAX_ITERS, ARMIJO, DECREMENT_TOL, BOUNDARY_FRACTION
-    log, sqrt = math.log, math.sqrt
-    x0, x1, x2, w0, w1, w2, w3, c01, c02, c12, logs, scored = state
-    f, d0, d1, d2, d3, h0, h1, h2, h3 = scored
-    phi = f - t * logs
-    t2 = 2.0 * t
-    tangent = None
-    for it in range(max_iters + 1):
-        # each -t log w_k adds -t / w_k and t / w_k^2 to its weight's derivatives
-        e0 = d0 - t / w0
-        e1 = d1 - t / w1
-        e2 = d2 - t / w2
-        e3 = d3 - t / w3
-        k0 = h0 + t / (w0 * w0)
-        k1 = h1 + t / (w1 * w1)
-        k2 = h2 + t / (w2 * w2)
-        k3 = h3 + t / (w3 * w3)
-        # -t log c for c = 1 - x_i^2 - x_j^2: gradient u x on the pair (i, j), and
-        # Hessian q x x^T plus u on the pair's diagonal, u = 2 t / c, q = 4 t / c^2
-        u01 = t2 / c01
-        u02 = t2 / c02
-        u12 = t2 / c12
-        q01 = 2.0 * u01 / c01
-        q02 = 2.0 * u02 / c02
-        q12 = 2.0 * u12 / c12
-        # each weight is (1 + s_k . x) / 4 for a sign vector s_k: in x, the
-        # gradient is (1/4) sum_k e_k s_k and the Hessian (1/16) sum_k k_k s_k s_k^T
-        g0 = 0.25 * (e0 + e1 - e2 - e3) + (u01 + u02) * x0
-        g1 = 0.25 * (e0 - e1 + e2 - e3) + (u01 + u12) * x1
-        g2 = 0.25 * (-e0 + e1 + e2 - e3) + (u02 + u12) * x2
-        diag = 0.0625 * (k0 + k1 + k2 + k3)
-        a01 = 0.0625 * (k0 - k1 - k2 + k3) + q01 * x0 * x1
-        a02 = 0.0625 * (-k0 + k1 - k2 + k3) + q02 * x0 * x2
-        a12 = 0.0625 * (-k0 - k1 + k2 + k3) + q12 * x1 * x2
-        # the step -H^{-1} g and the squared decrement g^T H^{-1} g by Cholesky;
-        # a pivot that is not positive means H is not numerically positive definite
-        p0 = diag + (q01 + q02) * x0 * x0 + u01 + u02
-        if not p0 > 0.0:
-            break
-        l00 = sqrt(p0)
-        l10 = a01 / l00
-        l20 = a02 / l00
-        p1 = diag + (q01 + q12) * x1 * x1 + u01 + u12 - l10 * l10
-        if not p1 > 0.0:
-            break
-        l11 = sqrt(p1)
-        l21 = (a12 - l20 * l10) / l11
-        p2 = diag + (q02 + q12) * x2 * x2 + u02 + u12 - l20 * l20 - l21 * l21
-        if not p2 > 0.0:
-            break
-        l22 = sqrt(p2)
-        y0 = -g0 / l00
-        y1 = (-g1 - l10 * y0) / l11
-        y2 = (-g2 - l20 * y0 - l21 * y1) / l22
-        dec = y0 * y0 + y1 * y1 + y2 * y2
-        if 0.5 * dec <= tol:
-            # the central path's tangent dx/dt = -H^{-1} grad B at the end point,
-            # B = -sum log(slacks), from the same Cholesky factor of H
-            r0, r1, r2, r3 = -1.0 / w0, -1.0 / w1, -1.0 / w2, -1.0 / w3
-            v01, v02, v12 = 2.0 / c01, 2.0 / c02, 2.0 / c12
-            b0 = 0.25 * (r0 + r1 - r2 - r3) + (v01 + v02) * x0
-            b1 = 0.25 * (r0 - r1 + r2 - r3) + (v01 + v12) * x1
-            b2 = 0.25 * (-r0 + r1 + r2 - r3) + (v02 + v12) * x2
-            z0 = -b0 / l00
-            z1 = (-b1 - l10 * z0) / l11
-            z2 = (-b2 - l20 * z0 - l21 * z1) / l22
-            m2 = z2 / l22
-            m1 = (z1 - l21 * m2) / l11
-            tangent = ((z0 - l10 * m1 - l20 * m2) / l00, m1, m2)
-            break
-        if it == max_iters:
-            break
-        s2 = y2 / l22
-        s1 = (y1 - l21 * s2) / l11
-        s0 = (y0 - l10 * s1 - l20 * s2) / l00
-        floor0, floor1, floor2, floor3 = fraction * w0, fraction * w1, fraction * w2, fraction * w3
-        floor01, floor02, floor12 = fraction * c01, fraction * c02, fraction * c12
-        s = 1.0
-        while True:
-            n0 = x0 + s * s0
-            n1 = x1 + s * s1
-            n2 = x2 + s * s2
-            if n0 == x0 and n1 == x1 and n2 == x2:
-                break  # the step fell below float resolution without enough decrease
-            v0 = 0.25 * (1.0 + n0 + n1 - n2)
-            v1 = 0.25 * (1.0 + n0 - n1 + n2)
-            v2 = 0.25 * (1.0 - n0 + n1 + n2)
-            v3 = 0.25 * (1.0 - n0 - n1 - n2)
-            b01 = 1.0 - (n0 * n0 + n1 * n1)
-            b02 = 1.0 - (n0 * n0 + n2 * n2)
-            b12 = 1.0 - (n1 * n1 + n2 * n2)
-            if (v0 >= floor0 and v1 >= floor1 and v2 >= floor2 and v3 >= floor3
-                    and b01 >= floor01 and b02 >= floor02 and b12 >= floor12):
-                logn = sum(map(log, (v0, v1, v2, v3, b01, b02, b12)))
-                trial = terms(v0, v1, v2, v3)
-                phin = trial[0] - t * logn
-                if phin <= phi - armijo * s * dec:
-                    break
-            s *= 0.5
-        if n0 == x0 and n1 == x1 and n2 == x2:
-            break
-        x0, x1, x2, w0, w1, w2, w3, c01, c02, c12 = n0, n1, n2, v0, v1, v2, v3, b01, b02, b12
-        phi, logs, scored = phin, logn, trial
-        _, d0, d1, d2, d3, h0, h1, h2, h3 = trial
-    return (x0, x1, x2, w0, w1, w2, w3, c01, c02, c12, logs, scored), it, tangent
+def _multipliers(c, s, piece, k):
+    """The KKT multipliers of the piece's active constraints where the kernel gave k."""
+    _, d1, d2, d3, d4 = k[:5]
+    f1, f2, f3 = 0.25 * (d1 + d2 - d3 - d4), 0.25 * (d1 - d2 + d3 - d4), 0.25 * (-d1 + d2 + d3 - d4)
+    if piece == "vertex":
+        l12 = -(f1 + f2 + f3) / (2.0 * _SQRT_TWO)
+        return l12, -f1 / _SQRT_TWO - l12, -f2 / _SQRT_TWO - l12
+    if piece == "arc":
+        return -f2 / (2.0 * s), f3 / (2.0 * s)
+    if piece == "facet":
+        return -4.0 * f3, -(f1 - f3) / (2.0 * c)
+    return (-(c * f1 + s * f2) / 2.0,)
 
 
 def minimize_over_local_set(terms) -> SolveReport:
-    """Minimize a convex f = sum_k f_k(w_k) over the local set by the log-barrier method.
+    """Minimize a convex f = sum_k phi(e_k, w_k), e in descending order and
+    nonlocal, over the local set (see the module docstring).
 
-    ``terms(w0, w1, w2, w3)`` gives the tuple (f, f_0'(w0), .., f_3'(w3),
-    f_0''(w0), .., f_3''(w3)) at four Bell weights. It is called only where
-    all seven slacks are positive, and once per point the solver scores: the
-    origin, each tangent start and each line-search trial past the boundary
-    floor. A stage that ends without meeting DECREMENT_TOL (after MAX_ITERS
-    Newton steps, at a non-positive Cholesky pivot, or at a step below float
-    resolution) leaves the report unconverged; later stages still run.
+    ``terms(w1, w2, w3, w4)`` gives (f, phi_1'(w1), .., phi_4'(w4),
+    phi_1''(w1), .., phi_4''(w4)); w4 may be 0, where it raises
+    ZeroDivisionError if its term is present. The value is the objective at
+    the returned weights.
     """
-    state = _scored(terms, (0.0, 0.0, 0.0), _slacks((0.0, 0.0, 0.0)))
-    t = T_FIRST
-    total = 0
-    converged = True
-    while True:
-        state, steps, tangent = _newton_stage(terms, state, t)
-        x = state[:3]
-        total += steps
-        converged = converged and tangent is not None
-        if N_CONSTRAINTS * t <= GAP:
+    max_iters = MAX_ITERS
+    c = s = _SQRT_HALF
+    u, piece, k, v, facet = _inner(terms, c, s, 0.25 * (1.0 - c), None)
+    g, gg, dudt = _slopes(c, s, piece, k, u - v)
+    iterations = 1
+    stopped = g <= 0.0
+    if stopped and piece == "arc":
+        piece = "vertex"
+    t = n = hi = 0.25 * math.pi
+    lo = 0.0
+    while not stopped and iterations < max_iters:
+        n = t - g / gg if gg > 0.0 else math.inf
+        if not lo < n < hi and abs(n - t) > T_TOL:
+            n = 0.5 * (lo + hi)
+        if abs(n - t) <= T_TOL:
+            stopped = True
             break
-        t_next = t * STAGE_REDUCTION
-        if tangent is not None:
-            xp = tuple(xk + (t_next - t) * mk for xk, mk in zip(x, tangent))
-            slacks = _slacks(xp)
-            if min(slacks) > 0.0:
-                state = _scored(terms, xp, slacks)
-        t = t_next
-    return SolveReport(x=x, value=state[-1][0], iterations=total, converged=converged)
+        c, s = math.cos(n), math.sin(n)
+        start = u + dudt * (n - t)
+        if start <= 0.0:
+            start = 0.0 if facet is not False else 0.5 * u
+        t = n
+        u, piece, k, v, facet = _inner(terms, c, s, min(start, 0.25 * (1.0 - c)), facet)
+        g, gg, dudt = _slopes(c, s, piece, k, u - v)
+        iterations += 1
+        if g < 0.0:
+            lo = t
+        else:
+            hi = t
+    scored = (0.5 * (c + s) + v, 0.5 * (1.0 - s) - v, 0.5 * (1.0 - c) - v, v)
+    if n != t:
+        # the last step, too short to score: u follows it to first order, so
+        # that the multipliers hold at the optimum, not a step away from it
+        c, s = math.cos(n), math.sin(n)
+        top = 0.25 * (1.0 - c)
+        u = top if piece == "arc" else min(max(u + dudt * (n - t), 0.0), top)
+    w = (0.5 * (c + s) + u, 0.5 * (1.0 - s) - u, 0.5 * (1.0 - c) - u, u)
+    if w != scored:
+        k = terms(*w)
+    converged = stopped and iterations < max_iters and min(_multipliers(c, s, piece, k)) >= 0.0
+    return SolveReport(x=w, value=k[0], iterations=iterations, converged=converged, pairs=_PAIRS[piece])

@@ -26,7 +26,7 @@ ORACLE_TOL = 1e-6
 GRID_TOL = 1e-6
 # a symmetry of the tetrahedron and the cylinders maps the optimum onto the
 # optimum, so symmetric inputs differ only by the solver's own error, which
-# its gap keeps near 1e-11
+# the exact solve keeps at rounding
 MULTISEED_TOL = 1e-9
 
 MULTISEED_POINTS = (

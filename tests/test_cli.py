@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlgeo import cli, solver
+from nlgeo import cli, measures, solver
 from nlgeo.cli import KIND_CODES, _meta_lines, build_parser, main, write_table
 from nlgeo.locality import bd_is_chsh_local
 from nlgeo.measures import bd_measure, two_bell_mix_corr
@@ -142,7 +142,7 @@ def test_hellinger_is_solved_once_for_bures(tmp_path, monkeypatch):
 def test_trace_commands_make_no_barrier_solve(tmp_path, monkeypatch):
     # the trace measure is exact, so its commands must succeed without the solver
     def refuse(*args):
-        raise AssertionError("the trace measure called the barrier solver")
+        raise AssertionError("the trace measure called the solver")
 
     monkeypatch.setattr(solver, "minimize_over_local_set", refuse)
     out = tmp_path / "t.csv"
@@ -558,7 +558,7 @@ def test_reused_parser_keeps_no_state_between_commands(tmp_path, capsys, monkeyp
 
 def test_former_all_infinite_starts_input_exits_0(tmp_path, capsys):
     # every start of the former multi-start solver scored inf here and the
-    # command exited 5; the one barrier solve converges
+    # command exited 5; the exact solve converges
     out = tmp_path / "x.csv"
     code = run([
         "bd-measure", "--a=0.9990814418247234,-0.06587608316916732,0.06497482141988592",
@@ -580,6 +580,22 @@ def test_facet_input_with_a_vanishing_weight_exits_0(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     _, header, rows = read_csv(out)
     assert rows[0][header.index("converged")] == "true"
+
+
+def test_failing_certificate_exits_5(tmp_path, capsys, monkeypatch):
+    # a kernel whose minimum over L is the maximally mixed state, inside L:
+    # the solve meets its stop test on the cylinder (1, 2), but the gradient
+    # there points out of L, so that cylinder's KKT multiplier is negative.
+    # The certificate fails, and the command exits 5 after writing its rows
+    def inside(self, *w):
+        return (sum((wk - 0.25) ** 2 for wk in w), *(2.0 * (wk - 0.25) for wk in w), 2.0, 2.0, 2.0, 2.0)
+
+    monkeypatch.setattr(measures.BdObjective, "terms", inside)
+    out = tmp_path / "x.csv"
+    assert run(["bd-measure", "--a=0.84,0.63,-0.5", "--kind", "he", "--out", str(out)]) == 5
+    assert capsys.readouterr().err == "nlgeo: numeric minimization did not converge\n"
+    _, header, rows = read_csv(out)
+    assert rows[0][header.index("converged")] == "false"
 
 
 @pytest.mark.parametrize("command", [["bd-grid", "--grid-n", "11"], ["bd-sweep", "--n", "5"]])
