@@ -2,9 +2,8 @@
 
 The package quantifies how far a quantum state sits from the set of states
 admitting a local model, with closed forms for the Werner and isotropic
-families and, for general Bell-diagonal two-qubit states, the exact
-projections (Hilbert-Schmidt, trace) and a constrained numeric minimizer (the
-other kinds).
+families and, for general Bell-diagonal two-qubit states, exact measures of
+every kind in one symmetry chamber of their Bell weights.
 
 The Bell-diagonal path runs on Python floats, so ``import nlgeo`` does not
 import numpy; the dense layer and the array closed forms do, on first use.

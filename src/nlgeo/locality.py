@@ -1,7 +1,7 @@
 """Locality criteria: the CHSH singular-value test for two qubits and the
-CGLMP visibility threshold for two qudits, plus the exact Euclidean
-projection onto the CHSH-local Bell-diagonal region, which the region's
-symmetry reduces to one cylinder, one arc or one vertex.
+CGLMP visibility threshold for two qudits, plus the symmetry chamber of the
+Bell weights (nlgeo.solver) and the exact Euclidean projection onto the
+CHSH-local Bell-diagonal region, the Hilbert-Schmidt solve in that chamber.
 
 Everything here but chsh_verdict, which takes a dense PauliRep and imports
 numpy on its first call, works on Python floats: correlators come in as any
@@ -11,13 +11,20 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from operator import itemgetter
 
-from .qstate import PROB_NEG_ATOL, bd_corr_to_probs, float_vector, physical_probs, whole_number
+from . import solver
+from .qstate import (
+    PROB_NEG_ATOL,
+    BellDiagonal,
+    bd_corr_to_probs,
+    bd_probs_to_corr,
+    float_vector,
+    physical_probs,
+    whole_number,
+)
 
 BOUNDARY_TOL = 1e-12
-
-# index pairs of the three quadratic boundary pieces, in lexicographic order
-DISK_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 def surface_name(pairs) -> str | None:
@@ -25,7 +32,7 @@ def surface_name(pairs) -> str | None:
     index pairs (i, j) meet: None for no pair, "disk_ij" for one (indices
     from 1), "disk_ij+disk_kl" in lexicographic order for two, and "vertex"
     for all three."""
-    names = sorted(f"disk_{min(p) + 1}{max(p) + 1}" for p in pairs)
+    names = sorted([f"disk_{i + 1}{j + 1}" if i < j else f"disk_{j + 1}{i + 1}" for i, j in pairs])
     if len(names) == 3:
         return "vertex"
     return "+".join(names) or None
@@ -99,8 +106,9 @@ def in_tetrahedron(a, tol: float = PROB_NEG_ATOL) -> bool:
 
 def max_pair_sum(a) -> float:
     """Largest of a_i^2 + a_j^2 over the three index pairs."""
-    a = float_vector(a, 3, "correlator")
-    return max(a[i] ** 2 + a[j] ** 2 for i, j in DISK_PAIRS)
+    a1, a2, a3 = float_vector(a, 3, "correlator")
+    s1, s2, s3 = a1**2, a2**2, a3**2
+    return max(s1 + s2, s1 + s3, s2 + s3)
 
 
 def bd_is_chsh_local(a) -> bool:
@@ -113,57 +121,29 @@ def bd_is_chsh_local(a) -> bool:
     return max_pair_sum(a) <= 1.0 + BOUNDARY_TOL
 
 
-# Exact Euclidean projection onto the local set L: the tetrahedron cut by the
-# three cylinders a_i^2 + a_j^2 <= 1.
-#
-# A facet never carries the projection p of a physical a. Suppose p lies on
-# cylinder (i, j) and on facet k, the plane c . x = -1 with c the Bell corner
-# of weight k, and let l be the third index. With multipliers lam >= 0 for the
-# cylinder and nu >= 0 for the facet, KKT reads a - p = 2 lam (p_i e_i +
-# p_j e_j) - nu c. Dotting with c and using c . a >= -1 = c . p gives
-#   3 nu <= 2 lam (-1 - c_l p_l) <= 0,
-# because |c_l p_l| = |p_l| <= 1 in L; each further active cylinder adds one
-# more such term. So nu = 0, and p is also the projection onto the
-# intersection C of the three cylinders.
-#
-# C and the distance are both unchanged by permuting the coordinates and by
-# flipping their signs, so p keeps the signs of a and the order of their
-# magnitudes. With b = |a| sorted as b_i >= b_j >= b_k, p is one of three
-# points, in this symmetry chamber:
-# - the radial rescaling of (a_i, a_j) onto the unit circle, which lies in C
-#   iff b_j / |(a_i, a_j)| >= b_k;
-# - otherwise the point sign(a) (cos t, sin t, sin t), in the order i, j, k,
-#   of the arc where the cylinders (i, j) and (i, k) meet, with 0 < t < pi/4.
-#   Half the derivative of the squared distance along the arc is
-#     F(t) = sin t cos t + b_i sin t - (b_j + b_k) cos t,
-#   F(0) < 0 and F' = cos 2t + b_i cos t + (b_j + b_k) sin t > 0, so F has at
-#   most one root in (0, pi/4), where a - p has no component along the arc;
-# - the vertex sign(a) / sqrt 2, where all three cylinders meet, when there is
-#   no such root: F(pi/4) <= 0.
+class Chamber(namedtuple("Chamber", "e order")):
+    """Bell weights e in descending order; e[k] is that of Bell state order[k]."""
+
+    __slots__ = ()
 
 
-def _arc_angle(b_i: float, b_jk: float) -> float:
-    """The root t in (0, pi/4) of sin t cos t + b_i sin t - b_jk cos t, which
-    increases there: Newton steps from t = atan(b_jk / (1 + b_i)) <= pi/4,
-    kept in the shrinking bracket by bisection, until a step no longer
-    moves t."""
-    lo, hi = 0.0, 0.25 * math.pi
-    t = math.atan(b_jk / (1.0 + b_i))
-    while True:
-        cos, sin = math.cos(t), math.sin(t)
-        f = sin * cos + b_i * sin - b_jk * cos
-        if f == 0.0:
-            return t
-        if f < 0.0:
-            lo = t
-        else:
-            hi = t
-        step = t - f / (cos * cos - sin * sin + b_i * cos + b_jk * sin)
-        if not lo < step < hi:
-            step = 0.5 * (lo + hi)
-        if step == t:
-            return t
-        t = step
+def bell_chamber(a) -> Chamber:
+    """The symmetry chamber of the Bell weights of correlators a, which the
+    caller has checked: the weights themselves are permuted, never their
+    correlators, so the sorted weights are the input's bit for bit."""
+    e = bd_corr_to_probs(a)
+    order = tuple(sorted(range(4), key=e.__getitem__, reverse=True))
+    return Chamber(itemgetter(*order)(e), order)
+
+
+def from_chamber(order, w, pairs):
+    """The Bell-diagonal state whose weight of the Bell state order[k] is
+    w[k], and the surface_name of the chamber's cylinder pairs."""
+    e = [w[order.index(k)] for k in range(4)]
+    # the chamber's axis j splits its weights into {0, j + 1} and the other
+    # two, and the axis (m ^ n) - 1 of the state splits them into {m, n}
+    axes = [(order[0] ^ order[j]) - 1 for j in (1, 2, 3)]
+    return BellDiagonal(bd_probs_to_corr(e), e), surface_name([(axes[i], axes[j]) for i, j in pairs])
 
 
 class LocalProjection(namedtuple("LocalProjection", "point distance surface")):
@@ -174,55 +154,14 @@ class LocalProjection(namedtuple("LocalProjection", "point distance surface")):
     __slots__ = ()
 
 
-def nearest_in_chamber(a, solve) -> LocalProjection:
-    """Nearest local point to a nonlocal a in a distance that permuting the
-    coordinates and flipping their signs leaves unchanged.
-
-    The cylinders are unchanged by both maps too, so the nearest point keeps
-    the signs of a and the order of their magnitudes. solve(b_i, b_j, b_k)
-    finds it for |a| sorted in descending order: it returns the point in that
-    order, the index pairs of its active cylinders in that order, and its
-    distance. The point is mapped back to the order and signs of a, a tuple
-    of three floats.
-    """
-    order = sorted(range(3), key=lambda n: -abs(a[n]))
-    point, pairs, distance = solve(*(abs(a[n]) for n in order))
-    out = [0.0] * 3
-    for n, p in zip(order, point):
-        out[n] = p
-    return LocalProjection(
-        point=tuple(map(math.copysign, out, a)),
-        distance=distance,
-        surface=surface_name([(order[p], order[q]) for p, q in pairs]),
-    )
-
-
-def _euclidean_in_chamber(b_i: float, b_j: float, b_k: float):
-    s = math.sqrt(b_i * b_i + b_j * b_j)
-    if b_j / s >= b_k - BOUNDARY_TOL:
-        return (b_i / s, b_j / s, b_k), ((0, 1),), s - 1.0
-    if 0.5 + (b_i - b_j - b_k) / math.sqrt(2.0) <= 0.0:
-        point = (1.0 / math.sqrt(2.0),) * 3
-        pairs = DISK_PAIRS
-    else:
-        t = _arc_angle(b_i, b_j + b_k)
-        point = (math.cos(t), math.sin(t), math.sin(t))
-        pairs = ((0, 1), (0, 2))
-    distance = math.sqrt(sum((p - b) ** 2 for p, b in zip(point, (b_i, b_j, b_k))))
-    return point, pairs, distance
-
-
 def project_local(a) -> LocalProjection:
-    """Exact Euclidean projection of correlators a onto the CHSH-local set.
-
-    The projection of a physical nonlocal a is its projection onto the
-    intersection of the three cylinders, inside the symmetry chamber of a
-    (see the comment above _arc_angle): the radial rescaling onto the
-    cylinder of the two largest |a_i|, the arc where that cylinder meets the
-    one of the largest and smallest, or their vertex. Raises NonPhysical
-    outside the tetrahedron.
-    """
+    """Exact Euclidean projection of correlators a onto the CHSH-local set:
+    the Hilbert-Schmidt solve in the chamber of a's Bell weights, whose
+    distance is twice the HS measure. NonPhysical outside the tetrahedron."""
     a = float_vector(a, 3, "correlator")
     if bd_is_chsh_local(a):
         return LocalProjection(point=a, distance=0.0, surface=None)
-    return nearest_in_chamber(a, _euclidean_in_chamber)
+    chamber = bell_chamber(a)
+    report = solver.minimize_over_local_set(solver.euclidean_terms(chamber.e))
+    closest, surface = from_chamber(chamber.order, report.x, report.pairs)
+    return LocalProjection(point=closest.a, distance=2.0 * math.sqrt(report.value), surface=surface)

@@ -2,14 +2,12 @@
 
 For Werner and isotropic inputs the minimizing local state stays inside the
 family, which reduces every measure to a one-parameter evaluation at the
-family's locality threshold. For general Bell-diagonal states the
-Hilbert-Schmidt measure is half the distance to the exact Euclidean
-projection onto the CHSH-local region, and the trace measure is the exact
-distance to that region in a polyhedral norm; both are found in one symmetry
-chamber. The Hellinger and relative-entropy measures are minimized exactly
-over the region, in the symmetry chamber of the state's Bell weights. The
-Bures measure reuses the Hellinger solve: Bell-diagonal states commute, and
-on commuting states the two squared distances are equal.
+family's locality threshold. A general Bell-diagonal state is measured in
+the symmetry chamber of its Bell weights (nlgeo.solver): exactly by the
+chamber solve for the Hilbert-Schmidt, Hellinger and relative-entropy
+measures, and in closed form for the trace measure. The Bures measure
+reuses the Hellinger solve: Bell-diagonal states commute, and on commuting
+states the two squared distances are equal.
 
 Hellinger and Bures measures are reported as squared distances; relative
 entropy is in bits. A local input yields exactly 0.0, and every value is a
@@ -26,16 +24,7 @@ from collections import namedtuple
 
 from .errors import NotConverged, OutOfRange
 from .kinds import DistanceKind, known_kind
-from .locality import (
-    BOUNDARY_TOL,
-    DISK_PAIRS,
-    LocalProjection,
-    bd_is_chsh_local,
-    cglmp_threshold,
-    nearest_in_chamber,
-    project_local,
-    surface_name,
-)
+from .locality import BOUNDARY_TOL, bd_is_chsh_local, bell_chamber, cglmp_threshold, from_chamber
 from .qstate import (
     BELL_CORNERS,
     BellDiagonal,
@@ -59,11 +48,11 @@ class MeasureResult(namedtuple("MeasureResult", "kind value closest_local method
 
     value is the measure itself (squared distance for Hellinger and Bures),
     closest_local identifies the minimizing local state, method is one of
-    closed_form, lagrange_case (the exact HS and trace measures of a
-    Bell-diagonal state) and numeric, and
-    surface names the active boundary piece (locality.surface_name) where
-    the method finds one; the closed forms do not. The diagnostics default
-    to those of an exact result: no surface, no iterations, converged.
+    closed_form, lagrange_case (the HS and trace measures of a nonlocal
+    Bell-diagonal state) and numeric (its other kinds), and surface names
+    the active boundary piece (locality.surface_name). iterations counts the
+    chamber solve's angle steps (none for trace), and converged is its KKT
+    certificate; they default to no surface, no iterations, converged.
     """
 
     __slots__ = ()
@@ -146,9 +135,8 @@ def isotropic_measure(kind: DistanceKind, d: int, omega: float) -> MeasureResult
     return _closed_form(kind, spectral_formula(kind, d, thr, omega), IsotropicParam(d=d, omega=thr))
 
 
-# The kinds with a numeric objective. HS and trace are exact (bd_measure_hs,
-# bd_measure_trace), and Bures equals Hellinger on commuting states, so none
-# of them has an objective of its own.
+# The kinds with a BdObjective kernel: HS has solver.euclidean_terms, trace a
+# closed form, and Bures equals Hellinger on commuting states.
 OBJECTIVE_KINDS = (DistanceKind.HELLINGER, DistanceKind.RELATIVE_ENTROPY)
 # Bures is measured by the Hellinger solve (bd_measure_numeric, per_kind)
 _SOLVED_AS = {DistanceKind.BURES: DistanceKind.HELLINGER}
@@ -161,19 +149,16 @@ class BdObjective:
     terms(w0, w1, w2, w3) is the kernel that solver.minimize_over_local_set
     takes: the objective, then each term's first derivative in its weight,
     then each second derivative, as one flat tuple. It works in the fixed
-    state's symmetry chamber: its k-th weight is that of the Bell state
-    order[k], where order sorts the fixed state's weights in descending
-    order. The minimized quantity is the squared Hellinger distance or the
-    relative entropy in bits; any other kind raises OutOfRange.
+    state's symmetry chamber: e are the fixed state's weights in descending
+    order (locality.bell_chamber), and the k-th variable weight is paired
+    with e[k]. The minimized quantity is the squared Hellinger distance or
+    the relative entropy in bits; any other kind raises OutOfRange.
     """
 
-    def __init__(self, kind: DistanceKind, a):
+    def __init__(self, kind: DistanceKind, e):
         if known_kind(kind) not in OBJECTIVE_KINDS:
             raise OutOfRange(f"no numeric objective for kind {kind.value!r}")
-        e = bd_corr_to_probs(a)
-        # the weights themselves are permuted, never their correlators
-        self.order = tuple(sorted(range(4), key=e.__getitem__, reverse=True))
-        self._e = tuple(e[k] for k in self.order)
+        self._e = tuple(e)
         self._sqrt_e = tuple(math.sqrt(max(ei, 0.0)) for ei in self._e)
         self._hellinger = kind is DistanceKind.HELLINGER
 
@@ -214,24 +199,6 @@ class BdObjective:
         return f, -q0, -q1, -q2, -q3, q0 / w0, q1 / w1, q2 / w2, q3 / w3 if q3 else 0.0
 
 
-def _lagrange_case(kind: DistanceKind, value: float, proj: LocalProjection) -> MeasureResult:
-    closest = BellDiagonal.from_corr(proj.point)
-    return MeasureResult(kind, value, closest, "lagrange_case", proj.surface)
-
-
-def bd_measure_hs(a) -> MeasureResult:
-    """Hilbert-Schmidt measure of a Bell-diagonal state.
-
-    Half the Euclidean distance from the correlators a to the local set, from
-    the exact projection (locality.project_local); surface names the active
-    boundary piece of the closest local state.
-    """
-    proj = project_local(a)
-    if proj.surface is None:
-        return _closed_form(DistanceKind.HS, 0.0, BellDiagonal.from_corr(a))
-    return _lagrange_case(DistanceKind.HS, 0.5 * proj.distance, proj)
-
-
 def _trace_distance(x, b) -> float:
     """Trace distance (1/2) max(||x - b||_inf, ||x - b||_1 / 2) between the
     Bell-diagonal states with correlators x and b."""
@@ -259,7 +226,7 @@ def _trace_in_chamber(b1: float, b2: float, b3: float):
     if (b1 - r) ** 2 + b3 * b3 <= 1.0 + BOUNDARY_TOL:
         return (b1 - r, b2 - r, b3), ((0, 1),), 0.5 * r
     vertex = (1.0 / math.sqrt(2.0),) * 3
-    candidates = [(vertex, DISK_PAIRS, _trace_distance(vertex, b))]
+    candidates = [(vertex, solver.DISK_PAIRS, _trace_distance(vertex, b))]
     s = (b2 + b3 - b1) / math.sqrt(5.0)
     if -1.0 <= s <= 1.0:
         t = math.atan(0.5) + math.asin(s)
@@ -269,57 +236,68 @@ def _trace_in_chamber(b1: float, b2: float, b3: float):
     return min(candidates, key=lambda c: c[2])
 
 
+def _in_chamber(kind: DistanceKind, a) -> MeasureResult:
+    """The measure of kind in the symmetry chamber of a's Bell weights
+    (nlgeo.solver), behind the measures' one input check (bd_is_chsh_local)
+    and mapped back by locality.from_chamber."""
+    a = float_vector(a, 3, "correlator")
+    if bd_is_chsh_local(a):
+        return _closed_form(kind, 0.0, BellDiagonal.from_corr(a))
+    e, order = bell_chamber(a)
+    method = "lagrange_case"
+    if kind is DistanceKind.TRACE:
+        x1, x2, x3 = bd_probs_to_corr(e)
+        (p1, p2, p3), pairs, value = _trace_in_chamber(x1, x2, abs(x3))
+        report = solver.SolveReport(bd_corr_to_probs((p1, p2, math.copysign(p3, x3))), value, 0, True, pairs)
+    elif kind is DistanceKind.HS:
+        report = solver.minimize_over_local_set(solver.euclidean_terms(e))
+        value = math.sqrt(report.value)
+    else:
+        report = solver.minimize_over_local_set(BdObjective(_SOLVED_AS.get(kind, kind), e).terms)
+        value, method = report.value, "numeric"
+    closest, surface = from_chamber(order, report.x, report.pairs)
+    return MeasureResult(kind, value, closest, method, surface, report.iterations, report.converged)
+
+
+def bd_measure_hs(a) -> MeasureResult:
+    """Hilbert-Schmidt measure of a Bell-diagonal state.
+
+    Half the Euclidean distance from the correlators a to the local set, by
+    the chamber solve of solver.euclidean_terms (locality.project_local);
+    surface names the active boundary piece of the closest local state.
+    """
+    return _in_chamber(DistanceKind.HS, a)
+
+
 def bd_measure_trace(a) -> MeasureResult:
     """Trace measure of a Bell-diagonal state, exactly.
 
     For Bell-diagonal states with correlators x and a, (1/2) sum_k |w_k - e_k|
     equals (1/2) max(||x - a||_inf, ||x - a||_1 / 2), so the measure is the
-    distance from a to the local set in that norm. It is found in the
-    symmetry chamber of a (locality.nearest_in_chamber, _trace_in_chamber);
-    surface names the active boundary piece of the closest local state.
+    distance from a to the local set in that norm, which sign flips leave
+    unchanged: _trace_in_chamber finds it from the correlators (x1, x2, |x3|)
+    of the chamber of a's Bell weights (x1 >= x2 >= |x3|, nlgeo.solver), and
+    x3's sign is put back. surface names the active boundary piece.
     """
-    a = float_vector(a, 3, "correlator")
-    if bd_is_chsh_local(a):
-        return _closed_form(DistanceKind.TRACE, 0.0, BellDiagonal.from_corr(a))
-    proj = nearest_in_chamber(a, _trace_in_chamber)
-    return _lagrange_case(DistanceKind.TRACE, proj.distance, proj)
+    return _in_chamber(DistanceKind.TRACE, a)
 
 
 def bd_measure_numeric(kind: DistanceKind, a) -> MeasureResult:
     """Measure of a Bell-diagonal state by constrained minimization.
 
-    One exact solve in the symmetry chamber of a's Bell weights
-    (solver.minimize_over_local_set): its value sits at the optimum to within
-    rounding, and is the objective at the closest local state's weights,
-    which lie on the boundary of the local set. converged says that the solve
-    met its stop test and that the KKT multipliers there certify the optimum.
+    One exact solve of BdObjective's kernel in the symmetry chamber of a's
+    Bell weights (solver.minimize_over_local_set): its value sits at the
+    optimum to within rounding, at the closest local state's weights, on the
+    boundary of the local set. converged is the solve's KKT certificate.
 
     Solves the Hellinger and relative-entropy kinds. Bures equals Hellinger
     on commuting states, so a Bures request gets the Hellinger solve under
-    its own kind. HS and trace raise OutOfRange: they are exact,
-    bd_measure_hs and bd_measure_trace. surface names the boundary piece the
-    solve ended on.
+    its own kind. HS and trace raise OutOfRange (bd_measure_hs,
+    bd_measure_trace). surface names the boundary piece the solve ended on.
     """
     if known_kind(kind) in (DistanceKind.HS, DistanceKind.TRACE):
         raise OutOfRange(f"{kind.value} is exact; use bd_measure")
-    a = float_vector(a, 3, "correlator")
-    if bd_is_chsh_local(a):
-        return _closed_form(kind, 0.0, BellDiagonal.from_corr(a))
-    obj = BdObjective(_SOLVED_AS.get(kind, kind), a)
-    report = solver.minimize_over_local_set(obj.terms)
-    order = obj.order
-    # the chamber's axis j splits its weights into {0, j + 1} and the other
-    # two, and the axis (m ^ n) - 1 of a splits them into {m, n} and the rest
-    axes = [(order[0] ^ order[j]) - 1 for j in (1, 2, 3)]
-    return MeasureResult(
-        kind=kind,
-        value=report.value,
-        closest_local=BellDiagonal.from_probs([wk for _, wk in sorted(zip(order, report.x))]),
-        method="numeric",
-        surface=surface_name([(axes[i], axes[j]) for i, j in report.pairs]),
-        iterations=report.iterations,
-        converged=report.converged,
-    )
+    return _in_chamber(kind, a)
 
 
 def per_kind(kinds, solve):
@@ -335,7 +313,7 @@ def per_kind(kinds, solve):
 
 
 def bd_measure(kind: DistanceKind, a) -> MeasureResult:
-    """Dispatch: exact for HS and trace, numeric minimization otherwise."""
+    """Dispatch: bd_measure_hs, bd_measure_trace or bd_measure_numeric by kind."""
     if kind is DistanceKind.HS:
         return bd_measure_hs(a)
     if kind is DistanceKind.TRACE:

@@ -3,7 +3,9 @@
 The objectives are f(w) = sum_k phi(e_k, w_k) over the Bell weights w of a
 local state, one convex term per weight for a fixed state's weights e, with
 d^2 phi / de dw <= 0. They come as one kernel, terms(w1, w2, w3, w4) = (f,
-phi_1', .., phi_4', phi_1'', .., phi_4''), with e in descending order.
+phi_1', .., phi_4', phi_1'', .., phi_4''), with e in descending order. The
+three kernels are euclidean_terms (Hilbert-Schmidt) and measures.BdObjective
+(Hellinger, relative entropy).
 
 The local set L is the tetrahedron w_k >= 0 cut by the cylinders
 x_i^2 + x_j^2 <= 1 of the correlators x, w_k = (1 + C_k . x) / 4
@@ -12,17 +14,19 @@ with an even number of sign flips, so it maps L onto itself, and f is
 unchanged when it acts on both e and w. Exchanging two weights ordered
 against e does not raise f, so the minimizer's weights are ordered like e:
 x1 >= x2 >= |x3|, as x1 - x2 = 2 (w2 - w3), x2 - x3 = 2 (w1 - w2) and
-x2 + x3 = 2 (w3 - w4). For a nonlocal e it lies on the cylinder (1, 2), as a
-point inside every cylinder would minimize f over the whole tetrahedron,
-where e does. So x = (cos t, sin t, x3) with 0 <= t <= pi/4, and with u = w4,
-c = cos t and s = sin t,
+x2 + x3 = 2 (w3 - w4). This is the one chamber of every Bell-diagonal
+measure (locality.bell_chamber, locality.from_chamber); the trace measure
+is a closed form in it. For a nonlocal e the minimizer lies on the
+cylinder (1, 2), as a point inside every cylinder would minimize f over the
+whole tetrahedron, where e does. So x = (cos t, sin t, x3) with
+0 <= t <= pi/4, and with u = w4, c = cos t and s = sin t,
 
     w(t, u) = ((c + s)/2 + u, (1 - s)/2 - u, (1 - c)/2 - u, u),  0 <= u <= (1 - c)/4.
 
 u = (1 - c)/4 is the arc w3 = w4, x3 = -s, where the cylinder (1, 3) meets
 (1, 2); it ends at t = pi/4 in the vertex of all three. u = 0 is the facet
-w4 = 0, where the slope of a present e4 term is -inf (the kernel raises
-ZeroDivisionError there) and only an absent one can hold the minimum.
+w4 = 0, where the slope of a present Hellinger or relative-entropy e4 term
+is -inf (its kernel raises ZeroDivisionError there).
 
 F(t, u) = f(w(t, u)) is convex in u, with F_u = phi_1' - phi_2' - phi_3' +
 phi_4' and F_uu = sum_k phi_k''. A safeguarded Newton iteration in u
@@ -51,8 +55,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .locality import DISK_PAIRS
-
 # Angle steps allowed per solve, the probe at pi/4 included; a solve takes
 # about 4 to 5. One that spends them all ends unconverged, so that a budget
 # of 1 starves every solve
@@ -61,6 +63,9 @@ MAX_ITERS = 500
 T_TOL = 1e-11
 # the u iteration stops on a step at most this share of u
 U_TOL = 1e-9
+
+# index pairs of the three cylinders x_i^2 + x_j^2 = 1, in lexicographic order
+DISK_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 _SQRT_HALF = math.sqrt(0.5)
 _SQRT_TWO = math.sqrt(2.0)
@@ -75,6 +80,20 @@ class SolveReport(namedtuple("SolveReport", "x value iterations converged pairs"
     the cylinders it lies on, in the correlator axes of that order."""
 
     __slots__ = ()
+
+
+def euclidean_terms(e):
+    """The kernel of sum_k (w_k - e_k)^2, a quarter of the squared distance
+    between the correlators: the square root of its minimum is the
+    Hilbert-Schmidt measure."""
+    e0, e1, e2, e3 = e
+
+    def terms(w0, w1, w2, w3):
+        d0, d1, d2, d3 = w0 - e0, w1 - e1, w2 - e2, w3 - e3
+        f = d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3
+        return f, 2.0 * d0, 2.0 * d1, 2.0 * d2, 2.0 * d3, 2.0, 2.0, 2.0, 2.0
+
+    return terms
 
 
 def _inner(terms, c, s, u, facet):

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from nlgeo.qstate import bd_probs_to_corr
-from nlgeo.locality import max_pair_sum
+from nlgeo.locality import BOUNDARY_TOL, LocalProjection, bd_is_chsh_local, max_pair_sum, surface_name
+from nlgeo.solver import DISK_PAIRS
 
 SEED = 20260814
 
@@ -60,3 +63,104 @@ def make_density():
 @pytest.fixture
 def make_unitary():
     return haar_unitary
+
+
+# The Hilbert-Schmidt oracle: the exact Euclidean projection onto the local
+# set L, the tetrahedron cut by the three cylinders a_i^2 + a_j^2 <= 1, found
+# in the symmetry chamber of |a| rather than in that of the Bell weights,
+# where nlgeo finds it (the chamber solve of solver.euclidean_terms).
+#
+# A facet never carries the projection p of a physical a. Suppose p lies on
+# cylinder (i, j) and on facet k, the plane c . x = -1 with c the Bell corner
+# of weight k, and let l be the third index. With multipliers lam >= 0 for the
+# cylinder and nu >= 0 for the facet, KKT reads a - p = 2 lam (p_i e_i +
+# p_j e_j) - nu c. Dotting with c and using c . a >= -1 = c . p gives
+#   3 nu <= 2 lam (-1 - c_l p_l) <= 0,
+# because |c_l p_l| = |p_l| <= 1 in L; each further active cylinder adds one
+# more such term. So nu = 0, and p is also the projection onto the
+# intersection C of the three cylinders.
+#
+# C and the distance are both unchanged by permuting the coordinates and by
+# flipping their signs, so p keeps the signs of a and the order of their
+# magnitudes. With b = |a| sorted as b_i >= b_j >= b_k, p is one of three
+# points, in this symmetry chamber:
+# - the radial rescaling of (a_i, a_j) onto the unit circle, which lies in C
+#   iff b_j / |(a_i, a_j)| >= b_k;
+# - otherwise the point sign(a) (cos t, sin t, sin t), in the order i, j, k,
+#   of the arc where the cylinders (i, j) and (i, k) meet, with 0 < t < pi/4.
+#   Half the derivative of the squared distance along the arc is
+#     F(t) = sin t cos t + b_i sin t - (b_j + b_k) cos t,
+#   F(0) < 0 and F' = cos 2t + b_i cos t + (b_j + b_k) sin t > 0, so F has at
+#   most one root in (0, pi/4), where a - p has no component along the arc;
+# - the vertex sign(a) / sqrt 2, where all three cylinders meet, when there is
+#   no such root: F(pi/4) <= 0.
+
+
+def _arc_angle(b_i: float, b_jk: float) -> float:
+    """The root t in (0, pi/4) of sin t cos t + b_i sin t - b_jk cos t, which
+    increases there: Newton steps from t = atan(b_jk / (1 + b_i)) <= pi/4,
+    kept in the shrinking bracket by bisection, until a step no longer
+    moves t."""
+    lo, hi = 0.0, 0.25 * math.pi
+    t = math.atan(b_jk / (1.0 + b_i))
+    while True:
+        cos, sin = math.cos(t), math.sin(t)
+        f = sin * cos + b_i * sin - b_jk * cos
+        if f == 0.0:
+            return t
+        if f < 0.0:
+            lo = t
+        else:
+            hi = t
+        step = t - f / (cos * cos - sin * sin + b_i * cos + b_jk * sin)
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if step == t:
+            return t
+        t = step
+
+
+def _euclidean_in_chamber(b_i: float, b_j: float, b_k: float):
+    s = math.sqrt(b_i * b_i + b_j * b_j)
+    if b_j / s >= b_k - BOUNDARY_TOL:
+        return (b_i / s, b_j / s, b_k), ((0, 1),), s - 1.0
+    if 0.5 + (b_i - b_j - b_k) / math.sqrt(2.0) <= 0.0:
+        point = (1.0 / math.sqrt(2.0),) * 3
+        pairs = DISK_PAIRS
+    else:
+        t = _arc_angle(b_i, b_j + b_k)
+        point = (math.cos(t), math.sin(t), math.sin(t))
+        pairs = ((0, 1), (0, 2))
+    distance = math.sqrt(sum((p - b) ** 2 for p, b in zip(point, (b_i, b_j, b_k))))
+    return point, pairs, distance
+
+
+def nearest_in_chamber(a, solve) -> LocalProjection:
+    """Nearest local point to a nonlocal a in a distance that permuting the
+    coordinates and flipping their signs leaves unchanged.
+
+    The cylinders are unchanged by both maps too, so the nearest point keeps
+    the signs of a and the order of their magnitudes. solve(b_i, b_j, b_k)
+    finds it for |a| sorted in descending order: it returns the point in that
+    order, the index pairs of its active cylinders in that order, and its
+    distance. The point is mapped back to the order and signs of a.
+    """
+    a = tuple(map(float, a))
+    order = sorted(range(3), key=lambda n: -abs(a[n]))
+    point, pairs, distance = solve(*(abs(a[n]) for n in order))
+    out = [0.0] * 3
+    for n, p in zip(order, point):
+        out[n] = p
+    return LocalProjection(
+        point=tuple(map(math.copysign, out, a)),
+        distance=distance,
+        surface=surface_name([(order[p], order[q]) for p, q in pairs]),
+    )
+
+
+def hs_oracle(a) -> LocalProjection:
+    """The Euclidean projection of correlators a onto the local set, by the
+    candidates above: the oracle for locality.project_local and the HS measure."""
+    if bd_is_chsh_local(a):
+        return LocalProjection(point=tuple(map(float, a)), distance=0.0, surface=None)
+    return nearest_in_chamber(a, _euclidean_in_chamber)

@@ -39,6 +39,7 @@ from nlgeo import (
     bd_corr_to_probs,
 )
 from nlgeo.arrays import formula_agrees, isotropic_values
+from nlgeo.locality import bell_chamber
 from nlgeo.measures import OBJECTIVE_KINDS, BdObjective
 from test_solver import gradient_at, value_at
 
@@ -236,7 +237,7 @@ def test_criterion_7_gradients_match_finite_differences(rng):
             # keep the evaluation point strictly inside the tetrahedron
             if ex.min() < 0.01:
                 continue
-            obj = BdObjective(kind, bd_probs_to_corr(ea))
+            obj = BdObjective(kind, bell_chamber(bd_probs_to_corr(ea)).e)
             x = np.array(bd_probs_to_corr(ex))
             g = np.array(gradient_at(obj.terms, tuple(x)))
             if np.linalg.norm(g) < 1e-6:

@@ -105,7 +105,9 @@ def test_records_are_immutable_named_tuples():
         locality.cglmp_threshold(3),
         locality.project_local(a),
         locality.chsh_verdict(nlgeo.density_to_pauli(nlgeo.make_werner(0.9))),
-        solver.minimize_over_local_set(measures.BdObjective(DistanceKind.HELLINGER, a).terms),
+        solver.minimize_over_local_set(
+            measures.BdObjective(DistanceKind.HELLINGER, locality.bell_chamber(a).e).terms
+        ),
         CheckResult("check", True, 0.0, 1e-6, 0.0),
     ]
     for record in records:

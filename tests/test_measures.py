@@ -9,9 +9,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ARC_INPUT, random_local_corr, random_nonlocal_corr, random_tetra_corr
+from conftest import (
+    ARC_INPUT,
+    hs_oracle,
+    nearest_in_chamber,
+    random_local_corr,
+    random_nonlocal_corr,
+    random_tetra_corr,
+)
 from nlgeo.errors import DimensionMismatch, NonPhysical, NotConverged, OutOfRange
-from nlgeo.locality import BOUNDARY_TOL, bd_is_chsh_local, cglmp_threshold, in_tetrahedron, max_pair_sum
+from nlgeo.locality import (
+    BOUNDARY_TOL,
+    bd_is_chsh_local,
+    bell_chamber,
+    cglmp_threshold,
+    in_tetrahedron,
+    max_pair_sum,
+    project_local,
+)
 from nlgeo.measures import (
     OBJECTIVE_KINDS,
     BdObjective,
@@ -304,7 +319,7 @@ def test_hs_and_bures_have_no_objective():
             bd_measure_numeric(kind, a)
     for kind in (DistanceKind.HS, DistanceKind.BURES, DistanceKind.TRACE):
         with pytest.raises(OutOfRange):
-            BdObjective(kind, a)
+            BdObjective(kind, bell_chamber(a).e)
 
 
 def test_hs_case_path_anchor():
@@ -342,12 +357,42 @@ def test_hs_corner_is_exact():
     res = bd_measure_hs(0.9 * BELL_CORNERS[0])
     assert res.method == "lagrange_case"
     assert res.surface == "vertex"
-    assert res.converged and res.iterations == 0
+    # the chamber solve's probe at pi/4 finds the vertex: one angle step
+    assert res.converged and res.iterations == 1
     assert res.value == pytest.approx(W09[DistanceKind.HS], abs=1e-14)
     assert res.closest_local.a == pytest.approx(T * BELL_CORNERS[0], abs=1e-15)
     top = bd_measure_hs(np.array(two_bell_mix_corr(1.0)))
     assert top.method == "lagrange_case"
     assert top.value == pytest.approx(WMAX[DistanceKind.HS], abs=1e-14)
+
+
+def test_hs_and_trace_match_the_test_side_oracle(rng):
+    # the chamber of the Bell weights against the chamber of |a| (conftest):
+    # the HS solve and project_local against the exact candidate projector,
+    # and the trace closed form on the weights' chamber correlators against
+    # the same closed form on |a| sorted, on seeded nonlocal inputs from near
+    # the corners (alpha = 0.02) to the middle (alpha = 3, where 2 of the
+    # 3,000 draws are nonlocal) of the tetrahedron
+    inputs = [ARC_INPUT]
+    for alpha in (0.02, 0.3, 1.0, 3.0):
+        drawn = [bd_probs_to_corr(rng.dirichlet(np.full(4, alpha))) for _ in range(3000)]
+        inputs += [a for a in drawn if not bd_is_chsh_local(a)][:150]
+    surfaces = set()
+    for a in inputs:
+        oracle = hs_oracle(a)
+        surfaces.add(oracle.surface)
+        res, proj = bd_measure_hs(a), project_local(a)
+        assert abs(res.value - 0.5 * oracle.distance) <= 4e-16, a
+        assert abs(proj.distance - oracle.distance) <= 8e-16, a
+        for x in (res.closest_local.a, proj.point):
+            assert max(abs(p - q) for p, q in zip(x, oracle.point)) <= 1e-15, a
+        assert res.surface == proj.surface == oracle.surface, a
+        trace = nearest_in_chamber(a, measures._trace_in_chamber)
+        res = bd_measure_trace(a)
+        assert abs(res.value - trace.distance) <= 4e-16, a
+        assert max(abs(p - q) for p, q in zip(res.closest_local.a, trace.point)) <= 1e-15, a
+        assert res.surface == trace.surface, a
+    assert {"disk_12", "disk_13", "disk_23", "vertex"} <= surfaces and any("+" in s for s in surfaces)
 
 
 def _named_pieces(surface) -> set:
@@ -616,14 +661,13 @@ def test_extreme_inputs_converge_inside_the_local_set():
         for kind in KINDS:
             res = bd_measure(kind, a)
             assert math.isfinite(res.value) and res.converged, (kind, a)
-            if res.method == "numeric":
-                # an exact closest state lies on the boundary of L, on the
-                # cylinders its surface names
-                x = res.closest_local.a
-                assert bd_is_chsh_local(x) and in_tetrahedron(x), (kind, a)
-                for name in _named_pieces(res.surface):
-                    i, j = int(name[-2]) - 1, int(name[-1]) - 1
-                    assert abs(x[i] * x[i] + x[j] * x[j] - 1.0) <= 1e-15, (kind, a, res.surface)
+            # an exact closest state lies in L, on the cylinders its surface
+            # names (none for a local input, which is its own closest state)
+            x = res.closest_local.a
+            assert bd_is_chsh_local(x) and in_tetrahedron(x), (kind, a)
+            for name in _named_pieces(res.surface):
+                i, j = int(name[-2]) - 1, int(name[-1]) - 1
+                assert abs(x[i] * x[i] + x[j] * x[j] - 1.0) <= 1e-15, (kind, a, res.surface)
 
 
 # The trace measure. For Bell-diagonal states with correlators x and a,
@@ -1102,8 +1146,8 @@ def test_numeric_value_is_the_objective_at_the_returned_point(rng, monkeypatch, 
         for kind in OBJECTIVE_KINDS:
             res = bd_measure_numeric(kind, a)
             assert res.converged is (max_iters is None), (kind, a)
-            obj = BdObjective(kind, a)
-            rescored = obj.terms(*(res.closest_local.e[k] for k in obj.order))[0]
+            chamber = bell_chamber(a)
+            rescored = BdObjective(kind, chamber.e).terms(*(res.closest_local.e[k] for k in chamber.order))[0]
             assert float.hex(res.value) == float.hex(rescored), (kind, a)
 
 
@@ -1111,7 +1155,7 @@ def test_gradient_matches_finite_differences(rng):
     # light smoke; the acceptance suite runs the full 100-point gate
     for kind in OBJECTIVE_KINDS:
         a = random_nonlocal_corr(rng)
-        obj = BdObjective(kind, a)
+        obj = BdObjective(kind, bell_chamber(a).e)
         for _ in range(5):
             x = 0.97 * random_local_corr(rng)
             g = np.array(gradient_at(obj.terms, tuple(x)))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from conftest import random_local_corr, random_nonlocal_corr
-from nlgeo.locality import bd_is_chsh_local, in_tetrahedron, project_local
+from conftest import hs_oracle, random_local_corr, random_nonlocal_corr
+from nlgeo.locality import bd_is_chsh_local, bell_chamber, from_chamber, in_tetrahedron
 from nlgeo.measures import OBJECTIVE_KINDS, BdObjective
 from nlgeo.qstate import bd_corr_to_probs, bd_probs_to_corr
 from nlgeo import solver
@@ -48,39 +48,15 @@ def weights_hessian(h) -> tuple[tuple[float, float, float], ...]:
     return ((diag, h01, h02), (h01, diag, h12), (h02, h12, diag))
 
 
-def _chamber(target):
-    """The Bell weights of the correlators target, and the order that sorts
-    them in descending order, as BdObjective sorts them."""
-    e = bd_corr_to_probs(tuple(float(v) for v in target))
-    order = sorted(range(4), key=e.__getitem__, reverse=True)
-    return e, order
-
-
-def _unsorted(order, w):
-    """The weights w of the chamber put back in the order of the input."""
-    out = [0.0] * 4
-    for k, wk in zip(order, w):
-        out[k] = wk
-    return out
-
-
 def _euclidean(target):
-    """Terms kernel, in the chamber of target, of sum_k (w_k - e_k)^2 to the
-    weights e of the correlators target; the weights sum to 1, so this is a
-    quarter of the squared distance in correlators."""
-    e, order = _chamber(target)
-    e0, e1, e2, e3 = (e[k] for k in order)
-
-    def terms(w0, w1, w2, w3):
-        value = (w0 - e0) ** 2 + (w1 - e1) ** 2 + (w2 - e2) ** 2 + (w3 - e3) ** 2
-        return (value, 2.0 * (w0 - e0), 2.0 * (w1 - e1), 2.0 * (w2 - e2), 2.0 * (w3 - e3), 2.0, 2.0, 2.0, 2.0)
-
-    return terms, order
+    """The chamber of target's Bell weights and the quadratic kernel there."""
+    chamber = bell_chamber(target)
+    return solver.euclidean_terms(chamber.e), chamber.order
 
 
 def _closest(report, order):
     """The correlators of a report's weights, in the order of the input."""
-    return np.array(bd_probs_to_corr(_unsorted(order, report.x)))
+    return np.array(from_chamber(order, report.x, report.pairs)[0].a)
 
 
 def test_minimize_over_local_set_projects_euclidean(rng):
@@ -92,14 +68,14 @@ def test_minimize_over_local_set_projects_euclidean(rng):
     assert report.converged and report.pairs == ((0, 1),)
     assert np.max(np.abs(_closest(report, order) - [0.8, 0.6, -0.5])) <= 1e-12
     # on random targets, whatever boundary piece is active, the point is the
-    # projection and the value the projection's
+    # projection of the test-side oracle and the value the projection's
     for _ in range(30):
         target = random_nonlocal_corr(rng)
         terms, order = _euclidean(target)
         report = minimize_over_local_set(terms)
         x = _closest(report, order)
         assert report.converged and bd_is_chsh_local(x) and in_tetrahedron(x), target
-        proj = project_local(target)
+        proj = hs_oracle(target)
         assert np.linalg.norm(x - proj.point) <= 1e-10, target
         assert report.value == pytest.approx(0.25 * proj.distance**2, rel=1e-13, abs=1e-16), target
 
@@ -167,7 +143,7 @@ def test_solve_matches_a_nested_scalar_minimization(rng):
     inputs += FALSE_CONVERGENCE
     for a in filter(lambda a: not bd_is_chsh_local(a), inputs):
         for kind in OBJECTIVE_KINDS:
-            terms = BdObjective(kind, a).terms
+            terms = BdObjective(kind, bell_chamber(a).e).terms
             report = minimize_over_local_set(terms)
             assert report.converged, (kind, a)
             reference = _nested_minimum(terms)
@@ -182,7 +158,7 @@ def test_one_terms_call_per_scored_point(rng):
     inputs = [random_nonlocal_corr(rng) for _ in range(40)]
     for a in inputs:
         for kind in OBJECTIVE_KINDS:
-            terms = BdObjective(kind, a).terms
+            terms = BdObjective(kind, bell_chamber(a).e).terms
             points = []
 
             def counting(*w, terms=terms, points=points):
@@ -214,7 +190,7 @@ def test_angle_slopes_match_finite_differences(rng, kind):
     pieces = set()
     h = 1e-5
     for a in inputs:
-        terms = BdObjective(kind, a).terms
+        terms = BdObjective(kind, bell_chamber(a).e).terms
         for t in (0.2, 0.45, 0.7):
             _, _, piece, (g, gg, dudt) = _angle_slopes(terms, t)
             (vp, up, piece_p, (gp, _, _)), (vm, um, piece_m, (gm, _, _)) = (

@@ -1,4 +1,4 @@
-from nlgeo import solver, validation
+from nlgeo import locality, measures, solver, validation
 from nlgeo.measures import bd_measure_numeric
 from nlgeo.metrics import DistanceKind
 from nlgeo.validation import MULTISEED_POINTS, ORACLE_POINTS, run_validation
@@ -43,3 +43,17 @@ def test_validation_solves_each_numeric_input_once(monkeypatch):
     assert all(c.passed for c in run_validation())
     assert len(calls) == 2 * ORACLE_POINTS + 2 * 3 * len(MULTISEED_POINTS)
     assert set(calls) == {DistanceKind.HELLINGER, DistanceKind.RELATIVE_ENTROPY}
+
+
+def test_multiseed_fails_on_a_wrong_axis_map(monkeypatch):
+    # a map back that puts the chamber's weights back in the wrong order
+    # leaves every value as it is, since the values are found in the chamber;
+    # the row must still fail, on the closest correlators of the images
+    def wrong(order, w, pairs):
+        return locality.from_chamber(tuple(sorted(order)), w, pairs)
+
+    assert validation._multiseed().passed
+    monkeypatch.setattr(measures, "from_chamber", wrong)
+    check = validation._multiseed()
+    assert not check.passed and check.max_error > 0.1
+    assert check.name == "multiseed_consistency" and check.detail == ""
