@@ -29,7 +29,6 @@ from .locality import (
     cglmp_qk,
     cglmp_threshold,
     chsh_verdict,
-    in_tetrahedron,
 )
 from .measures import (
     MeasureResult,
@@ -123,7 +122,6 @@ __all__ = [
     "cglmp_qk",
     "cglmp_threshold",
     "bd_is_chsh_local",
-    "in_tetrahedron",
     "MeasureResult",
     "werner_measure",
     "werner_max",

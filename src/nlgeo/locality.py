@@ -1,7 +1,7 @@
 """Locality criteria: the CHSH singular-value test for two qubits and the
 CGLMP visibility threshold for two qudits, plus the symmetry chamber of the
-Bell weights (nlgeo.solver) and the exact Euclidean projection onto the
-CHSH-local Bell-diagonal region, the Hilbert-Schmidt solve in that chamber.
+Bell weights (nlgeo.solver) and the map from it back to a Bell-diagonal
+state, in which nlgeo.measures measures every kind.
 
 Everything here but chsh_verdict, which takes a dense PauliRep and imports
 numpy on its first call, works on Python floats: correlators come in as any
@@ -13,9 +13,7 @@ import math
 from collections import namedtuple
 from operator import itemgetter
 
-from . import solver
 from .qstate import (
-    PROB_NEG_ATOL,
     BellDiagonal,
     bd_corr_to_probs,
     bd_probs_to_corr,
@@ -94,16 +92,6 @@ def cglmp_threshold(d: int) -> CglmpThreshold:
     return CglmpThreshold(d=d, i_d_qm=i_d, omega_threshold=2.0 / i_d)
 
 
-def in_tetrahedron(a, tol: float = PROB_NEG_ATOL) -> bool:
-    """Whether correlators a lie in the physical Bell-diagonal tetrahedron,
-    each Bell weight at least -tol (by default qstate.physical_probs's bound).
-
-    Raises DimensionMismatch unless a holds 3 correlators (bd_corr_to_probs).
-    """
-    # written so that a nan weight fails too
-    return all(ek >= -tol for ek in bd_corr_to_probs(a))
-
-
 def max_pair_sum(a) -> float:
     """Largest of a_i^2 + a_j^2 over the three index pairs."""
     a1, a2, a3 = float_vector(a, 3, "correlator")
@@ -144,24 +132,3 @@ def from_chamber(order, w, pairs):
     # two, and the axis (m ^ n) - 1 of the state splits them into {m, n}
     axes = [(order[0] ^ order[j]) - 1 for j in (1, 2, 3)]
     return BellDiagonal(bd_probs_to_corr(e), e), surface_name([(axes[i], axes[j]) for i, j in pairs])
-
-
-class LocalProjection(namedtuple("LocalProjection", "point distance surface")):
-    """Nearest point of the local set to a (a tuple of three floats), its
-    distance from a, and the active boundary piece as surface_name names it
-    (None when a is local itself)."""
-
-    __slots__ = ()
-
-
-def project_local(a) -> LocalProjection:
-    """Exact Euclidean projection of correlators a onto the CHSH-local set:
-    the Hilbert-Schmidt solve in the chamber of a's Bell weights, whose
-    distance is twice the HS measure. NonPhysical outside the tetrahedron."""
-    a = float_vector(a, 3, "correlator")
-    if bd_is_chsh_local(a):
-        return LocalProjection(point=a, distance=0.0, surface=None)
-    chamber = bell_chamber(a)
-    report = solver.minimize_over_local_set(solver.euclidean_terms(chamber.e))
-    closest, surface = from_chamber(chamber.order, report.x, report.pairs)
-    return LocalProjection(point=closest.a, distance=2.0 * math.sqrt(report.value), surface=surface)

@@ -209,7 +209,13 @@ def _trace_distance(x, b) -> float:
 def _trace_in_chamber(b1: float, b2: float, b3: float):
     """Trace-nearest local point to b1 >= b2 >= b3 >= 0, with b1^2 + b2^2 > 1.
 
-    The smallest of three candidates, each taken where it is feasible:
+    For Bell-diagonal states with correlators x and a, (1/2) sum_k |w_k - e_k|
+    equals (1/2) max(||x - a||_inf, ||x - a||_1 / 2), so the trace measure is
+    the distance from a to the local set in that norm, which sign flips leave
+    unchanged. _in_chamber passes the correlators (x1, x2, |x3|) of the
+    chamber of a's Bell weights (x1 >= x2 >= |x3|, nlgeo.solver) and puts
+    x3's sign back on the point. That point is the nearest of three
+    candidates, each taken where it is feasible:
     - the ray from b along the vertex -(1, 1, 0) of the norm's unit ball (a
       cuboctahedron) onto the cylinder (1, 2): (b1 - r)^2 + (b2 - r)^2 = 1,
       solved without cancellation. It is optimal for that cylinder alone, so
@@ -263,23 +269,11 @@ def bd_measure_hs(a) -> MeasureResult:
     """Hilbert-Schmidt measure of a Bell-diagonal state.
 
     Half the Euclidean distance from the correlators a to the local set, by
-    the chamber solve of solver.euclidean_terms (locality.project_local);
-    surface names the active boundary piece of the closest local state.
+    the chamber solve of solver.euclidean_terms: closest_local.a is the
+    Euclidean projection of a onto the local set, at distance twice the
+    value, and surface names its active boundary piece.
     """
     return _in_chamber(DistanceKind.HS, a)
-
-
-def bd_measure_trace(a) -> MeasureResult:
-    """Trace measure of a Bell-diagonal state, exactly.
-
-    For Bell-diagonal states with correlators x and a, (1/2) sum_k |w_k - e_k|
-    equals (1/2) max(||x - a||_inf, ||x - a||_1 / 2), so the measure is the
-    distance from a to the local set in that norm, which sign flips leave
-    unchanged: _trace_in_chamber finds it from the correlators (x1, x2, |x3|)
-    of the chamber of a's Bell weights (x1 >= x2 >= |x3|, nlgeo.solver), and
-    x3's sign is put back. surface names the active boundary piece.
-    """
-    return _in_chamber(DistanceKind.TRACE, a)
 
 
 def bd_measure_numeric(kind: DistanceKind, a) -> MeasureResult:
@@ -292,8 +286,8 @@ def bd_measure_numeric(kind: DistanceKind, a) -> MeasureResult:
 
     Solves the Hellinger and relative-entropy kinds. Bures equals Hellinger
     on commuting states, so a Bures request gets the Hellinger solve under
-    its own kind. HS and trace raise OutOfRange (bd_measure_hs,
-    bd_measure_trace). surface names the boundary piece the solve ended on.
+    its own kind. HS and trace raise OutOfRange (they are exact, through
+    bd_measure). surface names the boundary piece the solve ended on.
     """
     if known_kind(kind) in (DistanceKind.HS, DistanceKind.TRACE):
         raise OutOfRange(f"{kind.value} is exact; use bd_measure")
@@ -313,11 +307,13 @@ def per_kind(kinds, solve):
 
 
 def bd_measure(kind: DistanceKind, a) -> MeasureResult:
-    """Dispatch: bd_measure_hs, bd_measure_trace or bd_measure_numeric by kind."""
+    """Measure of kind of the Bell-diagonal state with correlators a, for
+    every kind. Dispatch: bd_measure_hs for HS, the closed form
+    _trace_in_chamber for trace, bd_measure_numeric for the others."""
     if kind is DistanceKind.HS:
         return bd_measure_hs(a)
     if kind is DistanceKind.TRACE:
-        return bd_measure_trace(a)
+        return _in_chamber(kind, a)
     return bd_measure_numeric(kind, a)
 
 

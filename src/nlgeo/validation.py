@@ -61,12 +61,7 @@ def _oracle_werner() -> list[CheckResult]:
     ws = [WERNER_THRESHOLD + step * i / ORACLE_POINTS for i in range(1, ORACLE_POINTS + 1)]
 
     def solve(kind):
-        # HS and trace have no numeric objective, so they are checked on
-        # bd_measure, the exact measures users get. bd_measure sends the
-        # other kinds to bd_measure_numeric, called here by the name that
-        # perfbench/worker.py hooks to time validate in segments.
-        measure = bd_measure if kind in (DistanceKind.HS, DistanceKind.TRACE) else bd_measure_numeric
-        return [measure(kind, [w * c for c in BELL_CORNERS[3]]) for w in ws]
+        return [bd_measure(kind, [w * c for c in BELL_CORNERS[3]]) for w in ws]
 
     solved = per_kind(DistanceKind, solve)
     checks = []
@@ -108,7 +103,9 @@ def _multiseed() -> CheckResult:
     results = []
     # the numeric objectives (a Bures solve is the Hellinger one): the values
     # come from the chamber, so only the closest correlators, which must be
-    # the images of the input's, see the map back
+    # the images of the input's, see the map back. bd_measure_numeric is
+    # called by this module's name, which perfbench/worker.py hooks to time
+    # validate in segments
     for point in MULTISEED_POINTS:
         for kind in OBJECTIVE_KINDS:
             images = [bd_measure_numeric(kind, image) for image in _symmetric_images(point)]

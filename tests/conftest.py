@@ -1,10 +1,11 @@
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
-from nlgeo.qstate import bd_probs_to_corr
-from nlgeo.locality import BOUNDARY_TOL, LocalProjection, bd_is_chsh_local, max_pair_sum, surface_name
+from nlgeo.qstate import PROB_NEG_ATOL, bd_corr_to_probs, bd_probs_to_corr
+from nlgeo.locality import BOUNDARY_TOL, bd_is_chsh_local, max_pair_sum, surface_name
 from nlgeo.solver import DISK_PAIRS
 
 SEED = 20260814
@@ -12,6 +13,11 @@ SEED = 20260814
 # a nonlocal input whose HS projection lies on the arc where the cylinders
 # (1, 2) and (2, 3) meet
 ARC_INPUT = np.array([-0.6174579677587797, -0.9860375554040087, -0.6034955233912539])
+
+
+# the oracles' answer: the nearest local point, its distance and the
+# surface_name of its boundary piece (None for a local input)
+Projection = namedtuple("Projection", "point distance surface")
 
 
 @pytest.fixture
@@ -38,6 +44,14 @@ def haar_unitary(rng, d: int) -> np.ndarray:
 def random_tetra_corr(rng) -> np.ndarray:
     """Correlators of a random Bell-diagonal state (flat over the simplex)."""
     return np.array(bd_probs_to_corr(rng.dirichlet(np.ones(4))))
+
+
+def in_tetrahedron(a, tol: float = PROB_NEG_ATOL) -> bool:
+    """Whether correlators a lie in the physical Bell-diagonal tetrahedron,
+    each Bell weight at least -tol (by default qstate.physical_probs's bound,
+    which raises instead). DimensionMismatch unless a holds 3 correlators."""
+    # written so that a nan weight fails too
+    return all(ek >= -tol for ek in bd_corr_to_probs(a))
 
 
 def random_local_corr(rng) -> np.ndarray:
@@ -135,7 +149,7 @@ def _euclidean_in_chamber(b_i: float, b_j: float, b_k: float):
     return point, pairs, distance
 
 
-def nearest_in_chamber(a, solve) -> LocalProjection:
+def nearest_in_chamber(a, solve) -> Projection:
     """Nearest local point to a nonlocal a in a distance that permuting the
     coordinates and flipping their signs leaves unchanged.
 
@@ -151,16 +165,17 @@ def nearest_in_chamber(a, solve) -> LocalProjection:
     out = [0.0] * 3
     for n, p in zip(order, point):
         out[n] = p
-    return LocalProjection(
+    return Projection(
         point=tuple(map(math.copysign, out, a)),
         distance=distance,
         surface=surface_name([(order[p], order[q]) for p, q in pairs]),
     )
 
 
-def hs_oracle(a) -> LocalProjection:
+def hs_oracle(a) -> Projection:
     """The Euclidean projection of correlators a onto the local set, by the
-    candidates above: the oracle for locality.project_local and the HS measure."""
+    candidates above: the oracle for the HS measure, whose closest state is
+    that projection, at twice the measure's value."""
     if bd_is_chsh_local(a):
-        return LocalProjection(point=tuple(map(float, a)), distance=0.0, surface=None)
+        return Projection(point=tuple(map(float, a)), distance=0.0, surface=None)
     return nearest_in_chamber(a, _euclidean_in_chamber)

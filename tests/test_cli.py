@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -684,6 +685,21 @@ def test_readme_cli_flags_exist():
     assert {"--kind", "--out", "--format", "--seed", "--family", "--grid-n"} <= flags
     accepted = {f for p in subparsers().values() for f in p._option_string_actions}
     assert flags <= accepted, flags - accepted
+
+
+def test_readme_library_section_runs_and_its_names_resolve():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    # every dotted nlgeo name the README puts in backticks, as in
+    # `nlgeo.qstate.physical_probs` or `nlgeo.cli.main(argv)`
+    spans = re.findall(r"`([^`\n]*)`", readme)
+    names = {name for span in spans for name in re.findall(r"(?<![\w.])nlgeo(?:\.\w+)+", span)}
+    assert {"nlgeo.qstate.physical_probs", "nlgeo.solver.SolveReport"} <= names
+    for name in sorted(names):
+        pkgutil.resolve_name(name)
 
 
 def test_readme_cli_examples_run(tmp_path):

@@ -103,7 +103,6 @@ def test_records_are_immutable_named_tuples():
         WernerParam(0.9),
         IsotropicParam(d=3, omega=0.5),
         locality.cglmp_threshold(3),
-        locality.project_local(a),
         locality.chsh_verdict(nlgeo.density_to_pauli(nlgeo.make_werner(0.9))),
         solver.minimize_over_local_set(
             measures.BdObjective(DistanceKind.HELLINGER, locality.bell_chamber(a).e).terms

@@ -5,20 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ARC_INPUT, random_local_corr, random_nonlocal_corr, random_tetra_corr
+from conftest import ARC_INPUT, in_tetrahedron, random_local_corr, random_nonlocal_corr, random_tetra_corr
 from nlgeo.errors import NonPhysical, OutOfRange
 from nlgeo.locality import (
     bd_is_chsh_local,
     cglmp_qk,
     cglmp_threshold,
     chsh_verdict,
-    in_tetrahedron,
     max_pair_sum,
-    project_local,
     surface_name,
 )
 from nlgeo.dense import PauliRep
-from nlgeo.qstate import BELL_CORNERS as CORNER_TUPLES, bd_probs_to_corr
+from nlgeo.measures import bd_measure_hs
+from nlgeo.qstate import BELL_CORNERS as CORNER_TUPLES, bd_corr_to_probs, bd_probs_to_corr, physical_probs
 
 N_SAMPLES = 1000
 T = 1.0 / math.sqrt(2.0)
@@ -86,13 +85,13 @@ def test_cglmp_thresholds():
 
 
 def test_in_tetrahedron_convention():
-    for corner in BELL_CORNERS:
-        assert in_tetrahedron(corner)
-        assert in_tetrahedron(0.3 * corner)
-    assert in_tetrahedron(np.zeros(3))
+    # the one physicality check returns the Bell weights inside the tetrahedron
+    for x in [*BELL_CORNERS, *(0.3 * BELL_CORNERS), np.zeros(3)]:
+        assert physical_probs(x) == bd_corr_to_probs(x)
     # sign pattern matters: this point has a negative Bell weight
-    assert not in_tetrahedron(np.array([0.9, -0.9, 0.2]))
-    assert not in_tetrahedron(np.array([1.05, 1.05, -1.05]))
+    for x in (np.array([0.9, -0.9, 0.2]), np.array([1.05, 1.05, -1.05])):
+        with pytest.raises(NonPhysical):
+            physical_probs(x)
 
 
 def test_max_pair_sum():
@@ -180,13 +179,14 @@ def test_project_local_matches_slsqp(rng):
     inputs = [random_nonlocal_corr(rng) for _ in range(200)]
     inputs += [_face_and_edge_corr(rng) for _ in range(100)]
     for a in inputs:
-        proj = project_local(a)
+        # the HS measure is half the distance to the projection, closest_local
+        res = bd_measure_hs(a)
         ref = _slsqp_distance(a)
-        assert proj.distance == pytest.approx(ref, abs=1e-9)
+        assert 2 * res.value == pytest.approx(ref, abs=1e-9)
         # the reference is a local point, so it bounds the projection; the
         # slack covers rounding in the two distance computations only
-        assert proj.distance <= ref + 1e-15
-        assert proj.distance == pytest.approx(np.linalg.norm(proj.point - a), abs=1e-15)
+        assert 2 * res.value <= ref + 1e-15
+        assert 2 * res.value == pytest.approx(np.linalg.norm(res.closest_local.a - a), abs=1e-15)
 
 
 def _boundary_point(y) -> np.ndarray:
@@ -203,7 +203,7 @@ def test_project_local_variational_inequality(rng):
     assert len(probes) >= 400
     for _ in range(60):
         a = random_nonlocal_corr(rng)
-        p = project_local(a).point
+        p = bd_measure_hs(a).closest_local.a
         assert max(float((a - p) @ (y - p)) for y in probes) <= 1e-12
 
 
@@ -211,19 +211,20 @@ def test_project_local_is_feasible_and_idempotent(rng):
     surfaces = set()
     for _ in range(300):
         a = random_nonlocal_corr(rng)
-        proj = project_local(a)
-        surfaces.add(proj.surface)
-        assert _is_local(proj.point)
-        assert max_pair_sum(proj.point) == pytest.approx(1.0, abs=1e-12)
-        again = project_local(proj.point)
-        assert again.surface is None and again.distance == 0.0
-        assert np.array_equal(again.point, proj.point)
+        res = bd_measure_hs(a)
+        p = res.closest_local.a
+        surfaces.add(res.surface)
+        assert _is_local(p)
+        assert max_pair_sum(p) == pytest.approx(1.0, abs=1e-12)
+        again = bd_measure_hs(p)
+        assert again.surface is None and 2 * again.value == 0.0
+        assert np.array_equal(again.closest_local.a, p)
     # single disks, two-disk arcs and vertices all occur
     assert {"disk_12", "disk_12+disk_13", "vertex"} <= surfaces
     local = random_local_corr(rng)
-    assert project_local(local).distance == 0.0
+    assert 2 * bd_measure_hs(local).value == 0.0
     with pytest.raises(NonPhysical):
-        project_local(np.array([0.9, -0.9, 0.2]))
+        bd_measure_hs(np.array([0.9, -0.9, 0.2]))
 
 
 def test_surface_name():
@@ -238,32 +239,34 @@ def test_surface_name():
 def test_bell_corners_and_werner_line_map_to_threshold_vertex():
     for corner in BELL_CORNERS:
         for w in np.linspace(0.72, 1.0, 8):
-            proj = project_local(w * corner)
-            assert proj.surface == "vertex"
-            assert proj.point == pytest.approx(T * corner, abs=1e-15)
-            assert proj.distance == pytest.approx(math.sqrt(3.0) * (w - T), abs=1e-14)
+            res = bd_measure_hs(w * corner)
+            assert res.surface == "vertex"
+            assert res.closest_local.a == pytest.approx(T * corner, abs=1e-15)
+            assert 2 * res.value == pytest.approx(math.sqrt(3.0) * (w - T), abs=1e-14)
 
 
-def _arc_tangent_residual(a, proj) -> float:
-    """Component of a - p along the arc through p where the two named
-    cylinders meet, whose tangent is the cross product of their normals."""
+def _arc_tangent_residual(a, res) -> float:
+    """Component of a - p, with p the HS measure's closest correlators, along
+    the arc through p where the two named cylinders meet, whose tangent is
+    the cross product of their normals."""
+    p = res.closest_local.a
     normals = np.zeros((2, 3))
-    for row, name in enumerate(proj.surface.split("+")):
+    for row, name in enumerate(res.surface.split("+")):
         for c in name[len("disk_"):]:
-            normals[row, int(c) - 1] = proj.point[int(c) - 1]
+            normals[row, int(c) - 1] = p[int(c) - 1]
     tangent = np.cross(normals[0], normals[1])
-    return abs(float((a - proj.point) @ tangent)) / float(np.linalg.norm(tangent))
+    return abs(float((a - p) @ tangent)) / float(np.linalg.norm(tangent))
 
 
 def test_arc_projection_is_stationary_on_its_arc(rng):
-    proj = project_local(ARC_INPUT)
-    assert proj.surface == "disk_12+disk_23"
-    assert _arc_tangent_residual(ARC_INPUT, proj) <= 1e-13
+    res = bd_measure_hs(ARC_INPUT)
+    assert res.surface == "disk_12+disk_23"
+    assert _arc_tangent_residual(ARC_INPUT, res) <= 1e-13
     arcs = 0
     for _ in range(300):
         a = random_nonlocal_corr(rng)
-        proj = project_local(a)
-        if "+" in proj.surface:
+        res = bd_measure_hs(a)
+        if "+" in res.surface:
             arcs += 1
-            assert _arc_tangent_residual(a, proj) <= 1e-13
+            assert _arc_tangent_residual(a, res) <= 1e-13
     assert arcs >= 50

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     ARC_INPUT,
     hs_oracle,
+    in_tetrahedron,
     nearest_in_chamber,
     random_local_corr,
     random_nonlocal_corr,
@@ -23,9 +24,7 @@ from nlgeo.locality import (
     bd_is_chsh_local,
     bell_chamber,
     cglmp_threshold,
-    in_tetrahedron,
     max_pair_sum,
-    project_local,
 )
 from nlgeo.measures import (
     OBJECTIVE_KINDS,
@@ -34,7 +33,6 @@ from nlgeo.measures import (
     bd_measure,
     bd_measure_hs,
     bd_measure_numeric,
-    bd_measure_trace,
     bd_sweep,
     isotropic_measure,
     two_bell_mix_corr,
@@ -57,6 +55,7 @@ from nlgeo.qstate import (
     BellDiagonal,
     bd_corr_to_probs,
     bd_probs_to_corr,
+    physical_probs,
 )
 from nlgeo.dense import make_bell_diagonal, make_isotropic, make_werner
 from nlgeo.validation import MULTISEED_TOL
@@ -368,11 +367,12 @@ def test_hs_corner_is_exact():
 
 def test_hs_and_trace_match_the_test_side_oracle(rng):
     # the chamber of the Bell weights against the chamber of |a| (conftest):
-    # the HS solve and project_local against the exact candidate projector,
-    # and the trace closed form on the weights' chamber correlators against
-    # the same closed form on |a| sorted, on seeded nonlocal inputs from near
-    # the corners (alpha = 0.02) to the middle (alpha = 3, where 2 of the
-    # 3,000 draws are nonlocal) of the tetrahedron
+    # the HS solve, as measure and as projection (twice the value), against
+    # the exact candidate projector, and the trace closed form on the
+    # weights' chamber correlators against the same closed form on |a|
+    # sorted, on seeded nonlocal inputs from near the corners (alpha = 0.02)
+    # to the middle (alpha = 3, where 2 of the 3,000 draws are nonlocal) of
+    # the tetrahedron
     inputs = [ARC_INPUT]
     for alpha in (0.02, 0.3, 1.0, 3.0):
         drawn = [bd_probs_to_corr(rng.dirichlet(np.full(4, alpha))) for _ in range(3000)]
@@ -381,14 +381,13 @@ def test_hs_and_trace_match_the_test_side_oracle(rng):
     for a in inputs:
         oracle = hs_oracle(a)
         surfaces.add(oracle.surface)
-        res, proj = bd_measure_hs(a), project_local(a)
+        res = bd_measure_hs(a)
         assert abs(res.value - 0.5 * oracle.distance) <= 4e-16, a
-        assert abs(proj.distance - oracle.distance) <= 8e-16, a
-        for x in (res.closest_local.a, proj.point):
-            assert max(abs(p - q) for p, q in zip(x, oracle.point)) <= 1e-15, a
-        assert res.surface == proj.surface == oracle.surface, a
+        assert abs(2 * res.value - oracle.distance) <= 8e-16, a
+        assert max(abs(p - q) for p, q in zip(res.closest_local.a, oracle.point)) <= 1e-15, a
+        assert res.surface == oracle.surface, a
         trace = nearest_in_chamber(a, measures._trace_in_chamber)
-        res = bd_measure_trace(a)
+        res = bd_measure(DistanceKind.TRACE, a)
         assert abs(res.value - trace.distance) <= 4e-16, a
         assert max(abs(p - q) for p, q in zip(res.closest_local.a, trace.point)) <= 1e-15, a
         assert res.surface == trace.surface, a
@@ -789,7 +788,7 @@ def test_trace_closed_form_is_the_enumerated_minimum(rng):
     # (the facets and the other arcs included), and never beat them either
     surfaces = set()
     for a in _trace_inputs(rng):
-        res = bd_measure_trace(a)
+        res = bd_measure(DistanceKind.TRACE, a)
         surfaces.add(res.surface)
         assert abs(res.value - trace_oracle(a)) <= 1e-13, a
     assert {"disk_12", "disk_12+disk_13", "vertex"} <= surfaces
@@ -809,7 +808,7 @@ def test_trace_closest_state_is_local_and_gives_the_value(rng):
     inputs = [random_nonlocal_corr(rng) for _ in range(200)]
     inputs += _face_and_edge_inputs(rng, 40) + [ARC_INPUT]
     for a in inputs:
-        res = bd_measure_trace(a)
+        res = bd_measure(DistanceKind.TRACE, a)
         assert (res.method, res.iterations, res.converged) == ("lagrange_case", 0, True)
         x = res.closest_local.a
         assert in_tetrahedron(x, tol=1e-15)
@@ -852,7 +851,7 @@ def test_nonphysical_rejected_everywhere():
 def test_wrong_length_correlators_rejected_everywhere():
     for a in ((0.9, 0.9), (0.9, 0.9, 0.1, 0.0)):
         # bd_corr_to_probs makes the one check that the others rely on
-        for check in (bd_corr_to_probs, BellDiagonal.from_corr, in_tetrahedron):
+        for check in (bd_corr_to_probs, BellDiagonal.from_corr, physical_probs):
             with pytest.raises(DimensionMismatch):
                 check(a)
         for kind in KINDS:

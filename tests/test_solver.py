@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from conftest import hs_oracle, random_local_corr, random_nonlocal_corr
-from nlgeo.locality import bd_is_chsh_local, bell_chamber, from_chamber, in_tetrahedron
+from conftest import hs_oracle, in_tetrahedron, random_local_corr, random_nonlocal_corr
+from nlgeo.locality import bd_is_chsh_local, bell_chamber, from_chamber
 from nlgeo.measures import OBJECTIVE_KINDS, BdObjective
 from nlgeo.qstate import bd_corr_to_probs, bd_probs_to_corr
 from nlgeo import solver

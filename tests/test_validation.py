@@ -32,13 +32,16 @@ def test_run_validation_reports_structure_and_failure_path(monkeypatch):
 def test_validation_solves_each_numeric_input_once(monkeypatch):
     # the Bures check scores the Hellinger solves, and HS and trace are exact,
     # so the numeric solves are the Werner line for he and re and the
-    # symmetric images of each multiseed point for those two objectives
+    # symmetric images of each multiseed point for those two objectives. The
+    # oracle reaches them through bd_measure, the multiseed check by the
+    # validation module's own name
     calls = []
 
     def counting(kind, a):
         calls.append(kind)
         return bd_measure_numeric(kind, a)
 
+    monkeypatch.setattr(measures, "bd_measure_numeric", counting)
     monkeypatch.setattr(validation, "bd_measure_numeric", counting)
     assert all(c.passed for c in run_validation())
     assert len(calls) == 2 * ORACLE_POINTS + 2 * 3 * len(MULTISEED_POINTS)
