@@ -9,6 +9,7 @@ sequence of three numbers, and points go out as tuples."""
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from operator import itemgetter
@@ -120,15 +121,24 @@ def bell_chamber(a) -> Chamber:
     caller has checked: the weights themselves are permuted, never their
     correlators, so the sorted weights are the input's bit for bit."""
     e = bd_corr_to_probs(a)
-    order = tuple(sorted(range(4), key=e.__getitem__, reverse=True))
+    order = tuple(sorted((0, 1, 2, 3), key=e.__getitem__, reverse=True))
     return Chamber(itemgetter(*order)(e), order)
 
 
 def from_chamber(order, w, pairs):
     """The Bell-diagonal state whose weight of the Bell state order[k] is
-    w[k], and the surface_name of the chamber's cylinder pairs."""
-    e = [w[order.index(k)] for k in range(4)]
+    w[k], and the surface_name of the chamber's cylinder pairs. The weights
+    are placed by order in one assignment, and the name comes from a table
+    filled on first use, one entry per (order, pairs): at most the 24 orders
+    times the three pair sets that the solve and the trace form end on."""
+    e = [0.0] * 4
+    e[order[0]], e[order[1]], e[order[2]], e[order[3]] = w
+    return BellDiagonal(bd_probs_to_corr(e), e), _chamber_surface(order, pairs)
+
+
+@functools.cache
+def _chamber_surface(order, pairs):
     # the chamber's axis j splits its weights into {0, j + 1} and the other
     # two, and the axis (m ^ n) - 1 of the state splits them into {m, n}
     axes = [(order[0] ^ order[j]) - 1 for j in (1, 2, 3)]
-    return BellDiagonal(bd_probs_to_corr(e), e), surface_name([(axes[i], axes[j]) for i, j in pairs])
+    return surface_name([(axes[i], axes[j]) for i, j in pairs])

@@ -158,8 +158,10 @@ class BdObjective:
     def __init__(self, kind: DistanceKind, e):
         if known_kind(kind) not in OBJECTIVE_KINDS:
             raise OutOfRange(f"no numeric objective for kind {kind.value!r}")
-        self._e = tuple(e)
-        self._sqrt_e = tuple(math.sqrt(max(ei, 0.0)) for ei in self._e)
+        self._e = e0, e1, e2, e3 = tuple(e)
+        self._sqrt_e = (
+            math.sqrt(max(e0, 0.0)), math.sqrt(max(e1, 0.0)), math.sqrt(max(e2, 0.0)), math.sqrt(max(e3, 0.0))
+        )
         self._hellinger = kind is DistanceKind.HELLINGER
 
     def terms(self, w0, w1, w2, w3):
@@ -245,10 +247,12 @@ def _trace_in_chamber(b1: float, b2: float, b3: float):
 def _in_chamber(kind: DistanceKind, a) -> MeasureResult:
     """The measure of kind in the symmetry chamber of a's Bell weights
     (nlgeo.solver), behind the measures' one input check (bd_is_chsh_local)
-    and mapped back by locality.from_chamber."""
+    and mapped back by locality.from_chamber. A local input is its own
+    closest state, built from its weights without a second check: the one
+    check has just passed on the same a."""
     a = float_vector(a, 3, "correlator")
     if bd_is_chsh_local(a):
-        return _closed_form(kind, 0.0, BellDiagonal.from_corr(a))
+        return _closed_form(kind, 0.0, BellDiagonal(a, bd_corr_to_probs(a)))
     e, order = bell_chamber(a)
     method = "lagrange_case"
     if kind is DistanceKind.TRACE:
@@ -370,23 +374,27 @@ def bd_grid(kind: DistanceKind, grid_n: int) -> list[tuple[float, float, float]]
     class of nodes, keyed by its sorted integer triple, is solved once at the
     node whose weights are that sorted triple over grid_n; the other nodes of
     the class reuse the value. i/grid_n is correctly rounded, so a node shared
-    by two grid sizes gets the same value in both. An unconverged solve raises
-    NotConverged naming that node, the first row of its class.
+    by two grid sizes gets the same value in both; the grid_n + 1 fractions
+    are computed once, and each node makes one lookup of its class. An
+    unconverged solve raises NotConverged naming that node, the first row of
+    its class.
     """
     grid_n = whole_number(grid_n, 1, "grid_n")
     norm = werner_max(kind)
+    frac = [i / grid_n for i in range(grid_n + 1)]
     values = {}
     rows = []
     for i in range(grid_n + 1):
         for j in range(grid_n + 1 - i):
             key = tuple(sorted((i, j, grid_n - i - j)))
-            if key not in values:
+            value = values.get(key)
+            if value is None:
                 # row-major order meets each class first at its ascending
                 # triple, so e is both the class's solve point and this row
-                e = [k / grid_n for k in key] + [0.0]
+                e = [frac[k] for k in key] + [0.0]
                 res = bd_measure(kind, bd_probs_to_corr(e))
                 if not res.converged:
                     raise NotConverged(f"{kind.value} solve at e = {e} did not converge")
-                values[key] = res.value / norm
-            rows.append((i / grid_n, j / grid_n, values[key]))
+                value = values[key] = res.value / norm
+            rows.append((frac[i], frac[j], value))
     return rows

@@ -42,12 +42,12 @@ def float_vector(v, n: int, name: str) -> tuple:
 def bd_probs_to_corr(e) -> tuple[float, float, float]:
     """Map Bell weights e to correlators a. Raises InvalidProbability on bad e."""
     e = float_vector(e, 4, "probability")
+    e0, e1, e2, e3 = e
     # both checks are written so that a nan weight fails them
-    if not all(ek >= -PROB_NEG_ATOL for ek in e):
+    if not (e0 >= -PROB_NEG_ATOL and e1 >= -PROB_NEG_ATOL and e2 >= -PROB_NEG_ATOL and e3 >= -PROB_NEG_ATOL):
         raise InvalidProbability(f"negative or nan weight in {list(e)}")
     if not abs(sum(e) - 1.0) <= PROB_SUM_ATOL:
         raise InvalidProbability(f"weights {list(e)} sum to {sum(e)}, not 1")
-    e0, e1, e2, e3 = e
     # a_i = sum_k BELL_CORNERS[k][i] e_k, summed as (k = 0, 2) + (k = 1, 3):
     # numpy's order for this product as a matrix, so the two agree bit for bit
     return ((e0 - e2) + (e1 - e3), (e0 + e2) - (e1 + e3), (e2 - e0) + (e1 - e3))
@@ -74,9 +74,9 @@ def bd_corr_to_probs(a) -> tuple[float, float, float, float]:
 def physical_probs(a) -> tuple[float, float, float, float]:
     """Bell weights of correlators a, the one physicality check: NonPhysical
     unless each is >= -PROB_NEG_ATOL, DimensionMismatch unless a holds 3."""
-    e = bd_corr_to_probs(a)
+    e = e0, e1, e2, e3 = bd_corr_to_probs(a)
     # written so that a nan weight fails too
-    if not all(ek >= -PROB_NEG_ATOL for ek in e):
+    if not (e0 >= -PROB_NEG_ATOL and e1 >= -PROB_NEG_ATOL and e2 >= -PROB_NEG_ATOL and e3 >= -PROB_NEG_ATOL):
         raise NonPhysical(f"correlators {list(map(float, a))} lie outside the physical tetrahedron")
     return e
 

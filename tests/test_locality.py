@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,11 +8,13 @@ from hypothesis import strategies as st
 
 from conftest import ARC_INPUT, in_tetrahedron, random_local_corr, random_nonlocal_corr, random_tetra_corr
 from nlgeo.errors import NonPhysical, OutOfRange
+from nlgeo import solver
 from nlgeo.locality import (
     bd_is_chsh_local,
     cglmp_qk,
     cglmp_threshold,
     chsh_verdict,
+    from_chamber,
     max_pair_sum,
     surface_name,
 )
@@ -234,6 +237,32 @@ def test_surface_name():
     assert surface_name([(1, 2), (0, 2)]) == "disk_13+disk_23"
     assert surface_name([(0, 2), (1, 0)]) == "disk_12+disk_13"
     assert surface_name([(1, 2), (0, 1), (0, 2)]) == "vertex"
+
+
+def _index_scan_map_back(order, w, pairs):
+    """The map back as one index scan per weight and the axis rule run on
+    every call: the oracle that from_chamber's direct placement and surface
+    table must equal."""
+    e = [w[order.index(k)] for k in range(4)]
+    axes = [(order[0] ^ order[j]) - 1 for j in (1, 2, 3)]
+    return e, surface_name([(axes[i], axes[j]) for i, j in pairs])
+
+
+def test_from_chamber_equals_the_index_scan_for_every_order_and_piece(rng):
+    # every pair set the chamber solve (solver._PAIRS) and the trace form
+    # (one cylinder, the arc of two, the vertex) end on
+    pieces = {*solver._PAIRS.values(), ((0, 1),), ((0, 1), (0, 2)), solver.DISK_PAIRS}
+    weights = [(0.4, 0.3, 0.2, 0.1), (0.5, 0.5, 0.0, 0.0)] + [tuple(rng.dirichlet(np.ones(4))) for _ in range(20)]
+    orders = list(itertools.permutations(range(4)))
+    assert len(orders) == 24 and len(pieces) == 3
+    for w in weights:
+        w = tuple(map(float, w))
+        for order in orders:
+            for pairs in pieces:
+                state, surface = from_chamber(order, w, pairs)
+                e, name = _index_scan_map_back(order, w, pairs)
+                assert state.e == tuple(e) and state.a == bd_probs_to_corr(e)
+                assert surface == name, (order, pairs)
 
 
 def test_bell_corners_and_werner_line_map_to_threshold_vertex():

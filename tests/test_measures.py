@@ -2,6 +2,7 @@ import decimal
 import itertools
 import math
 import re
+import sys
 from decimal import Decimal
 
 import numpy as np
@@ -39,7 +40,7 @@ from nlgeo.measures import (
     werner_max,
     werner_measure,
 )
-from nlgeo import arrays, dense, measures, solver
+from nlgeo import arrays, dense, locality, measures, qstate, solver
 from nlgeo.arrays import formula_agrees, isotropic_reference_formula, isotropic_values, werner_values
 from nlgeo.cli import main
 from nlgeo.metrics import (
@@ -775,6 +776,29 @@ def _trace_inputs(rng):
             if max_pair_sum(a) > 1.0 + BOUNDARY_TOL:
                 inputs.append(a)
     return inputs
+
+
+@pytest.mark.parametrize("kind", list(DistanceKind))
+def test_one_physicality_check_per_measure(kind, monkeypatch):
+    # a deterministic count, through every nlgeo module name bound to the
+    # check: the input check passes an a that a local branch reuses as is
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return physical_probs(a)
+
+    bound = [
+        m for name, m in sys.modules.items()
+        if name.startswith("nlgeo") and getattr(m, "physical_probs", None) is physical_probs
+    ]
+    assert {qstate, locality} <= set(bound)
+    for module in bound:
+        monkeypatch.setattr(module, "physical_probs", counting)
+    for a, local in (((0.5, 0.4, -0.3), True), ((0.84, 0.63, -0.5), False)):
+        calls.clear()
+        assert (bd_measure(kind, a).value == 0.0) is local
+        assert len(calls) == 1, (kind, a)
 
 
 def test_trace_closed_form_is_the_enumerated_minimum(rng):

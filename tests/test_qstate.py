@@ -36,6 +36,7 @@ from nlgeo.qstate import (
     WernerParam,
     bd_corr_to_probs,
     bd_probs_to_corr,
+    physical_probs,
 )
 from nlgeo.locality import bd_is_chsh_local, cglmp_qk, cglmp_threshold
 from nlgeo.measures import bd_grid, bd_measure, bd_sweep, isotropic_measure
@@ -103,6 +104,49 @@ def test_nan_input_raises_package_error(name):
     # written the other way round for nan to fail it
     with pytest.raises(NlgeoError):
         NAN_CALLS[name]()
+
+# every check a correlator vector passes on its way into a measure
+CORR_CHECKS = {
+    "physical_probs": physical_probs,
+    "from_corr": BellDiagonal.from_corr,
+    "bd_is_chsh_local": bd_is_chsh_local,
+    **{f"bd_measure_{k.value}": lambda a, k=k: bd_measure(k, a) for k in DistanceKind},
+}
+
+
+@pytest.mark.parametrize("slot", range(3))
+@pytest.mark.parametrize("name", sorted(CORR_CHECKS))
+def test_nan_in_each_correlator_slot_is_nonphysical(name, slot):
+    a = [0.1, 0.2, 0.3]
+    a[slot] = math.nan
+    with pytest.raises(NonPhysical, match="outside the physical tetrahedron"):
+        CORR_CHECKS[name](a)
+
+
+@pytest.mark.parametrize("slot", range(4))
+def test_a_negative_weight_in_each_slot_is_nonphysical(slot):
+    # -0.4 times corner k gives weight k (1 - 1.2) / 4 = -0.05 and the others
+    # (1 + 0.4) / 4, so each weight's own comparison must catch it: a nan
+    # correlator makes all four weights nan at once
+    a = [-0.4 * c for c in BELL_CORNERS[slot]]
+    assert sum(ek < 0.0 for ek in bd_corr_to_probs(a)) == 1
+    with pytest.raises(NonPhysical, match="outside the physical tetrahedron"):
+        physical_probs(a)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.01])
+@pytest.mark.parametrize("slot", range(4))
+@pytest.mark.parametrize("check", [bd_probs_to_corr, BellDiagonal.from_probs], ids=["bd_probs_to_corr", "from_probs"])
+def test_a_nan_or_negative_weight_in_each_slot_is_invalid(check, slot, bad):
+    # the message tells the weight check from the sum check, which a nan
+    # weight would fail as well
+    e = [0.25, 0.25, 0.25, 0.25]
+    e[slot] = bad
+    if not math.isnan(bad):
+        e[(slot + 1) % 4] -= bad  # the sum stays 1
+    with pytest.raises(InvalidProbability, match="negative or nan weight"):
+        check(e)
+
 
 unit_interval = st.floats(min_value=0.0, max_value=1.0)
 
