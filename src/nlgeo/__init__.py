@@ -11,6 +11,8 @@ import numpy; the dense layer and the array closed forms do, on first use.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     DimensionMismatch,
     InvalidProbability,
@@ -82,54 +84,10 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+# __all__ is derived, so that each public name is written once: in an import
+# line above or in _LAZY
 __all__ = [
     "__version__",
-    "NlgeoError",
-    "DimensionMismatch",
-    "NotHermitian",
-    "NotPSD",
-    "InvalidProbability",
-    "OutOfRange",
-    "NonPhysical",
-    "NotConverged",
-    "DensityMatrix",
-    "PauliRep",
-    "BellDiagonal",
-    "WernerParam",
-    "IsotropicParam",
-    "pauli_to_density",
-    "density_to_pauli",
-    "bd_probs_to_corr",
-    "bd_corr_to_probs",
-    "matrix_sqrt_psd",
-    "bd_project",
-    "twirl_isotropic",
-    "make_werner",
-    "make_isotropic",
-    "make_bell_diagonal",
-    "phi_plus_ket",
-    "DistanceKind",
-    "dist_hs",
-    "dist_hellinger",
-    "dist_hellinger_sq",
-    "fidelity",
-    "dist_bures",
-    "dist_trace",
-    "rel_entropy",
-    "ChshVerdict",
-    "CglmpThreshold",
-    "chsh_verdict",
-    "cglmp_qk",
-    "cglmp_threshold",
-    "bd_is_chsh_local",
-    "MeasureResult",
-    "werner_measure",
-    "werner_max",
-    "isotropic_measure",
-    "isotropic_reference_formula",
-    "bd_measure",
-    "bd_sweep",
-    "bd_grid",
-    "two_bell_mix_corr",
-    "WERNER_THRESHOLD",
+    *(name for name, value in globals().items() if name[0] != "_" and not isinstance(value, _ModuleType)),
+    *_LAZY,
 ]

@@ -51,8 +51,8 @@ KIND_CODES = [k.value for k in DistanceKind]
 
 CONVENTIONS = "hellinger=squared bures=squared log_base=2 boundary=local"
 
-# iso's largest --d: cglmp_threshold's cost grows like d (about 0.1 s at this
-# bound) and iso calls it up to 1 + 2k times for k kinds
+# iso's largest --d: cglmp_threshold's sum grows like d (about 0.1 s at this
+# bound) and runs once per d per process, however many kinds iso measures
 ISO_MAX_D = 100_000
 
 

@@ -83,8 +83,14 @@ def cglmp_threshold(d: int) -> CglmpThreshold:
     evaluated literally; at d = 2 the sum is the single k = 0 term and the
     threshold reduces to the CHSH value 1/sqrt(2). The sum runs in a Python
     loop, so the cost grows like d: about 0.1 s at d = 10^5 and 1 s at 10^6.
+    It runs once per d per process: the result is cached on the checked int,
+    so 3, 3.0 and np.int64(3) share one entry.
     """
-    d = whole_number(d, 2, "local dimension")
+    return _cglmp_threshold(whole_number(d, 2, "local dimension"))
+
+
+@functools.cache
+def _cglmp_threshold(d: int) -> CglmpThreshold:
     total = 0.0
     for k in range(d // 2):
         coeff = 1.0 - 2.0 * k / (d - 1.0)

@@ -342,7 +342,8 @@ def bd_sweep(kind: DistanceKind, family: str, n_points: int) -> list[tuple[float
     family "two_bell_mix" sweeps p in [1/2, 1] over a = (2p-1, -(2p-1), 1);
     family "werner_line" sweeps w in [1/sqrt 2, 1] along the singlet corner.
     Values are divided by the Werner maximum of the same kind, so every sweep
-    ends at 1 at the maximally nonlocal endpoint. Returns a list of
+    ends at 1 at the maximally nonlocal endpoint: to within rounding, and
+    exactly for the trace closed form. Returns a list of
     (parameter, normalized value) rows; an unconverged solve raises
     NotConverged naming its point.
     """

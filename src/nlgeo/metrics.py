@@ -18,7 +18,6 @@ import numpy as np
 
 from .dense import DensityMatrix, matrix_sqrt_psd
 from .errors import DimensionMismatch, NonPhysical
-from .kinds import DistanceKind  # noqa: F401  (re-exported)
 
 SUPPORT_TOL = 1e-12
 

@@ -100,9 +100,9 @@ def _inner(terms, c, s, u, facet):
     """Minimize F(t, .) over [0, (1 - c)/4] from u, for c = cos t, s = sin t.
 
     Returns (u, piece, terms at the last u scored, that u, facet), piece
-    "arc" at the top, "facet" at 0 and "disk" between. facet is False once
-    the kernel has raised at u = 0, which is then not scored again, True
-    once it has not, and None before.
+    "arc" at the top, "facet" at 0 and "disk" between. facet says whether
+    u = 0 may still be scored: it starts True and turns False once the
+    kernel has raised there.
     """
     p, q, half = 0.5 * (c + s), 0.5 * (1.0 - s), 0.5 * (1.0 - c)
     top = 0.5 * half
@@ -120,10 +120,8 @@ def _inner(terms, c, s, u, facet):
             continue
         _, d1, d2, d3, d4, h1, h2, h3, h4 = k
         fu = d1 - d2 - d3 + d4
-        if u == 0.0:
-            facet = True
-            if fu >= 0.0:
-                return u, "facet", k, u, facet
+        if u == 0.0 and fu >= 0.0:
+            return u, "facet", k, u, facet
         if u == top and fu <= 0.0:
             return u, "arc", k, u, facet
         if fu > 0.0:
@@ -139,7 +137,7 @@ def _inner(terms, c, s, u, facet):
                 continue
             n = 0.5 * (lo + hi)
         elif n <= lo:
-            if not lo_seen and facet is not False:
+            if not lo_seen and facet:
                 u = 0.0
                 continue
             # the step that solves F_u = A - B / u: Newton's share of u in log u
@@ -198,7 +196,7 @@ def minimize_over_local_set(terms) -> SolveReport:
     """
     max_iters = MAX_ITERS
     c = s = _SQRT_HALF
-    u, piece, k, v, facet = _inner(terms, c, s, 0.25 * (1.0 - c), None)
+    u, piece, k, v, facet = _inner(terms, c, s, 0.25 * (1.0 - c), True)
     g, gg, dudt = _slopes(c, s, piece, k, u - v)
     iterations = 1
     stopped = g <= 0.0
@@ -216,7 +214,7 @@ def minimize_over_local_set(terms) -> SolveReport:
         c, s = math.cos(n), math.sin(n)
         start = u + dudt * (n - t)
         if start <= 0.0:
-            start = 0.0 if facet is not False else 0.5 * u
+            start = 0.0 if facet else 0.5 * u
         t = n
         u, piece, k, v, facet = _inner(terms, c, s, min(start, 0.25 * (1.0 - c)), facet)
         g, gg, dudt = _slopes(c, s, piece, k, u - v)

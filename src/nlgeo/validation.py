@@ -47,10 +47,11 @@ class CheckResult(namedtuple("CheckResult", "name passed max_error tolerance sec
     __slots__ = ()
 
 
-def _check(name: str, tolerance: float, start: float, worst: float, results=()) -> CheckResult:
+def _check(name: str, tolerance: float, start: float, worst: float, results=(), unconverged=0) -> CheckResult:
     """The record of a check begun at perf_counter() start: it fails on an
-    error above tolerance or on an unconverged result."""
-    unconverged = sum(not res.converged for res in results)
+    error above tolerance or on an unconverged solve, one per result not
+    converged plus the count of those that raised NotConverged."""
+    unconverged += sum(not res.converged for res in results)
     detail = f"NotConverged x{unconverged}" if unconverged else ""
     seconds = time.perf_counter() - start
     return CheckResult(name, worst <= tolerance and not unconverged, worst, tolerance, seconds, detail)
@@ -81,8 +82,7 @@ def _grid_convergence() -> CheckResult:
         tables = [{(e1, e2): v for e1, e2, v in bd_grid(DistanceKind.HS, n)} for n in (10, 20, 50)]
     except NotConverged:
         # bd_grid stops at the first solve that did not converge
-        seconds = time.perf_counter() - start
-        return CheckResult("grid_convergence_hs", False, math.inf, GRID_TOL, seconds, "NotConverged")
+        return _check("grid_convergence_hs", GRID_TOL, start, math.inf, unconverged=1)
     worst = 0.0
     for coarse, fine in itertools.combinations(tables, 2):
         for node in coarse.keys() & fine.keys():

@@ -15,11 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlgeo import cli, measures, solver
+from nlgeo import cli, locality, measures, solver
 from nlgeo.cli import KIND_CODES, _meta_lines, build_parser, main, write_table
 from nlgeo.locality import bd_is_chsh_local
 from nlgeo.measures import bd_measure, two_bell_mix_corr
-from nlgeo.metrics import DistanceKind
+from nlgeo.kinds import DistanceKind
 from nlgeo.qstate import bd_probs_to_corr
 
 
@@ -519,6 +519,22 @@ def test_iso_dimension_is_bounded(tmp_path, capsys, monkeypatch):
     assert run(["iso", "--d", "100000", "--n", "2", "--kind", "hs", "--out", out]) == 0
     meta, _, rows = read_csv(out)
     assert "# d: 100000\n" in meta and len(rows) == 2
+
+
+def test_iso_runs_the_cglmp_sum_once_per_dimension(tmp_path, monkeypatch):
+    # the metadata, every kind's value and every reference formula need the
+    # threshold at one d; its sum of floor(d/2) pairs of q_k runs once
+    calls = []
+
+    def counting(d, k, real=locality.cglmp_qk):
+        calls.append(k)
+        return real(d, k)
+
+    locality._cglmp_threshold.cache_clear()
+    monkeypatch.setattr(locality, "cglmp_qk", counting)
+    argv = ["iso", "--d", "9", "--n", "3", "--out", str(tmp_path / "x.csv")]
+    assert run(argv + [f"--kind={code}" for code in KIND_CODES]) == 0
+    assert len(calls) == 8
 
 
 def test_reused_parser_keeps_no_state_between_commands(tmp_path, capsys, monkeypatch):

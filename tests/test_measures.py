@@ -43,8 +43,8 @@ from nlgeo.measures import (
 from nlgeo import arrays, dense, locality, measures, qstate, solver
 from nlgeo.arrays import formula_agrees, isotropic_reference_formula, isotropic_values, werner_values
 from nlgeo.cli import main
+from nlgeo.kinds import DistanceKind
 from nlgeo.metrics import (
-    DistanceKind,
     dist_bures,
     dist_hellinger_sq,
     dist_hs,

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import haar_unitary, random_density
 from nlgeo.errors import DimensionMismatch
+from nlgeo.kinds import DistanceKind
 from nlgeo.metrics import (
-    DistanceKind,
     dist_bures,
     dist_hellinger,
     dist_hellinger_sq,

@@ -1,7 +1,9 @@
-"""nlgeo/__init__.py keeps three lists by hand: the eager imports, the lazy
-names of _LAZY and __all__. They must name the same public surface."""
+"""nlgeo/__init__.py keeps two lists by hand, the eager imports and the lazy
+names of _LAZY, and derives __all__ from them. They must name the same
+public surface."""
 
 import ast
+import types
 from pathlib import Path
 
 import nlgeo
@@ -29,3 +31,11 @@ def test_all_is_the_eager_and_lazy_names_each_once():
 def test_every_public_name_resolves():
     for name in nlgeo.__all__:
         assert getattr(nlgeo, name) is not None, name
+
+
+def test_all_holds_no_module_and_no_private_name():
+    # the import lines also bind the submodules they import from, and the
+    # derivation must leave those out, as it must every underscore name
+    for name in nlgeo.__all__:
+        assert not isinstance(getattr(nlgeo, name), types.ModuleType), name
+        assert name == "__version__" or not name.startswith("_"), name

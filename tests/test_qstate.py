@@ -40,8 +40,8 @@ from nlgeo.qstate import (
 )
 from nlgeo.locality import bd_is_chsh_local, cglmp_qk, cglmp_threshold
 from nlgeo.measures import bd_grid, bd_measure, bd_sweep, isotropic_measure
+from nlgeo.kinds import DistanceKind
 from nlgeo.metrics import (
-    DistanceKind,
     dist_bures,
     dist_hellinger,
     dist_hellinger_sq,

@@ -171,10 +171,35 @@ def test_one_terms_call_per_scored_point(rng):
     assert calls / (len(inputs) * len(OBJECTIVE_KINDS)) <= 25
 
 
+def test_the_facet_raises_at_most_once_per_solve(rng):
+    # with e4 > 0 the he and re kernels raise at u = w4 = 0; once one has,
+    # the facet flag keeps every later inner solve and start off u = 0
+    raised = []
+    inputs = [random_nonlocal_corr(rng) for _ in range(40)]
+    for a in inputs:
+        e = bell_chamber(a).e
+        assert e[3] > 0.0
+        for kind in OBJECTIVE_KINDS:
+            terms = BdObjective(kind, e).terms
+            count = 0
+
+            def counting(*w, terms=terms):
+                nonlocal count
+                try:
+                    return terms(*w)
+                except ZeroDivisionError:
+                    count += 1
+                    raise
+
+            assert minimize_over_local_set(counting).converged
+            raised.append(count)
+    assert max(raised) == 1, raised
+
+
 def _angle_slopes(terms, t):
     """The inner solve's u and piece at t, and G', G'' and du/dt there."""
     c, s = math.cos(t), math.sin(t)
-    u, piece, k, scored, _ = solver._inner(terms, c, s, 0.25 * (1.0 - c), None)
+    u, piece, k, scored, _ = solver._inner(terms, c, s, 0.25 * (1.0 - c), True)
     value = terms(0.5 * (c + s) + u, 0.5 * (1.0 - s) - u, 0.5 * (1.0 - c) - u, u)[0]
     return value, u, piece, solver._slopes(c, s, piece, k, u - scored)
 

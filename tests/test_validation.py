@@ -1,7 +1,11 @@
+import math
+
 from nlgeo import locality, measures, solver, validation
+from nlgeo.cli import main
+from nlgeo.errors import NotConverged
 from nlgeo.measures import bd_measure_numeric
-from nlgeo.metrics import DistanceKind
-from nlgeo.validation import MULTISEED_POINTS, ORACLE_POINTS, run_validation
+from nlgeo.kinds import DistanceKind
+from nlgeo.validation import GRID_TOL, MULTISEED_POINTS, ORACLE_POINTS, run_validation
 from nlgeo.qstate import BellDiagonal
 
 
@@ -60,3 +64,20 @@ def test_multiseed_fails_on_a_wrong_axis_map(monkeypatch):
     check = validation._multiseed()
     assert not check.passed and check.max_error > 0.1
     assert check.name == "multiseed_consistency" and check.detail == ""
+
+
+def test_an_unconverged_grid_is_recorded_by_the_one_builder(monkeypatch, tmp_path):
+    # bd_grid raises at its first unconverged solve; the row still goes
+    # through _check, so it reads like every other failed row, and
+    # validate exits 5 on its detail
+    def unconverged(kind, n):
+        raise NotConverged("bd_grid stopped")
+
+    monkeypatch.setattr(validation, "bd_grid", unconverged)
+    (grid,) = [c for c in run_validation() if c.name == "grid_convergence_hs"]
+    assert grid.passed is False
+    assert grid.max_error == math.inf
+    assert grid.tolerance == GRID_TOL
+    assert grid.seconds >= 0.0
+    assert "NotConverged" in grid.detail
+    assert main(["validate", "--out", str(tmp_path / "v.csv")]) == 5
