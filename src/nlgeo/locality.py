@@ -71,7 +71,11 @@ def chsh_verdict(rep) -> ChshVerdict:
 
 def cglmp_qk(d: int, k: int) -> float:
     """Joint outcome weight q_k = 1 / (2 d^3 sin^2(pi (k + 1/4) / d))."""
-    d = whole_number(d, 2, "local dimension")
+    return _qk(whole_number(d, 2, "local dimension"), k)
+
+
+def _qk(d: int, k: int) -> float:
+    # cglmp_qk on a d that has been checked
     s = math.sin(math.pi * (k + 0.25) / d)
     return 1.0 / (2.0 * d**3 * s * s)
 
@@ -94,7 +98,7 @@ def _cglmp_threshold(d: int) -> CglmpThreshold:
     total = 0.0
     for k in range(d // 2):
         coeff = 1.0 - 2.0 * k / (d - 1.0)
-        total += coeff * (cglmp_qk(d, k) - cglmp_qk(d, -(k + 1)))
+        total += coeff * (_qk(d, k) - _qk(d, -(k + 1)))
     i_d = 4.0 * d * total
     return CglmpThreshold(d=d, i_d_qm=i_d, omega_threshold=2.0 / i_d)
 

@@ -165,7 +165,7 @@ class BdObjective:
         self._hellinger = kind is DistanceKind.HELLINGER
 
     def terms(self, w0, w1, w2, w3):
-        # written out per weight: the solve calls this about 17 times. Only
+        # written out per weight: the solve calls this about 11 times. Only
         # the last weight can be 0 there; an absent term then contributes
         # nothing, and a present one raises ZeroDivisionError
         if self._hellinger:
@@ -254,16 +254,21 @@ def _in_chamber(kind: DistanceKind, a) -> MeasureResult:
     if bd_is_chsh_local(a):
         return _closed_form(kind, 0.0, BellDiagonal(a, bd_corr_to_probs(a)))
     e, order = bell_chamber(a)
+    e0, e1, e2, e3 = e
+    # the chamber's correlators, summed as bd_probs_to_corr sums them
+    x1, x2, x3 = (e0 - e2) + (e1 - e3), (e0 + e2) - (e1 + e3), (e2 - e0) + (e1 - e3)
     method = "lagrange_case"
     if kind is DistanceKind.TRACE:
-        x1, x2, x3 = bd_probs_to_corr(e)
         (p1, p2, p3), pairs, value = _trace_in_chamber(x1, x2, abs(x3))
         report = solver.SolveReport(bd_corr_to_probs((p1, p2, math.copysign(p3, x3))), value, 0, True, pairs)
     elif kind is DistanceKind.HS:
-        report = solver.minimize_over_local_set(solver.euclidean_terms(e))
+        # the HS minimizer on the cylinder (1, 2) is at the input's own angle,
+        # and the he and re minimizers lie near it
+        report = solver.minimize_over_local_set(solver.euclidean_terms(e), math.atan2(x2, x1))
         value = math.sqrt(report.value)
     else:
-        report = solver.minimize_over_local_set(BdObjective(_SOLVED_AS.get(kind, kind), e).terms)
+        terms = BdObjective(_SOLVED_AS.get(kind, kind), e).terms
+        report = solver.minimize_over_local_set(terms, math.atan2(x2, x1))
         value, method = report.value, "numeric"
     closest, surface = from_chamber(order, report.x, report.pairs)
     return MeasureResult(kind, value, closest, method, surface, report.iterations, report.converged)
@@ -372,30 +377,27 @@ def bd_grid(kind: DistanceKind, grid_n: int) -> list[tuple[float, float, float]]
     The slice is sampled at steps of 1/grid_n in (e1, e2) with
     e3 = 1 - e1 - e2, keeping only physical nodes, in row-major order. Every
     measure is invariant under permuting the Bell weights, so each symmetry
-    class of nodes, keyed by its sorted integer triple, is solved once at the
-    node whose weights are that sorted triple over grid_n; the other nodes of
-    the class reuse the value. i/grid_n is correctly rounded, so a node shared
-    by two grid sizes gets the same value in both; the grid_n + 1 fractions
-    are computed once, and each node makes one lookup of its class. An
-    unconverged solve raises NotConverged naming that node, the first row of
-    its class.
+    class of nodes, an integer triple lo <= mid <= hi summing to grid_n, is
+    solved once, at the node of weights (lo, mid, hi) over grid_n, and its
+    value is written to the class's permuted cells of a triangular table,
+    from which the rows are read. The classes are solved in the row-major
+    order of their first nodes (lo, mid), so an unconverged solve raises
+    NotConverged naming the first row of its class. i/grid_n is correctly
+    rounded, so a node shared by two grid sizes gets the same value in both;
+    the grid_n + 1 fractions are computed once.
     """
     grid_n = whole_number(grid_n, 1, "grid_n")
     norm = werner_max(kind)
     frac = [i / grid_n for i in range(grid_n + 1)]
-    values = {}
-    rows = []
-    for i in range(grid_n + 1):
-        for j in range(grid_n + 1 - i):
-            key = tuple(sorted((i, j, grid_n - i - j)))
-            value = values.get(key)
-            if value is None:
-                # row-major order meets each class first at its ascending
-                # triple, so e is both the class's solve point and this row
-                e = [frac[k] for k in key] + [0.0]
-                res = bd_measure(kind, bd_probs_to_corr(e))
-                if not res.converged:
-                    raise NotConverged(f"{kind.value} solve at e = {e} did not converge")
-                value = values[key] = res.value / norm
-            rows.append((frac[i], frac[j], value))
-    return rows
+    value = [[0.0] * (grid_n + 1 - i) for i in range(grid_n + 1)]
+    for lo in range(grid_n // 3 + 1):
+        for mid in range(lo, (grid_n - lo) // 2 + 1):
+            hi = grid_n - lo - mid
+            e = [frac[lo], frac[mid], frac[hi], 0.0]
+            res = bd_measure(kind, bd_probs_to_corr(e))
+            if not res.converged:
+                raise NotConverged(f"{kind.value} solve at e = {e} did not converge")
+            value[lo][mid] = value[lo][hi] = value[mid][lo] = value[mid][hi] = value[hi][lo] = value[hi][mid] = (
+                res.value / norm
+            )
+    return [(frac[i], frac[j], value[i][j]) for i in range(grid_n + 1) for j in range(grid_n + 1 - i)]

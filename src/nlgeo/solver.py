@@ -34,11 +34,15 @@ minimizes it; it takes an end point when the sign of F_u there says so, and
 stops on a step relative to u, since a tiny e4 puts the minimizer at a tiny
 u. An outer Newton iteration finds the root of G'(t), G(t) = min_u F(t, u):
 G' = F_t plus F_u s/4 on the arc, and G'' = F_tt - F_tu^2 / F_uu for u
-inside, or the total derivative along the arc or the facet. It tests
-t = pi/4 first, where G' <= 0 puts the minimizer; elsewhere it keeps its
-steps in the bracket [0, pi/4] by bisection and stops on a step of at most
-T_TOL, leaving an error of about G'' T_TOL^2 in the value. Each u solve
-starts from the last u moved along du/dt.
+inside, or the total derivative along the arc or the facet. It starts at
+the caller's angle, the input's own: atan2(x2, x1) of e's correlators is
+the HS minimizer's t, and the Hellinger and relative-entropy ones lie near
+it. It keeps its steps in the bracket [0, pi/4] by bisection and stops on a
+step of at most T_TOL, leaving an error of about G'' T_TOL^2 in the value.
+pi/4 is scored on demand: a step that would end at or above hi - T_TOL
+while no scored G' >= 0 has set hi goes to pi/4 instead, where G' <= 0
+puts the minimizer, the vertex when it is on the arc. Each u solve starts
+from the last u moved along du/dt, or on the arc's top after an arc point.
 
 f and L are convex, so the end point is the minimum when the gradient
 F_i = dF/dx_i = sum_k phi_k' C_ki / 4 is balanced there by multipliers >= 0
@@ -55,9 +59,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-# Angle steps allowed per solve, the probe at pi/4 included; a solve takes
-# about 4 to 5. One that spends them all ends unconverged, so that a budget
-# of 1 starves every solve
+# Angle steps allowed per solve, the first one at the start angle included;
+# a solve takes about 3 to 4. One that spends them all ends unconverged, so
+# that a budget of 1 starves every solve
 MAX_ITERS = 500
 # the angle iteration stops on a step at most this
 T_TOL = 1e-11
@@ -67,7 +71,6 @@ U_TOL = 1e-9
 # index pairs of the three cylinders x_i^2 + x_j^2 = 1, in lexicographic order
 DISK_PAIRS = ((0, 1), (0, 2), (1, 2))
 
-_SQRT_HALF = math.sqrt(0.5)
 _SQRT_TWO = math.sqrt(2.0)
 # the active cylinders of each piece, in the chamber's axes
 _PAIRS = {"disk": DISK_PAIRS[:1], "facet": DISK_PAIRS[:1], "arc": DISK_PAIRS[:2], "vertex": DISK_PAIRS}
@@ -185,9 +188,10 @@ def _multipliers(c, s, piece, k):
     return (-(c * f1 + s * f2) / 2.0,)
 
 
-def minimize_over_local_set(terms) -> SolveReport:
+def minimize_over_local_set(terms, t) -> SolveReport:
     """Minimize a convex f = sum_k phi(e_k, w_k), e in descending order and
-    nonlocal, over the local set (see the module docstring).
+    nonlocal, over the local set (see the module docstring), from the angle
+    t, clipped to [0, pi/4].
 
     ``terms(w1, w2, w3, w4)`` gives (f, phi_1'(w1), .., phi_4'(w4),
     phi_1''(w1), .., phi_4''(w4)); w4 may be 0, where it raises
@@ -195,34 +199,47 @@ def minimize_over_local_set(terms) -> SolveReport:
     the returned weights.
     """
     max_iters = MAX_ITERS
-    c = s = _SQRT_HALF
+    quarter = 0.25 * math.pi
+    t = n = min(max(t, 0.0), quarter)
+    c, s = math.cos(t), math.sin(t)
     u, piece, k, v, facet = _inner(terms, c, s, 0.25 * (1.0 - c), True)
     g, gg, dudt = _slopes(c, s, piece, k, u - v)
     iterations = 1
-    stopped = g <= 0.0
-    if stopped and piece == "arc":
-        piece = "vertex"
-    t = n = hi = 0.25 * math.pi
-    lo = 0.0
-    while not stopped and iterations < max_iters:
-        n = t - g / gg if gg > 0.0 else math.inf
-        if not lo < n < hi and abs(n - t) > T_TOL:
-            n = 0.5 * (lo + hi)
-        if abs(n - t) <= T_TOL:
+    stopped = hi_seen = False
+    lo, hi = 0.0, quarter
+    while True:
+        if t == quarter and g <= 0.0:
             stopped = True
             break
-        c, s = math.cos(n), math.sin(n)
-        start = u + dudt * (n - t)
-        if start <= 0.0:
-            start = 0.0 if facet else 0.5 * u
-        t = n
-        u, piece, k, v, facet = _inner(terms, c, s, min(start, 0.25 * (1.0 - c)), facet)
-        g, gg, dudt = _slopes(c, s, piece, k, u - v)
-        iterations += 1
+        if iterations >= max_iters:
+            break
         if g < 0.0:
             lo = t
         else:
-            hi = t
+            hi, hi_seen = t, True
+        n = t - g / gg if gg > 0.0 else math.inf
+        if not hi_seen and n >= hi - T_TOL:
+            # pi/4 is scored before any step ends at or near it
+            n = quarter
+        else:
+            if not lo < n < hi and abs(n - t) > T_TOL:
+                n = 0.5 * (lo + hi)
+            if abs(n - t) <= T_TOL:
+                stopped = True
+                break
+        c, s = math.cos(n), math.sin(n)
+        top = 0.25 * (1.0 - c)
+        if piece == "arc":
+            # the top is convex in t, so a step along it would land just inside
+            start = top
+        else:
+            start = u + dudt * (n - t)
+            if start <= 0.0:
+                start = 0.0 if facet else 0.5 * u
+        t = n
+        u, piece, k, v, facet = _inner(terms, c, s, min(start, top), facet)
+        g, gg, dudt = _slopes(c, s, piece, k, u - v)
+        iterations += 1
     scored = (0.5 * (c + s) + v, 0.5 * (1.0 - s) - v, 0.5 * (1.0 - c) - v, v)
     if n != t:
         # the last step, too short to score: u follows it to first order, so
@@ -230,6 +247,8 @@ def minimize_over_local_set(terms) -> SolveReport:
         c, s = math.cos(n), math.sin(n)
         top = 0.25 * (1.0 - c)
         u = top if piece == "arc" else min(max(u + dudt * (n - t), 0.0), top)
+    if n == quarter and piece == "arc":
+        piece = "vertex"
     w = (0.5 * (c + s) + u, 0.5 * (1.0 - s) - u, 0.5 * (1.0 - c) - u, u)
     if w != scored:
         k = terms(*w)

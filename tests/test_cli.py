@@ -523,15 +523,16 @@ def test_iso_dimension_is_bounded(tmp_path, capsys, monkeypatch):
 
 def test_iso_runs_the_cglmp_sum_once_per_dimension(tmp_path, monkeypatch):
     # the metadata, every kind's value and every reference formula need the
-    # threshold at one d; its sum of floor(d/2) pairs of q_k runs once
+    # threshold at one d; its sum of floor(d/2) pairs of q_k runs once, on
+    # the d checked once
     calls = []
 
-    def counting(d, k, real=locality.cglmp_qk):
+    def counting(d, k, real=locality._qk):
         calls.append(k)
         return real(d, k)
 
     locality._cglmp_threshold.cache_clear()
-    monkeypatch.setattr(locality, "cglmp_qk", counting)
+    monkeypatch.setattr(locality, "_qk", counting)
     argv = ["iso", "--d", "9", "--n", "3", "--out", str(tmp_path / "x.csv")]
     assert run(argv + [f"--kind={code}" for code in KIND_CODES]) == 0
     assert len(calls) == 8

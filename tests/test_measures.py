@@ -357,13 +357,23 @@ def test_hs_corner_is_exact():
     res = bd_measure_hs(0.9 * BELL_CORNERS[0])
     assert res.method == "lagrange_case"
     assert res.surface == "vertex"
-    # the chamber solve's probe at pi/4 finds the vertex: one angle step
+    # the chamber solve starts at the input's own angle, pi/4 on the corner's
+    # ray, and finds the vertex there: one angle step
     assert res.converged and res.iterations == 1
     assert res.value == pytest.approx(W09[DistanceKind.HS], abs=1e-14)
     assert res.closest_local.a == pytest.approx(T * BELL_CORNERS[0], abs=1e-15)
     top = bd_measure_hs(np.array(two_bell_mix_corr(1.0)))
     assert top.method == "lagrange_case"
     assert top.value == pytest.approx(WMAX[DistanceKind.HS], abs=1e-14)
+
+
+def test_hs_disk_input_is_solved_at_its_own_angle():
+    # the projection onto the cylinder (1, 2) keeps the input's angle on it,
+    # where the chamber solve starts: one angle step (four from pi/4)
+    res = bd_measure_hs((0.84, 0.63, -0.5))
+    assert res.converged and res.iterations == 1 and res.surface == "disk_12"
+    assert max(abs(p - q) for p, q in zip(res.closest_local.a, (0.8, 0.6, -0.5))) <= 1e-15
+    assert abs(res.value - 0.025) <= 1e-15
 
 
 def test_hs_and_trace_match_the_test_side_oracle(rng):
@@ -406,11 +416,14 @@ def _named_pieces(surface) -> set:
 
 def test_numeric_surface_names_every_active_cylinder(rng):
     # at (0.85, 0.85, -0.85) every kind's closest state is the vertex where
-    # the three cylinders meet; at (0.95, 0.9, -0.9) the Hellinger (and so
-    # the Bures) one lies on the arc of two of them
+    # the three cylinders meet, and so it is next to the singlet corner,
+    # where the solve starts 6e-16 below pi/4 and must still score pi/4; at
+    # (0.95, 0.9, -0.9) the Hellinger (and so the Bures) one lies on the arc
+    # of two of them
     arc = "disk_12+disk_13"
     expected = {
         (0.85, 0.85, -0.85): dict.fromkeys(KINDS, "vertex"),
+        (-0.9999999999999989, -0.9999999999999989, -1.0): dict.fromkeys(KINDS, "vertex"),
         (0.95, 0.9, -0.9): {
             DistanceKind.HS: "vertex",
             DistanceKind.HELLINGER: arc,
@@ -618,12 +631,13 @@ def test_numeric_values_hold_under_tighter_stop_tests(rng, monkeypatch):
 
 
 def test_mean_newton_steps_per_solve(rng):
-    # a deterministic count: the angle's Newton steps, the probe at pi/4
-    # included, are about 4.7 per solve on these inputs (the barrier solve took
-    # about 24 Newton steps over 8 stages)
+    # a deterministic count: the angle's Newton steps, the first one at the
+    # input's own angle included, are about 4.0 per solve on these inputs
+    # (4.7 from pi/4; the barrier solve took about 24 Newton steps over 8
+    # stages)
     inputs = [random_nonlocal_corr(rng) for _ in range(40)]
     steps = [bd_measure_numeric(k, a).iterations for a in inputs for k in OBJECTIVE_KINDS]
-    assert np.mean(steps) <= 6
+    assert np.mean(steps) <= 4.5
 
 
 def test_former_all_infinite_starts_input_converges():
@@ -1126,6 +1140,45 @@ def test_bd_grid_solves_each_symmetry_class_once(kind, monkeypatch):
     # up to 6 permuted nodes per class, all holding the bit-identical value
     assert all(len(values) == 1 for values in by_class.values())
     assert len({v for values in by_class.values() for v in values}) > 2
+
+
+def _node_by_node_grid(kind, grid_n):
+    """bd_grid's rows filled node by node, in row-major order: each node is
+    keyed by its sorted integer triple, whose class is solved by bd_measure
+    at its first node and looked up at every other. Returns the rows and
+    the solved correlators in the order they were solved."""
+    norm = werner_max(kind)
+    frac = [i / grid_n for i in range(grid_n + 1)]
+    values, rows, solved = {}, [], []
+    for i in range(grid_n + 1):
+        for j in range(grid_n + 1 - i):
+            key = tuple(sorted((i, j, grid_n - i - j)))
+            if key not in values:
+                solved.append(bd_probs_to_corr([frac[k] for k in key] + [0.0]))
+                values[key] = bd_measure(kind, solved[-1]).value / norm
+            rows.append((frac[i], frac[j], values[key]))
+    return rows, solved
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_bd_grid_matches_a_node_by_node_fill(kind, monkeypatch):
+    # the class-first fill against the node-by-node one, at the sizes where
+    # the loop bounds lo <= grid_n // 3 and mid <= (grid_n - lo) // 2 are
+    # least forgiving: the same rows, bit for bit, and the same solves in
+    # the same order, so NotConverged names the same row
+    solved = []
+
+    def recording(kind, a):
+        solved.append(a)
+        return bd_measure(kind, a)
+
+    for grid_n in (1, 2, 3, 4, 7, 11):
+        rows, order = _node_by_node_grid(kind, grid_n)
+        solved.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(measures, "bd_measure", recording)
+            assert bd_grid(kind, grid_n) == rows, grid_n
+        assert solved == order, grid_n
 
 
 @pytest.mark.parametrize("kind", KINDS)
