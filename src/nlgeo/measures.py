@@ -135,56 +135,50 @@ def isotropic_measure(kind: DistanceKind, d: int, omega: float) -> MeasureResult
     return _closed_form(kind, spectral_formula(kind, d, thr, omega), IsotropicParam(d=d, omega=thr))
 
 
-# The kinds with a BdObjective kernel: HS has solver.euclidean_terms, trace a
-# closed form, and Bures equals Hellinger on commuting states.
-OBJECTIVE_KINDS = (DistanceKind.HELLINGER, DistanceKind.RELATIVE_ENTROPY)
-# Bures is measured by the Hellinger solve (bd_measure_numeric, per_kind)
-_SOLVED_AS = {DistanceKind.BURES: DistanceKind.HELLINGER}
+def _euclidean_terms(e):
+    """The kernel of sum_k (w_k - e_k)^2, a quarter of the squared distance
+    between the correlators: the square root of its minimum is the
+    Hilbert-Schmidt measure. It is finite everywhere."""
+    e0, e1, e2, e3 = e
+
+    def terms(w0, w1, w2, w3):
+        d0, d1, d2, d3 = w0 - e0, w1 - e1, w2 - e2, w3 - e3
+        f = d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3
+        return f, 2.0 * d0, 2.0 * d1, 2.0 * d2, 2.0 * d3, 2.0, 2.0, 2.0, 2.0
+
+    return terms, True
 
 
-class BdObjective:
-    """Distance objective between a fixed Bell-diagonal state and a variable
-    one, as a sum of one term per Bell weight of the variable state.
+def _hellinger_terms(e):
+    """The kernel of the squared Hellinger distance 2 - 2 sum_k sqrt(e_k w_k),
+    finite at w4 = 0 when e4's term is absent."""
+    s0, s1, s2, s3 = (math.sqrt(max(ek, 0.0)) for ek in e)
 
-    terms(w0, w1, w2, w3) is the kernel that solver.minimize_over_local_set
-    takes: the objective, then each term's first derivative in its weight,
-    then each second derivative, as one flat tuple. It works in the fixed
-    state's symmetry chamber: e are the fixed state's weights in descending
-    order (locality.bell_chamber), and the k-th variable weight is paired
-    with e[k]. The minimized quantity is the squared Hellinger distance or
-    the relative entropy in bits; any other kind raises OutOfRange.
-    """
-
-    def __init__(self, kind: DistanceKind, e):
-        if known_kind(kind) not in OBJECTIVE_KINDS:
-            raise OutOfRange(f"no numeric objective for kind {kind.value!r}")
-        self._e = e0, e1, e2, e3 = tuple(e)
-        self._sqrt_e = (
-            math.sqrt(max(e0, 0.0)), math.sqrt(max(e1, 0.0)), math.sqrt(max(e2, 0.0)), math.sqrt(max(e3, 0.0))
+    def terms(w0, w1, w2, w3):
+        q0 = math.sqrt(w0)
+        q1 = math.sqrt(w1)
+        q2 = math.sqrt(w2)
+        q3 = math.sqrt(w3)
+        r0 = s0 / q0
+        r1 = s1 / q1
+        r2 = s2 / q2
+        r3 = s3 / q3 if s3 else 0.0
+        return (
+            max(2.0 - 2.0 * (s0 * q0 + s1 * q1 + s2 * q2 + s3 * q3), 0.0),
+            -r0, -r1, -r2, -r3,
+            0.5 * r0 / w0, 0.5 * r1 / w1, 0.5 * r2 / w2, 0.5 * r3 / w3 if s3 else 0.0,
         )
-        self._hellinger = kind is DistanceKind.HELLINGER
 
-    def terms(self, w0, w1, w2, w3):
-        # written out per weight: the solve calls this about 11 times. Only
-        # the last weight can be 0 there; an absent term then contributes
-        # nothing, and a present one raises ZeroDivisionError
-        if self._hellinger:
-            s0, s1, s2, s3 = self._sqrt_e
-            q0 = math.sqrt(w0)
-            q1 = math.sqrt(w1)
-            q2 = math.sqrt(w2)
-            q3 = math.sqrt(w3)
-            r0 = s0 / q0
-            r1 = s1 / q1
-            r2 = s2 / q2
-            r3 = s3 / q3 if s3 else 0.0
-            return (
-                max(2.0 - 2.0 * (s0 * q0 + s1 * q1 + s2 * q2 + s3 * q3), 0.0),
-                -r0, -r1, -r2, -r3,
-                0.5 * r0 / w0, 0.5 * r1 / w1, 0.5 * r2 / w2, 0.5 * r3 / w3 if s3 else 0.0,
-            )
-        e0, e1, e2, e3 = self._e
-        # a weight e_k <= 1e-15 contributes nothing (0 log 0 = 0)
+    return terms, not s3
+
+
+def _entropy_terms(e):
+    """The kernel of the relative entropy sum_k e_k log2(e_k / w_k) in bits,
+    where a weight e_k <= 1e-15 contributes nothing (0 log 0 = 0), so that
+    it is finite at w4 = 0 when e4 is such a weight."""
+    e0, e1, e2, e3 = e
+
+    def terms(w0, w1, w2, w3):
         f = q0 = q1 = q2 = q3 = 0.0
         if e0 > 1e-15:
             f += e0 * math.log2(e0 / w0)
@@ -199,6 +193,26 @@ class BdObjective:
             f += e3 * math.log2(e3 / w3)
             q3 = e3 / (w3 * _LN2)
         return f, -q0, -q1, -q2, -q3, q0 / w0, q1 / w1, q2 / w2, q3 / w3 if q3 else 0.0
+
+    return terms, not e3 > 1e-15
+
+
+# The chamber solve's kernels (nlgeo.solver), each built from a fixed
+# state's Bell weights e in descending order (locality.bell_chamber), the
+# k-th variable weight paired with e[k]: kernel(e) is (terms, facet), facet
+# saying whether terms is finite at w4 = 0. Each terms is written out per
+# weight, as a solve calls it about 9 times. The trace measure is a closed
+# form, and Bures equals Hellinger on commuting states.
+KERNELS = {
+    DistanceKind.HS: _euclidean_terms,
+    DistanceKind.HELLINGER: _hellinger_terms,
+    DistanceKind.RELATIVE_ENTROPY: _entropy_terms,
+}
+# The kinds with a numeric solve of their own: Bures shares Hellinger's, and
+# HS and trace are exact (bd_measure_numeric)
+OBJECTIVE_KINDS = (DistanceKind.HELLINGER, DistanceKind.RELATIVE_ENTROPY)
+# Bures is measured by the Hellinger solve (bd_measure_numeric, per_kind)
+_SOLVED_AS = {DistanceKind.BURES: DistanceKind.HELLINGER}
 
 
 def _trace_distance(x, b) -> float:
@@ -261,15 +275,15 @@ def _in_chamber(kind: DistanceKind, a) -> MeasureResult:
     if kind is DistanceKind.TRACE:
         (p1, p2, p3), pairs, value = _trace_in_chamber(x1, x2, abs(x3))
         report = solver.SolveReport(bd_corr_to_probs((p1, p2, math.copysign(p3, x3))), value, 0, True, pairs)
-    elif kind is DistanceKind.HS:
+    else:
         # the HS minimizer on the cylinder (1, 2) is at the input's own angle,
         # and the he and re minimizers lie near it
-        report = solver.minimize_over_local_set(solver.euclidean_terms(e), math.atan2(x2, x1))
-        value = math.sqrt(report.value)
-    else:
-        terms = BdObjective(_SOLVED_AS.get(kind, kind), e).terms
-        report = solver.minimize_over_local_set(terms, math.atan2(x2, x1))
-        value, method = report.value, "numeric"
+        report = solver.minimize_over_local_set(*KERNELS[_SOLVED_AS.get(kind, kind)](e), math.atan2(x2, x1))
+        value = report.value
+        if kind is DistanceKind.HS:
+            value = math.sqrt(value)
+        else:
+            method = "numeric"
     closest, surface = from_chamber(order, report.x, report.pairs)
     return MeasureResult(kind, value, closest, method, surface, report.iterations, report.converged)
 
@@ -278,7 +292,7 @@ def bd_measure_hs(a) -> MeasureResult:
     """Hilbert-Schmidt measure of a Bell-diagonal state.
 
     Half the Euclidean distance from the correlators a to the local set, by
-    the chamber solve of solver.euclidean_terms: closest_local.a is the
+    the chamber solve of KERNELS[HS]: closest_local.a is the
     Euclidean projection of a onto the local set, at distance twice the
     value, and surface names its active boundary piece.
     """
@@ -288,7 +302,7 @@ def bd_measure_hs(a) -> MeasureResult:
 def bd_measure_numeric(kind: DistanceKind, a) -> MeasureResult:
     """Measure of a Bell-diagonal state by constrained minimization.
 
-    One exact solve of BdObjective's kernel in the symmetry chamber of a's
+    One exact solve of the kind's kernel (KERNELS) in the symmetry chamber of a's
     Bell weights (solver.minimize_over_local_set): its value sits at the
     optimum to within rounding, at the closest local state's weights, on the
     boundary of the local set. converged is the solve's KKT certificate.

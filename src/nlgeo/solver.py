@@ -3,9 +3,9 @@
 The objectives are f(w) = sum_k phi(e_k, w_k) over the Bell weights w of a
 local state, one convex term per weight for a fixed state's weights e, with
 d^2 phi / de dw <= 0. They come as one kernel, terms(w1, w2, w3, w4) = (f,
-phi_1', .., phi_4', phi_1'', .., phi_4''), with e in descending order. The
-three kernels are euclidean_terms (Hilbert-Schmidt) and measures.BdObjective
-(Hellinger, relative entropy).
+phi_1', .., phi_4', phi_1'', .., phi_4''), with e in descending order, and
+a flag facet, whether terms is finite at w4 = 0. measures.KERNELS builds
+the three, Hilbert-Schmidt, Hellinger and relative entropy, alike.
 
 The local set L is the tetrahedron w_k >= 0 cut by the cylinders
 x_i^2 + x_j^2 <= 1 of the correlators x, w_k = (1 + C_k . x) / 4
@@ -26,7 +26,7 @@ whole tetrahedron, where e does. So x = (cos t, sin t, x3) with
 u = (1 - c)/4 is the arc w3 = w4, x3 = -s, where the cylinder (1, 3) meets
 (1, 2); it ends at t = pi/4 in the vertex of all three. u = 0 is the facet
 w4 = 0, where the slope of a present Hellinger or relative-entropy e4 term
-is -inf (its kernel raises ZeroDivisionError there).
+is -inf: the facet is scored only for a kernel declared finite there.
 
 F(t, u) = f(w(t, u)) is convex in u, with F_u = phi_1' - phi_2' - phi_3' +
 phi_4' and F_uu = sum_k phi_k''. A safeguarded Newton iteration in u
@@ -42,7 +42,8 @@ step of at most T_TOL, leaving an error of about G'' T_TOL^2 in the value.
 pi/4 is scored on demand: a step that would end at or above hi - T_TOL
 while no scored G' >= 0 has set hi goes to pi/4 instead, where G' <= 0
 puts the minimizer, the vertex when it is on the arc. Each u solve starts
-from the last u moved along du/dt, or on the arc's top after an arc point.
+from the last u moved along du/dt, or on the arc's top: the first one,
+and every one after an arc point.
 
 f and L are convex, so the end point is the minimum when the gradient
 F_i = dF/dx_i = sum_k phi_k' C_ki / 4 is balanced there by multipliers >= 0
@@ -85,55 +86,32 @@ class SolveReport(namedtuple("SolveReport", "x value iterations converged pairs"
     __slots__ = ()
 
 
-def euclidean_terms(e):
-    """The kernel of sum_k (w_k - e_k)^2, a quarter of the squared distance
-    between the correlators: the square root of its minimum is the
-    Hilbert-Schmidt measure."""
-    e0, e1, e2, e3 = e
-
-    def terms(w0, w1, w2, w3):
-        d0, d1, d2, d3 = w0 - e0, w1 - e1, w2 - e2, w3 - e3
-        f = d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3
-        return f, 2.0 * d0, 2.0 * d1, 2.0 * d2, 2.0 * d3, 2.0, 2.0, 2.0, 2.0
-
-    return terms
-
-
-def _inner(terms, c, s, u, facet):
+def _inner(terms, facet, c, s, u):
     """Minimize F(t, .) over [0, (1 - c)/4] from u, for c = cos t, s = sin t.
 
-    Returns (u, piece, terms at the last u scored, that u, facet), piece
-    "arc" at the top, "facet" at 0 and "disk" between. facet says whether
-    u = 0 may still be scored: it starts True and turns False once the
-    kernel has raised there.
+    Returns (u, piece, terms at the last u scored, that u), piece "arc" at
+    the top, "facet" at 0 and "disk" between. u = 0 is scored only when
+    facet says that terms is finite there.
     """
     p, q, half = 0.5 * (c + s), 0.5 * (1.0 - s), 0.5 * (1.0 - c)
     top = 0.5 * half
     lo, hi = 0.0, top
     lo_seen = hi_seen = False
     while True:
-        try:
-            k = terms(p + u, q - u, half - u, u)
-        except ZeroDivisionError:
-            # at u = 0 the last term is present; elsewhere the kernel is at fault
-            if u != 0.0:
-                raise
-            facet = False
-            u = 0.5 * hi
-            continue
+        k = terms(p + u, q - u, half - u, u)
         _, d1, d2, d3, d4, h1, h2, h3, h4 = k
         fu = d1 - d2 - d3 + d4
         if u == 0.0 and fu >= 0.0:
-            return u, "facet", k, u, facet
+            return u, "facet", k, u
         if u == top and fu <= 0.0:
-            return u, "arc", k, u, facet
+            return u, "arc", k, u
         if fu > 0.0:
             hi, hi_seen = u, True
         else:
             lo, lo_seen = u, True
         n = u - fu / (h1 + h2 + h3 + h4)
         if abs(n - u) <= U_TOL * u and (n == u or n < hi):
-            return n, "disk", k, u, facet
+            return n, "disk", k, u
         if n >= hi:
             if not hi_seen:
                 u = top
@@ -149,9 +127,9 @@ def _inner(terms, c, s, u, facet):
                 n = 0.5 * (lo + hi)
             if n == 0.0:
                 # u is the least positive float
-                return u, "disk", k, u, facet
+                return u, "disk", k, u
         if abs(n - u) <= U_TOL * u:
-            return n, "disk", k, u, facet
+            return n, "disk", k, u
         u = n
 
 
@@ -188,30 +166,41 @@ def _multipliers(c, s, piece, k):
     return (-(c * f1 + s * f2) / 2.0,)
 
 
-def minimize_over_local_set(terms, t) -> SolveReport:
+def minimize_over_local_set(terms, facet, t) -> SolveReport:
     """Minimize a convex f = sum_k phi(e_k, w_k), e in descending order and
     nonlocal, over the local set (see the module docstring), from the angle
     t, clipped to [0, pi/4].
 
     ``terms(w1, w2, w3, w4)`` gives (f, phi_1'(w1), .., phi_4'(w4),
-    phi_1''(w1), .., phi_4''(w4)); w4 may be 0, where it raises
-    ZeroDivisionError if its term is present. The value is the objective at
-    the returned weights.
+    phi_1''(w1), .., phi_4''(w4)), and facet says whether it is finite at
+    w4 = 0, the facet, which is scored only then. The value is the
+    objective at the returned weights.
     """
-    max_iters = MAX_ITERS
     quarter = 0.25 * math.pi
-    t = n = min(max(t, 0.0), quarter)
-    c, s = math.cos(t), math.sin(t)
-    u, piece, k, v, facet = _inner(terms, c, s, 0.25 * (1.0 - c), True)
-    g, gg, dudt = _slopes(c, s, piece, k, u - v)
-    iterations = 1
+    n = min(max(t, 0.0), quarter)
+    # the first u solve starts on the arc's top, as after an arc point
+    piece = "arc"
+    iterations = 0
     stopped = hi_seen = False
     lo, hi = 0.0, quarter
     while True:
+        c, s = math.cos(n), math.sin(n)
+        top = 0.25 * (1.0 - c)
+        if piece == "arc":
+            # the top is convex in t, so a step along it would land just inside
+            start = top
+        else:
+            start = u + dudt * (n - t)
+            if start <= 0.0:
+                start = 0.0 if facet else 0.5 * u
+        t = n
+        u, piece, k, v = _inner(terms, facet, c, s, min(start, top))
+        g, gg, dudt = _slopes(c, s, piece, k, u - v)
+        iterations += 1
         if t == quarter and g <= 0.0:
             stopped = True
             break
-        if iterations >= max_iters:
+        if iterations >= MAX_ITERS:
             break
         if g < 0.0:
             lo = t
@@ -227,19 +216,6 @@ def minimize_over_local_set(terms, t) -> SolveReport:
             if abs(n - t) <= T_TOL:
                 stopped = True
                 break
-        c, s = math.cos(n), math.sin(n)
-        top = 0.25 * (1.0 - c)
-        if piece == "arc":
-            # the top is convex in t, so a step along it would land just inside
-            start = top
-        else:
-            start = u + dudt * (n - t)
-            if start <= 0.0:
-                start = 0.0 if facet else 0.5 * u
-        t = n
-        u, piece, k, v, facet = _inner(terms, c, s, min(start, top), facet)
-        g, gg, dudt = _slopes(c, s, piece, k, u - v)
-        iterations += 1
     scored = (0.5 * (c + s) + v, 0.5 * (1.0 - s) - v, 0.5 * (1.0 - c) - v, v)
     if n != t:
         # the last step, too short to score: u follows it to first order, so
@@ -252,5 +228,5 @@ def minimize_over_local_set(terms, t) -> SolveReport:
     w = (0.5 * (c + s) + u, 0.5 * (1.0 - s) - u, 0.5 * (1.0 - c) - u, u)
     if w != scored:
         k = terms(*w)
-    converged = stopped and iterations < max_iters and min(_multipliers(c, s, piece, k)) >= 0.0
+    converged = stopped and iterations < MAX_ITERS and min(_multipliers(c, s, piece, k)) >= 0.0
     return SolveReport(x=w, value=k[0], iterations=iterations, converged=converged, pairs=_PAIRS[piece])

@@ -82,7 +82,7 @@ def make_unitary():
 # The Hilbert-Schmidt oracle: the exact Euclidean projection onto the local
 # set L, the tetrahedron cut by the three cylinders a_i^2 + a_j^2 <= 1, found
 # in the symmetry chamber of |a| rather than in that of the Bell weights,
-# where nlgeo finds it (the chamber solve of solver.euclidean_terms).
+# where nlgeo finds it (the chamber solve of measures.KERNELS[HS]).
 #
 # A facet never carries the projection p of a physical a. Suppose p lies on
 # cylinder (i, j) and on facet k, the plane c . x = -1 with c the Bell corner

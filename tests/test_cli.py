@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlgeo import cli, locality, measures, solver
+from nlgeo import cli, locality, measures, solver, validation
 from nlgeo.cli import KIND_CODES, _meta_lines, build_parser, main, write_table
 from nlgeo.locality import bd_is_chsh_local
 from nlgeo.measures import bd_measure, two_bell_mix_corr
@@ -443,6 +443,7 @@ def test_exit_codes(tmp_path, monkeypatch):
     assert run(["bd-measure", "--e", "0.5,0.6,0,-0.1", "--out", out]) == 3
     assert run(["bd-measure", "--a=nan,0,0", "--out", out]) == 3
     assert run(["bd-measure", "--e=nan,0,0,1", "--out", out]) == 3
+    assert run(["bd-measure", "--e=0.6,0.6,0,0", "--out", out]) == 3
     monkeypatch.setattr(solver, "MAX_ITERS", 1)
     assert run(["bd-measure", "--a=-0.88,-0.88,-0.88", "--out", out]) == 5
 
@@ -460,6 +461,25 @@ def test_unopenable_out_path_exits_2(tmp_path, capsys):
     assert run(["werner-sweep", "--n", "3", "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("nlgeo: ") and str(out) in err[0]
+
+
+def test_iso_empty_omega_range_exits_2_naming_it(tmp_path, capsys):
+    assert run(["iso", "--d", "3", "--omega-min", "0.9", "--omega-max", "0.8", "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == "nlgeo: need -0.125 <= omega-min < omega-max <= 1, got [0.9, 0.8]\n"
+
+
+def test_validate_failing_check_without_nonconvergence_exits_4(tmp_path, monkeypatch):
+    # the Werner rows read up to 4.4e-16, far above this tolerance, while
+    # every solve converges: the rows fail with no NotConverged detail
+    monkeypatch.setattr(validation, "ORACLE_TOL", 1e-20)
+    out = tmp_path / "v.csv"
+    assert run(["validate", "--out", str(out)]) == 4
+    _, header, rows = read_csv(out)
+    status, detail = header.index("status"), header.index("detail")
+    for row in rows:
+        failed = row[0].startswith("oracle_werner_")
+        assert row[status] == ("FAIL" if failed else "pass"), row
+        assert row[detail] == "", row
 
 
 def test_validate_perturbed_reports_nonconvergence(tmp_path, monkeypatch):
@@ -605,10 +625,10 @@ def test_failing_certificate_exits_5(tmp_path, capsys, monkeypatch):
     # the solve meets its stop test on the cylinder (1, 2), but the gradient
     # there points out of L, so that cylinder's KKT multiplier is negative.
     # The certificate fails, and the command exits 5 after writing its rows
-    def inside(self, *w):
+    def inside(*w):
         return (sum((wk - 0.25) ** 2 for wk in w), *(2.0 * (wk - 0.25) for wk in w), 2.0, 2.0, 2.0, 2.0)
 
-    monkeypatch.setattr(measures.BdObjective, "terms", inside)
+    monkeypatch.setitem(measures.KERNELS, DistanceKind.HELLINGER, lambda e: (inside, True))
     out = tmp_path / "x.csv"
     assert run(["bd-measure", "--a=0.84,0.63,-0.5", "--kind", "he", "--out", str(out)]) == 5
     assert capsys.readouterr().err == "nlgeo: numeric minimization did not converge\n"

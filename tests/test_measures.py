@@ -28,8 +28,8 @@ from nlgeo.locality import (
     max_pair_sum,
 )
 from nlgeo.measures import (
+    KERNELS,
     OBJECTIVE_KINDS,
-    BdObjective,
     bd_grid,
     bd_measure,
     bd_measure_hs,
@@ -317,9 +317,8 @@ def test_hs_and_bures_have_no_objective():
     for kind in (DistanceKind.HS, DistanceKind.TRACE):
         with pytest.raises(OutOfRange):
             bd_measure_numeric(kind, a)
-    for kind in (DistanceKind.HS, DistanceKind.BURES, DistanceKind.TRACE):
-        with pytest.raises(OutOfRange):
-            BdObjective(kind, bell_chamber(a).e)
+    # Bures is measured by the Hellinger kernel, and has none of its own
+    assert DistanceKind.BURES not in KERNELS and DistanceKind.TRACE not in KERNELS
 
 
 def test_hs_case_path_anchor():
@@ -887,7 +886,8 @@ def test_nonphysical_rejected_everywhere():
 
 
 def test_wrong_length_correlators_rejected_everywhere():
-    for a in ((0.9, 0.9), (0.9, 0.9, 0.1, 0.0)):
+    # a number or None is no vector at all: DimensionMismatch, not TypeError
+    for a in ((0.9, 0.9), (0.9, 0.9, 0.1, 0.0), 0.5, None):
         # bd_corr_to_probs makes the one check that the others rely on
         for check in (bd_corr_to_probs, BellDiagonal.from_corr, physical_probs):
             with pytest.raises(DimensionMismatch):
@@ -1223,7 +1223,8 @@ def test_numeric_value_is_the_objective_at_the_returned_point(rng, monkeypatch, 
             res = bd_measure_numeric(kind, a)
             assert res.converged is (max_iters is None), (kind, a)
             chamber = bell_chamber(a)
-            rescored = BdObjective(kind, chamber.e).terms(*(res.closest_local.e[k] for k in chamber.order))[0]
+            terms, _ = KERNELS[kind](chamber.e)
+            rescored = terms(*(res.closest_local.e[k] for k in chamber.order))[0]
             assert float.hex(res.value) == float.hex(rescored), (kind, a)
 
 
@@ -1231,25 +1232,25 @@ def test_gradient_matches_finite_differences(rng):
     # light smoke; the acceptance suite runs the full 100-point gate
     for kind in OBJECTIVE_KINDS:
         a = random_nonlocal_corr(rng)
-        obj = BdObjective(kind, bell_chamber(a).e)
+        terms, _ = KERNELS[kind](bell_chamber(a).e)
         for _ in range(5):
             x = 0.97 * random_local_corr(rng)
-            g = np.array(gradient_at(obj.terms, tuple(x)))
+            g = np.array(gradient_at(terms, tuple(x)))
             fd = np.empty(3)
             for i in range(3):
                 step = np.zeros(3)
                 step[i] = 1e-6
-                fd[i] = (value_at(obj.terms, tuple(x + step)) - value_at(obj.terms, tuple(x - step))) / 2e-6
+                fd[i] = (value_at(terms, tuple(x + step)) - value_at(terms, tuple(x - step))) / 2e-6
             denom = max(np.linalg.norm(g), 1e-9)
             assert np.linalg.norm(fd - g) / denom < 1e-4, kind
             # the Hessian against differences of the gradient
-            h = np.array(weights_hessian(obj.terms(*bd_corr_to_probs(x))[5:]))
+            h = np.array(weights_hessian(terms(*bd_corr_to_probs(x))[5:]))
             assert np.array_equal(h, h.T)
             fd_h = np.empty((3, 3))
             for i in range(3):
                 step = np.zeros(3)
                 step[i] = 1e-6
-                gp = np.array(gradient_at(obj.terms, tuple(x + step)))
-                gm = np.array(gradient_at(obj.terms, tuple(x - step)))
+                gp = np.array(gradient_at(terms, tuple(x + step)))
+                gm = np.array(gradient_at(terms, tuple(x - step)))
                 fd_h[:, i] = (gp - gm) / 2e-6
             assert np.linalg.norm(fd_h - h) / max(np.linalg.norm(h), 1e-9) < 1e-4, kind

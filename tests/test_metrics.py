@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import haar_unitary, random_density
+from nlgeo.dense import DensityMatrix, bd_project, make_bell_diagonal
 from nlgeo.errors import DimensionMismatch
 from nlgeo.kinds import DistanceKind
 from nlgeo.metrics import (
@@ -67,6 +68,20 @@ def test_contractivity_under_depolarizing(rng):
         c1, c2 = depolarize(r1, p), depolarize(r2, p)
         for name, dist in CONTRACTIVE.items():
             assert dist(c1, c2) <= dist(r1, r2) + 1e-10, name
+
+
+def test_bell_diagonal_twirl_brings_a_state_closer_to_a_bell_diagonal_one(rng):
+    # the lemma behind measuring Bell-diagonal states in the Bell-diagonal
+    # slice: the twirl is a mixed-unitary channel that fixes a Bell-diagonal
+    # rho, so no distance from rho grows under it (data processing, and the
+    # convexity of the norm for HS). tau is full rank, so every relative
+    # entropy here is finite
+    for _ in range(100):
+        rho = make_bell_diagonal(e=rng.dirichlet(np.full(4, 0.5)))
+        tau = DensityMatrix(dim=2, mat=random_density(rng, 4)).validate()
+        twirled = make_bell_diagonal(a=bd_project(tau).a)
+        for dist in (dist_hs, dist_hellinger_sq, dist_bures, dist_trace, rel_entropy):
+            assert dist(rho, twirled) <= dist(rho, tau), dist.__name__
 
 
 def test_hs_is_not_contractive_in_general():

@@ -148,6 +148,12 @@ def test_a_nan_or_negative_weight_in_each_slot_is_invalid(check, slot, bad):
         check(e)
 
 
+@pytest.mark.parametrize("check", [bd_probs_to_corr, BellDiagonal.from_probs], ids=["bd_probs_to_corr", "from_probs"])
+def test_weights_that_do_not_sum_to_one_are_invalid(check):
+    with pytest.raises(InvalidProbability, match=r"^weights \[0.6, 0.6, 0.0, 0.0\] sum to 1.2, not 1$"):
+        check((0.6, 0.6, 0.0, 0.0))
+
+
 unit_interval = st.floats(min_value=0.0, max_value=1.0)
 
 

@@ -7,7 +7,8 @@ from scipy.optimize import minimize_scalar
 from conftest import hs_oracle, in_tetrahedron, random_local_corr, random_nonlocal_corr
 from test_kkt_oracle import oracle_inputs
 from nlgeo.locality import bd_is_chsh_local, bell_chamber, from_chamber
-from nlgeo.measures import OBJECTIVE_KINDS, BdObjective
+from nlgeo.kinds import DistanceKind
+from nlgeo.measures import KERNELS, OBJECTIVE_KINDS
 from nlgeo.qstate import bd_corr_to_probs, bd_probs_to_corr
 from nlgeo import solver
 from nlgeo.solver import minimize_over_local_set
@@ -57,10 +58,10 @@ def chamber_angle(e) -> float:
 
 
 def _euclidean(target):
-    """The quadratic kernel in the chamber of target's Bell weights, the
-    solve's start angle there and the chamber's order."""
+    """The quadratic kernel and its facet flag in the chamber of target's
+    Bell weights, the solve's start angle there and the chamber's order."""
     chamber = bell_chamber(target)
-    return solver.euclidean_terms(chamber.e), chamber_angle(chamber.e), chamber.order
+    return (*KERNELS[DistanceKind.HS](chamber.e), chamber_angle(chamber.e), chamber.order)
 
 
 def _closest(report, order):
@@ -72,16 +73,16 @@ def test_minimize_over_local_set_projects_euclidean(rng):
     # minimizing a quarter of the squared distance from an exterior point
     # recovers the metric projection onto the local set, here on a known disk
     target = np.array([0.84, 0.63, -0.5])
-    terms, t, order = _euclidean(target)
-    report = minimize_over_local_set(terms, t)
+    terms, facet, t, order = _euclidean(target)
+    report = minimize_over_local_set(terms, facet, t)
     assert report.converged and report.pairs == ((0, 1),)
     assert np.max(np.abs(_closest(report, order) - [0.8, 0.6, -0.5])) <= 1e-12
     # on random targets, whatever boundary piece is active, the point is the
     # projection of the test-side oracle and the value the projection's
     for _ in range(30):
         target = random_nonlocal_corr(rng)
-        terms, t, order = _euclidean(target)
-        report = minimize_over_local_set(terms, t)
+        terms, facet, t, order = _euclidean(target)
+        report = minimize_over_local_set(terms, facet, t)
         x = _closest(report, order)
         assert report.converged and bd_is_chsh_local(x) and in_tetrahedron(x), target
         proj = hs_oracle(target)
@@ -95,8 +96,8 @@ def test_starved_solve_reports_unconverged(monkeypatch):
     # at a point of L
     monkeypatch.setattr(solver, "MAX_ITERS", 1)
     for target in ((0.84, 0.63, -0.5), (0.85, 0.85, -0.85)):
-        terms, t, order = _euclidean(target)
-        report = minimize_over_local_set(terms, t)
+        terms, facet, t, order = _euclidean(target)
+        report = minimize_over_local_set(terms, facet, t)
         assert not report.converged and report.iterations == 1
         x = _closest(report, order)
         assert bd_is_chsh_local(x) and in_tetrahedron(x)
@@ -108,8 +109,8 @@ def test_negative_multiplier_reports_unconverged(rng):
     # test on that cylinder, but the gradient there points out of L, so the
     # cylinder's multiplier is negative and the certificate fails
     for _ in range(10):
-        terms, t, _ = _euclidean(0.9 * random_local_corr(rng))
-        report = minimize_over_local_set(terms, t)
+        terms, facet, t, _ = _euclidean(0.9 * random_local_corr(rng))
+        report = minimize_over_local_set(terms, facet, t)
         assert report.iterations < solver.MAX_ITERS
         assert not report.converged
 
@@ -154,8 +155,8 @@ def test_solve_matches_a_nested_scalar_minimization(rng):
     for a in filter(lambda a: not bd_is_chsh_local(a), inputs):
         for kind in OBJECTIVE_KINDS:
             e = bell_chamber(a).e
-            terms = BdObjective(kind, e).terms
-            report = minimize_over_local_set(terms, chamber_angle(e))
+            terms, facet = KERNELS[kind](e)
+            report = minimize_over_local_set(terms, facet, chamber_angle(e))
             assert report.converged, (kind, a)
             reference = _nested_minimum(terms)
             assert abs(report.value - reference) <= 1e-15, (kind, a, report.value - reference)
@@ -169,10 +170,9 @@ def test_the_start_angle_does_not_move_the_solution(rng):
     inputs = [random_nonlocal_corr(rng) for _ in range(40)] + oracle_inputs()
     for a in inputs:
         e = bell_chamber(a).e
-        kernels = [solver.euclidean_terms(e)] + [BdObjective(kind, e).terms for kind in OBJECTIVE_KINDS]
-        for terms in kernels:
-            own = minimize_over_local_set(terms, chamber_angle(e))
-            quarter = minimize_over_local_set(terms, 0.25 * math.pi)
+        for kernel in KERNELS.values():
+            own = minimize_over_local_set(*kernel(e), chamber_angle(e))
+            quarter = minimize_over_local_set(*kernel(e), 0.25 * math.pi)
             assert own.converged and quarter.converged, a
             assert own.pairs == quarter.pairs, a
             assert abs(own.value - quarter.value) <= 1e-15, (a, own.value - quarter.value)
@@ -188,29 +188,30 @@ def test_one_terms_call_per_scored_point(rng):
     for a in inputs:
         e = bell_chamber(a).e
         for kind in OBJECTIVE_KINDS:
-            terms = BdObjective(kind, e).terms
+            terms, facet = KERNELS[kind](e)
             points = []
 
             def counting(*w, terms=terms, points=points):
                 points.append(w)
                 return terms(*w)
 
-            assert minimize_over_local_set(counting, chamber_angle(e)).converged
+            assert minimize_over_local_set(counting, facet, chamber_angle(e)).converged
             assert len(set(points)) == len(points), (kind, a)
             calls += len(points)
     assert calls / (len(inputs) * len(OBJECTIVE_KINDS)) <= 13
 
 
-def test_the_facet_raises_at_most_once_per_solve(rng):
-    # with e4 > 0 the he and re kernels raise at u = w4 = 0; once one has,
-    # the facet flag keeps every later inner solve and start off u = 0
+def test_no_kernel_raises(rng):
+    # with e4 > 0 the he and re kernels raise at u = w4 = 0, and they declare
+    # it (facet False), so no solve ever scores that point
     raised = []
     inputs = [random_nonlocal_corr(rng) for _ in range(40)]
     for a in inputs:
         e = bell_chamber(a).e
         assert e[3] > 0.0
         for kind in OBJECTIVE_KINDS:
-            terms = BdObjective(kind, e).terms
+            terms, facet = KERNELS[kind](e)
+            assert not facet
             count = 0
 
             def counting(*w, terms=terms):
@@ -221,15 +222,34 @@ def test_the_facet_raises_at_most_once_per_solve(rng):
                     count += 1
                     raise
 
-            assert minimize_over_local_set(counting, chamber_angle(e)).converged
+            assert minimize_over_local_set(counting, facet, chamber_angle(e)).converged
             raised.append(count)
-    assert max(raised) == 1, raised
+    assert max(raised) == 0, raised
 
 
-def _angle_slopes(terms, t):
+@pytest.mark.parametrize("kind", KERNELS)
+def test_each_facet_flag_matches_its_kernel(kind):
+    # facet says whether terms is finite at w4 = 0: there the kernel raises
+    # ZeroDivisionError exactly when its factory says it is not, from a
+    # subnormal-sized e4 up to one well above the relative entropy's 1e-15 cut
+    for e3 in (0.0, 1e-300, 1e-15, 2e-15, 1e-3):
+        e = (0.6, 0.3, 0.1 - e3, e3)
+        terms, facet = KERNELS[kind](e)
+        try:
+            terms(0.5, 0.3, 0.2, 0.0)
+        except ZeroDivisionError:
+            raised = True
+        else:
+            raised = False
+        assert raised is not facet, (kind, e3)
+        # and it is finite everywhere off the facet
+        assert all(math.isfinite(x) for x in terms(0.5, 0.3, 0.15, 0.05)), (kind, e3)
+
+
+def _angle_slopes(terms, facet, t):
     """The inner solve's u and piece at t, and G', G'' and du/dt there."""
     c, s = math.cos(t), math.sin(t)
-    u, piece, k, scored, _ = solver._inner(terms, c, s, 0.25 * (1.0 - c), True)
+    u, piece, k, scored = solver._inner(terms, facet, c, s, 0.25 * (1.0 - c))
     value = terms(0.5 * (c + s) + u, 0.5 * (1.0 - s) - u, 0.5 * (1.0 - c) - u, u)[0]
     return value, u, piece, solver._slopes(c, s, piece, k, u - scored)
 
@@ -245,11 +265,11 @@ def test_angle_slopes_match_finite_differences(rng, kind):
     pieces = set()
     h = 1e-5
     for a in inputs:
-        terms = BdObjective(kind, bell_chamber(a).e).terms
+        kernel = KERNELS[kind](bell_chamber(a).e)
         for t in (0.2, 0.45, 0.7):
-            _, _, piece, (g, gg, dudt) = _angle_slopes(terms, t)
+            _, _, piece, (g, gg, dudt) = _angle_slopes(*kernel, t)
             (vp, up, piece_p, (gp, _, _)), (vm, um, piece_m, (gm, _, _)) = (
-                _angle_slopes(terms, t + d) for d in (h, -h)
+                _angle_slopes(*kernel, t + d) for d in (h, -h)
             )
             if not piece_p == piece_m == piece:
                 continue
