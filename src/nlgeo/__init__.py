@@ -28,7 +28,6 @@ from .locality import (
     CglmpThreshold,
     ChshVerdict,
     bd_is_chsh_local,
-    cglmp_qk,
     cglmp_threshold,
     chsh_verdict,
 )

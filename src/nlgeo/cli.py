@@ -195,7 +195,7 @@ def cmd_werner_sweep(args) -> int:
         raise ValueError("need 1/sqrt(2) <= w-min < w-max <= 1")
     ws = np.linspace(args.w_min, args.w_max, args.n)
     # one expression, so no column array outlives the conversion to rows
-    rows = np.column_stack([ws] + [werner_values(k, ws) / werner_max(k) for k in kinds]).tolist()
+    rows = np.column_stack([ws, *per_kind(kinds, lambda k: werner_values(k, ws) / werner_max(k))]).tolist()
     columns = ["w"] + [k.value for k in kinds]
     emit(args, columns, rows, _meta_lines("werner-sweep", args))
     return 0
@@ -270,9 +270,8 @@ def cmd_iso(args) -> int:
             )
         omegas = np.linspace(args.omega_min, args.omega_max, args.n)
     names, columns, empty = ["omega"], [omegas.tolist()], [None] * len(omegas)
-    for k in kinds:
+    for k, value in zip(kinds, per_kind(kinds, lambda k: isotropic_values(k, args.d, omegas))):
         names += [f"value_{k.value}", f"formula_{k.value}", f"consistent_{k.value}"]
-        value = isotropic_values(k, args.d, omegas)
         reference = isotropic_reference_formula(k, args.d, omegas)
         agrees = formula_agrees(value, reference)
         # Bures has no quoted form, so its formula and flag cells are empty

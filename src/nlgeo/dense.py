@@ -184,17 +184,10 @@ def make_bell_diagonal(a=None, e=None) -> DensityMatrix:
     return pauli_to_density(PauliRep(alpha)).validate()
 
 
-def make_werner(w: float, corner: int = 4) -> DensityMatrix:
-    """Werner state of parameter w placed at one of the four Bell corners.
-
-    corner selects the extremal direction (1 to 4); the default 4 is the
-    singlet direction a = (-w, -w, -w). The measures downstream do not depend
-    on this choice.
-    """
+def make_werner(w: float) -> DensityMatrix:
+    """Werner state of parameter w, in the singlet direction a = (-w, -w, -w)."""
     WernerParam(w)
-    if corner not in (1, 2, 3, 4):
-        raise OutOfRange(f"corner must be 1..4, got {corner}")
-    return make_bell_diagonal(a=[w * c for c in BELL_CORNERS[corner - 1]])
+    return make_bell_diagonal(a=[w * c for c in BELL_CORNERS[3]])
 
 
 def make_isotropic(d: int, omega: float) -> DensityMatrix:

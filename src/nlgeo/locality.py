@@ -69,13 +69,9 @@ def chsh_verdict(rep) -> ChshVerdict:
     )
 
 
-def cglmp_qk(d: int, k: int) -> float:
-    """Joint outcome weight q_k = 1 / (2 d^3 sin^2(pi (k + 1/4) / d))."""
-    return _qk(whole_number(d, 2, "local dimension"), k)
-
-
 def _qk(d: int, k: int) -> float:
-    # cglmp_qk on a d that has been checked
+    """Joint outcome weight q_k = 1 / (2 d^3 sin^2(pi (k + 1/4) / d)), for a
+    d that cglmp_threshold has checked."""
     s = math.sin(math.pi * (k + 0.25) / d)
     return 1.0 / (2.0 * d**3 * s * s)
 

@@ -202,17 +202,17 @@ def _entropy_terms(e):
 # k-th variable weight paired with e[k]: kernel(e) is (terms, facet), facet
 # saying whether terms is finite at w4 = 0. Each terms is written out per
 # weight, as a solve calls it about 9 times. The trace measure is a closed
-# form, and Bures equals Hellinger on commuting states.
+# form. Bures equals Hellinger on commuting states, so it has Hellinger's
+# kernel, and kinds with one kernel share one solve (per_kind).
 KERNELS = {
     DistanceKind.HS: _euclidean_terms,
     DistanceKind.HELLINGER: _hellinger_terms,
+    DistanceKind.BURES: _hellinger_terms,
     DistanceKind.RELATIVE_ENTROPY: _entropy_terms,
 }
-# The kinds with a numeric solve of their own: Bures shares Hellinger's, and
-# HS and trace are exact (bd_measure_numeric)
+# The kinds with a numeric solve that no other such kind shares: HS and
+# trace are exact (bd_measure_numeric), and Bures solves as Hellinger
 OBJECTIVE_KINDS = (DistanceKind.HELLINGER, DistanceKind.RELATIVE_ENTROPY)
-# Bures is measured by the Hellinger solve (bd_measure_numeric, per_kind)
-_SOLVED_AS = {DistanceKind.BURES: DistanceKind.HELLINGER}
 
 
 def _trace_distance(x, b) -> float:
@@ -230,18 +230,23 @@ def _trace_in_chamber(b1: float, b2: float, b3: float):
     the distance from a to the local set in that norm, which sign flips leave
     unchanged. _in_chamber passes the correlators (x1, x2, |x3|) of the
     chamber of a's Bell weights (x1 >= x2 >= |x3|, nlgeo.solver) and puts
-    x3's sign back on the point. That point is the nearest of three
-    candidates, each taken where it is feasible:
+    x3's sign back on the point, which is the nearest of three candidates,
+    each taken where it is feasible:
     - the ray from b along the vertex -(1, 1, 0) of the norm's unit ball (a
       cuboctahedron) onto the cylinder (1, 2): (b1 - r)^2 + (b2 - r)^2 = 1,
       solved without cancellation. It is optimal for that cylinder alone, so
       it wins whenever it also meets the cylinder (1, 3);
     - the kink of the arc (cos t, sin t, sin t), 0 <= t <= pi/4, of the
       cylinders (1, 2) and (1, 3), where the dual vertices -e1 and
-      -(1, 1, 1)/2 are both active: 2 sin t - cos t = b2 + b3 - b1;
+      -(1, 1, 1)/2 are both active: 2 sin t - cos t = b2 + b3 - b1. The b_k
+      of a physical state are at most 1 + 8e-12, so |b2 + b3 - b1| <= b1
+      and asin's argument is below 0.45, in its domain;
     - the vertex (1, 1, 1)/sqrt 2 of the three cylinders.
     That no facet of the tetrahedron is active is checked, not derived: the
-    tests compare this with the minimum over every boundary candidate.
+    tests compare this with the minimum over every boundary candidate. x3's
+    sign is kept, not assumed: x3 < 0 for almost every nonlocal input, but
+    a weight in [-1e-12, 0), which physical_probs admits, with a pair sum
+    within about 1e-11 of 1 gives x3 up to about 3.5e-12.
     """
     b = (b1, b2, b3)
     r = (b1 * b1 + b2 * b2 - 1.0) / (b1 + b2 + math.sqrt(2.0 - (b1 - b2) ** 2))
@@ -249,12 +254,10 @@ def _trace_in_chamber(b1: float, b2: float, b3: float):
         return (b1 - r, b2 - r, b3), ((0, 1),), 0.5 * r
     vertex = (1.0 / math.sqrt(2.0),) * 3
     candidates = [(vertex, solver.DISK_PAIRS, _trace_distance(vertex, b))]
-    s = (b2 + b3 - b1) / math.sqrt(5.0)
-    if -1.0 <= s <= 1.0:
-        t = math.atan(0.5) + math.asin(s)
-        if 0.0 <= t <= 0.25 * math.pi:
-            kink = (math.cos(t), math.sin(t), math.sin(t))
-            candidates.append((kink, ((0, 1), (0, 2)), _trace_distance(kink, b)))
+    t = math.atan(0.5) + math.asin((b2 + b3 - b1) / math.sqrt(5.0))
+    if 0.0 <= t <= 0.25 * math.pi:
+        kink = (math.cos(t), math.sin(t), math.sin(t))
+        candidates.append((kink, ((0, 1), (0, 2)), _trace_distance(kink, b)))
     return min(candidates, key=lambda c: c[2])
 
 
@@ -278,7 +281,7 @@ def _in_chamber(kind: DistanceKind, a) -> MeasureResult:
     else:
         # the HS minimizer on the cylinder (1, 2) is at the input's own angle,
         # and the he and re minimizers lie near it
-        report = solver.minimize_over_local_set(*KERNELS[_SOLVED_AS.get(kind, kind)](e), math.atan2(x2, x1))
+        report = solver.minimize_over_local_set(*KERNELS[kind](e), math.atan2(x2, x1))
         value = report.value
         if kind is DistanceKind.HS:
             value = math.sqrt(value)
@@ -307,10 +310,10 @@ def bd_measure_numeric(kind: DistanceKind, a) -> MeasureResult:
     optimum to within rounding, at the closest local state's weights, on the
     boundary of the local set. converged is the solve's KKT certificate.
 
-    Solves the Hellinger and relative-entropy kinds. Bures equals Hellinger
-    on commuting states, so a Bures request gets the Hellinger solve under
-    its own kind. HS and trace raise OutOfRange (they are exact, through
-    bd_measure). surface names the boundary piece the solve ended on.
+    Solves the Hellinger, Bures and relative-entropy kinds; Bures has
+    Hellinger's kernel, as the two are equal on commuting states. HS and
+    trace raise OutOfRange (they are exact, through bd_measure). surface
+    names the boundary piece the solve ended on.
     """
     if known_kind(kind) in (DistanceKind.HS, DistanceKind.TRACE):
         raise OutOfRange(f"{kind.value} is exact; use bd_measure")
@@ -318,12 +321,13 @@ def bd_measure_numeric(kind: DistanceKind, a) -> MeasureResult:
 
 
 def per_kind(kinds, solve):
-    """Yield solve(k) for each kind k, with one call for Bures and Hellinger
-    together (_SOLVED_AS), which also share their Werner maximum. Each call
-    runs when its item is taken, so a caller can time it."""
+    """Yield solve(k) for each kind k, with one call for the kinds that share
+    an entry of KERNELS: Bures and Hellinger, whose Werner and isotropic
+    closed forms and Werner maximum are one formula too. Each call runs when
+    its item is taken, so a caller can time it."""
     done = {}
     for k in kinds:
-        shared = _SOLVED_AS.get(k, k)
+        shared = KERNELS.get(k, k)
         if shared not in done:
             done[shared] = solve(k)
         yield done[shared]

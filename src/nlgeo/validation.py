@@ -24,8 +24,10 @@ from .measures import (
 from .qstate import BELL_CORNERS
 
 ORACLE_POINTS = 20
-ORACLE_TOL = 1e-6
-GRID_TOL = 1e-6
+# the Werner rows read at most 4.4e-16 and the grid row exactly 0: these
+# leave a margin of over 200 times the worst rounding measured
+ORACLE_TOL = 1e-13
+GRID_TOL = 1e-13
 # a symmetry of the tetrahedron and the cylinders maps the optimum onto the
 # optimum, so symmetric inputs differ only by rounding. The images of the
 # points below sort to the same weights bit for bit; on 4,000 seeded he/re

@@ -140,6 +140,32 @@ def test_hellinger_is_solved_once_for_bures(tmp_path, monkeypatch):
     assert [r[0] for r in rows] == ["bu", "he"] and rows[0][1:] == rows[1][1:]
 
 
+@pytest.mark.parametrize(
+    "command, name, prefix",
+    [(["werner-sweep"], "werner_values", ""), (["iso", "--d", "3"], "isotropic_values", "value_")],
+)
+def test_hellinger_closed_form_is_evaluated_once_for_bures(command, name, prefix, tmp_path, monkeypatch):
+    # both commands import the array closed forms when they run, so a
+    # wrapper on nlgeo.arrays sees every call: one per kind, Bures and
+    # Hellinger sharing one
+    from nlgeo import arrays
+
+    calls = []
+    real = getattr(arrays, name)
+
+    def counting(kind, *args):
+        calls.append(kind)
+        return real(kind, *args)
+
+    monkeypatch.setattr(arrays, name, counting)
+    out = tmp_path / "x.csv"
+    assert run(command + ["--n", "7", "--out", str(out)] + [f"--kind={code}" for code in KIND_CODES]) == 0
+    assert sorted(k.value for k in calls) == sorted(set(KIND_CODES) - {"bu"})
+    _, header, rows = read_csv(out)
+    columns = dict(zip(header, zip(*rows)))
+    assert columns[prefix + "bu"] == columns[prefix + "he"] and columns[prefix + "he"][-1] != "0"
+
+
 def test_trace_commands_make_no_barrier_solve(tmp_path, monkeypatch):
     # the trace measure is exact, so its commands must succeed without the solver
     def refuse(*args):

@@ -176,7 +176,7 @@ def test_cglmp_weights_equal_the_numpy_formula():
     for d in range(2, 60):
         for k in range(-d, d):
             s = np.sin(np.pi * (k + 0.25) / d)
-            assert locality.cglmp_qk(d, k) == float(1.0 / (2.0 * d**3 * s * s)), (d, k)
+            assert locality._qk(d, k) == float(1.0 / (2.0 * d**3 * s * s)), (d, k)
 
 
 def test_sweep_parameters_equal_numpy_linspace():

@@ -11,7 +11,7 @@ from nlgeo.errors import NonPhysical, OutOfRange
 from nlgeo import solver
 from nlgeo.locality import (
     bd_is_chsh_local,
-    cglmp_qk,
+    _qk,
     cglmp_threshold,
     chsh_verdict,
     from_chamber,
@@ -65,11 +65,11 @@ def test_chsh_verdict_invariant_under_local_rotations(rng):
 
 
 def test_cglmp_qk_anchor_values():
-    assert cglmp_qk(2, 0) == pytest.approx(0.42677669529663687, abs=1e-15)
-    assert cglmp_qk(2, -1) == pytest.approx(0.07322330470336312, abs=1e-15)
-    assert cglmp_qk(3, -1) == pytest.approx(1.0 / 27.0, abs=1e-15)
+    assert _qk(2, 0) == pytest.approx(0.42677669529663687, abs=1e-15)
+    assert _qk(2, -1) == pytest.approx(0.07322330470336312, abs=1e-15)
+    assert _qk(3, -1) == pytest.approx(1.0 / 27.0, abs=1e-15)
     with pytest.raises(OutOfRange):
-        cglmp_qk(1, 0)
+        cglmp_threshold(1)
 
 
 def test_cglmp_thresholds():

@@ -317,8 +317,9 @@ def test_hs_and_bures_have_no_objective():
     for kind in (DistanceKind.HS, DistanceKind.TRACE):
         with pytest.raises(OutOfRange):
             bd_measure_numeric(kind, a)
-    # Bures is measured by the Hellinger kernel, and has none of its own
-    assert DistanceKind.BURES not in KERNELS and DistanceKind.TRACE not in KERNELS
+    # Bures is measured by the Hellinger kernel, its entry in KERNELS
+    assert KERNELS[DistanceKind.BURES] is KERNELS[DistanceKind.HELLINGER]
+    assert DistanceKind.TRACE not in KERNELS
 
 
 def test_hs_case_path_anchor():
@@ -923,15 +924,28 @@ def test_boundary_attainment(rng):
             assert in_tetrahedron(res.closest_local.a, tol=1e-9)
 
 
+# the largest gap between a reported value and the dense distance to the
+# reported closest state, measured over 1,200 seeded inputs: hs 1.4e-16,
+# tr 1.9e-16, he 6.0e-12, re 9.6e-12 and bu 4.3e-9, the last from the dense
+# fidelity's matrix square root
+DENSE_GAP = {
+    DistanceKind.HS: 1e-14,
+    DistanceKind.TRACE: 1e-14,
+    DistanceKind.HELLINGER: 1e-10,
+    DistanceKind.RELATIVE_ENTROPY: 1e-10,
+    DistanceKind.BURES: 1e-8,
+}
+
+
 def test_value_reproduced_by_metrics(rng):
-    for _ in range(8):
+    for _ in range(60):
         a = random_nonlocal_corr(rng)
         rho = make_bell_diagonal(a=a)
         for kind in KINDS:
             res = bd_measure(kind, a)
             close = make_bell_diagonal(a=np.clip(res.closest_local.a, -1.0, 1.0))
             direct = METRIC_BY_KIND[kind](rho, close)
-            assert direct == pytest.approx(res.value, abs=1e-8), kind
+            assert abs(direct - res.value) <= DENSE_GAP[kind], (kind, a, direct - res.value)
 
 
 def test_measure_invariant_under_tetra_symmetries():

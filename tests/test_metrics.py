@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import haar_unitary, random_density
-from nlgeo.dense import DensityMatrix, bd_project, make_bell_diagonal
+from conftest import haar_unitary, in_tetrahedron, random_density
+from nlgeo.dense import DensityMatrix, bd_project, density_to_pauli, make_bell_diagonal
 from nlgeo.errors import DimensionMismatch
 from nlgeo.kinds import DistanceKind
+from nlgeo.locality import bd_is_chsh_local, chsh_verdict, max_pair_sum
 from nlgeo.metrics import (
     dist_bures,
     dist_hellinger,
@@ -82,6 +83,33 @@ def test_bell_diagonal_twirl_brings_a_state_closer_to_a_bell_diagonal_one(rng):
         twirled = make_bell_diagonal(a=bd_project(tau).a)
         for dist in (dist_hs, dist_hellinger_sq, dist_bures, dist_trace, rel_entropy):
             assert dist(rho, twirled) <= dist(rho, tau), dist.__name__
+
+
+def test_bell_diagonal_twirl_keeps_a_state_chsh_local(rng):
+    # the other lemma: the twirl keeps the diagonal of the correlation
+    # matrix, which its singular values weakly majorize, so the largest pair
+    # sum of squares cannot grow. Random full-rank states, and Bell-diagonal
+    # states on the local part of the cylinder a1^2 + a2^2 = 1, where the
+    # criterion is tight, turned by local unitaries
+    states = [random_density(rng, 4) for _ in range(200)]
+    while len(states) < 300:
+        t = rng.uniform(0.0, 2.0 * math.pi)
+        c, s = math.cos(t), math.sin(t)
+        a = (c, s, rng.uniform(-1.0, 1.0) * min(abs(c), abs(s)))
+        if in_tetrahedron(a, tol=0.0):
+            u = np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
+            states.append(u @ make_bell_diagonal(a=a).mat @ u.conj().T)
+    local = 0
+    for mat in states:
+        rho = DensityMatrix(dim=2, mat=mat).validate()
+        verdict = chsh_verdict(density_to_pauli(rho))
+        if not verdict.is_local:
+            continue
+        local += 1
+        twirled = bd_project(rho).a
+        assert bd_is_chsh_local(twirled)
+        assert max_pair_sum(twirled) <= verdict.criterion_value + 1e-12
+    assert local >= 280, local
 
 
 def test_hs_is_not_contractive_in_general():

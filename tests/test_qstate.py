@@ -38,7 +38,7 @@ from nlgeo.qstate import (
     bd_probs_to_corr,
     physical_probs,
 )
-from nlgeo.locality import bd_is_chsh_local, cglmp_qk, cglmp_threshold
+from nlgeo.locality import bd_is_chsh_local, cglmp_threshold
 from nlgeo.measures import bd_grid, bd_measure, bd_sweep, isotropic_measure
 from nlgeo.kinds import DistanceKind
 from nlgeo.metrics import (
@@ -287,9 +287,11 @@ def test_werner_constructor_physical(w):
 
 
 def test_werner_corner_spectrum():
+    # make_werner is the singlet corner; every Bell corner has its spectrum
     w = 0.8
-    for corner in (1, 2, 3, 4):
-        evals = np.linalg.eigvalsh(make_werner(w, corner=corner).mat)[::-1]
+    states = [make_werner(w)] + [make_bell_diagonal(a=[w * c for c in corner]) for corner in BELL_CORNERS]
+    for state in states:
+        evals = np.linalg.eigvalsh(state.mat)[::-1]
         expected = np.array([(1 + 3 * w) / 4] + [(1 - w) / 4] * 3)
         assert np.max(np.abs(evals - expected)) <= 1e-12
 
@@ -316,8 +318,6 @@ def test_family_constructor_range_errors():
     with pytest.raises(OutOfRange):
         make_werner(1.2)
     with pytest.raises(OutOfRange):
-        make_werner(0.5, corner=5)
-    with pytest.raises(OutOfRange):
         IsotropicParam(d=1, omega=0.5)
     with pytest.raises(OutOfRange):
         make_isotropic(3, 1.0001)
@@ -333,7 +333,6 @@ def test_a_whole_number_dimension_acts_as_the_int(d):
     # repr tells 3.0 from 3 and round-trips every float exactly
     assert repr(IsotropicParam(d=d, omega=0.9)) == repr(IsotropicParam(d=3, omega=0.9))
     assert repr(cglmp_threshold(d)) == repr(cglmp_threshold(3))
-    assert repr([cglmp_qk(d, k) for k in (0, -1)]) == repr([cglmp_qk(3, k) for k in (0, -1)])
     for kind in DistanceKind:
         assert repr(isotropic_measure(kind, d, 0.9)) == repr(isotropic_measure(kind, 3, 0.9)), kind
     state, ref = make_isotropic(d, 0.9), make_isotropic(3, 0.9)
@@ -345,7 +344,6 @@ def test_a_dimension_that_is_not_a_whole_number_raises(d):
     calls = (
         lambda: IsotropicParam(d=d, omega=0.5),
         lambda: cglmp_threshold(d),
-        lambda: cglmp_qk(d, 0),
         lambda: isotropic_measure(DistanceKind.HS, d, 0.9),
         lambda: make_isotropic(d, 0.5),
         # counts go through the same check

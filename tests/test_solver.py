@@ -170,7 +170,8 @@ def test_the_start_angle_does_not_move_the_solution(rng):
     inputs = [random_nonlocal_corr(rng) for _ in range(40)] + oracle_inputs()
     for a in inputs:
         e = bell_chamber(a).e
-        for kernel in KERNELS.values():
+        # Bures shares Hellinger's kernel, which is solved once
+        for kernel in dict.fromkeys(KERNELS.values()):
             own = minimize_over_local_set(*kernel(e), chamber_angle(e))
             quarter = minimize_over_local_set(*kernel(e), 0.25 * math.pi)
             assert own.converged and quarter.converged, a
@@ -278,3 +279,26 @@ def test_angle_slopes_match_finite_differences(rng, kind):
             assert gg == pytest.approx((gp - gm) / (2.0 * h), rel=1e-6, abs=1e-10), (kind, a, t, piece)
             assert dudt == pytest.approx((up - um) / (2.0 * h), rel=1e-6, abs=1e-10), (kind, a, t, piece)
     assert pieces == {"disk", "arc", "facet"}
+
+
+def test_inner_falls_back_to_bisection_after_its_log_step():
+    # F_u(u) = 1 - (r/u)^(1/2), with its root r far below the top: each
+    # Newton step from above r lands below 0, so the log step u^2/(2u - n)
+    # replaces it; below u ~ 1e-154, u^2 underflows to 0, the log step lands
+    # on lo = 0, and bisection halves the bracket down to r (81 of the 89
+    # kernel calls)
+    t = 0.6
+    c, s = math.cos(t), math.sin(t)
+    top = 0.25 * (1.0 - c)
+    r = 1e-200 * top
+    calls = []
+
+    def terms(w1, w2, w3, u):
+        calls.append(u)
+        q = math.sqrt(r / u)
+        return 0.0, 0.0, 0.0, 0.0, 1.0 - q, 0.0, 0.0, 0.0, q / (2.0 * u)
+
+    u, piece, _, _ = solver._inner(terms, False, c, s, top)
+    assert piece == "disk"
+    assert abs(u - r) <= solver.U_TOL * r, (u, r)
+    assert 0.0 not in calls and len(calls) <= 100, len(calls)
