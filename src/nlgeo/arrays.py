@@ -13,7 +13,7 @@ import numpy as np
 
 from .kinds import DistanceKind, known_kind
 from .locality import BOUNDARY_TOL, cglmp_threshold
-from .measures import WERNER_THRESHOLD, spectral_formula
+from .measures import WERNER_THRESHOLD, ZERO_WEIGHT, spectral_formula
 from .qstate import IsotropicParam, WernerParam
 
 
@@ -27,10 +27,10 @@ def _log2(x: np.ndarray) -> np.ndarray:
 
 
 def _xlog2(x: np.ndarray, ref: float) -> np.ndarray:
-    """x log2(x / ref) elementwise, where a weight x <= 1e-15 contributes
-    nothing (0 log 0 = 0)."""
+    """x log2(x / ref) elementwise, where a weight x <= ZERO_WEIGHT
+    contributes nothing (0 log 0 = 0)."""
     out = np.zeros(x.shape)
-    keep = x > 1e-15
+    keep = x > ZERO_WEIGHT
     out[keep] = x[keep] * _log2(x[keep] / ref)
     return out
 

@@ -79,18 +79,6 @@ def _json_cell(v) -> str:
     return json.dumps(v)
 
 
-def _meta_lines(command: str, args, extra: dict | None = None) -> list[tuple[str, object]]:
-    pairs = [
-        ("tool", f"nlgeo {__version__}"),
-        ("command", command),
-        ("conventions", CONVENTIONS),
-        ("seed", args.seed),
-    ]
-    # keep native values here; the csv writer formats, json keeps the types
-    pairs.extend((extra or {}).items())
-    return pairs
-
-
 def write_table(out, columns, rows, meta_pairs, fmt: str) -> None:
     """Write the header once, then each row through one row template.
 
@@ -145,8 +133,16 @@ def write_table(out, columns, rows, meta_pairs, fmt: str) -> None:
         out.write("\n  ]\n}\n" if lead else "]\n}\n")
 
 
-def emit(args, columns, rows, meta_pairs) -> None:
+def emit(args, columns, rows, **meta) -> None:
     """Write the table to args.out (stdout for None or "-") in args.format."""
+    # the header keeps native values; the csv writer formats, json keeps the types
+    meta_pairs = [
+        ("tool", f"nlgeo {__version__}"),
+        ("command", args.command),
+        ("conventions", CONVENTIONS),
+        ("seed", args.seed),
+        *meta.items(),
+    ]
     # write_table is looked up here at call time, so a wrapper installed on
     # nlgeo.cli.write_table (the benchmark's tracer) sees every table
     if args.out in (None, "-"):
@@ -197,7 +193,7 @@ def cmd_werner_sweep(args) -> int:
     # one expression, so no column array outlives the conversion to rows
     rows = np.column_stack([ws, *per_kind(kinds, lambda k: werner_values(k, ws) / werner_max(k))]).tolist()
     columns = ["w"] + [k.value for k in kinds]
-    emit(args, columns, rows, _meta_lines("werner-sweep", args))
+    emit(args, columns, rows)
     return 0
 
 
@@ -208,7 +204,7 @@ def cmd_bd_sweep(args) -> int:
     # every table has the same parameter column
     rows = [(row[0][0], *(value for _, value in row)) for row in zip(*tables)]
     columns = ["param"] + [k.value for k in kinds]
-    emit(args, columns, rows, _meta_lines("bd-sweep", args, {"family": family}))
+    emit(args, columns, rows, family=family)
     return 0
 
 
@@ -219,8 +215,7 @@ def cmd_bd_grid(args) -> int:
         raise ValueError("bd-grid takes exactly one --kind")
     kinds = _kinds(args, default=["hs"])
     rows = bd_grid(kinds[0], args.grid_n)
-    meta = _meta_lines("bd-grid", args, {"kind": kinds[0].value, "grid_n": args.grid_n})
-    emit(args, ["e1", "e2", "value"], rows, meta)
+    emit(args, ["e1", "e2", "value"], rows, kind=kinds[0].value, grid_n=args.grid_n)
     return 0
 
 
@@ -241,7 +236,7 @@ def cmd_bd_measure(args) -> int:
     columns = ["kind", "value", "a1", "a2", "a3", "closest_a1", "closest_a2", "closest_a3"]
     columns += ["closest_e1", "closest_e2", "closest_e3", "closest_e4"]
     columns += ["method", "surface", "iterations", "converged"]
-    emit(args, columns, rows, _meta_lines("bd-measure", args))
+    emit(args, columns, rows)
     if not all(res.converged for res in results):
         raise NotConverged("numeric minimization did not converge")
     return 0
@@ -276,8 +271,7 @@ def cmd_iso(args) -> int:
         agrees = formula_agrees(value, reference)
         # Bures has no quoted form, so its formula and flag cells are empty
         columns += [value.tolist()] + [empty if c is None else c.tolist() for c in (reference, agrees)]
-    meta = {"d": args.d, "i_d_qm": thr.i_d_qm, "omega_threshold": thr.omega_threshold}
-    emit(args, names, zip(*columns), _meta_lines("iso", args, meta))
+    emit(args, names, zip(*columns), d=args.d, i_d_qm=thr.i_d_qm, omega_threshold=thr.omega_threshold)
     return 0
 
 
@@ -288,7 +282,7 @@ def cmd_validate(args) -> int:
         [c.name, "pass" if c.passed else "FAIL", c.max_error, c.tolerance, c.seconds, c.detail]
         for c in checks
     ]
-    emit(args, columns, rows, _meta_lines("validate", args))
+    emit(args, columns, rows)
     if all(c.passed for c in checks):
         return 0
     if any("NotConverged" in c.detail for c in checks):
@@ -304,52 +298,42 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"nlgeo {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, kinds=True):
+    def command(name, func, help, kinds=True):
+        """Add subcommand name, bound to func, with the options every command shares."""
+        p = sub.add_parser(name, help=help)
         if kinds:
             p.add_argument("--kind", action="append", choices=KIND_CODES, help="distance kind; repeatable")
         p.add_argument("--seed", type=int, default=0, help="recorded in the metadata; no result depends on it")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("werner-sweep", help="normalized Werner measures on [1/sqrt 2, 1]")
-    common(p)
-    p.add_argument("--w-min", type=float, default=WERNER_THRESHOLD, dest="w_min")
-    p.add_argument("--w-max", type=float, default=1.0, dest="w_max")
+    p = command("werner-sweep", cmd_werner_sweep, "normalized Werner measures on [1/sqrt 2, 1]")
+    p.add_argument("--w-min", type=float, default=WERNER_THRESHOLD)
+    p.add_argument("--w-max", type=float, default=1.0)
     p.add_argument("--n", type=_at_least(1), default=50)
-    p.set_defaults(func=cmd_werner_sweep)
 
-    p = sub.add_parser("bd-sweep", help="normalized measures along a Bell-diagonal family")
-    common(p)
+    p = command("bd-sweep", cmd_bd_sweep, "normalized measures along a Bell-diagonal family")
     p.add_argument("--family", choices=["two-bell-mix", "werner-line"], default="two-bell-mix")
     p.add_argument("--n", type=_at_least(2), default=50)
-    p.set_defaults(func=cmd_bd_sweep)
 
-    p = sub.add_parser("bd-grid", help="normalized measure over the e4 = 0 facet")
-    common(p)
-    p.add_argument("--grid-n", type=_at_least(1), default=10, dest="grid_n")
-    p.set_defaults(func=cmd_bd_grid)
+    p = command("bd-grid", cmd_bd_grid, "normalized measure over the e4 = 0 facet")
+    p.add_argument("--grid-n", type=_at_least(1), default=10)
 
-    p = sub.add_parser("bd-measure", help="measures of one Bell-diagonal state")
-    common(p)
+    p = command("bd-measure", cmd_bd_measure, "measures of one Bell-diagonal state")
     p.add_argument("--a", help="three comma-separated correlators a1,a2,a3")
     p.add_argument("--e", help="four comma-separated Bell weights e1,e2,e3,e4")
-    p.set_defaults(func=cmd_bd_measure)
 
-    p = sub.add_parser("iso", help="isotropic measures with quoted-formula cross-checks")
-    common(p)
-    p.add_argument(
-        "--d", type=_at_least(2, ISO_MAX_D), default=2, help=f"local dimension, 2 to {ISO_MAX_D}"
-    )
+    p = command("iso", cmd_iso, "isotropic measures with quoted-formula cross-checks")
+    p.add_argument("--d", type=_at_least(2, ISO_MAX_D), default=2, help=f"local dimension, 2 to {ISO_MAX_D}")
     p.add_argument("--omega", type=float, default=None)
-    p.add_argument("--omega-min", type=float, default=None, dest="omega_min")
-    p.add_argument("--omega-max", type=float, default=1.0, dest="omega_max")
+    p.add_argument("--omega-min", type=float, default=None)
+    p.add_argument("--omega-max", type=float, default=1.0)
     p.add_argument("--n", type=_at_least(1), default=20)
-    p.set_defaults(func=cmd_iso)
 
     # validate checks every kind, so it takes no --kind
-    p = sub.add_parser("validate", help="self checks: oracle, grid stability, symmetry consistency")
-    common(p, kinds=False)
-    p.set_defaults(func=cmd_validate)
+    command("validate", cmd_validate, "self checks: oracle, grid stability, symmetry consistency", kinds=False)
 
     return parser
 

@@ -37,7 +37,11 @@ from .qstate import (
 )
 from . import solver
 
+# 0.7071067811865475, one ulp below the correctly rounded 1/sqrt(2) that
+# cglmp_threshold(2) gives: werner-sweep and iso --d 2 test locality one ulp apart
 WERNER_THRESHOLD = 1.0 / math.sqrt(2.0)
+# a weight at most this adds nothing to a relative entropy (0 log 0 = 0)
+ZERO_WEIGHT = 1e-15
 
 _LN2 = math.log(2.0)
 
@@ -67,8 +71,8 @@ def _nonneg(x: float) -> float:
 
 
 def _xlog2(x: float, ref: float) -> float:
-    """x log2(x / ref), where a weight x <= 1e-15 contributes nothing (0 log 0 = 0)."""
-    return x * math.log2(x / ref) if x > 1e-15 else 0.0
+    """x log2(x / ref), where a weight x <= ZERO_WEIGHT contributes nothing."""
+    return x * math.log2(x / ref) if x > ZERO_WEIGHT else 0.0
 
 
 def spectral_formula(
@@ -174,27 +178,27 @@ def _hellinger_terms(e):
 
 def _entropy_terms(e):
     """The kernel of the relative entropy sum_k e_k log2(e_k / w_k) in bits,
-    where a weight e_k <= 1e-15 contributes nothing (0 log 0 = 0), so that
+    where a weight e_k <= ZERO_WEIGHT contributes nothing (0 log 0 = 0), so that
     it is finite at w4 = 0 when e4 is such a weight."""
     e0, e1, e2, e3 = e
 
     def terms(w0, w1, w2, w3):
         f = q0 = q1 = q2 = q3 = 0.0
-        if e0 > 1e-15:
+        if e0 > ZERO_WEIGHT:
             f += e0 * math.log2(e0 / w0)
             q0 = e0 / (w0 * _LN2)
-        if e1 > 1e-15:
+        if e1 > ZERO_WEIGHT:
             f += e1 * math.log2(e1 / w1)
             q1 = e1 / (w1 * _LN2)
-        if e2 > 1e-15:
+        if e2 > ZERO_WEIGHT:
             f += e2 * math.log2(e2 / w2)
             q2 = e2 / (w2 * _LN2)
-        if e3 > 1e-15:
+        if e3 > ZERO_WEIGHT:
             f += e3 * math.log2(e3 / w3)
             q3 = e3 / (w3 * _LN2)
         return f, -q0, -q1, -q2, -q3, q0 / w0, q1 / w1, q2 / w2, q3 / w3 if q3 else 0.0
 
-    return terms, not e3 > 1e-15
+    return terms, not e3 > ZERO_WEIGHT
 
 
 # The chamber solve's kernels (nlgeo.solver), each built from a fixed
@@ -252,7 +256,7 @@ def _trace_in_chamber(b1: float, b2: float, b3: float):
     r = (b1 * b1 + b2 * b2 - 1.0) / (b1 + b2 + math.sqrt(2.0 - (b1 - b2) ** 2))
     if (b1 - r) ** 2 + b3 * b3 <= 1.0 + BOUNDARY_TOL:
         return (b1 - r, b2 - r, b3), ((0, 1),), 0.5 * r
-    vertex = (1.0 / math.sqrt(2.0),) * 3
+    vertex = (WERNER_THRESHOLD,) * 3
     candidates = [(vertex, solver.DISK_PAIRS, _trace_distance(vertex, b))]
     t = math.atan(0.5) + math.asin((b2 + b3 - b1) / math.sqrt(5.0))
     if 0.0 <= t <= 0.25 * math.pi:

@@ -65,7 +65,7 @@ def test_criterion_1_werner_maxima_match_closed_forms():
         res = werner_measure(kind, 1.0)
         assert res.method == "closed_form"
         worst = max(worst, abs(res.value - want), abs(werner_max(kind) - want))
-    _verdict(1, "Werner maxima at w=1", worst <= 1e-9, f"max error {worst:.3g}")
+    _verdict(1, "Werner maxima at w=1", worst <= 1e-13, f"max error {worst:.3g}")
 
 
 def test_criterion_2_numeric_minimizer_matches_werner_closed_forms():
@@ -80,7 +80,7 @@ def test_criterion_2_numeric_minimizer_matches_werner_closed_forms():
     _verdict(
         2,
         "bd_measure vs closed-form Werner, 20 points x 5 kinds",
-        worst <= 1e-6,
+        worst <= 1e-13,
         f"max |numeric - closed| {worst:.3g}",
     )
 
@@ -91,7 +91,7 @@ def test_criterion_3_cglmp_thresholds():
     err2 = abs(thr2.omega_threshold - T)
     err_i2 = abs(thr2.i_d_qm - 2.0 * math.sqrt(2.0))
     err3 = abs(thr3.omega_threshold - (6.0 * math.sqrt(3.0) - 9.0) / 2.0)
-    ok = err2 <= 1e-12 and err_i2 <= 1e-12 and err3 <= 1e-9
+    ok = err2 <= 1e-13 and err_i2 <= 1e-13 and err3 <= 1e-13
     _verdict(
         3,
         "CGLMP visibility thresholds",
@@ -115,7 +115,7 @@ def test_criterion_4_two_bell_mixture_endpoints_and_normalizers():
     _verdict(
         4,
         "two-Bell mixture: 0 at p=1/2, 1 at p=1, Werner normalizers",
-        worst <= 1e-6,
+        worst <= 1e-13,
         f"max endpoint error {worst:.3g}",
     )
 
@@ -139,7 +139,7 @@ def test_criterion_5_hs_grid_vertices_zero_region_and_refinement():
             zero_ok = zero_ok and v == 0.0
     g50 = as_map(50)
     refine_err = max(abs(g50[(5 * i, 5 * j)] - v) for (i, j), v in g10.items())
-    ok = vert_err <= 1e-9 and zero_ok and n_zero >= 10 and refine_err <= 1e-6
+    ok = vert_err <= 1e-13 and zero_ok and n_zero >= 10 and refine_err <= 1e-13
     _verdict(
         5,
         "HS grid on the e4=0 facet",

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from nlgeo import cli, locality, measures, solver, validation
-from nlgeo.cli import KIND_CODES, _meta_lines, build_parser, main, write_table
+from nlgeo.cli import KIND_CODES, build_parser, main, write_table
 from nlgeo.locality import bd_is_chsh_local
 from nlgeo.measures import bd_measure, two_bell_mix_corr
 from nlgeo.kinds import DistanceKind
@@ -276,11 +276,15 @@ def written(writer, table, fmt):
     return out.getvalue()
 
 
-GRID_META = _meta_lines("bd-grid", build_parser().parse_args(["bd-grid", "--seed", "5"]), {"kind": "hs", "grid_n": 10})
-ISO_META = _meta_lines(
-    "iso", build_parser().parse_args(["iso", "--d", "3"]),
-    {"d": 3, "i_d_qm": 2.8729340511723365, "omega_threshold": 0.6961524227066316},
-)
+CONVENTIONS = "hellinger=squared bures=squared log_base=2 boundary=local"
+GRID_META = [
+    ("tool", "nlgeo 0.1.0"), ("command", "bd-grid"), ("conventions", CONVENTIONS), ("seed", 5),
+    ("kind", "hs"), ("grid_n", 10),
+]
+ISO_META = [
+    ("tool", "nlgeo 0.1.0"), ("command", "iso"), ("conventions", CONVENTIONS), ("seed", 0),
+    ("d", 3), ("i_d_qm", 2.8729340511723365), ("omega_threshold", 0.6961524227066316),
+]
 WRITER_TABLES = {
     "floats": (
         ["x", "y", "z"],

@@ -39,3 +39,25 @@ def test_all_holds_no_module_and_no_private_name():
     for name in nlgeo.__all__:
         assert not isinstance(getattr(nlgeo, name), types.ModuleType), name
         assert name == "__version__" or not name.startswith("_"), name
+
+
+def _module_imports(tree: ast.Module) -> list[str]:
+    """The names that a module's top-level import lines bind."""
+    return [
+        (alias.asname or alias.name).partition(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+
+
+def test_every_module_uses_each_name_it_imports():
+    # no linter runs on src/, so an import that a deletion leaves behind is
+    # caught here; the package's __init__ imports to re-export, so it is left out
+    for path in sorted(Path(nlgeo.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = [name for name in _module_imports(tree) if name not in used]
+        assert not unused, (path.name, unused)

@@ -209,6 +209,14 @@ def test_validate_rejects_bad_matrices(rng):
         DensityMatrix(dim=2, mat=spoiled).validate()
     with pytest.raises(DimensionMismatch):
         DensityMatrix(dim=3, mat=rho).validate()
+    # the Pauli map and the Bell-diagonal projection take two qubits only
+    qutrits = make_isotropic(3, 0.5)
+    for two_qubit_only in (density_to_pauli, bd_project):
+        with pytest.raises(DimensionMismatch):
+            two_qubit_only(qutrits)
+    # an eigenvalue below the PSD floor has no clamped square root
+    with pytest.raises(NotPSD):
+        matrix_sqrt_psd(np.diag([1.0, -1e-6]))
 
 
 def test_pauli_rep_requires_unit_identity_component():
@@ -216,6 +224,8 @@ def test_pauli_rep_requires_unit_identity_component():
     alpha[0, 0] = 0.5
     with pytest.raises(OutOfRange):
         PauliRep(alpha)
+    with pytest.raises(DimensionMismatch):
+        PauliRep(np.eye(3))
 
 
 def test_eig_hermitian_descending(rng):

@@ -302,3 +302,23 @@ def test_inner_falls_back_to_bisection_after_its_log_step():
     assert piece == "disk"
     assert abs(u - r) <= solver.U_TOL * r, (u, r)
     assert 0.0 not in calls and len(calls) <= 100, len(calls)
+
+
+def test_inner_stops_at_the_least_positive_float():
+    # F_u = 1 everywhere, with curvature 1 in u, and terms infinite on the
+    # facet (facet=False): every step heads for u = 0, which is never scored.
+    # The log steps u^2/(2u - n) fall until u^2 underflows, bisection then
+    # halves the bracket, and at the least positive float the next midpoint
+    # rounds to 0, so the solve returns that float as a disk
+    c, s = math.cos(0.3), math.sin(0.3)
+    calls = []
+
+    def terms(w1, w2, w3, u):
+        if u == 0.0:
+            raise ZeroDivisionError("terms is infinite on the facet")
+        calls.append(u)
+        return 0.0, 1.0, 0.0, 0.0, 0.0, 0.25, 0.25, 0.25, 0.25
+
+    u, piece, _, scored = solver._inner(terms, False, c, s, 0.25 * (1.0 - c))
+    assert (u, piece, scored) == (math.ulp(0.0), "disk", math.ulp(0.0))
+    assert len(calls) == 251
