@@ -38,7 +38,9 @@ from .qstate import (
 from . import solver
 
 # 0.7071067811865475, one ulp below the correctly rounded 1/sqrt(2) that
-# cglmp_threshold(2) gives: werner-sweep and iso --d 2 test locality one ulp apart
+# cglmp_threshold(2) gives: werner-sweep and iso --d 2 test locality one ulp apart.
+# Kept, as that value moves the last bits of the Werner values near it and its
+# trace vertex does not survive the round trip through the weights bit for bit
 WERNER_THRESHOLD = 1.0 / math.sqrt(2.0)
 # a weight at most this adds nothing to a relative entropy (0 log 0 = 0)
 ZERO_WEIGHT = 1e-15
@@ -214,8 +216,8 @@ KERNELS = {
     DistanceKind.BURES: _hellinger_terms,
     DistanceKind.RELATIVE_ENTROPY: _entropy_terms,
 }
-# The kinds with a numeric solve that no other such kind shares: HS and
-# trace are exact (bd_measure_numeric), and Bures solves as Hellinger
+# The kinds with a solve of their own in bd_measure_numeric, the he/bu/re
+# entry that validate calls by name: Bures solves as Hellinger
 OBJECTIVE_KINDS = (DistanceKind.HELLINGER, DistanceKind.RELATIVE_ENTROPY)
 
 
@@ -281,43 +283,29 @@ def _in_chamber(kind: DistanceKind, a) -> MeasureResult:
     method = "lagrange_case"
     if kind is DistanceKind.TRACE:
         (p1, p2, p3), pairs, value = _trace_in_chamber(x1, x2, abs(x3))
-        report = solver.SolveReport(bd_corr_to_probs((p1, p2, math.copysign(p3, x3))), value, 0, True, pairs)
+        w, steps, converged = bd_corr_to_probs((p1, p2, math.copysign(p3, x3))), 0, True
     else:
         # the HS minimizer on the cylinder (1, 2) is at the input's own angle,
         # and the he and re minimizers lie near it
-        report = solver.minimize_over_local_set(*KERNELS[kind](e), math.atan2(x2, x1))
-        value = report.value
+        w, value, steps, converged, pairs = solver.minimize_over_local_set(*KERNELS[kind](e), math.atan2(x2, x1))
         if kind is DistanceKind.HS:
             value = math.sqrt(value)
         else:
             method = "numeric"
-    closest, surface = from_chamber(order, report.x, report.pairs)
-    return MeasureResult(kind, value, closest, method, surface, report.iterations, report.converged)
-
-
-def bd_measure_hs(a) -> MeasureResult:
-    """Hilbert-Schmidt measure of a Bell-diagonal state.
-
-    Half the Euclidean distance from the correlators a to the local set, by
-    the chamber solve of KERNELS[HS]: closest_local.a is the
-    Euclidean projection of a onto the local set, at distance twice the
-    value, and surface names its active boundary piece.
-    """
-    return _in_chamber(DistanceKind.HS, a)
+    closest, surface = from_chamber(order, w, pairs)
+    return MeasureResult(kind, value, closest, method, surface, steps, converged)
 
 
 def bd_measure_numeric(kind: DistanceKind, a) -> MeasureResult:
-    """Measure of a Bell-diagonal state by constrained minimization.
+    """The Hellinger, Bures and relative-entropy entry of bd_measure, which
+    nlgeo.validation calls by name.
 
     One exact solve of the kind's kernel (KERNELS) in the symmetry chamber of a's
     Bell weights (solver.minimize_over_local_set): its value sits at the
     optimum to within rounding, at the closest local state's weights, on the
     boundary of the local set. converged is the solve's KKT certificate.
-
-    Solves the Hellinger, Bures and relative-entropy kinds; Bures has
-    Hellinger's kernel, as the two are equal on commuting states. HS and
-    trace raise OutOfRange (they are exact, through bd_measure). surface
-    names the boundary piece the solve ended on.
+    Bures has Hellinger's kernel, as the two are equal on commuting states.
+    HS and trace raise OutOfRange (they are exact, through bd_measure).
     """
     if known_kind(kind) in (DistanceKind.HS, DistanceKind.TRACE):
         raise OutOfRange(f"{kind.value} is exact; use bd_measure")
@@ -339,11 +327,11 @@ def per_kind(kinds, solve):
 
 def bd_measure(kind: DistanceKind, a) -> MeasureResult:
     """Measure of kind of the Bell-diagonal state with correlators a, for
-    every kind. Dispatch: bd_measure_hs for HS, the closed form
-    _trace_in_chamber for trace, bd_measure_numeric for the others."""
-    if kind is DistanceKind.HS:
-        return bd_measure_hs(a)
-    if kind is DistanceKind.TRACE:
+    every kind: HS and trace exactly in the chamber (the chamber solve of
+    KERNELS[HS], the closed form _trace_in_chamber), the others through
+    bd_measure_numeric. For HS, closest_local.a is the Euclidean projection
+    of a onto the local set, at distance twice the value."""
+    if kind is DistanceKind.HS or kind is DistanceKind.TRACE:
         return _in_chamber(kind, a)
     return bd_measure_numeric(kind, a)
 

@@ -19,7 +19,8 @@ from nlgeo.locality import (
     surface_name,
 )
 from nlgeo.dense import PauliRep
-from nlgeo.measures import bd_measure_hs
+from nlgeo.kinds import DistanceKind
+from nlgeo.measures import bd_measure
 from nlgeo.qstate import BELL_CORNERS as CORNER_TUPLES, bd_corr_to_probs, bd_probs_to_corr, physical_probs
 
 N_SAMPLES = 1000
@@ -178,12 +179,12 @@ def _face_and_edge_corr(rng) -> np.ndarray:
             return a
 
 
-def test_project_local_matches_slsqp(rng):
+def test_hs_closest_local_is_the_slsqp_projection(rng):
     inputs = [random_nonlocal_corr(rng) for _ in range(200)]
     inputs += [_face_and_edge_corr(rng) for _ in range(100)]
     for a in inputs:
         # the HS measure is half the distance to the projection, closest_local
-        res = bd_measure_hs(a)
+        res = bd_measure(DistanceKind.HS, a)
         ref = _slsqp_distance(a)
         assert 2 * res.value == pytest.approx(ref, abs=1e-9)
         # the reference is a local point, so it bounds the projection; the
@@ -197,7 +198,7 @@ def _boundary_point(y) -> np.ndarray:
     return _shrink_into_local_set(1e6 * y)
 
 
-def test_project_local_variational_inequality(rng):
+def test_hs_closest_local_meets_the_variational_inequality(rng):
     # p is the projection iff (a - p) . (y - p) <= 0 for every local y
     probes = [random_local_corr(rng) for _ in range(300)]
     probes += [_boundary_point(y) for y in probes[:150]]
@@ -206,28 +207,28 @@ def test_project_local_variational_inequality(rng):
     assert len(probes) >= 400
     for _ in range(60):
         a = random_nonlocal_corr(rng)
-        p = bd_measure_hs(a).closest_local.a
+        p = bd_measure(DistanceKind.HS, a).closest_local.a
         assert max(float((a - p) @ (y - p)) for y in probes) <= 1e-12
 
 
-def test_project_local_is_feasible_and_idempotent(rng):
+def test_hs_closest_local_is_feasible_and_idempotent(rng):
     surfaces = set()
     for _ in range(300):
         a = random_nonlocal_corr(rng)
-        res = bd_measure_hs(a)
+        res = bd_measure(DistanceKind.HS, a)
         p = res.closest_local.a
         surfaces.add(res.surface)
         assert _is_local(p)
         assert max_pair_sum(p) == pytest.approx(1.0, abs=1e-12)
-        again = bd_measure_hs(p)
+        again = bd_measure(DistanceKind.HS, p)
         assert again.surface is None and 2 * again.value == 0.0
         assert np.array_equal(again.closest_local.a, p)
     # single disks, two-disk arcs and vertices all occur
     assert {"disk_12", "disk_12+disk_13", "vertex"} <= surfaces
     local = random_local_corr(rng)
-    assert 2 * bd_measure_hs(local).value == 0.0
+    assert 2 * bd_measure(DistanceKind.HS, local).value == 0.0
     with pytest.raises(NonPhysical):
-        bd_measure_hs(np.array([0.9, -0.9, 0.2]))
+        bd_measure(DistanceKind.HS, np.array([0.9, -0.9, 0.2]))
 
 
 def test_surface_name():
@@ -268,7 +269,7 @@ def test_from_chamber_equals_the_index_scan_for_every_order_and_piece(rng):
 def test_bell_corners_and_werner_line_map_to_threshold_vertex():
     for corner in BELL_CORNERS:
         for w in np.linspace(0.72, 1.0, 8):
-            res = bd_measure_hs(w * corner)
+            res = bd_measure(DistanceKind.HS, w * corner)
             assert res.surface == "vertex"
             assert res.closest_local.a == pytest.approx(T * corner, abs=1e-15)
             assert 2 * res.value == pytest.approx(math.sqrt(3.0) * (w - T), abs=1e-14)
@@ -288,13 +289,13 @@ def _arc_tangent_residual(a, res) -> float:
 
 
 def test_arc_projection_is_stationary_on_its_arc(rng):
-    res = bd_measure_hs(ARC_INPUT)
+    res = bd_measure(DistanceKind.HS, ARC_INPUT)
     assert res.surface == "disk_12+disk_23"
     assert _arc_tangent_residual(ARC_INPUT, res) <= 1e-13
     arcs = 0
     for _ in range(300):
         a = random_nonlocal_corr(rng)
-        res = bd_measure_hs(a)
+        res = bd_measure(DistanceKind.HS, a)
         if "+" in res.surface:
             arcs += 1
             assert _arc_tangent_residual(a, res) <= 1e-13

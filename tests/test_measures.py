@@ -32,7 +32,6 @@ from nlgeo.measures import (
     OBJECTIVE_KINDS,
     bd_grid,
     bd_measure,
-    bd_measure_hs,
     bd_measure_numeric,
     bd_sweep,
     isotropic_measure,
@@ -323,7 +322,7 @@ def test_hs_and_bures_have_no_objective():
 
 
 def test_hs_case_path_anchor():
-    res = bd_measure_hs(np.array([0.84, 0.63, -0.5]))
+    res = bd_measure(DistanceKind.HS, np.array([0.84, 0.63, -0.5]))
     assert res.method == "lagrange_case"
     assert res.surface == "disk_12"
     assert res.value == pytest.approx(0.5 * (math.hypot(0.84, 0.63) - 1.0), abs=1e-15)
@@ -337,7 +336,7 @@ def test_hs_case_formula_whenever_taken(rng):
     seen = 0
     for _ in range(400):
         a = random_nonlocal_corr(rng)
-        res = bd_measure_hs(a)
+        res = bd_measure(DistanceKind.HS, a)
         assert res.method == "lagrange_case"
         if res.surface not in single_disk:
             continue
@@ -354,7 +353,7 @@ def test_hs_case_formula_whenever_taken(rng):
 def test_hs_corner_is_exact():
     # near a Bell corner no single disk is active: the projection is the
     # threshold vertex on the corner's ray
-    res = bd_measure_hs(0.9 * BELL_CORNERS[0])
+    res = bd_measure(DistanceKind.HS, 0.9 * BELL_CORNERS[0])
     assert res.method == "lagrange_case"
     assert res.surface == "vertex"
     # the chamber solve starts at the input's own angle, pi/4 on the corner's
@@ -362,7 +361,7 @@ def test_hs_corner_is_exact():
     assert res.converged and res.iterations == 1
     assert res.value == pytest.approx(W09[DistanceKind.HS], abs=1e-14)
     assert res.closest_local.a == pytest.approx(T * BELL_CORNERS[0], abs=1e-15)
-    top = bd_measure_hs(np.array(two_bell_mix_corr(1.0)))
+    top = bd_measure(DistanceKind.HS, np.array(two_bell_mix_corr(1.0)))
     assert top.method == "lagrange_case"
     assert top.value == pytest.approx(WMAX[DistanceKind.HS], abs=1e-14)
 
@@ -370,7 +369,7 @@ def test_hs_corner_is_exact():
 def test_hs_disk_input_is_solved_at_its_own_angle():
     # the projection onto the cylinder (1, 2) keeps the input's angle on it,
     # where the chamber solve starts: one angle step (four from pi/4)
-    res = bd_measure_hs((0.84, 0.63, -0.5))
+    res = bd_measure(DistanceKind.HS, (0.84, 0.63, -0.5))
     assert res.converged and res.iterations == 1 and res.surface == "disk_12"
     assert max(abs(p - q) for p, q in zip(res.closest_local.a, (0.8, 0.6, -0.5))) <= 1e-15
     assert abs(res.value - 0.025) <= 1e-15
@@ -392,7 +391,7 @@ def test_hs_and_trace_match_the_test_side_oracle(rng):
     for a in inputs:
         oracle = hs_oracle(a)
         surfaces.add(oracle.surface)
-        res = bd_measure_hs(a)
+        res = bd_measure(DistanceKind.HS, a)
         assert abs(res.value - 0.5 * oracle.distance) <= 4e-16, a
         assert abs(2 * res.value - oracle.distance) <= 8e-16, a
         assert max(abs(p - q) for p, q in zip(res.closest_local.a, oracle.point)) <= 1e-15, a
@@ -879,8 +878,6 @@ def test_zero_on_local(rng):
 
 def test_nonphysical_rejected_everywhere():
     bad = np.array([0.9, -0.9, 0.2])
-    with pytest.raises(NonPhysical):
-        bd_measure_hs(bad)
     for kind in KINDS:
         with pytest.raises(NonPhysical):
             bd_measure(kind, bad)
@@ -968,7 +965,7 @@ def test_monotone_along_rays_hs(rng):
         slopes = 4.0 * e - 1.0
         lam_max = min(-1.0 / s for s in slopes if s < 0)
         values = [
-            bd_measure_hs(lam * a).value
+            bd_measure(DistanceKind.HS, lam * a).value
             for lam in np.linspace(0.0, min(lam_max, 1.0 / max_pair_sum(a) * 1.6), 20)
         ]
         assert all(b >= a_ - 1e-9 for a_, b in zip(values, values[1:]))
@@ -1118,11 +1115,12 @@ KIND_ENTRIES = {
 
 
 @pytest.mark.parametrize("local", [True, False])
-@pytest.mark.parametrize("kind", ["hs", None])
+@pytest.mark.parametrize("kind", ["hs", None, np.array(["hs", "tr"])])
 @pytest.mark.parametrize("entry", sorted(KIND_ENTRIES))
 def test_an_unknown_kind_raises_out_of_range(entry, kind, local):
     # neither the relative-entropy fallthrough nor the local shortcut may
-    # answer for a kind that is not a DistanceKind
+    # answer for a kind that is not a DistanceKind, and a dispatch by `in`
+    # would raise ValueError on the array kind
     with pytest.raises(OutOfRange, match=re.escape(repr(kind))):
         KIND_ENTRIES[entry](kind, local)
 
