@@ -14,14 +14,7 @@ import math
 from collections import namedtuple
 from operator import itemgetter
 
-from .qstate import (
-    BellDiagonal,
-    bd_corr_to_probs,
-    bd_probs_to_corr,
-    float_vector,
-    physical_probs,
-    whole_number,
-)
+from .qstate import BellDiagonal, bd_probs_to_corr, float_vector, physical_probs, whole_number
 
 BOUNDARY_TOL = 1e-12
 
@@ -101,20 +94,34 @@ def _cglmp_threshold(d: int) -> CglmpThreshold:
 
 
 def max_pair_sum(a) -> float:
-    """Largest of a_i^2 + a_j^2 over the three index pairs."""
-    a1, a2, a3 = float_vector(a, 3, "correlator")
+    """Largest of a_i^2 + a_j^2 over the three index pairs of the three
+    numbers a, taken as they are: checked_state passes its own floats."""
+    a1, a2, a3 = a
     s1, s2, s3 = a1**2, a2**2, a3**2
     return max(s1 + s2, s1 + s3, s2 + s3)
+
+
+def checked_state(a) -> tuple[BellDiagonal, bool]:
+    """The Bell-diagonal state of correlators a and its CHSH locality, every
+    pair sum a_i^2 + a_j^2 <= 1 (the boundary counts as local).
+
+    The one input check of bd_is_chsh_local and of every measure: a is
+    converted to floats, which are weighed and checked once (physical_probs)
+    and pair-summed once, so it raises DimensionMismatch unless a holds 3
+    numbers and NonPhysical outside the tetrahedron. The state is built from
+    those floats and weights as they are.
+    """
+    a = float_vector(a, 3, "correlator")
+    return BellDiagonal._of(a, physical_probs(a)), max_pair_sum(a) <= 1.0 + BOUNDARY_TOL
 
 
 def bd_is_chsh_local(a) -> bool:
     """CHSH locality of a Bell-diagonal state: every pair sum a_i^2 + a_j^2 <= 1.
 
     Raises DimensionMismatch unless a holds 3 correlators and NonPhysical
-    outside the tetrahedron (physical_probs). The boundary counts as local.
+    outside the tetrahedron (checked_state). The boundary counts as local.
     """
-    physical_probs(a)
-    return max_pair_sum(a) <= 1.0 + BOUNDARY_TOL
+    return checked_state(a)[1]
 
 
 class Chamber(namedtuple("Chamber", "e order")):
@@ -123,13 +130,12 @@ class Chamber(namedtuple("Chamber", "e order")):
     __slots__ = ()
 
 
-def bell_chamber(a) -> Chamber:
-    """The symmetry chamber of the Bell weights of correlators a, which the
-    caller has checked: the weights themselves are permuted, never their
+def bell_chamber(e) -> Chamber:
+    """The symmetry chamber of Bell weights e, which the caller has checked
+    (checked_state): the weights themselves are permuted, never their
     correlators, so the sorted weights are the input's bit for bit."""
-    e = bd_corr_to_probs(a)
     order = tuple(sorted((0, 1, 2, 3), key=e.__getitem__, reverse=True))
-    return Chamber(itemgetter(*order)(e), order)
+    return tuple.__new__(Chamber, (itemgetter(*order)(e), order))
 
 
 def from_chamber(order, w, pairs):
@@ -140,7 +146,7 @@ def from_chamber(order, w, pairs):
     times the three pair sets that the solve and the trace form end on."""
     e = [0.0] * 4
     e[order[0]], e[order[1]], e[order[2]], e[order[3]] = w
-    return BellDiagonal(bd_probs_to_corr(e), e), _chamber_surface(order, pairs)
+    return BellDiagonal._of(bd_probs_to_corr(e), tuple(e)), _chamber_surface(order, pairs)
 
 
 @functools.cache

@@ -24,17 +24,8 @@ from collections import namedtuple
 
 from .errors import NotConverged, OutOfRange
 from .kinds import DistanceKind, known_kind
-from .locality import BOUNDARY_TOL, bd_is_chsh_local, bell_chamber, cglmp_threshold, from_chamber
-from .qstate import (
-    BELL_CORNERS,
-    BellDiagonal,
-    IsotropicParam,
-    WernerParam,
-    bd_corr_to_probs,
-    bd_probs_to_corr,
-    float_vector,
-    whole_number,
-)
+from .locality import BOUNDARY_TOL, bell_chamber, cglmp_threshold, checked_state, from_chamber
+from .qstate import BELL_CORNERS, IsotropicParam, WernerParam, bd_corr_to_probs, bd_probs_to_corr, whole_number
 from . import solver
 
 # 0.7071067811865475, one ulp below the correctly rounded 1/sqrt(2) that
@@ -158,7 +149,8 @@ def _euclidean_terms(e):
 def _hellinger_terms(e):
     """The kernel of the squared Hellinger distance 2 - 2 sum_k sqrt(e_k w_k),
     finite at w4 = 0 when e4's term is absent."""
-    s0, s1, s2, s3 = (math.sqrt(max(ek, 0.0)) for ek in e)
+    e0, e1, e2, e3 = e
+    s0, s1, s2, s3 = math.sqrt(max(e0, 0.0)), math.sqrt(max(e1, 0.0)), math.sqrt(max(e2, 0.0)), math.sqrt(max(e3, 0.0))
 
     def terms(w0, w1, w2, w3):
         q0 = math.sqrt(w0)
@@ -269,14 +261,14 @@ def _trace_in_chamber(b1: float, b2: float, b3: float):
 
 def _in_chamber(kind: DistanceKind, a) -> MeasureResult:
     """The measure of kind in the symmetry chamber of a's Bell weights
-    (nlgeo.solver), behind the measures' one input check (bd_is_chsh_local)
-    and mapped back by locality.from_chamber. A local input is its own
-    closest state, built from its weights without a second check: the one
-    check has just passed on the same a."""
-    a = float_vector(a, 3, "correlator")
-    if bd_is_chsh_local(a):
-        return _closed_form(kind, 0.0, BellDiagonal(a, bd_corr_to_probs(a)))
-    e, order = bell_chamber(a)
+    (nlgeo.solver), mapped back by locality.from_chamber. a passes the one
+    input check first (locality.checked_state), which converts it, weighs
+    it and checks it once; the chamber sorts those weights, and a local
+    input is the checked state itself."""
+    state, local = checked_state(a)
+    if local:
+        return _closed_form(kind, 0.0, state)
+    e, order = bell_chamber(state.e)
     e0, e1, e2, e3 = e
     # the chamber's correlators, summed as bd_probs_to_corr sums them
     x1, x2, x3 = (e0 - e2) + (e1 - e3), (e0 + e2) - (e1 + e3), (e2 - e0) + (e1 - e3)
@@ -293,7 +285,7 @@ def _in_chamber(kind: DistanceKind, a) -> MeasureResult:
         else:
             method = "numeric"
     closest, surface = from_chamber(order, w, pairs)
-    return MeasureResult(kind, value, closest, method, surface, steps, converged)
+    return tuple.__new__(MeasureResult, (kind, value, closest, method, surface, steps, converged))
 
 
 def bd_measure_numeric(kind: DistanceKind, a) -> MeasureResult:

@@ -29,9 +29,10 @@ BELL_CORNERS = (
 
 
 def float_vector(v, n: int, name: str) -> tuple:
-    """v as a tuple of n floats; DimensionMismatch unless it holds n numbers."""
+    """v as a tuple of n floats; DimensionMismatch unless it holds n numbers
+    (a str or bytes holds characters, which float would read as digits)."""
     try:
-        out = tuple(map(float, v))
+        out = None if isinstance(v, (str, bytes)) else tuple(map(float, v))
     except TypeError:
         out = None
     if out is None or len(out) != n:
@@ -96,18 +97,26 @@ class BellDiagonal(_Checked, namedtuple("BellDiagonal", "a e")):
     __slots__ = ()
 
     def __new__(cls, a, e):
-        return super().__new__(cls, tuple(map(float, a)), tuple(map(float, e)))
+        return tuple.__new__(cls, (tuple(map(float, a)), tuple(map(float, e))))
+
+    @classmethod
+    def _of(cls, a, e) -> "BellDiagonal":
+        """The state of float tuples a and e that nlgeo made itself, taken as
+        they are."""
+        return tuple.__new__(cls, (a, e))
 
     @classmethod
     def from_corr(cls, a) -> "BellDiagonal":
-        return cls(a=a, e=physical_probs(a))
+        a = float_vector(a, 3, "correlator")
+        return cls._of(a, physical_probs(a))
 
     @classmethod
     def from_probs(cls, e) -> "BellDiagonal":
         # e passes with a sum within PROB_SUM_ATOL of 1, which can put a outside
+        e = float_vector(e, 4, "probability")
         a = bd_probs_to_corr(e)
         physical_probs(a)
-        return cls(a=a, e=e)
+        return cls._of(a, e)
 
 
 class WernerParam(_Checked, namedtuple("WernerParam", "w")):

@@ -237,7 +237,7 @@ def test_criterion_7_gradients_match_finite_differences(rng):
             # keep the evaluation point strictly inside the tetrahedron
             if ex.min() < 0.01:
                 continue
-            terms, _ = KERNELS[kind](bell_chamber(bd_probs_to_corr(ea)).e)
+            terms, _ = KERNELS[kind](bell_chamber(bd_corr_to_probs(bd_probs_to_corr(ea))).e)
             x = np.array(bd_probs_to_corr(ex))
             g = np.array(gradient_at(terms, tuple(x)))
             if np.linalg.norm(g) < 1e-6:

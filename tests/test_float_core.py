@@ -105,7 +105,7 @@ def test_records_are_immutable_named_tuples():
         locality.cglmp_threshold(3),
         locality.chsh_verdict(nlgeo.density_to_pauli(nlgeo.make_werner(0.9))),
         solver.minimize_over_local_set(
-            *measures.KERNELS[DistanceKind.HELLINGER](locality.bell_chamber(a).e), 0.25 * math.pi
+            *measures.KERNELS[DistanceKind.HELLINGER](locality.bell_chamber(bd_corr_to_probs(a)).e), 0.25 * math.pi
         ),
         CheckResult("check", True, 0.0, 1e-6, 0.0),
     ]

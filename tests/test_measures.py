@@ -814,6 +814,30 @@ def test_one_physicality_check_per_measure(kind, monkeypatch):
         assert len(calls) == 1, (kind, a)
 
 
+@pytest.mark.parametrize("kind", list(DistanceKind))
+def test_one_weighing_per_measure(kind, monkeypatch):
+    # a deterministic count, as for the physicality check: the input is
+    # weighed once, and the chamber and a local result reuse those weights;
+    # the trace closed form's point comes as correlators and is weighed too
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return bd_corr_to_probs(a)
+
+    bound = [
+        m for name, m in sys.modules.items()
+        if name.startswith("nlgeo") and getattr(m, "bd_corr_to_probs", None) is bd_corr_to_probs
+    ]
+    assert {qstate, measures} <= set(bound)
+    for module in bound:
+        monkeypatch.setattr(module, "bd_corr_to_probs", counting)
+    for a, local in (((0.5, 0.4, -0.3), True), ((0.84, 0.63, -0.5), False)):
+        calls.clear()
+        assert (bd_measure(kind, a).value == 0.0) is local
+        assert len(calls) == (2 if kind is DistanceKind.TRACE and not local else 1), (kind, a)
+
+
 def test_trace_closed_form_is_the_enumerated_minimum(rng):
     # the oracle's arcs lie on two boundary pieces of L each
     t = rng.uniform(0.0, 2.0 * math.pi, (1, 50, 1))
@@ -884,9 +908,10 @@ def test_nonphysical_rejected_everywhere():
 
 
 def test_wrong_length_correlators_rejected_everywhere():
-    # a number or None is no vector at all: DimensionMismatch, not TypeError
-    for a in ((0.9, 0.9), (0.9, 0.9, 0.1, 0.0), 0.5, None):
-        # bd_corr_to_probs makes the one check that the others rely on
+    # a number or None is no vector at all: DimensionMismatch, not TypeError;
+    # nor is a string, whose characters float would read as the digits 1, 0, 0
+    for a in ((0.9, 0.9), (0.9, 0.9, 0.1, 0.0), 0.5, None, "100", b"100"):
+        # qstate.float_vector makes the one shape check that each relies on
         for check in (bd_corr_to_probs, BellDiagonal.from_corr, physical_probs):
             with pytest.raises(DimensionMismatch):
                 check(a)
@@ -1234,7 +1259,7 @@ def test_numeric_value_is_the_objective_at_the_returned_point(rng, monkeypatch, 
         for kind in OBJECTIVE_KINDS:
             res = bd_measure_numeric(kind, a)
             assert res.converged is (max_iters is None), (kind, a)
-            chamber = bell_chamber(a)
+            chamber = bell_chamber(bd_corr_to_probs(a))
             terms, _ = KERNELS[kind](chamber.e)
             rescored = terms(*(res.closest_local.e[k] for k in chamber.order))[0]
             assert float.hex(res.value) == float.hex(rescored), (kind, a)
@@ -1244,7 +1269,7 @@ def test_gradient_matches_finite_differences(rng):
     # light smoke; the acceptance suite runs the full 100-point gate
     for kind in OBJECTIVE_KINDS:
         a = random_nonlocal_corr(rng)
-        terms, _ = KERNELS[kind](bell_chamber(a).e)
+        terms, _ = KERNELS[kind](bell_chamber(bd_corr_to_probs(a)).e)
         for _ in range(5):
             x = 0.97 * random_local_corr(rng)
             g = np.array(gradient_at(terms, tuple(x)))

@@ -60,7 +60,7 @@ def chamber_angle(e) -> float:
 def _euclidean(target):
     """The quadratic kernel and its facet flag in the chamber of target's
     Bell weights, the solve's start angle there and the chamber's order."""
-    chamber = bell_chamber(target)
+    chamber = bell_chamber(bd_corr_to_probs(target))
     return (*KERNELS[DistanceKind.HS](chamber.e), chamber_angle(chamber.e), chamber.order)
 
 
@@ -154,7 +154,7 @@ def test_solve_matches_a_nested_scalar_minimization(rng):
     inputs += FALSE_CONVERGENCE
     for a in filter(lambda a: not bd_is_chsh_local(a), inputs):
         for kind in OBJECTIVE_KINDS:
-            e = bell_chamber(a).e
+            e = bell_chamber(bd_corr_to_probs(a)).e
             terms, facet = KERNELS[kind](e)
             report = minimize_over_local_set(terms, facet, chamber_angle(e))
             assert report.converged, (kind, a)
@@ -169,7 +169,7 @@ def test_the_start_angle_does_not_move_the_solution(rng):
     # KKT oracle's (vertex, Werner line and facet inputs among them)
     inputs = [random_nonlocal_corr(rng) for _ in range(40)] + oracle_inputs()
     for a in inputs:
-        e = bell_chamber(a).e
+        e = bell_chamber(bd_corr_to_probs(a)).e
         # Bures shares Hellinger's kernel, which is solved once
         for kernel in dict.fromkeys(KERNELS.values()):
             own = minimize_over_local_set(*kernel(e), chamber_angle(e))
@@ -187,7 +187,7 @@ def test_one_terms_call_per_scored_point(rng):
     calls = 0
     inputs = [random_nonlocal_corr(rng) for _ in range(40)]
     for a in inputs:
-        e = bell_chamber(a).e
+        e = bell_chamber(bd_corr_to_probs(a)).e
         for kind in OBJECTIVE_KINDS:
             terms, facet = KERNELS[kind](e)
             points = []
@@ -208,7 +208,7 @@ def test_no_kernel_raises(rng):
     raised = []
     inputs = [random_nonlocal_corr(rng) for _ in range(40)]
     for a in inputs:
-        e = bell_chamber(a).e
+        e = bell_chamber(bd_corr_to_probs(a)).e
         assert e[3] > 0.0
         for kind in OBJECTIVE_KINDS:
             terms, facet = KERNELS[kind](e)
@@ -266,7 +266,7 @@ def test_angle_slopes_match_finite_differences(rng, kind):
     pieces = set()
     h = 1e-5
     for a in inputs:
-        kernel = KERNELS[kind](bell_chamber(a).e)
+        kernel = KERNELS[kind](bell_chamber(bd_corr_to_probs(a)).e)
         for t in (0.2, 0.45, 0.7):
             _, _, piece, (g, gg, dudt) = _angle_slopes(*kernel, t)
             (vp, up, piece_p, (gp, _, _)), (vm, um, piece_m, (gm, _, _)) = (
