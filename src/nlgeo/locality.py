@@ -94,34 +94,37 @@ def _cglmp_threshold(d: int) -> CglmpThreshold:
 
 
 def max_pair_sum(a) -> float:
-    """Largest of a_i^2 + a_j^2 over the three index pairs of the three
-    numbers a, taken as they are: checked_state passes its own floats."""
-    a1, a2, a3 = a
+    """Largest of a_i^2 + a_j^2 over the three index pairs."""
+    return _pair_sum(*float_vector(a, 3, "correlator"))
+
+
+def _pair_sum(a1: float, a2: float, a3: float) -> float:
     s1, s2, s3 = a1**2, a2**2, a3**2
     return max(s1 + s2, s1 + s3, s2 + s3)
 
 
-def checked_state(a) -> tuple[BellDiagonal, bool]:
-    """The Bell-diagonal state of correlators a and its CHSH locality, every
-    pair sum a_i^2 + a_j^2 <= 1 (the boundary counts as local).
-
-    The one input check of bd_is_chsh_local and of every measure: a is
-    converted to floats, which are weighed and checked once (physical_probs)
-    and pair-summed once, so it raises DimensionMismatch unless a holds 3
-    numbers and NonPhysical outside the tetrahedron. The state is built from
-    those floats and weights as they are.
+def checked_state(a) -> BellDiagonal:
+    """The Bell-diagonal state of correlators a, through the one input check
+    of bd_is_chsh_local and of every measure: a is converted to floats once,
+    which are weighed and checked once (physical_probs), so it raises
+    DimensionMismatch unless a holds 3 numbers and NonPhysical outside the
+    tetrahedron. The state is built from those floats and weights as they are.
     """
     a = float_vector(a, 3, "correlator")
-    return BellDiagonal._of(a, physical_probs(a)), max_pair_sum(a) <= 1.0 + BOUNDARY_TOL
+    return BellDiagonal._of(a, physical_probs(a))
 
 
 def bd_is_chsh_local(a) -> bool:
     """CHSH locality of a Bell-diagonal state: every pair sum a_i^2 + a_j^2 <= 1.
 
-    Raises DimensionMismatch unless a holds 3 correlators and NonPhysical
-    outside the tetrahedron (checked_state). The boundary counts as local.
+    a is the state's correlators, which pass checked_state: DimensionMismatch
+    unless a holds 3 of them and NonPhysical outside the tetrahedron. Or a is
+    the BellDiagonal state itself, taken as checked when it was built
+    (checked_state, BellDiagonal.from_corr or from_probs), as every measure
+    passes it. The boundary counts as local.
     """
-    return checked_state(a)[1]
+    state = a if isinstance(a, BellDiagonal) else checked_state(a)
+    return _pair_sum(*state.a) <= 1.0 + BOUNDARY_TOL
 
 
 class Chamber(namedtuple("Chamber", "e order")):
@@ -135,7 +138,7 @@ def bell_chamber(e) -> Chamber:
     (checked_state): the weights themselves are permuted, never their
     correlators, so the sorted weights are the input's bit for bit."""
     order = tuple(sorted((0, 1, 2, 3), key=e.__getitem__, reverse=True))
-    return tuple.__new__(Chamber, (itemgetter(*order)(e), order))
+    return Chamber(itemgetter(*order)(e), order)
 
 
 def from_chamber(order, w, pairs):

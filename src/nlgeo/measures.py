@@ -24,7 +24,7 @@ from collections import namedtuple
 
 from .errors import NotConverged, OutOfRange
 from .kinds import DistanceKind, known_kind
-from .locality import BOUNDARY_TOL, bell_chamber, cglmp_threshold, checked_state, from_chamber
+from .locality import BOUNDARY_TOL, bd_is_chsh_local, bell_chamber, cglmp_threshold, checked_state, from_chamber
 from .qstate import BELL_CORNERS, IsotropicParam, WernerParam, bd_corr_to_probs, bd_probs_to_corr, whole_number
 from . import solver
 
@@ -149,8 +149,7 @@ def _euclidean_terms(e):
 def _hellinger_terms(e):
     """The kernel of the squared Hellinger distance 2 - 2 sum_k sqrt(e_k w_k),
     finite at w4 = 0 when e4's term is absent."""
-    e0, e1, e2, e3 = e
-    s0, s1, s2, s3 = math.sqrt(max(e0, 0.0)), math.sqrt(max(e1, 0.0)), math.sqrt(max(e2, 0.0)), math.sqrt(max(e3, 0.0))
+    s0, s1, s2, s3 = (math.sqrt(max(ek, 0.0)) for ek in e)
 
     def terms(w0, w1, w2, w3):
         q0 = math.sqrt(w0)
@@ -263,10 +262,10 @@ def _in_chamber(kind: DistanceKind, a) -> MeasureResult:
     """The measure of kind in the symmetry chamber of a's Bell weights
     (nlgeo.solver), mapped back by locality.from_chamber. a passes the one
     input check first (locality.checked_state), which converts it, weighs
-    it and checks it once; the chamber sorts those weights, and a local
-    input is the checked state itself."""
-    state, local = checked_state(a)
-    if local:
+    it and checks it once; bd_is_chsh_local takes that checked state, the
+    chamber sorts its weights, and a local input is the state itself."""
+    state = checked_state(a)
+    if bd_is_chsh_local(state):
         return _closed_form(kind, 0.0, state)
     e, order = bell_chamber(state.e)
     e0, e1, e2, e3 = e
@@ -285,7 +284,7 @@ def _in_chamber(kind: DistanceKind, a) -> MeasureResult:
         else:
             method = "numeric"
     closest, surface = from_chamber(order, w, pairs)
-    return tuple.__new__(MeasureResult, (kind, value, closest, method, surface, steps, converged))
+    return MeasureResult(kind, value, closest, method, surface, steps, converged)
 
 
 def bd_measure_numeric(kind: DistanceKind, a) -> MeasureResult:

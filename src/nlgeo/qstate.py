@@ -97,7 +97,7 @@ class BellDiagonal(_Checked, namedtuple("BellDiagonal", "a e")):
     __slots__ = ()
 
     def __new__(cls, a, e):
-        return tuple.__new__(cls, (tuple(map(float, a)), tuple(map(float, e))))
+        return super().__new__(cls, tuple(map(float, a)), tuple(map(float, e)))
 
     @classmethod
     def _of(cls, a, e) -> "BellDiagonal":

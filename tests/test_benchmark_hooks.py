@@ -8,9 +8,6 @@ gone would make its per-layer time read 0; TRACED_NAMES lists the rows that
 must resolve. It leaves out the rows of names nlgeo has dropped on purpose,
 such as the HS wrapper of nlgeo.measures: bd_measure computes the HS measure
 itself, so the tracer reports that row as absent and its HS counters read 0.
-Likewise nlgeo.measures no longer calls bd_is_chsh_local: its one input
-check is locality.checked_state, which also returns the checked state, so
-the tracer's locality.bd_is_chsh_local.calls reads 0.
 perfbench/checks.py requires every check of workloads.VALIDATION_CHECKS in
 the validate report, each with a positive time.
 """
@@ -34,6 +31,7 @@ TRACED_NAMES = (
     ("nlgeo.measures", "werner_measure"),
     ("nlgeo.measures", "isotropic_measure"),
     ("nlgeo.measures", "bd_measure_numeric"),
+    ("nlgeo.measures", "bd_is_chsh_local"),
     ("nlgeo.solver", "minimize_over_local_set"),
 )
 

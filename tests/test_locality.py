@@ -12,6 +12,7 @@ from nlgeo import solver
 from nlgeo.locality import (
     bd_is_chsh_local,
     _qk,
+    checked_state,
     cglmp_threshold,
     chsh_verdict,
     from_chamber,
@@ -21,7 +22,7 @@ from nlgeo.locality import (
 from nlgeo.dense import PauliRep
 from nlgeo.kinds import DistanceKind
 from nlgeo.measures import bd_measure
-from nlgeo.qstate import BELL_CORNERS as CORNER_TUPLES, bd_corr_to_probs, bd_probs_to_corr, physical_probs
+from nlgeo.qstate import BELL_CORNERS as CORNER_TUPLES, BellDiagonal, bd_corr_to_probs, bd_probs_to_corr, physical_probs
 
 N_SAMPLES = 1000
 T = 1.0 / math.sqrt(2.0)
@@ -112,6 +113,15 @@ def test_bd_agreement_with_general_criterion(rng):
     for _ in range(N_SAMPLES):
         a = random_tetra_corr(rng)
         assert bd_is_chsh_local(a) == chsh_verdict(diag_rep(a)).is_local
+
+
+def test_bd_is_chsh_local_takes_a_checked_state(rng):
+    # the state, as every measure passes it, has the verdict of its correlators
+    for _ in range(200):
+        a = random_tetra_corr(rng)
+        for state in (checked_state(a), BellDiagonal.from_corr(a), BellDiagonal.from_probs(bd_corr_to_probs(a))):
+            assert bd_is_chsh_local(state) == bd_is_chsh_local(a), a
+    assert bd_is_chsh_local(checked_state((-T, -T, -T)))
 
 
 def test_local_set_is_convex(rng):

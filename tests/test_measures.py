@@ -912,7 +912,7 @@ def test_wrong_length_correlators_rejected_everywhere():
     # nor is a string, whose characters float would read as the digits 1, 0, 0
     for a in ((0.9, 0.9), (0.9, 0.9, 0.1, 0.0), 0.5, None, "100", b"100"):
         # qstate.float_vector makes the one shape check that each relies on
-        for check in (bd_corr_to_probs, BellDiagonal.from_corr, physical_probs):
+        for check in (bd_corr_to_probs, BellDiagonal.from_corr, physical_probs, max_pair_sum, bd_is_chsh_local):
             with pytest.raises(DimensionMismatch):
                 check(a)
         for kind in KINDS:
