@@ -1,8 +1,10 @@
-"""Werner and isotropic measures over whole arrays of parameters.
+"""Isotropic measures over whole arrays of weights, Werner ones included.
 
 The closed forms are those of measures.spectral_formula, evaluated as numpy
-array expressions, one per kind, for the werner-sweep and iso commands. This
-is numpy code: nlgeo imports it on the first use of one of its names.
+array expressions, one per kind, for the iso command and for werner-sweep: a
+Werner state is the d = 2 isotropic state, so its values are
+isotropic_values(kind, 2, w). This is numpy code: nlgeo imports it on the
+first use of one of its names.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import numpy as np
 
 from .kinds import DistanceKind, known_kind
 from .locality import BOUNDARY_TOL, cglmp_threshold
-from .measures import WERNER_THRESHOLD, ZERO_WEIGHT, spectral_formula
-from .qstate import IsotropicParam, WernerParam
+from .measures import ZERO_WEIGHT, spectral_formula
+from .qstate import IsotropicParam
 
 
 def _nonneg(x: np.ndarray) -> np.ndarray:
@@ -46,28 +48,17 @@ def _spectral_values(kind: DistanceKind, d: int, t: float, omega: np.ndarray) ->
     return out
 
 
-def _checked(param, w) -> np.ndarray:
-    """w as a float array after checking its extremes with param.
+def _checked(d: int, omega) -> np.ndarray:
+    """omega as a float array after checking its extremes with IsotropicParam.
 
     The admissible range is an interval, so checking the extremes checks every
     entry (a nan becomes both extremes and fails).
     """
-    w = np.asarray(w, dtype=float)
-    if w.size:
-        param(float(w.min()))
-        param(float(w.max()))
-    return w
-
-
-def werner_values(kind: DistanceKind, w) -> np.ndarray:
-    """Measure of the Werner states with parameters w (an array), in closed form.
-
-    measures.werner_measure at every entry, bit for bit: the d = 2 isotropic
-    formula at the CHSH threshold 1/sqrt(2); local entries (w <= 1/sqrt(2))
-    give exactly 0.0. Every entry must be a valid Werner parameter, or
-    OutOfRange is raised.
-    """
-    return _spectral_values(kind, 2, WERNER_THRESHOLD, _checked(WernerParam, w))
+    omega = np.asarray(omega, dtype=float)
+    if omega.size:
+        IsotropicParam(d, float(omega.min()))
+        IsotropicParam(d, float(omega.max()))
+    return omega
 
 
 def isotropic_values(kind: DistanceKind, d: int, omega) -> np.ndarray:
@@ -78,7 +69,7 @@ def isotropic_values(kind: DistanceKind, d: int, omega) -> np.ndarray:
     entries (omega <= t) give exactly 0.0; an invalid weight raises
     OutOfRange.
     """
-    omega = _checked(lambda om: IsotropicParam(d=d, omega=om), omega)
+    omega = _checked(d, omega)
     return _spectral_values(kind, d, cglmp_threshold(d).omega_threshold, omega)
 
 
@@ -95,7 +86,7 @@ def isotropic_reference_formula(kind: DistanceKind, d: int, omega):
     array of weights, range-checked as in isotropic_values; a float comes
     back for a scalar. A kind that is not a DistanceKind raises OutOfRange.
     """
-    weights = _checked(lambda om: IsotropicParam(d=d, omega=om), omega)
+    weights = _checked(d, omega)
     if known_kind(kind) is DistanceKind.BURES:
         return None
     thr = cglmp_threshold(d).omega_threshold

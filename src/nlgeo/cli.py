@@ -184,14 +184,15 @@ def _parse_vector(text: str, n: int, name: str) -> tuple[float, ...]:
 def cmd_werner_sweep(args) -> int:
     import numpy as np
 
-    from .arrays import werner_values
+    from .arrays import isotropic_values
 
     kinds = _kinds(args)
-    if not (WERNER_THRESHOLD <= args.w_min < args.w_max <= 1.0 + 1e-12):
-        raise ValueError("need 1/sqrt(2) <= w-min < w-max <= 1")
+    # a Werner state is the d = 2 isotropic state: w ranges as iso's omega does
+    if not (-1.0 / 3.0 <= args.w_min < args.w_max <= 1.0 + 1e-12):
+        raise ValueError(f"need -1/3 <= w-min < w-max <= 1, got [{args.w_min}, {args.w_max}]")
     ws = np.linspace(args.w_min, args.w_max, args.n)
     # one expression, so no column array outlives the conversion to rows
-    rows = np.column_stack([ws, *per_kind(kinds, lambda k: werner_values(k, ws) / werner_max(k))]).tolist()
+    rows = np.column_stack([ws, *per_kind(kinds, lambda k: isotropic_values(k, 2, ws) / werner_max(k))]).tolist()
     columns = ["w"] + [k.value for k in kinds]
     emit(args, columns, rows)
     return 0
@@ -309,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = command("werner-sweep", cmd_werner_sweep, "normalized Werner measures on [1/sqrt 2, 1]")
-    p.add_argument("--w-min", type=float, default=WERNER_THRESHOLD)
+    p = command("werner-sweep", cmd_werner_sweep, "normalized Werner measures on [w-min, w-max] in [-1/3, 1]")
+    p.add_argument("--w-min", type=float, default=WERNER_THRESHOLD, help="default 1/sqrt 2, the CHSH threshold")
     p.add_argument("--w-max", type=float, default=1.0)
     p.add_argument("--n", type=_at_least(1), default=50)
 

@@ -74,9 +74,9 @@ def cglmp_threshold(d: int) -> CglmpThreshold:
 
     I_d = 4d sum_{k=0}^{floor(d/2)-1} (1 - 2k/(d-1)) (q_k - q_{-(k+1)}),
     evaluated literally; at d = 2 the sum is the single k = 0 term and the
-    threshold reduces to the CHSH value 1/sqrt(2), correctly rounded, one ulp
-    above measures.WERNER_THRESHOLD. The sum runs in a Python loop, so the
-    cost grows like d: about 0.1 s at d = 10^5 and 1 s at 10^6.
+    threshold reduces to the CHSH value 1/sqrt(2), correctly rounded, which
+    is measures.WERNER_THRESHOLD. The sum runs in a Python loop, so the cost
+    grows like d: about 0.1 s at d = 10^5 and 1 s at 10^6.
     It runs once per d per process: the result is cached on the checked int,
     so 3, 3.0 and np.int64(3) share one entry.
     """

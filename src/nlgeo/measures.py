@@ -28,15 +28,14 @@ from .locality import BOUNDARY_TOL, bd_is_chsh_local, bell_chamber, cglmp_thresh
 from .qstate import BELL_CORNERS, IsotropicParam, WernerParam, bd_corr_to_probs, bd_probs_to_corr, whole_number
 from . import solver
 
-# 0.7071067811865475, one ulp below the correctly rounded 1/sqrt(2) that
-# cglmp_threshold(2) gives: werner-sweep and iso --d 2 test locality one ulp apart.
-# Kept, as that value moves the last bits of the Werner values near it and its
-# trace vertex does not survive the round trip through the weights bit for bit
-WERNER_THRESHOLD = 1.0 / math.sqrt(2.0)
+# a Werner state is the d = 2 isotropic state, local up to the CHSH value 1/sqrt(2)
+WERNER_THRESHOLD = cglmp_threshold(2).omega_threshold
 # a weight at most this adds nothing to a relative entropy (0 log 0 = 0)
 ZERO_WEIGHT = 1e-15
 
 _LN2 = math.log(2.0)
+# the vertex (1, 1, 1)/sqrt 2 of the three cylinders, a point of the local set
+_VERTEX = 1.0 / math.sqrt(2.0)
 
 
 class MeasureResult(namedtuple("MeasureResult", "kind value closest_local method surface iterations converged",
@@ -96,19 +95,25 @@ def spectral_formula(
     return nonneg(xlog2(big, big_t) + (d2 - 1.0) * xlog2(small, small_t))
 
 
+def _family_measure(kind: DistanceKind, d: int, param, t: float) -> MeasureResult:
+    """Measure of the family state of the checked record param, whose last field
+    is its weight, in dimension d: 0.0 when local (<= t), else spectral_formula at t."""
+    known_kind(kind)
+    omega = param[-1]
+    if omega <= t + BOUNDARY_TOL:
+        return _closed_form(kind, 0.0, param)
+    return _closed_form(kind, spectral_formula(kind, d, t, omega), param._make((*param[:-1], t)))
+
+
 def werner_measure(kind: DistanceKind, w: float) -> MeasureResult:
     """Measure of the Werner state with parameter w, in closed form.
 
-    A Werner state is the d = 2 isotropic state up to a local unitary, and its
-    closest local state is the Werner state at the CHSH threshold 1/sqrt(2) for
-    every kind, or the input itself when it is local (value exactly 0.0). An
-    invalid w or kind raises OutOfRange.
+    A Werner state is the d = 2 isotropic state up to a local unitary, so this
+    is isotropic_measure(kind, 2, w) bit for bit, recorded as WernerParam:
+    the closest local state is at the CHSH threshold 1/sqrt(2), or is the
+    input when local (value 0.0). An invalid w or kind raises OutOfRange.
     """
-    known_kind(kind)
-    w = WernerParam(float(w)).w
-    if w <= WERNER_THRESHOLD + BOUNDARY_TOL:
-        return _closed_form(kind, 0.0, WernerParam(w))
-    return _closed_form(kind, spectral_formula(kind, 2, WERNER_THRESHOLD, w), WernerParam(WERNER_THRESHOLD))
+    return _family_measure(kind, 2, WernerParam(float(w)), WERNER_THRESHOLD)
 
 
 def werner_max(kind: DistanceKind) -> float:
@@ -124,12 +129,8 @@ def isotropic_measure(kind: DistanceKind, d: int, omega: float) -> MeasureResult
     states are diagonal in {|phi+>} and its complement, so spectral_formula
     applies. An invalid weight or kind raises OutOfRange.
     """
-    known_kind(kind)
-    d, omega = IsotropicParam(d=d, omega=float(omega))
-    thr = cglmp_threshold(d).omega_threshold
-    if omega <= thr + BOUNDARY_TOL:
-        return _closed_form(kind, 0.0, IsotropicParam(d=d, omega=omega))
-    return _closed_form(kind, spectral_formula(kind, d, thr, omega), IsotropicParam(d=d, omega=thr))
+    param = IsotropicParam(d=d, omega=float(omega))
+    return _family_measure(kind, param.d, param, cglmp_threshold(param.d).omega_threshold)
 
 
 def _euclidean_terms(e):
@@ -249,7 +250,7 @@ def _trace_in_chamber(b1: float, b2: float, b3: float):
     r = (b1 * b1 + b2 * b2 - 1.0) / (b1 + b2 + math.sqrt(2.0 - (b1 - b2) ** 2))
     if (b1 - r) ** 2 + b3 * b3 <= 1.0 + BOUNDARY_TOL:
         return (b1 - r, b2 - r, b3), ((0, 1),), 0.5 * r
-    vertex = (WERNER_THRESHOLD,) * 3
+    vertex = (_VERTEX,) * 3
     candidates = [(vertex, solver.DISK_PAIRS, _trace_distance(vertex, b))]
     t = math.atan(0.5) + math.asin((b2 + b3 - b1) / math.sqrt(5.0))
     if 0.0 <= t <= 0.25 * math.pi:
@@ -348,10 +349,10 @@ def bd_sweep(kind: DistanceKind, family: str, n_points: int) -> list[tuple[float
     family "two_bell_mix" sweeps p in [1/2, 1] over a = (2p-1, -(2p-1), 1);
     family "werner_line" sweeps w in [1/sqrt 2, 1] along the singlet corner.
     Values are divided by the Werner maximum of the same kind, so every sweep
-    ends at 1 at the maximally nonlocal endpoint: to within rounding, and
-    exactly for the trace closed form. Returns a list of
-    (parameter, normalized value) rows; an unconverged solve raises
-    NotConverged naming its point.
+    ends at 1 at the maximally nonlocal endpoint, to within rounding (a few
+    ulps above: the local set's vertex is one ulp below WERNER_THRESHOLD).
+    Returns a list of (parameter, normalized value) rows; an unconverged
+    solve raises NotConverged naming its point.
     """
     n_points = whole_number(n_points, 2, "n_points")
     norm = werner_max(kind)

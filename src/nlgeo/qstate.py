@@ -120,13 +120,14 @@ class BellDiagonal(_Checked, namedtuple("BellDiagonal", "a e")):
 
 
 class WernerParam(_Checked, namedtuple("WernerParam", "w")):
-    """Werner family parameter w, admissible on (-1/3, 1]."""
+    """Werner family parameter w, admissible on [-1/3, 1]: the weight of the
+    d = 2 isotropic state, with the same rounding slack as IsotropicParam."""
 
     __slots__ = ()
 
     def __new__(cls, w):
-        if not (-1.0 / 3.0 < w <= 1.0 + 1e-12):
-            raise OutOfRange(f"Werner parameter {w} outside (-1/3, 1]")
+        if not (-1.0 / 3.0 - 1e-12 <= w <= 1.0 + 1e-12):
+            raise OutOfRange(f"Werner parameter {w} outside [-1/3, 1]")
         return super().__new__(cls, w)
 
 

@@ -91,6 +91,8 @@ def test_criterion_3_cglmp_thresholds():
     err2 = abs(thr2.omega_threshold - T)
     err_i2 = abs(thr2.i_d_qm - 2.0 * math.sqrt(2.0))
     err3 = abs(thr3.omega_threshold - (6.0 * math.sqrt(3.0) - 9.0) / 2.0)
+    # a Werner state is the d = 2 isotropic state: one threshold, correctly rounded
+    assert thr2.omega_threshold == WERNER_THRESHOLD == math.sqrt(0.5)
     ok = err2 <= 1e-13 and err_i2 <= 1e-13 and err3 <= 1e-13
     _verdict(
         3,

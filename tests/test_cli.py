@@ -142,7 +142,7 @@ def test_hellinger_is_solved_once_for_bures(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "command, name, prefix",
-    [(["werner-sweep"], "werner_values", ""), (["iso", "--d", "3"], "isotropic_values", "value_")],
+    [(["werner-sweep"], "isotropic_values", ""), (["iso", "--d", "3"], "isotropic_values", "value_")],
 )
 def test_hellinger_closed_form_is_evaluated_once_for_bures(command, name, prefix, tmp_path, monkeypatch):
     # both commands import the array closed forms when they run, so a
@@ -445,6 +445,21 @@ def test_repeated_kind_is_one_column(tmp_path):
     assert header == doc["columns"] == ["w", "tr", "hs"]
     assert [list(rec) for rec in doc["records"]] == [header] * 3
     assert [[float(v) for v in row] for row in rows] == [list(rec.values()) for rec in doc["records"]]
+
+
+def test_werner_sweep_ranges_as_iso_does_at_d2(tmp_path, capsys):
+    out = str(tmp_path / "w.csv")
+    assert run(["werner-sweep", "--w-min", "0.5", "--n", "11", "--out", out]) == 0
+    _, _, rows = read_csv(out)
+    local = [r for r in rows if float(r[0]) <= measures.WERNER_THRESHOLD]
+    assert len(local) == 5 and all(float(v) == 0.0 for r in local for v in r[1:])
+    assert all(float(v) > 0.0 for r in rows[len(local):] for v in r[1:])
+    assert run(["werner-sweep", "--w-min", repr(-1.0 / 3.0), "--n", "3", "--out", out]) == 0
+    # the default w-min of earlier versions, one ulp below 1/sqrt 2, typed out
+    assert run(["werner-sweep", "--w-min", "0.7071067811865475", "--n", "3", "--out", out]) == 0
+    capsys.readouterr()
+    assert run(["werner-sweep", "--w-min", "-0.4", "--out", out]) == 2
+    assert capsys.readouterr().err == "nlgeo: need -1/3 <= w-min < w-max <= 1, got [-0.4, 1.0]\n"
 
 
 def test_stdout_output(capsys):

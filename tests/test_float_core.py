@@ -15,7 +15,7 @@ import pytest
 
 import nlgeo
 from nlgeo import locality, measures, solver
-from nlgeo.arrays import isotropic_values, werner_values
+from nlgeo.arrays import isotropic_values
 from nlgeo.errors import NonPhysical, OutOfRange
 from nlgeo.kinds import DistanceKind
 from nlgeo.qstate import BellDiagonal, IsotropicParam, WernerParam, bd_corr_to_probs, bd_probs_to_corr
@@ -162,9 +162,9 @@ def test_maps_equal_the_matrix_products_bit_for_bit():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_float_closed_forms_equal_the_array_ones_bit_for_bit(kind):
-    assert measures.werner_max(kind) == werner_values(kind, [1.0])[0]
+    assert measures.werner_max(kind) == isotropic_values(kind, 2, [1.0])[0]
     ws = np.linspace(-0.3, 1.0, 301).tolist() + [1.0 + 5e-13]
-    for w, value in zip(ws, werner_values(kind, ws)):
+    for w, value in zip(ws, isotropic_values(kind, 2, ws)):
         assert measures.werner_measure(kind, w).value == value, w
     for d in (2, 3, 5, 8):
         omegas = np.linspace(-1.0 / (d * d - 1.0), 1.0, 101).tolist()

@@ -38,9 +38,10 @@ from nlgeo.measures import (
     two_bell_mix_corr,
     werner_max,
     werner_measure,
+    WERNER_THRESHOLD,
 )
 from nlgeo import arrays, dense, locality, measures, qstate, solver
-from nlgeo.arrays import formula_agrees, isotropic_reference_formula, isotropic_values, werner_values
+from nlgeo.arrays import formula_agrees, isotropic_reference_formula, isotropic_values
 from nlgeo.cli import main
 from nlgeo.kinds import DistanceKind
 from nlgeo.metrics import (
@@ -139,6 +140,27 @@ def test_werner_measure_range_errors():
             werner_measure(DistanceKind.HS, bad)
 
 
+def test_werner_measure_at_minus_a_third_is_zero():
+    for kind in KINDS:
+        res = werner_measure(kind, -1.0 / 3.0)
+        assert res.value == 0.0 and res.closest_local.w == -1.0 / 3.0
+        for bad in (-1.0 / 3.0 - 1e-11, 1.2, math.nan):
+            with pytest.raises(OutOfRange):
+                werner_measure(kind, bad)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_werner_measure_is_the_d2_isotropic_measure_bit_for_bit(kind):
+    t = cglmp_threshold(2).omega_threshold
+    ws = np.linspace(-1.0 / 3.0, 1.0, 401).tolist()
+    ws += [t, math.nextafter(t, 0.0), math.nextafter(t, 1.0), t - 1e-13, t + 1e-13, 1.0]
+    values = [werner_measure(kind, w).value for w in ws]
+    assert values == [isotropic_measure(kind, 2, w).value for w in ws]
+    assert isotropic_values(kind, 2, ws).tolist() == values
+    # the Werner record at the threshold is the isotropic one's weight
+    assert werner_measure(kind, 0.9).closest_local.w == isotropic_measure(kind, 2, 0.9).closest_local.omega == t
+
+
 def test_werner_max_is_the_normalizer():
     for kind in KINDS:
         assert werner_max(kind) == werner_measure(kind, 1.0).value
@@ -146,37 +168,39 @@ def test_werner_max_is_the_normalizer():
 
 def _werner_scalar(kind, w):
     """The scalar closed forms, written out with math as the reference."""
-    if w <= T + BOUNDARY_TOL:
+    t = cglmp_threshold(2).omega_threshold
+    if w <= t + BOUNDARY_TOL:
         return 0.0
     if kind is DistanceKind.HS:
-        return (math.sqrt(3.0) / 2.0) * (w - T)
+        return (math.sqrt(3.0) / 2.0) * (w - t)
     if kind in (DistanceKind.HELLINGER, DistanceKind.BURES):
         return 2.0 - 0.5 * (
-            3.0 * math.sqrt((1.0 - w) * (1.0 - T)) + math.sqrt((1.0 + 3.0 * w) * (1.0 + 3.0 * T))
+            3.0 * math.sqrt((1.0 - w) * (1.0 - t)) + math.sqrt((1.0 + 3.0 * w) * (1.0 + 3.0 * t))
         )
     if kind is DistanceKind.TRACE:
-        return 0.75 * (w - T)
+        return 0.75 * (w - t)
     # the spectral kernel's order: the big weight's term plus three times the
     # small weight's term (a weight <= 1e-15 contributes nothing)
     big, small = (1.0 + 3.0 * w) / 4.0, (1.0 - w) / 4.0
-    small_term = small * math.log2(small / ((1.0 - T) / 4.0)) if small > 1e-15 else 0.0
-    return max(big * math.log2(big / ((1.0 + 3.0 * T) / 4.0)) + 3.0 * small_term, 0.0)
+    small_term = small * math.log2(small / ((1.0 - t) / 4.0)) if small > 1e-15 else 0.0
+    return max(big * math.log2(big / ((1.0 + 3.0 * t) / 4.0)) + 3.0 * small_term, 0.0)
 
 
 def test_werner_values_match_scalar_closed_forms():
     ws = np.concatenate(
         [np.linspace(T, 1.0, 2001), [1.0, T - 1e-13, T + 1e-13, T, 0.5, 0.0, -0.3]]
     )
+    # the Werner values of werner-sweep are the d = 2 isotropic ones
     for kind in KINDS:
-        got = werner_values(kind, ws)
+        got = isotropic_values(kind, 2, ws)
         assert got.tolist() == [_werner_scalar(kind, float(w)) for w in ws], kind
         for w in ws[::97]:
-            assert werner_measure(kind, float(w)).value == werner_values(kind, [w])[0]
+            assert werner_measure(kind, float(w)).value == isotropic_values(kind, 2, [w])[0]
         for bad in ([0.9, 1.2], [-0.34, 0.9], [0.9, math.nan]):
             with pytest.raises(OutOfRange):
-                werner_values(kind, bad)
+                isotropic_values(kind, 2, bad)
         # WernerParam admits rounding slack above 1, where 1 - w < 0
-        assert werner_values(kind, [1.0 + 5e-13])[0] == pytest.approx(werner_max(kind), abs=1e-11)
+        assert isotropic_values(kind, 2, [1.0 + 5e-13])[0] == pytest.approx(werner_max(kind), abs=1e-11)
 
 
 def test_iso_builds_no_density_matrix(monkeypatch, tmp_path):
@@ -238,7 +262,7 @@ def test_isotropic_values_match_dense_definitions():
 def test_isotropic_values_at_d2_are_werner_values():
     ws = np.concatenate([np.linspace(0.0, 1.0, 1001), [T, T + 1e-13, T + 1e-11]])
     for kind in KINDS:
-        assert np.max(np.abs(isotropic_values(kind, 2, ws) - werner_values(kind, ws))) <= 1e-15, kind
+        assert isotropic_values(kind, 2, ws).tolist() == [werner_measure(kind, w).value for w in ws], kind
 
 
 def test_isotropic_values_range_errors():
@@ -275,7 +299,7 @@ def test_relative_entropy_within_1e_15_of_decimal_reference():
     # pins the accuracy of the relative-entropy closed forms, whatever the
     # order in which they sum the spectrum's terms
     re = DistanceKind.RELATIVE_ENTROPY
-    cases = [(2, T, lambda ws: werner_values(re, ws))]
+    cases = [(2, WERNER_THRESHOLD, lambda ws: np.array([werner_measure(re, w).value for w in ws]))]
     for d in (2, 3, 5, 8):
         t = cglmp_threshold(d).omega_threshold
         cases.append((d, t, lambda ws, d=d: isotropic_values(re, d, ws)))
@@ -1129,7 +1153,8 @@ def test_bd_grid_structure_and_anchors():
 KIND_ENTRIES = {
     "werner_measure": lambda kind, local: werner_measure(kind, 0.5 if local else 0.9),
     "isotropic_measure": lambda kind, local: isotropic_measure(kind, 3, 0.5 if local else 0.9),
-    "werner_values": lambda kind, local: werner_values(kind, [0.5 if local else 0.9]),
+    # werner-sweep's array values, which are the d = 2 isotropic ones
+    "werner_values": lambda kind, local: isotropic_values(kind, 2, [0.5 if local else 0.9]),
     "isotropic_values": lambda kind, local: isotropic_values(kind, 3, [0.5 if local else 0.9]),
     "isotropic_reference_formula": lambda kind, local: isotropic_reference_formula(kind, 3, 0.5 if local else 0.9),
     "bd_measure": lambda kind, local: bd_measure(kind, (0.3, 0.3, -0.3) if local else (0.84, 0.63, -0.5)),

@@ -296,6 +296,21 @@ def test_werner_constructor_physical(w):
     make_werner(w).validate()
 
 
+def test_werner_range_is_the_d2_isotropic_range():
+    # w = -1/3 is physical, its singlet weight being 0, and both records
+    # admit the same rounding slack at either end
+    third = -1.0 / 3.0
+    assert WernerParam(third).w == third
+    make_werner(third).validate()
+    for ok in (third - 5e-13, 1.0 + 5e-13):
+        assert WernerParam(ok).w == IsotropicParam(2, ok).omega == ok
+    for bad in (third - 1e-11, 1.2, math.nan):
+        with pytest.raises(OutOfRange):
+            WernerParam(bad)
+        with pytest.raises(OutOfRange):
+            IsotropicParam(2, bad)
+
+
 def test_werner_corner_spectrum():
     # make_werner is the singlet corner; every Bell corner has its spectrum
     w = 0.8
