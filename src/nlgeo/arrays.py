@@ -37,17 +37,6 @@ def _xlog2(x: np.ndarray, ref: float) -> np.ndarray:
     return out
 
 
-def _spectral_values(kind: DistanceKind, d: int, t: float, omega: np.ndarray) -> np.ndarray:
-    """spectral_formula at each weight of omega; local entries (omega <= t)
-    give exactly 0.0."""
-    out = np.zeros(omega.shape)
-    is_nonlocal = omega > t + BOUNDARY_TOL
-    out[is_nonlocal] = spectral_formula(
-        kind, d, t, omega[is_nonlocal], sqrt=np.sqrt, nonneg=_nonneg, xlog2=_xlog2
-    )
-    return out
-
-
 def _checked(d: int, omega) -> np.ndarray:
     """omega as a float array after checking its extremes with IsotropicParam.
 
@@ -70,7 +59,13 @@ def isotropic_values(kind: DistanceKind, d: int, omega) -> np.ndarray:
     OutOfRange.
     """
     omega = _checked(d, omega)
-    return _spectral_values(kind, d, cglmp_threshold(d).omega_threshold, omega)
+    t = cglmp_threshold(d).omega_threshold
+    out = np.zeros(omega.shape)
+    is_nonlocal = omega > t + BOUNDARY_TOL
+    out[is_nonlocal] = spectral_formula(
+        kind, d, t, omega[is_nonlocal], sqrt=np.sqrt, nonneg=_nonneg, xlog2=_xlog2
+    )
+    return out
 
 
 def isotropic_reference_formula(kind: DistanceKind, d: int, omega):

@@ -249,9 +249,10 @@ def cmd_iso(args) -> int:
     from .arrays import formula_agrees, isotropic_reference_formula, isotropic_values
 
     kinds = _kinds(args, default=["hs"])
-    # a bad omega is an argument error here, unlike library-level OutOfRange
+    # a bad omega is an argument error here, unlike library-level OutOfRange;
+    # above 1 it has IsotropicParam's rounding slack, as werner-sweep's w has
     lo = -1.0 / (args.d * args.d - 1.0)
-    if args.omega is not None and not (lo <= args.omega <= 1.0):
+    if args.omega is not None and not (lo <= args.omega <= 1.0 + 1e-12):
         raise ValueError(f"omega {args.omega} outside [{lo:.6g}, 1]")
     thr = cglmp_threshold(args.d)
     if args.omega is not None:
@@ -259,7 +260,7 @@ def cmd_iso(args) -> int:
     else:
         if args.omega_min is None:
             args.omega_min = thr.omega_threshold
-        if not (lo <= args.omega_min < args.omega_max <= 1.0):
+        if not (lo <= args.omega_min < args.omega_max <= 1.0 + 1e-12):
             raise ValueError(
                 f"need {lo:.6g} <= omega-min < omega-max <= 1, "
                 f"got [{args.omega_min}, {args.omega_max}]"

@@ -14,7 +14,7 @@ import math
 from collections import namedtuple
 from operator import itemgetter
 
-from .qstate import BellDiagonal, bd_probs_to_corr, float_vector, physical_probs, whole_number
+from .qstate import BellDiagonal, bd_probs_to_corr, float_vector, whole_number
 
 BOUNDARY_TOL = 1e-12
 
@@ -103,27 +103,16 @@ def _pair_sum(a1: float, a2: float, a3: float) -> float:
     return max(s1 + s2, s1 + s3, s2 + s3)
 
 
-def checked_state(a) -> BellDiagonal:
-    """The Bell-diagonal state of correlators a, through the one input check
-    of bd_is_chsh_local and of every measure: a is converted to floats once,
-    which are weighed and checked once (physical_probs), so it raises
-    DimensionMismatch unless a holds 3 numbers and NonPhysical outside the
-    tetrahedron. The state is built from those floats and weights as they are.
-    """
-    a = float_vector(a, 3, "correlator")
-    return BellDiagonal._of(a, physical_probs(a))
-
-
 def bd_is_chsh_local(a) -> bool:
     """CHSH locality of a Bell-diagonal state: every pair sum a_i^2 + a_j^2 <= 1.
 
-    a is the state's correlators, which pass checked_state: DimensionMismatch
-    unless a holds 3 of them and NonPhysical outside the tetrahedron. Or a is
-    the BellDiagonal state itself, taken as checked when it was built
-    (checked_state, BellDiagonal.from_corr or from_probs), as every measure
-    passes it. The boundary counts as local.
+    a is the state's correlators, which pass BellDiagonal.from_corr:
+    DimensionMismatch unless a holds 3 of them and NonPhysical outside the
+    tetrahedron. Or a is the BellDiagonal state itself, as every measure
+    passes it, which was checked when it was built. The boundary counts as
+    local.
     """
-    state = a if isinstance(a, BellDiagonal) else checked_state(a)
+    state = a if isinstance(a, BellDiagonal) else BellDiagonal.from_corr(a)
     return _pair_sum(*state.a) <= 1.0 + BOUNDARY_TOL
 
 
@@ -135,7 +124,7 @@ class Chamber(namedtuple("Chamber", "e order")):
 
 def bell_chamber(e) -> Chamber:
     """The symmetry chamber of Bell weights e, which the caller has checked
-    (checked_state): the weights themselves are permuted, never their
+    (BellDiagonal.from_corr): the weights themselves are permuted, never their
     correlators, so the sorted weights are the input's bit for bit."""
     order = tuple(sorted((0, 1, 2, 3), key=e.__getitem__, reverse=True))
     return Chamber(itemgetter(*order)(e), order)

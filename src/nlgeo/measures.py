@@ -24,8 +24,10 @@ from collections import namedtuple
 
 from .errors import NotConverged, OutOfRange
 from .kinds import DistanceKind, known_kind
-from .locality import BOUNDARY_TOL, bd_is_chsh_local, bell_chamber, cglmp_threshold, checked_state, from_chamber
-from .qstate import BELL_CORNERS, IsotropicParam, WernerParam, bd_corr_to_probs, bd_probs_to_corr, whole_number
+from .locality import BOUNDARY_TOL, bd_is_chsh_local, bell_chamber, cglmp_threshold, from_chamber
+from .qstate import (
+    BELL_CORNERS, BellDiagonal, IsotropicParam, WernerParam, bd_corr_to_probs, bd_probs_to_corr, whole_number,
+)
 from . import solver
 
 # a Werner state is the d = 2 isotropic state, local up to the CHSH value 1/sqrt(2)
@@ -262,10 +264,10 @@ def _trace_in_chamber(b1: float, b2: float, b3: float):
 def _in_chamber(kind: DistanceKind, a) -> MeasureResult:
     """The measure of kind in the symmetry chamber of a's Bell weights
     (nlgeo.solver), mapped back by locality.from_chamber. a passes the one
-    input check first (locality.checked_state), which converts it, weighs
+    input check first (BellDiagonal.from_corr), which converts it, weighs
     it and checks it once; bd_is_chsh_local takes that checked state, the
     chamber sorts its weights, and a local input is the state itself."""
-    state = checked_state(a)
+    state = BellDiagonal.from_corr(a)
     if bd_is_chsh_local(state):
         return _closed_form(kind, 0.0, state)
     e, order = bell_chamber(state.e)

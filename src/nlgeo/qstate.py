@@ -92,12 +92,14 @@ class _Checked:
 
 class BellDiagonal(_Checked, namedtuple("BellDiagonal", "a e")):
     """Bell-diagonal state given by correlators a (3) and Bell weights e (4),
-    each a tuple of floats."""
+    each a tuple of floats. Every public way to build one checks it, so a
+    BellDiagonal is a checked state: the constructor, _make and _replace
+    check a as from_corr does and e as from_probs does."""
 
     __slots__ = ()
 
     def __new__(cls, a, e):
-        return super().__new__(cls, tuple(map(float, a)), tuple(map(float, e)))
+        return cls._of(cls.from_corr(a).a, cls.from_probs(e).e)
 
     @classmethod
     def _of(cls, a, e) -> "BellDiagonal":
@@ -107,6 +109,11 @@ class BellDiagonal(_Checked, namedtuple("BellDiagonal", "a e")):
 
     @classmethod
     def from_corr(cls, a) -> "BellDiagonal":
+        """The state of correlators a, the one input check of
+        locality.bd_is_chsh_local and of every measure: a is converted to
+        floats once, which are weighed and checked once (physical_probs), so
+        it raises DimensionMismatch unless a holds 3 numbers and NonPhysical
+        outside the tetrahedron. The state keeps those floats and weights."""
         a = float_vector(a, 3, "correlator")
         return cls._of(a, physical_probs(a))
 

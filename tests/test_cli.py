@@ -462,6 +462,21 @@ def test_werner_sweep_ranges_as_iso_does_at_d2(tmp_path, capsys):
     assert capsys.readouterr().err == "nlgeo: need -1/3 <= w-min < w-max <= 1, got [-0.4, 1.0]\n"
 
 
+def test_iso_admits_the_rounding_slack_of_werner_sweep(tmp_path, capsys):
+    # IsotropicParam, WernerParam and werner-sweep admit up to 1 + 1e-12
+    out = str(tmp_path / "i.csv")
+    assert run(["werner-sweep", "--w-max", "1.0000000000005", "--n", "3", "--out", out]) == 0
+    assert run(["iso", "--d", "2", "--omega", "1.0000000000005", "--out", out]) == 0
+    assert run(["iso", "--d", "2", "--omega-max", "1.0000000000005", "--n", "3", "--out", out]) == 0
+    capsys.readouterr()
+    assert run(["iso", "--d", "2", "--omega", "1.5", "--out", out]) == 2
+    assert run(["iso", "--d", "2", "--omega-max", "1.5", "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        "nlgeo: omega 1.5 outside [-0.333333, 1]\n"
+        "nlgeo: need -0.333333 <= omega-min < omega-max <= 1, got [0.7071067811865476, 1.5]\n"
+    )
+
+
 def test_stdout_output(capsys):
     assert run(["bd-measure", "--a", "0.84,0.63,-0.5", "--kind", "hs"]) == 0
     captured = capsys.readouterr().out

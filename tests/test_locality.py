@@ -12,7 +12,6 @@ from nlgeo import solver
 from nlgeo.locality import (
     bd_is_chsh_local,
     _qk,
-    checked_state,
     cglmp_threshold,
     chsh_verdict,
     from_chamber,
@@ -119,9 +118,10 @@ def test_bd_is_chsh_local_takes_a_checked_state(rng):
     # the state, as every measure passes it, has the verdict of its correlators
     for _ in range(200):
         a = random_tetra_corr(rng)
-        for state in (checked_state(a), BellDiagonal.from_corr(a), BellDiagonal.from_probs(bd_corr_to_probs(a))):
+        e = bd_corr_to_probs(a)
+        for state in (BellDiagonal.from_corr(a), BellDiagonal.from_probs(e), BellDiagonal(a, e)):
             assert bd_is_chsh_local(state) == bd_is_chsh_local(a), a
-    assert bd_is_chsh_local(checked_state((-T, -T, -T)))
+    assert bd_is_chsh_local(BellDiagonal.from_corr((-T, -T, -T)))
 
 
 def test_local_set_is_convex(rng):

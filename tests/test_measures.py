@@ -40,7 +40,7 @@ from nlgeo.measures import (
     werner_measure,
     WERNER_THRESHOLD,
 )
-from nlgeo import arrays, dense, locality, measures, qstate, solver
+from nlgeo import arrays, dense, measures, qstate, solver
 from nlgeo.arrays import formula_agrees, isotropic_reference_formula, isotropic_values
 from nlgeo.cli import main
 from nlgeo.kinds import DistanceKind
@@ -829,7 +829,7 @@ def test_one_physicality_check_per_measure(kind, monkeypatch):
         m for name, m in sys.modules.items()
         if name.startswith("nlgeo") and getattr(m, "physical_probs", None) is physical_probs
     ]
-    assert {qstate, locality} <= set(bound)
+    assert {qstate} <= set(bound)
     for module in bound:
         monkeypatch.setattr(module, "physical_probs", counting)
     for a, local in (((0.5, 0.4, -0.3), True), ((0.84, 0.63, -0.5), False)):

@@ -411,6 +411,33 @@ def test_one_physicality_check_and_one_error():
         assert str(info.value) == f"correlators {list(a)} lie outside the physical tetrahedron"
 
 
+def test_every_public_way_to_build_a_bell_diagonal_checks_it():
+    # a BellDiagonal is a checked state, so bd_is_chsh_local can trust one
+    state = BellDiagonal.from_corr((0.1, 0.2, 0.3))
+    nonphysical = [
+        lambda: BellDiagonal((2.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)),
+        lambda: BellDiagonal._make(((2.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))),
+        lambda: state._replace(a=(3.0, 3.0, 3.0)),
+        lambda: bd_is_chsh_local(BellDiagonal((2.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))),
+        lambda: bd_is_chsh_local(state._replace(a=(3.0, 3.0, 3.0))),
+        # e is checked as from_probs checks it, its correlators included
+        lambda: state._replace(e=SLACK_WEIGHTS),
+    ]
+    for call in nonphysical:
+        with pytest.raises(NonPhysical):
+            call()
+    with pytest.raises(InvalidProbability):
+        state._replace(e=(0.5, 0.6, 0.0, -0.1))
+    with pytest.raises(DimensionMismatch):
+        state._replace(a=(0.1, 0.2))
+    with pytest.raises(DimensionMismatch):
+        BellDiagonal(state.a, (0.5, 0.5, 0.0))
+    # a physical record comes back as float tuples, equal to the checked state
+    built = BellDiagonal(np.array(state.a), np.array(state.e))
+    assert built == state == state._replace() == BellDiagonal._make(state)
+    assert all(type(v) is tuple and all(type(x) is float for x in v) for v in built)
+
+
 def test_random_tetra_points_are_physical(rng):
     for _ in range(N_ROUNDTRIPS):
         make_bell_diagonal(a=random_tetra_corr(rng)).validate()

@@ -1,12 +1,14 @@
 import math
 
+import numpy as np
+
 from nlgeo import locality, measures, solver, validation
 from nlgeo.cli import main
 from nlgeo.errors import NotConverged
 from nlgeo.measures import bd_measure_numeric
 from nlgeo.kinds import DistanceKind
 from nlgeo.validation import GRID_TOL, MULTISEED_POINTS, ORACLE_POINTS, run_validation
-from nlgeo.qstate import BellDiagonal
+from nlgeo.qstate import BellDiagonal, bd_probs_to_corr
 
 
 def test_multiseed_points_are_physical_and_nonlocal():
@@ -72,6 +74,41 @@ def test_validation_kernel_calls_and_angle_steps(monkeypatch):
     monkeypatch.setattr(solver, "minimize_over_local_set", counting)
     assert all(c.passed for c in run_validation())
     assert counts == {"solves": 185, "calls": 543, "steps": 362}, counts
+
+
+def test_kernel_calls_and_angle_steps_off_the_werner_line(monkeypatch):
+    # the same counts, per kind, on seeded Dirichlet(0.3) nonlocal states near
+    # the Bell corners, as random_bd draws them; trace is a closed form and
+    # makes no solve. Every solve converges, and the 240 solves make 1,978
+    # kernel calls over 858 steps
+    rng = np.random.default_rng(11)
+    inputs = []
+    while len(inputs) < 60:
+        a = bd_probs_to_corr(rng.dirichlet([0.3] * 4))
+        if not locality.bd_is_chsh_local(a):
+            inputs.append(a)
+    minimize = solver.minimize_over_local_set
+    counts = {}
+
+    def counting(terms, facet, t):
+        def counted(*w):
+            tally[1] += 1
+            return terms(*w)
+
+        report = minimize(counted, facet, t)
+        assert report.converged
+        tally[0] += 1
+        tally[2] += report.iterations
+        return report
+
+    monkeypatch.setattr(solver, "minimize_over_local_set", counting)
+    for kind in DistanceKind:
+        tally = counts[kind.value] = [0, 0, 0]
+        for a in inputs:
+            assert measures.bd_measure(kind, a).converged, (kind, a)
+    assert counts == {
+        "hs": [60, 198, 152], "he": [60, 633, 238], "bu": [60, 633, 238], "re": [60, 514, 230], "tr": [0, 0, 0],
+    }, counts
 
 
 def test_multiseed_fails_on_a_wrong_axis_map(monkeypatch):
