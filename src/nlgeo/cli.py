@@ -6,10 +6,10 @@ non-convergence. A reader that closes the output pipe early
 (``nlgeo werner-sweep | head -2``) has chosen to stop, so that exits 0
 without a traceback. Output is CSV (default) or JSON with the same records
 (JSON writes a non-finite float, which it cannot represent, as null). nlgeo
-writes both formats itself, row by row; the JSON follows the json module's
-indent=2 layout. A column whose first cell is a float is a float column,
-whose cells go straight into one row template per table; only the other
-cells are formatted one by one.
+writes both formats itself, a block of BLOCK_ROWS rows per % call and per
+write; the JSON follows the json module's indent=2 layout. A column whose
+first cell is a float is a float column, whose cells go straight into the
+block's template; only the other cells are formatted one by one.
 Metadata lines carry the tool version, the value conventions and the seed, so
 a fixed command line reproduces byte-identical files.
 
@@ -55,6 +55,11 @@ CONVENTIONS = "hellinger=squared bures=squared log_base=2 boundary=local"
 # bound) and runs once per d per process, however many kinds iso measures
 ISO_MAX_D = 100_000
 
+# rows per % call and per write in write_table. Smaller blocks (16 to 512
+# rows) raised peak RSS by 1.4-3 MB over repeated large JSON tables, whose
+# block texts fragment the heap; blocks of 2048 rows raised it by none
+BLOCK_ROWS = 2048
+
 
 def _fmt(v) -> str:
     """One CSV cell. Floats, nearly every cell, are tested first."""
@@ -80,53 +85,66 @@ def _json_cell(v) -> str:
 
 
 def write_table(out, columns, rows, meta_pairs, fmt: str) -> None:
-    """Write the header once, then each row through one row template.
+    """Write the header once, then the rows a block of BLOCK_ROWS at a time.
 
     CSV: `# key: value` metadata lines, the column line, one line per row.
     JSON: {"meta", "columns", "records"} in the json module's indent=2
-    layout, written row by row, so no record dict is built. The column names
-    must be unique, as JSON object keys are.
+    layout, so no record dict is built. The column names must be unique, as
+    JSON object keys are. Each row is a sequence of one cell per column; a
+    row of another length raises TypeError.
 
-    A column whose cell in the first row is a float (np.float64 included;
-    a bool is not) is a float column, and each of its later cells must be a
-    float or an int. The row template takes those cells as they are, as
-    %.17g in CSV and as str, which for a Python float is float.__repr__, in
-    JSON, so a float cell costs no Python call. Every other cell is written
-    by _fmt or _json_cell. In JSON, the float cells of a row whose sum is not
-    a finite Python float go through _json_cell too: a non-finite value is
-    written as null, and an np.float64, whose str follows numpy's print
-    options, as float.__repr__.
+    Each block's cells are flattened into one list and written by one %
+    call, on the row template repeated once per row of the block, and one
+    write. A column whose cell in the first row is a float (np.float64
+    included; a bool is not) is a float column, and each of its later cells
+    must be a float or an int. The template takes those cells as they are,
+    as %.17g in CSV and as str, which for a Python float is float.__repr__,
+    in JSON, so a float cell costs no Python call. Every other cell is
+    written by _fmt or _json_cell. In JSON, the float cells of a block go
+    through _json_cell too unless each is a Python float and their sum is
+    finite: a non-finite value is written as null, and an np.float64, whose
+    str follows numpy's print options, as float.__repr__.
     """
     rows = iter(rows)
     first = next(rows, None)
     rows = rows if first is None else itertools.chain((first,), rows)
+    width = len(columns)
     floats = [i for i, v in enumerate(() if first is None else first) if isinstance(v, float)]
-    other_at = [i for i in range(len(columns)) if i not in floats]
+    # a column's cells in a block's flat list: cells[i::width]
+    other = [slice(i, None, width) for i in range(width) if i not in floats]
     if fmt == "json":
         head = json.dumps({"meta": dict(meta_pairs), "columns": list(columns)}, indent=2)
         # the dict's closing "\n}" makes way for the records array
         out.write(head[:-2] + ',\n  "records": [')
         fields = ",".join(f"\n      {json.dumps(c).replace('%', '%%')}: %s" for c in columns)
         template, cell, sep = "\n    {" + fields + "\n    }", _json_cell, ","
-        checked = floats
+        checked = [slice(i, None, width) for i in floats]
     else:
         out.write("".join(f"# {k}: {_fmt(v)}\n" for k, v in meta_pairs))
         out.write(",".join(columns) + "\n")
-        slots = ["%.17g" if i in floats else "%s" for i in range(len(columns))]
+        slots = ["%.17g" if i in floats else "%s" for i in range(width)]
         template, cell, sep = ",".join(slots) + "\n", _fmt, ""
-        # %.17g writes inf, nan and np.float64 as _fmt does, so no row is checked
+        # %.17g writes inf, nan and np.float64 as _fmt does, so no block is checked
         checked = []
     lead = ""
-    for r in rows:
-        cells = list(r)
-        for i in other_at:
-            cells[i] = cell(cells[i])
+    while block := list(itertools.islice(rows, BLOCK_ROWS)):
+        # every row, so a short row next to a long one cannot shift the cells
+        if set(map(len, block)) != {width}:
+            raise TypeError(f"every row must have {width} cells, one per column")
+        cells = list(itertools.chain.from_iterable(block))
+        for column in other:
+            cells[column] = map(cell, cells[column])
         if checked:
-            total = sum(map(cells.__getitem__, checked))
-            if type(total) is not float or not math.isfinite(total):
-                for i in checked:
-                    cells[i] = cell(cells[i])
-        out.write(lead + template % tuple(cells))
+            # types first: a sum that met an np.float64 would be numpy's, which
+            # warns on inf + -inf and on overflow
+            values = [cells[column] for column in checked]
+            types = set(map(type, itertools.chain.from_iterable(values)))
+            if types != {float} or not math.isfinite(sum(map(sum, values))):
+                for column in checked:
+                    cells[column] = map(cell, cells[column])
+        # the template is built for this block's own length, so a table of
+        # a few rows does not pay for a template of BLOCK_ROWS
+        out.write((lead + sep.join([template] * len(block))) % tuple(cells))
         lead = sep
     if fmt == "json":
         # an empty array closes on the same line: "records": []

@@ -94,12 +94,16 @@ class BellDiagonal(_Checked, namedtuple("BellDiagonal", "a e")):
     """Bell-diagonal state given by correlators a (3) and Bell weights e (4),
     each a tuple of floats. Every public way to build one checks it, so a
     BellDiagonal is a checked state: the constructor, _make and _replace
-    check a as from_corr does and e as from_probs does."""
+    check a as from_corr does and e as from_probs does, and raise
+    NonPhysical unless the correlators of e are a, within PROB_SUM_ATOL."""
 
     __slots__ = ()
 
     def __new__(cls, a, e):
-        return cls._of(cls.from_corr(a).a, cls.from_probs(e).e)
+        a, state = cls.from_corr(a).a, cls.from_probs(e)
+        if not all(abs(x - y) <= PROB_SUM_ATOL for x, y in zip(a, state.a)):
+            raise NonPhysical(f"correlators {list(a)} and weights {list(state.e)} are two different states")
+        return cls._of(a, state.e)
 
     @classmethod
     def _of(cls, a, e) -> "BellDiagonal":

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from nlgeo import cli, locality, measures, solver, validation
-from nlgeo.cli import KIND_CODES, build_parser, main, write_table
+from nlgeo.cli import BLOCK_ROWS, KIND_CODES, build_parser, main, write_table
 from nlgeo.locality import bd_is_chsh_local
 from nlgeo.measures import bd_measure, two_bell_mix_corr
 from nlgeo.kinds import DistanceKind
@@ -305,6 +305,20 @@ WRITER_TABLES = {
         [["hs", 0.5, True], ["re", -math.inf, None], ["bu", np.float64(0.25), False], ["tr", math.nan, True]],
         GRID_META,
     ),
+    # three blocks, the last of one row; nan, -inf and an np.float64 only in
+    # the second, so a block takes the per-cell path on its own
+    "blocks": (
+        ["x", "ok", "y"],
+        [
+            [
+                {BLOCK_ROWS + 5: math.nan, 2 * BLOCK_ROWS - 1: np.float64(i / 7)}.get(i, i / 7),
+                None if i % 3 == 0 else i % 2 == 0,
+                -math.inf if i == BLOCK_ROWS + 100 else 1 / (i + 1),
+            ]
+            for i in range(2 * BLOCK_ROWS + 1)
+        ],
+        GRID_META,
+    ),
 }
 
 
@@ -317,6 +331,15 @@ def test_write_table_matches_record_dict_writer(name, fmt):
     # where numpy's print options change the str of np.float64
     with np.printoptions(legacy="1.13"):
         assert written(write_table, table, fmt) == expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_row_of_the_wrong_length_raises_type_error(fmt):
+    # six cells in all, two per row on average: a short row next to a long
+    # one must not shift the cells between them
+    for rows in ([[0.5, 1.0], [0.5], [0.5, 1.0, 2.0]], [[0.5, 1.0], [0.5, 1.0, 2.0]]):
+        with pytest.raises(TypeError, match="every row must have 2 cells"):
+            write_table(io.StringIO(), ["x", "y"], rows, GRID_META, fmt)
 
 
 # commands with float columns, with every kind of cell they write: Bures'
@@ -335,6 +358,7 @@ TYPED_COMMANDS = [
     "argv",
     [
         ["werner-sweep", "--n", "4"],
+        ["werner-sweep", "--n", "5000"],
         ["bd-measure", "--a=0.84,0.63,-0.5", "--kind", "hs", "--kind", "tr"],
         ["iso", "--d", "3", "--n", "4", "--kind", "re", "--kind", "hs"],
         *TYPED_COMMANDS,
@@ -356,8 +380,8 @@ def _without_seconds(text: str) -> str:
 
 
 # every command, with float columns of each kind; iso stays below omega = 1,
-# where re's quoted formula is -inf and, in JSON, its row takes the per-cell
-# path on purpose
+# where re's quoted formula is -inf and, in JSON, its block takes the
+# per-cell path on purpose
 FLOAT_COLUMN_COMMANDS = [
     ["werner-sweep", "--n", "50"],
     ["werner-sweep", "--w-max", "1.0000000000005", "--kind", "he", "--n", "3"],
@@ -369,20 +393,23 @@ FLOAT_COLUMN_COMMANDS = [
 ]
 
 
+class CountingOut:
+    """An output that appends each text written to it to writes."""
+
+    def __init__(self, out, writes):
+        self.out, self.writes = out, writes
+
+    def write(self, text):
+        self.writes.append(text)
+        return self.out.write(text)
+
+
 def test_float_cells_make_no_per_cell_call(tmp_path, monkeypatch):
     # write_table finds every float column from the first row, so once the
     # header is written no float cell may reach the per-cell formatters; the
     # CSV metadata lines, written first, still use _fmt (iso's hold floats)
     writes = []
     real_write_table, fmt_cell, json_cell = cli.write_table, cli._fmt, cli._json_cell
-
-    class CountingOut:
-        def __init__(self, out):
-            self.out = out
-
-        def write(self, text):
-            writes.append(text)
-            return self.out.write(text)
 
     def guard(formatter):
         def refuse_float(v):
@@ -398,7 +425,7 @@ def test_float_cells_make_no_per_cell_call(tmp_path, monkeypatch):
             assert run(argv + ["--format", fmt, "--out", str(plain)]) == 0
             writes.clear()
             with monkeypatch.context() as m:
-                m.setattr(cli, "write_table", lambda out, *args: real_write_table(CountingOut(out), *args))
+                m.setattr(cli, "write_table", lambda out, *args: real_write_table(CountingOut(out, writes), *args))
                 m.setattr(cli, "_fmt", guard(fmt_cell))
                 m.setattr(cli, "_json_cell", guard(json_cell))
                 assert run(argv + ["--format", fmt, "--out", str(guarded)]) == 0, (argv, fmt)
@@ -408,6 +435,18 @@ def test_float_cells_make_no_per_cell_call(tmp_path, monkeypatch):
             if argv[0] == "validate":
                 texts = [_without_seconds(text) for text in texts]
             assert texts[0] == texts[1], (argv, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_werner_sweep_writes_one_block_per_call(fmt, tmp_path, monkeypatch):
+    # a count that does not depend on the machine: two writes besides the
+    # rows (CSV's metadata and column lines; JSON's head and close), then
+    # one per block of BLOCK_ROWS rows
+    writes = []
+    real_write_table = cli.write_table
+    monkeypatch.setattr(cli, "write_table", lambda out, *args: real_write_table(CountingOut(out, writes), *args))
+    assert run(["werner-sweep", "--n", "5000", "--format", fmt, "--out", str(tmp_path / "w")]) == 0
+    assert len(writes) == 2 + math.ceil(5000 / BLOCK_ROWS)
 
 
 @pytest.mark.parametrize(

@@ -123,7 +123,8 @@ def test_records_are_immutable_named_tuples():
         WernerParam(0.9)._replace(w=-0.5)
     with pytest.raises(NonPhysical):
         BellDiagonal.from_corr((1.0, 1.0, 1.0))
-    for bd in (BellDiagonal(np.array(a), np.array(bd_corr_to_probs(a))), res.closest_local._replace(a=np.array(a))):
+    closest = res.closest_local
+    for bd in (BellDiagonal(np.array(a), np.array(bd_corr_to_probs(a))), closest._replace(a=np.array(closest.a))):
         assert all(type(v) is tuple and all(type(x) is float for x in v) for v in bd)
     exact = measures.bd_measure(DistanceKind.HS, (0.1, 0.2, -0.3))
     assert (exact.surface, exact.iterations, exact.converged) == (None, 0, True)

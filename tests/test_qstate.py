@@ -438,6 +438,24 @@ def test_every_public_way_to_build_a_bell_diagonal_checks_it():
     assert all(type(v) is tuple and all(type(x) is float for x in v) for v in built)
 
 
+def test_a_bell_diagonal_of_two_different_states_is_refused():
+    # each of a and e is physical alone, but e's correlators are (1, 1, -1)
+    state = BellDiagonal.from_corr((0.1, 0.2, 0.3))
+    corner = BellDiagonal.from_probs((1.0, 0.0, 0.0, 0.0))
+    mismatched = [
+        lambda: BellDiagonal(state.a, corner.e),
+        lambda: BellDiagonal._make((state.a, corner.e)),
+        lambda: state._replace(e=corner.e),
+        lambda: corner._replace(a=state.a),
+    ]
+    for call in mismatched:
+        with pytest.raises(NonPhysical) as info:
+            call()
+        assert str(info.value) == f"correlators {list(state.a)} and weights {list(corner.e)} are two different states"
+    # weights that round back to a within rounding are the same state
+    assert BellDiagonal(state.a, bd_corr_to_probs(state.a)) == state
+
+
 def test_random_tetra_points_are_physical(rng):
     for _ in range(N_ROUNDTRIPS):
         make_bell_diagonal(a=random_tetra_corr(rng)).validate()
