@@ -14,7 +14,9 @@ Metadata lines carry the tool version, the value conventions and the seed, so
 a fixed command line reproduces byte-identical files.
 
 Only werner-sweep and iso, which evaluate closed forms over whole arrays,
-import numpy (nlgeo.arrays), and only when they run.
+import numpy (nlgeo.arrays), and only when they run. They evaluate every
+column before the header is written, then hand the writer rows a block at a
+time (_block_rows), so a table's Python rows never all exist at once.
 
 main() builds one parser per process, on its first call, and parses every
 later argv with it. build_parser() returns a fresh parser, so a caller that
@@ -55,9 +57,10 @@ CONVENTIONS = "hellinger=squared bures=squared log_base=2 boundary=local"
 # bound) and runs once per d per process, however many kinds iso measures
 ISO_MAX_D = 100_000
 
-# rows per % call and per write in write_table. Smaller blocks (16 to 512
-# rows) raised peak RSS by 1.4-3 MB over repeated large JSON tables, whose
-# block texts fragment the heap; blocks of 2048 rows raised it by none
+# rows per % call and per write in write_table, and per conversion in
+# _block_rows. Blocks of 16 to 512 rows raised peak RSS by 1.4-3 MB over
+# repeated large JSON tables (their texts fragment the heap), 2048 by none;
+# with rows made per block, 512 or 1024 would save under 0.5 MB
 BLOCK_ROWS = 2048
 
 
@@ -151,6 +154,18 @@ def write_table(out, columns, rows, meta_pairs, fmt: str) -> None:
         out.write("\n  ]\n}\n" if lead else "]\n}\n")
 
 
+def _block_rows(columns):
+    """The rows of equal-length 1-D arrays as tuples, each block of
+    BLOCK_ROWS rows converted when write_table reaches it; a None column
+    gives None cells. chain and map pass each row on without a Python call."""
+
+    def block(i):
+        return zip(*(itertools.repeat(None) if c is None else c[i : i + BLOCK_ROWS].tolist() for c in columns))
+
+    n = len(next(c for c in columns if c is not None))
+    return itertools.chain.from_iterable(map(block, range(0, n, BLOCK_ROWS)))
+
+
 def emit(args, columns, rows, **meta) -> None:
     """Write the table to args.out (stdout for None or "-") in args.format."""
     # the header keeps native values; the csv writer formats, json keeps the types
@@ -209,8 +224,8 @@ def cmd_werner_sweep(args) -> int:
     if not (-1.0 / 3.0 <= args.w_min < args.w_max <= 1.0 + 1e-12):
         raise ValueError(f"need -1/3 <= w-min < w-max <= 1, got [{args.w_min}, {args.w_max}]")
     ws = np.linspace(args.w_min, args.w_max, args.n)
-    # one expression, so no column array outlives the conversion to rows
-    rows = np.column_stack([ws, *per_kind(kinds, lambda k: isotropic_values(k, 2, ws) / werner_max(k))]).tolist()
+    # every column is evaluated here, before the header; rows are made per block
+    rows = _block_rows([ws, *per_kind(kinds, lambda k: isotropic_values(k, 2, ws) / werner_max(k))])
     columns = ["w"] + [k.value for k in kinds]
     emit(args, columns, rows)
     return 0
@@ -284,14 +299,13 @@ def cmd_iso(args) -> int:
                 f"got [{args.omega_min}, {args.omega_max}]"
             )
         omegas = np.linspace(args.omega_min, args.omega_max, args.n)
-    names, columns, empty = ["omega"], [omegas.tolist()], [None] * len(omegas)
+    names, columns = ["omega"], [omegas]
     for k, value in zip(kinds, per_kind(kinds, lambda k: isotropic_values(k, args.d, omegas))):
         names += [f"value_{k.value}", f"formula_{k.value}", f"consistent_{k.value}"]
+        # Bures has no quoted form: its formula and flag columns are None, so their cells are empty
         reference = isotropic_reference_formula(k, args.d, omegas)
-        agrees = formula_agrees(value, reference)
-        # Bures has no quoted form, so its formula and flag cells are empty
-        columns += [value.tolist()] + [empty if c is None else c.tolist() for c in (reference, agrees)]
-    emit(args, names, zip(*columns), d=args.d, i_d_qm=thr.i_d_qm, omega_threshold=thr.omega_threshold)
+        columns += [value, reference, formula_agrees(value, reference)]
+    emit(args, names, _block_rows(columns), d=args.d, i_d_qm=thr.i_d_qm, omega_threshold=thr.omega_threshold)
     return 0
 
 

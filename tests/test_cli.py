@@ -1,4 +1,5 @@
 import argparse
+import collections
 import csv
 import io
 import json
@@ -10,6 +11,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -342,13 +344,71 @@ def test_a_row_of_the_wrong_length_raises_type_error(fmt):
             write_table(io.StringIO(), ["x", "y"], rows, GRID_META, fmt)
 
 
+ALL_KINDS = [flag for k in KIND_CODES for flag in ("--kind", k)]
+
+
+@pytest.mark.parametrize("n", [1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+def test_block_rows_are_the_rows_of_the_columns(n):
+    rng = np.random.default_rng(n)
+    columns = [rng.random(n), np.arange(n) % 3 == 0, np.linspace(-1.0, 1.0, n)]
+    rows = list(cli._block_rows(columns))
+    assert rows == list(zip(*(c.tolist() for c in columns)))
+    assert {type(v) for row in rows for v in row} == {float, bool}
+
+
+def test_block_rows_give_none_cells_for_a_none_column():
+    rows = list(cli._block_rows([None, np.linspace(0.0, 1.0, BLOCK_ROWS + 1), None]))
+    assert len(rows) == BLOCK_ROWS + 1
+    assert all(row[0] is None and row[2] is None for row in rows)
+
+
+class SlicedColumn:
+    """A 1-D array that records each slice taken of it."""
+
+    def __init__(self, array, taken):
+        self.array, self.taken = array, taken
+
+    def __len__(self):
+        return len(self.array)
+
+    def __getitem__(self, key):
+        self.taken.append(key)
+        return self.array[key]
+
+
+def test_block_rows_convert_a_block_when_it_is_taken():
+    taken = []
+    rows = cli._block_rows([SlicedColumn(np.zeros(2 * BLOCK_ROWS + 1), taken)])
+    assert taken == []
+    next(rows)
+    assert taken == [slice(0, BLOCK_ROWS)]
+    assert len(list(rows)) == 2 * BLOCK_ROWS
+    assert taken == [slice(i, i + BLOCK_ROWS) for i in range(0, 2 * BLOCK_ROWS + 1, BLOCK_ROWS)]
+
+
+def test_draining_block_rows_holds_about_one_block():
+    # a count that does not depend on the machine: the traced peak of Python
+    # allocations. A converted float cell costs 32 B (the float and its list
+    # slot), so the bound is two blocks of seven such columns. Draining reads
+    # 0.35 MB; converting each whole column at once costs about 18 MB
+    n, rng = 100_000, np.random.default_rng(7)
+    columns = [*(rng.random(n) for _ in range(5)), rng.random(n) < 0.5, None]
+    tracemalloc.start()
+    try:
+        collections.deque(cli._block_rows(columns), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 7 * 32 * BLOCK_ROWS
+
+
 # commands with float columns, with every kind of cell they write: Bures'
 # all-None formula and flag columns, re's -inf formula (null in JSON) and a
 # Werner parameter just past 1
 TYPED_COMMANDS = [
     ["bd-sweep", "--n", "5"],
     ["bd-grid", "--grid-n", "4", "--kind", "hs"],
-    ["iso", "--d", "2", "--omega", "1.0", *(flag for k in KIND_CODES for flag in ("--kind", k))],
+    ["iso", "--d", "2", "--omega", "1.0", *ALL_KINDS],
     ["werner-sweep", "--w-max", "1.0000000000005", "--kind", "he", "--n", "3"],
 ]
 
@@ -362,6 +422,11 @@ TYPED_COMMANDS = [
         ["bd-measure", "--a=0.84,0.63,-0.5", "--kind", "hs", "--kind", "tr"],
         ["iso", "--d", "3", "--n", "4", "--kind", "re", "--kind", "hs"],
         *TYPED_COMMANDS,
+        # Bures' None columns span three blocks
+        ["iso", "--d", "3", "--n", "5000", *ALL_KINDS],
+        # re's -inf formula, at omega = 1, is in the last block only, so only
+        # that JSON block takes the per-cell path
+        ["iso", "--d", "2", "--n", "4097", "--omega-max", "1.0", *ALL_KINDS],
     ],
 )
 def test_commands_write_what_the_record_dict_writer_wrote(argv, fmt, tmp_path, monkeypatch):
@@ -388,7 +453,7 @@ FLOAT_COLUMN_COMMANDS = [
     ["bd-sweep", "--n", "5"],
     ["bd-grid", "--grid-n", "4", "--kind", "hs"],
     ["bd-measure", "--a=0.84,0.63,-0.5"],
-    ["iso", "--d", "3", "--n", "6", "--omega-max", "0.99", *(flag for k in KIND_CODES for flag in ("--kind", k))],
+    ["iso", "--d", "3", "--n", "6", "--omega-max", "0.99", *ALL_KINDS],
     ["validate"],
 ]
 
@@ -437,16 +502,46 @@ def test_float_cells_make_no_per_cell_call(tmp_path, monkeypatch):
             assert texts[0] == texts[1], (argv, fmt)
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_werner_sweep_writes_one_block_per_call(fmt, tmp_path, monkeypatch):
-    # a count that does not depend on the machine: two writes besides the
-    # rows (CSV's metadata and column lines; JSON's head and close), then
-    # one per block of BLOCK_ROWS rows
+def count_writes(argv, tmp_path, monkeypatch):
     writes = []
     real_write_table = cli.write_table
     monkeypatch.setattr(cli, "write_table", lambda out, *args: real_write_table(CountingOut(out, writes), *args))
-    assert run(["werner-sweep", "--n", "5000", "--format", fmt, "--out", str(tmp_path / "w")]) == 0
-    assert len(writes) == 2 + math.ceil(5000 / BLOCK_ROWS)
+    assert run(argv + ["--out", str(tmp_path / "w")]) == 0
+    return len(writes)
+
+
+# a count that does not depend on the machine: two writes besides the rows
+# (CSV's metadata and column lines; JSON's head and close), then one per
+# block of BLOCK_ROWS rows
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_werner_sweep_writes_one_block_per_call(fmt, tmp_path, monkeypatch):
+    argv = ["werner-sweep", "--n", "5000", "--format", fmt]
+    assert count_writes(argv, tmp_path, monkeypatch) == 2 + math.ceil(5000 / BLOCK_ROWS)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_iso_writes_one_block_per_call(fmt, tmp_path, monkeypatch):
+    argv = ["iso", "--d", "3", "--n", "5000", *ALL_KINDS, "--format", fmt]
+    assert count_writes(argv, tmp_path, monkeypatch) == 2 + math.ceil(5000 / BLOCK_ROWS)
+
+
+@pytest.mark.parametrize("argv", [["werner-sweep"], ["iso", "--d", "3", *ALL_KINDS]])
+def test_array_command_memory_grows_less_than_250_bytes_a_row(argv, tmp_path):
+    # a count that does not depend on the machine: the traced peak of Python
+    # allocations. Converting every row at once costs 312 B a row
+    # (werner-sweep) and about 420 B (iso, all kinds); a block at a time
+    # leaves about 140 and 160 B, mostly the closed forms' own temporaries
+    out = str(tmp_path / "t.csv")
+    assert run(argv + ["--n", "3", "--out", out]) == 0  # imports and caches first
+    peaks = []
+    for n in (20_000, 100_000):
+        tracemalloc.start()
+        try:
+            assert run(argv + ["--n", str(n), "--out", out]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 80_000 < 250, peaks
 
 
 @pytest.mark.parametrize(
