@@ -14,7 +14,7 @@ import math
 from collections import namedtuple
 from operator import itemgetter
 
-from .qstate import BellDiagonal, bd_probs_to_corr, float_vector, whole_number
+from .qstate import BellDiagonal, _correlators, float_vector, whole_number
 
 BOUNDARY_TOL = 1e-12
 
@@ -138,7 +138,7 @@ def from_chamber(order, w, pairs):
     times the three pair sets that the solve and the trace form end on."""
     e = [0.0] * 4
     e[order[0]], e[order[1]], e[order[2]], e[order[3]] = w
-    return BellDiagonal._of(bd_probs_to_corr(e), tuple(e)), _chamber_surface(order, pairs)
+    return BellDiagonal._of(_correlators(e), tuple(e)), _chamber_surface(order, pairs)
 
 
 @functools.cache

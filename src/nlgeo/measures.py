@@ -26,7 +26,7 @@ from .errors import NotConverged, OutOfRange
 from .kinds import DistanceKind, known_kind
 from .locality import BOUNDARY_TOL, bd_is_chsh_local, bell_chamber, cglmp_threshold, from_chamber
 from .qstate import (
-    BELL_CORNERS, BellDiagonal, IsotropicParam, WernerParam, bd_corr_to_probs, bd_probs_to_corr, whole_number,
+    BELL_CORNERS, BellDiagonal, IsotropicParam, WernerParam, _correlators, _weights, whole_number,
 )
 from . import solver
 
@@ -271,13 +271,11 @@ def _in_chamber(kind: DistanceKind, a) -> MeasureResult:
     if bd_is_chsh_local(state):
         return _closed_form(kind, 0.0, state)
     e, order = bell_chamber(state.e)
-    e0, e1, e2, e3 = e
-    # the chamber's correlators, summed as bd_probs_to_corr sums them
-    x1, x2, x3 = (e0 - e2) + (e1 - e3), (e0 + e2) - (e1 + e3), (e2 - e0) + (e1 - e3)
+    x1, x2, x3 = _correlators(e)
     method = "lagrange_case"
     if kind is DistanceKind.TRACE:
         (p1, p2, p3), pairs, value = _trace_in_chamber(x1, x2, abs(x3))
-        w, steps, converged = bd_corr_to_probs((p1, p2, math.copysign(p3, x3))), 0, True
+        w, steps, converged = _weights((p1, p2, math.copysign(p3, x3))), 0, True
     else:
         # the HS minimizer on the cylinder (1, 2) is at the input's own angle,
         # and the he and re minimizers lie near it
@@ -398,7 +396,7 @@ def bd_grid(kind: DistanceKind, grid_n: int) -> list[tuple[float, float, float]]
         for mid in range(lo, (grid_n - lo) // 2 + 1):
             hi = grid_n - lo - mid
             e = [frac[lo], frac[mid], frac[hi], 0.0]
-            res = bd_measure(kind, bd_probs_to_corr(e))
+            res = bd_measure(kind, _correlators(e))
             if not res.converged:
                 raise NotConverged(f"{kind.value} solve at e = {e} did not converge")
             value[lo][mid] = value[lo][hi] = value[mid][lo] = value[mid][hi] = value[hi][lo] = value[hi][mid] = (

@@ -12,6 +12,7 @@ constructors and the symmetrizing maps) live in nlgeo.dense, the numpy layer.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import length_hint
 
 from .errors import DimensionMismatch, InvalidProbability, NonPhysical, OutOfRange
 
@@ -29,29 +30,57 @@ BELL_CORNERS = (
 
 
 def float_vector(v, n: int, name: str) -> tuple:
-    """v as a tuple of n floats; DimensionMismatch unless it holds n numbers
-    (a str or bytes holds characters, which float would read as digits)."""
+    """v as a tuple of n floats; DimensionMismatch unless it holds n real numbers
+    (a str or bytes holds characters, which float would read as digits). Each
+    public entry converts here once; the private helpers below do not."""
     try:
         out = None if isinstance(v, (str, bytes)) else tuple(map(float, v))
     except TypeError:
+        # n items, one of them no real number (a complex, None)
+        if length_hint(v, -1) == n:
+            raise DimensionMismatch(f"{name} vector must hold {n} real numbers, got {v!r}") from None
         out = None
     if out is None or len(out) != n:
         raise DimensionMismatch(f"{name} vector must have length {n}, got {v!r}")
     return out
 
 
-def bd_probs_to_corr(e) -> tuple[float, float, float]:
-    """Map Bell weights e to correlators a. Raises InvalidProbability on bad e."""
-    e = float_vector(e, 4, "probability")
+def _correlators(e) -> tuple[float, float, float]:
+    """Correlators a_i = sum_k BELL_CORNERS[k][i] e_k of weight floats e, summed
+    as (k = 0, 2) + (k = 1, 3): numpy's order for the matrix product, bit for bit."""
     e0, e1, e2, e3 = e
-    # both checks are written so that a nan weight fails them
+    return ((e0 - e2) + (e1 - e3), (e0 + e2) - (e1 + e3), (e2 - e0) + (e1 - e3))
+
+
+def _weights(a) -> tuple[float, float, float, float]:
+    """Bell weights e_k = (1 + BELL_CORNERS[k] . a) / 4 of correlator floats
+    a: the terms of (1, a1, a2, a3), summed in the order _correlators uses."""
+    a1, a2, a3 = a
+    q1, q2, q3 = 0.25 * a1, 0.25 * a2, 0.25 * a3
+    return ((0.25 + q2) + (q1 - q3), (0.25 - q2) + (q1 + q3), (0.25 + q2) + (q3 - q1), (0.25 - q2) - (q1 + q3))
+
+
+def _probabilities(e) -> tuple[float, float, float, float]:
+    """Weight floats e, or InvalidProbability (written so that nan fails)."""
+    e0, e1, e2, e3 = e
     if not (e0 >= -PROB_NEG_ATOL and e1 >= -PROB_NEG_ATOL and e2 >= -PROB_NEG_ATOL and e3 >= -PROB_NEG_ATOL):
         raise InvalidProbability(f"negative or nan weight in {list(e)}")
     if not abs(sum(e) - 1.0) <= PROB_SUM_ATOL:
         raise InvalidProbability(f"weights {list(e)} sum to {sum(e)}, not 1")
-    # a_i = sum_k BELL_CORNERS[k][i] e_k, summed as (k = 0, 2) + (k = 1, 3):
-    # numpy's order for this product as a matrix, so the two agree bit for bit
-    return ((e0 - e2) + (e1 - e3), (e0 + e2) - (e1 + e3), (e2 - e0) + (e1 - e3))
+    return e
+
+
+def _physical(a) -> tuple[float, float, float, float]:
+    """Weights of correlator floats a, the one physicality check (nan fails too)."""
+    e = e0, e1, e2, e3 = _weights(a)
+    if not (e0 >= -PROB_NEG_ATOL and e1 >= -PROB_NEG_ATOL and e2 >= -PROB_NEG_ATOL and e3 >= -PROB_NEG_ATOL):
+        raise NonPhysical(f"correlators {list(a)} lie outside the physical tetrahedron")
+    return e
+
+
+def bd_probs_to_corr(e) -> tuple[float, float, float]:
+    """Map Bell weights e to correlators a. Raises InvalidProbability on bad e."""
+    return _correlators(_probabilities(float_vector(e, 4, "probability")))
 
 
 def bd_corr_to_probs(a) -> tuple[float, float, float, float]:
@@ -61,25 +90,13 @@ def bd_corr_to_probs(a) -> tuple[float, float, float, float]:
     physicality themselves. Raises DimensionMismatch unless a holds 3
     correlators.
     """
-    a1, a2, a3 = float_vector(a, 3, "correlator")
-    q1, q2, q3 = 0.25 * a1, 0.25 * a2, 0.25 * a3
-    # the terms of (1, a1, a2, a3), summed in the order bd_probs_to_corr uses
-    return (
-        (0.25 + q2) + (q1 - q3),
-        (0.25 - q2) + (q1 + q3),
-        (0.25 + q2) + (q3 - q1),
-        (0.25 - q2) - (q1 + q3),
-    )
+    return _weights(float_vector(a, 3, "correlator"))
 
 
 def physical_probs(a) -> tuple[float, float, float, float]:
-    """Bell weights of correlators a, the one physicality check: NonPhysical
+    """Bell weights of correlators a, through the one physicality check: NonPhysical
     unless each is >= -PROB_NEG_ATOL, DimensionMismatch unless a holds 3."""
-    e = e0, e1, e2, e3 = bd_corr_to_probs(a)
-    # written so that a nan weight fails too
-    if not (e0 >= -PROB_NEG_ATOL and e1 >= -PROB_NEG_ATOL and e2 >= -PROB_NEG_ATOL and e3 >= -PROB_NEG_ATOL):
-        raise NonPhysical(f"correlators {list(map(float, a))} lie outside the physical tetrahedron")
-    return e
+    return _physical(float_vector(a, 3, "correlator"))
 
 
 class _Checked:
@@ -115,18 +132,18 @@ class BellDiagonal(_Checked, namedtuple("BellDiagonal", "a e")):
     def from_corr(cls, a) -> "BellDiagonal":
         """The state of correlators a, the one input check of
         locality.bd_is_chsh_local and of every measure: a is converted to
-        floats once, which are weighed and checked once (physical_probs), so
-        it raises DimensionMismatch unless a holds 3 numbers and NonPhysical
+        floats once, which are weighed and checked once (_physical), so it
+        raises DimensionMismatch unless a holds 3 numbers and NonPhysical
         outside the tetrahedron. The state keeps those floats and weights."""
         a = float_vector(a, 3, "correlator")
-        return cls._of(a, physical_probs(a))
+        return cls._of(a, _physical(a))
 
     @classmethod
     def from_probs(cls, e) -> "BellDiagonal":
         # e passes with a sum within PROB_SUM_ATOL of 1, which can put a outside
-        e = float_vector(e, 4, "probability")
-        a = bd_probs_to_corr(e)
-        physical_probs(a)
+        e = _probabilities(float_vector(e, 4, "probability"))
+        a = _correlators(e)
+        _physical(a)
         return cls._of(a, e)
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 from collections import namedtuple
 
 import numpy as np
@@ -23,6 +24,23 @@ Projection = namedtuple("Projection", "point distance surface")
 @pytest.fixture
 def rng():
     return np.random.default_rng(SEED)
+
+
+def count_calls(monkeypatch, module, name):
+    """Record the arguments of every call of module.name, through every nlgeo
+    module name bound to it: returns the list of calls and the set of the
+    modules patched."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    bound = {m for key, m in sys.modules.items() if key.startswith("nlgeo") and getattr(m, name, None) is original}
+    for m in bound:
+        monkeypatch.setattr(m, name, counting)
+    return calls, bound
 
 
 def random_density(rng, d: int) -> np.ndarray:

@@ -12,13 +12,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nlgeo
-from nlgeo import locality, measures, solver
+from nlgeo import locality, measures, qstate, solver
 from nlgeo.arrays import isotropic_values
-from nlgeo.errors import NonPhysical, OutOfRange
+from nlgeo.errors import NlgeoError, NonPhysical, OutOfRange
 from nlgeo.kinds import DistanceKind
-from nlgeo.qstate import BellDiagonal, IsotropicParam, WernerParam, bd_corr_to_probs, bd_probs_to_corr
+from nlgeo.qstate import (
+    BellDiagonal, IsotropicParam, WernerParam, bd_corr_to_probs, bd_probs_to_corr, physical_probs,
+)
 from nlgeo.validation import CheckResult, run_validation
 
 KINDS = list(DistanceKind)
@@ -159,6 +163,47 @@ def test_maps_equal_the_matrix_products_bit_for_bit():
     weights += [np.array([i / 7, j / 7, (7 - i - j) / 7, 0.0]) for i in range(8) for j in range(8 - i)]
     for e in weights:
         assert _same(bd_probs_to_corr(e), CORR_FROM_PROBS @ e), e
+
+
+def _hex_or_error(f, x):
+    """f(x) as hex strings, or the type and message of what it raised."""
+    try:
+        return [float.hex(v) for v in f(x)]
+    except NlgeoError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_corr_helpers_match(a):
+    # a private helper takes floats nlgeo made itself as they are; its public
+    # converter converts the same floats and must then agree bit for bit
+    assert _hex_or_error(qstate._weights, a) == _hex_or_error(bd_corr_to_probs, a), a
+    assert _hex_or_error(qstate._physical, a) == _hex_or_error(physical_probs, a), a
+
+
+def _assert_probs_helper_matches(e):
+    assert _hex_or_error(qstate._correlators, e) == _hex_or_error(bd_probs_to_corr, e), e
+
+
+def test_float_helpers_equal_the_public_converters_bit_for_bit():
+    rng = np.random.default_rng(40)
+    for a in rng.uniform(-1.0, 1.0, (2000, 3)).tolist() + [[0.0, -0.0, 0.0], [1.0, 1.0, -1.0], [0.5, -0.0, 1e-300]]:
+        _assert_corr_helpers_match(tuple(a))
+    weights = rng.dirichlet(np.full(4, 0.3), 2000).tolist()
+    # grid nodes of the facet e4 = 0, where bd_grid evaluates
+    weights += [[i / 7, j / 7, (7 - i - j) / 7, 0.0] for i in range(8) for j in range(8 - i)]
+    for e in weights:
+        _assert_probs_helper_matches(tuple(e))
+
+
+@given(
+    a=st.tuples(*[st.floats(-1.5, 1.5)] * 3),
+    raw=st.tuples(*[st.floats(0.0, 1.0)] * 4).filter(lambda r: sum(r) > 1e-3),
+)
+@settings(max_examples=300, deadline=None)
+def test_float_helpers_equal_the_public_converters_on_any_floats(a, raw):
+    _assert_corr_helpers_match(a)
+    total = sum(raw)
+    _assert_probs_helper_matches(tuple(x / total for x in raw))
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -2,7 +2,6 @@ import decimal
 import itertools
 import math
 import re
-import sys
 from decimal import Decimal
 
 import numpy as np
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     ARC_INPUT,
+    count_calls,
     hs_oracle,
     in_tetrahedron,
     nearest_in_chamber,
@@ -40,7 +40,7 @@ from nlgeo.measures import (
     werner_measure,
     WERNER_THRESHOLD,
 )
-from nlgeo import arrays, dense, measures, qstate, solver
+from nlgeo import arrays, dense, locality, measures, qstate, solver
 from nlgeo.arrays import formula_agrees, isotropic_reference_formula, isotropic_values
 from nlgeo.cli import main
 from nlgeo.kinds import DistanceKind
@@ -815,24 +815,17 @@ def _trace_inputs(rng):
     return inputs
 
 
+LOCAL_AND_NONLOCAL = (((0.5, 0.4, -0.3), True), ((0.84, 0.63, -0.5), False))
+
+
 @pytest.mark.parametrize("kind", list(DistanceKind))
 def test_one_physicality_check_per_measure(kind, monkeypatch):
-    # a deterministic count, through every nlgeo module name bound to the
-    # check: the input check passes an a that a local branch reuses as is
-    calls = []
-
-    def counting(a):
-        calls.append(a)
-        return physical_probs(a)
-
-    bound = [
-        m for name, m in sys.modules.items()
-        if name.startswith("nlgeo") and getattr(m, "physical_probs", None) is physical_probs
-    ]
-    assert {qstate} <= set(bound)
-    for module in bound:
-        monkeypatch.setattr(module, "physical_probs", counting)
-    for a, local in (((0.5, 0.4, -0.3), True), ((0.84, 0.63, -0.5), False)):
+    # a deterministic count of the private check that the public
+    # physical_probs wraps: the input check passes an a that a local branch
+    # reuses as is
+    calls, bound = count_calls(monkeypatch, qstate, "_physical")
+    assert qstate in bound
+    for a, local in LOCAL_AND_NONLOCAL:
         calls.clear()
         assert (bd_measure(kind, a).value == 0.0) is local
         assert len(calls) == 1, (kind, a)
@@ -840,26 +833,28 @@ def test_one_physicality_check_per_measure(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", list(DistanceKind))
 def test_one_weighing_per_measure(kind, monkeypatch):
-    # a deterministic count, as for the physicality check: the input is
-    # weighed once, and the chamber and a local result reuse those weights;
-    # the trace closed form's point comes as correlators and is weighed too
-    calls = []
-
-    def counting(a):
-        calls.append(a)
-        return bd_corr_to_probs(a)
-
-    bound = [
-        m for name, m in sys.modules.items()
-        if name.startswith("nlgeo") and getattr(m, "bd_corr_to_probs", None) is bd_corr_to_probs
-    ]
-    assert {qstate, measures} <= set(bound)
-    for module in bound:
-        monkeypatch.setattr(module, "bd_corr_to_probs", counting)
-    for a, local in (((0.5, 0.4, -0.3), True), ((0.84, 0.63, -0.5), False)):
+    # a deterministic count, as for the physicality check, of the private
+    # weighing that the public bd_corr_to_probs wraps: the input is weighed
+    # once, and the chamber and a local result reuse those weights; the
+    # trace closed form's point comes as correlators and is weighed too
+    calls, bound = count_calls(monkeypatch, qstate, "_weights")
+    assert {qstate, measures} <= bound
+    for a, local in LOCAL_AND_NONLOCAL:
         calls.clear()
         assert (bd_measure(kind, a).value == 0.0) is local
         assert len(calls) == (2 if kind is DistanceKind.TRACE and not local else 1), (kind, a)
+
+
+@pytest.mark.parametrize("kind", list(DistanceKind))
+def test_one_float_conversion_per_measure(kind, monkeypatch):
+    # only the caller's correlators are converted: the chamber's correlators,
+    # the trace point's weights and the solve's weights are floats nlgeo made
+    calls, bound = count_calls(monkeypatch, qstate, "float_vector")
+    assert {qstate, locality} <= bound
+    for a, local in LOCAL_AND_NONLOCAL:
+        calls.clear()
+        assert (bd_measure(kind, a).value == 0.0) is local
+        assert calls == [(a, 3, "correlator")], (kind, a)
 
 
 def test_trace_closed_form_is_the_enumerated_minimum(rng):
@@ -942,6 +937,20 @@ def test_wrong_length_correlators_rejected_everywhere():
         for kind in KINDS:
             with pytest.raises(DimensionMismatch):
                 bd_measure(kind, a)
+
+
+def test_an_item_that_is_no_real_number_is_named_as_such():
+    # a vector of the right length holding a complex or None is not told it
+    # has the wrong length; a wrong length still is
+    for a in ([0.84 + 0j, 0.63, -0.5], [None, 0, 0]):
+        for kind in KINDS:
+            with pytest.raises(DimensionMismatch, match=r"^correlator vector must hold 3 real numbers, got \["):
+                bd_measure(kind, a)
+    with pytest.raises(DimensionMismatch, match=r"^probability vector must hold 4 real numbers, got \["):
+        bd_probs_to_corr([None, 0.0, 0.0, 1.0])
+    for a in ((0.9, 0.9), [None, 0], [0.84 + 0j, 0.63, -0.5, 0.0], 0.5, None, "100"):
+        with pytest.raises(DimensionMismatch, match=r"^correlator vector must have length 3, got "):
+            bd_measure(DistanceKind.HS, a)
 
 
 def test_numeric_matches_werner_closed_forms():

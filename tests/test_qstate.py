@@ -154,6 +154,41 @@ def test_weights_that_do_not_sum_to_one_are_invalid(check):
         check((0.6, 0.6, 0.0, 0.0))
 
 
+# each public converter with an input of its length, in ints
+CONVERTERS = {
+    "bd_corr_to_probs": (bd_corr_to_probs, [1, 0, 0]),
+    "physical_probs": (physical_probs, [1, 0, 0]),
+    "bd_probs_to_corr": (bd_probs_to_corr, [0, 1, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONVERTERS))
+def test_public_converters_convert_their_input(name):
+    # the private helpers take floats as they are, so the public entries
+    # must still take any sequence of real numbers and return Python floats
+    convert, ints = CONVERTERS[name]
+    expected = convert(tuple(map(float, ints)))
+    assert all(type(x) is float for x in expected)
+    for v in (ints, tuple(ints), np.array(ints), np.array(ints, dtype=float), iter(ints)):
+        out = convert(v)
+        assert type(out) is tuple and out == expected, v
+        assert all(type(x) is float for x in out), v
+    n = len(ints)
+    for bad in ("1" * n, b"1" * n, ints[:-1], ints + [0], 1.0, None):
+        with pytest.raises(DimensionMismatch):
+            convert(bad)
+
+
+def test_public_converters_treat_nan_as_before():
+    # physical_probs and bd_probs_to_corr check, and nan fails their checks;
+    # bd_corr_to_probs returns the affine image unchecked
+    with pytest.raises(NonPhysical, match="outside the physical tetrahedron"):
+        physical_probs([math.nan, 0.0, 0.0])
+    with pytest.raises(InvalidProbability, match="negative or nan weight"):
+        bd_probs_to_corr([math.nan, 0.0, 0.0, 1.0])
+    assert all(math.isnan(x) for x in bd_corr_to_probs([math.nan, 0.0, 0.0]))
+
+
 unit_interval = st.floats(min_value=0.0, max_value=1.0)
 
 

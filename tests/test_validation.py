@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 
-from nlgeo import locality, measures, solver, validation
+from conftest import count_calls
+from nlgeo import locality, measures, qstate, solver, validation
 from nlgeo.cli import main
 from nlgeo.errors import NotConverged
 from nlgeo.measures import bd_measure_numeric
@@ -74,6 +75,16 @@ def test_validation_kernel_calls_and_angle_steps(monkeypatch):
     monkeypatch.setattr(solver, "minimize_over_local_set", counting)
     assert all(c.passed for c in run_validation())
     assert counts == {"solves": 185, "calls": 543, "steps": 362}, counts
+
+
+def test_validation_converts_once_per_measure(monkeypatch):
+    # a deterministic count over one pass: float_vector converts each
+    # measure's input once, 390 times (1,297 when the public converters also
+    # converted the chamber's, the solve's and the grid nodes' own floats)
+    conversions, _ = count_calls(monkeypatch, qstate, "float_vector")
+    measured, _ = count_calls(monkeypatch, measures, "_in_chamber")
+    assert all(c.passed for c in run_validation())
+    assert len(conversions) == len(measured) == 390
 
 
 def test_kernel_calls_and_angle_steps_off_the_werner_line(monkeypatch):
