@@ -113,7 +113,12 @@ def bd_is_chsh_local(a) -> bool:
     local.
     """
     state = a if isinstance(a, BellDiagonal) else BellDiagonal.from_corr(a)
-    return _pair_sum(*state.a) <= 1.0 + BOUNDARY_TOL
+    return _chsh_local(state.a)
+
+
+def _chsh_local(a) -> bool:
+    """bd_is_chsh_local of correlator floats a that nlgeo made or checked itself."""
+    return _pair_sum(*a) <= 1.0 + BOUNDARY_TOL
 
 
 class Chamber(namedtuple("Chamber", "e order")):

@@ -24,7 +24,7 @@ from collections import namedtuple
 
 from .errors import NotConverged, OutOfRange
 from .kinds import DistanceKind, known_kind
-from .locality import BOUNDARY_TOL, bd_is_chsh_local, bell_chamber, cglmp_threshold, from_chamber
+from .locality import BOUNDARY_TOL, _chsh_local, bd_is_chsh_local, bell_chamber, cglmp_threshold, from_chamber
 from .qstate import (
     BELL_CORNERS, BellDiagonal, IsotropicParam, WernerParam, _correlators, _weights, whole_number,
 )
@@ -261,13 +261,11 @@ def _trace_in_chamber(b1: float, b2: float, b3: float):
     return min(candidates, key=lambda c: c[2])
 
 
-def _in_chamber(kind: DistanceKind, a) -> MeasureResult:
-    """The measure of kind in the symmetry chamber of a's Bell weights
-    (nlgeo.solver), mapped back by locality.from_chamber. a passes the one
-    input check first (BellDiagonal.from_corr), which converts it, weighs
-    it and checks it once; bd_is_chsh_local takes that checked state, the
-    chamber sorts its weights, and a local input is the state itself."""
-    state = BellDiagonal.from_corr(a)
+def _in_chamber(kind: DistanceKind, state: BellDiagonal) -> MeasureResult:
+    """Measure of kind of a checked state: 0.0 at the state itself when local,
+    else found in the symmetry chamber of its Bell weights (nlgeo.solver) and
+    mapped back by locality.from_chamber. The public entries check their input
+    (BellDiagonal.from_corr); the sweeps and the grid make theirs physical."""
     if bd_is_chsh_local(state):
         return _closed_form(kind, 0.0, state)
     e, order = bell_chamber(state.e)
@@ -301,7 +299,7 @@ def bd_measure_numeric(kind: DistanceKind, a) -> MeasureResult:
     """
     if known_kind(kind) in (DistanceKind.HS, DistanceKind.TRACE):
         raise OutOfRange(f"{kind.value} is exact; use bd_measure")
-    return _in_chamber(kind, a)
+    return _in_chamber(kind, BellDiagonal.from_corr(a))
 
 
 def per_kind(kinds, solve):
@@ -324,7 +322,7 @@ def bd_measure(kind: DistanceKind, a) -> MeasureResult:
     bd_measure_numeric. For HS, closest_local.a is the Euclidean projection
     of a onto the local set, at distance twice the value."""
     if kind is DistanceKind.HS or kind is DistanceKind.TRACE:
-        return _in_chamber(kind, a)
+        return _in_chamber(kind, BellDiagonal.from_corr(a))
     return bd_measure_numeric(kind, a)
 
 
@@ -366,7 +364,7 @@ def bd_sweep(kind: DistanceKind, family: str, n_points: int) -> list[tuple[float
         raise OutOfRange(f"unknown family {family!r}")
     rows = []
     for p, a in zip(params, corr):
-        res = bd_measure(kind, a)
+        res = _in_chamber(kind, BellDiagonal._of(a, _weights(a)))
         if not res.converged:
             raise NotConverged(f"{kind.value} solve at {family} parameter {p!r} did not converge")
         rows.append((p, res.value / norm))
@@ -380,13 +378,14 @@ def bd_grid(kind: DistanceKind, grid_n: int) -> list[tuple[float, float, float]]
     e3 = 1 - e1 - e2, keeping only physical nodes, in row-major order. Every
     measure is invariant under permuting the Bell weights, so each symmetry
     class of nodes, an integer triple lo <= mid <= hi summing to grid_n, is
-    solved once, at the node of weights (lo, mid, hi) over grid_n, and its
-    value is written to the class's permuted cells of a triangular table,
-    from which the rows are read. The classes are solved in the row-major
-    order of their first nodes (lo, mid), so an unconverged solve raises
-    NotConverged naming the first row of its class. i/grid_n is correctly
-    rounded, so a node shared by two grid sizes gets the same value in both;
-    the grid_n + 1 fractions are computed once.
+    tested once, at the node of weights (lo, mid, hi) over grid_n: a local
+    class reads 0.0 from the locality test, and a nonlocal one is solved
+    once, its value written to the class's permuted cells of a triangular
+    table, from which the rows are read. The classes are solved in the
+    row-major order of their first nodes (lo, mid), so an unconverged solve
+    raises NotConverged naming the first row of its class. i/grid_n is
+    correctly rounded, so a node shared by two grid sizes gets the same
+    value in both; the grid_n + 1 fractions are computed once.
     """
     grid_n = whole_number(grid_n, 1, "grid_n")
     norm = werner_max(kind)
@@ -396,10 +395,13 @@ def bd_grid(kind: DistanceKind, grid_n: int) -> list[tuple[float, float, float]]
         for mid in range(lo, (grid_n - lo) // 2 + 1):
             hi = grid_n - lo - mid
             e = [frac[lo], frac[mid], frac[hi], 0.0]
-            res = bd_measure(kind, _correlators(e))
+            a = _correlators(e)
+            if _chsh_local(a):
+                continue  # its cells keep the table's 0.0
+            res = _in_chamber(kind, BellDiagonal._of(a, _weights(a)))
             if not res.converged:
                 raise NotConverged(f"{kind.value} solve at e = {e} did not converge")
             value[lo][mid] = value[lo][hi] = value[mid][lo] = value[mid][hi] = value[hi][lo] = value[hi][mid] = (
                 res.value / norm
             )
-    return [(frac[i], frac[j], value[i][j]) for i in range(grid_n + 1) for j in range(grid_n + 1 - i)]
+    return [(fi, fj, v) for fi, row in zip(frac, value) for fj, v in zip(frac, row)]

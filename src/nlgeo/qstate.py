@@ -12,12 +12,13 @@ constructors and the symmetrizing maps) live in nlgeo.dense, the numpy layer.
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import length_hint
+from itertools import repeat
 
 from .errors import DimensionMismatch, InvalidProbability, NonPhysical, OutOfRange
 
 PROB_NEG_ATOL = 1e-12
 PROB_SUM_ATOL = 1e-9
+_REAL = repeat((float, int))  # items float_vector takes unchecked, for isinstance
 
 # Correlator directions of the four extremal Bell points; row k is the vertex
 # with e_{k+1} = 1. Row 3 is the singlet direction (-1, -1, -1).
@@ -30,19 +31,26 @@ BELL_CORNERS = (
 
 
 def float_vector(v, n: int, name: str) -> tuple:
-    """v as a tuple of n floats; DimensionMismatch unless it holds n real numbers
-    (a str or bytes holds characters, which float would read as digits). Each
-    public entry converts here once; the private helpers below do not."""
+    """v as a tuple of n floats; DimensionMismatch unless it holds n real numbers,
+    which no str or bytes, text item or complex item (numpy's too) is: float would
+    read its digits or drop its imaginary part. Each public entry converts here
+    once; the private helpers below do not."""
     try:
-        out = None if isinstance(v, (str, bytes)) else tuple(map(float, v))
+        # tolist gives a numpy array's items as Python numbers, faster than iterating
+        items = None if isinstance(v, (str, bytes)) else tuple(v.tolist() if hasattr(v, "tolist") else v)
     except TypeError:
-        # n items, one of them no real number (a complex, None)
-        if length_hint(v, -1) == n:
-            raise DimensionMismatch(f"{name} vector must hold {n} real numbers, got {v!r}") from None
-        out = None
-    if out is None or len(out) != n:
+        items = None
+    if items is None or len(items) != n:
         raise DimensionMismatch(f"{name} vector must have length {n}, got {v!r}")
-    return out
+    if all(map(isinstance, items, _REAL)) or not any(
+        isinstance(x, (str, bytes, bytearray, complex)) or getattr(getattr(x, "dtype", None), "kind", "") == "c"
+        for x in items
+    ):
+        try:
+            return tuple(map(float, items))
+        except TypeError:  # an item such as None
+            pass
+    raise DimensionMismatch(f"{name} vector must hold {n} real numbers, got {v!r}")
 
 
 def _correlators(e) -> tuple[float, float, float]:

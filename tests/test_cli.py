@@ -525,6 +525,7 @@ def test_iso_writes_one_block_per_call(fmt, tmp_path, monkeypatch):
     assert count_writes(argv, tmp_path, monkeypatch) == 2 + math.ceil(5000 / BLOCK_ROWS)
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("argv", [["werner-sweep"], ["iso", "--d", "3", *ALL_KINDS]])
 def test_array_command_memory_grows_less_than_250_bytes_a_row(argv, tmp_path):
     # a count that does not depend on the machine: the traced peak of Python

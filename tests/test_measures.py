@@ -953,6 +953,63 @@ def test_an_item_that_is_no_real_number_is_named_as_such():
             bd_measure(DistanceKind.HS, a)
 
 
+# items that float would take though they are no real numbers: text, which it
+# reads as digits, and complex numbers, whose imaginary part numpy's drop with
+# a ComplexWarning (an error under this suite's filterwarnings)
+NOT_REAL_ITEMS = {
+    "digit strings": ["0.84", "0.63", "-0.5"],
+    "a word": ["a", 0, 0],
+    "bytes": [b"1", 0, 0],
+    "numpy strings": np.array(["0.84", "0.63", "-0.5"]),
+    "numpy complex128": np.array([0.84 + 0.5j, 0.63, -0.5]),
+    "numpy complex64": np.array([0.84 + 0.5j, 0.63, -0.5], dtype=np.complex64),
+    "a complex128 item": [np.complex128(0.84), 0.63, -0.5],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_REAL_ITEMS))
+def test_text_and_complex_items_are_no_real_numbers(case):
+    a = NOT_REAL_ITEMS[case]
+    for kind in KINDS:
+        with pytest.raises(DimensionMismatch, match=r"^correlator vector must hold 3 real numbers, got "):
+            bd_measure(kind, a)
+    for check in (bd_corr_to_probs, BellDiagonal.from_corr, physical_probs, max_pair_sum, bd_is_chsh_local):
+        with pytest.raises(DimensionMismatch, match=r"^correlator vector must hold 3 real numbers, got "):
+            check(a)
+    with pytest.raises(DimensionMismatch, match=r"^probability vector must hold 4 real numbers, got "):
+        bd_probs_to_corr([*a, 0.0])
+
+
+def test_a_column_array_is_no_vector_of_numbers():
+    # its items are rows, not numbers, whether iterated or taken by tolist
+    for kind in KINDS:
+        with pytest.raises(DimensionMismatch, match=r"^correlator vector must hold 3 real numbers, got "):
+            bd_measure(kind, np.array([[0.84], [0.63], [-0.5]]))
+
+
+# real items of every type the layer takes, each made afresh (an iterator is
+# spent by one measure): the correlators (0.84, 0.63, -0.5), or (1, 0, 0) in ints
+REAL_ITEMS = {
+    "ints": lambda: [1, 0, 0],
+    "numpy float64": lambda: np.array([0.84, 0.63, -0.5]),
+    "numpy float64 items": lambda: [np.float64(0.84), np.float64(0.63), -0.5],
+    "numpy int64": lambda: np.array([1, 0, 0]),
+    "numpy float32": lambda: np.array([0.84, 0.63, -0.5], dtype=np.float32),
+    "an iterator": lambda: iter([0.84, 0.63, -0.5]),
+    "a generator": lambda: (x for x in (0.84, 0.63, -0.5)),
+    "decimals": lambda: [Decimal("0.84"), Decimal("0.63"), Decimal("-0.5")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(REAL_ITEMS))
+def test_real_items_of_any_numeric_type_are_measured(case):
+    expected = tuple(map(float, REAL_ITEMS[case]()))
+    out = qstate.float_vector(REAL_ITEMS[case](), 3, "correlator")
+    assert out == expected and all(type(x) is float for x in out)
+    for kind in KINDS:
+        assert bd_measure(kind, REAL_ITEMS[case]()) == bd_measure(kind, expected)
+
+
 def test_numeric_matches_werner_closed_forms():
     for kind in KINDS:
         for w in np.linspace(0.72, 1.0, 5):
@@ -1193,16 +1250,13 @@ def test_a_whole_number_count_need_not_be_an_int(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_bd_grid_solves_each_symmetry_class_once(kind, monkeypatch):
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return bd_measure(*args)
-
-    monkeypatch.setattr(measures, "bd_measure", counting)
+    # 16 sorted triples sum to 11; the 8 nonlocal ones enter the chamber once
+    # each, and a local one reads 0.0 from the locality test alone
+    calls, _ = count_calls(monkeypatch, measures, "_in_chamber")
     n = 11
     rows = bd_grid(kind, n)
-    assert len(rows) == 78 and len(calls) == 16  # 16 sorted triples summing to 11
+    assert len(rows) == 78 and len(calls) == 8
+    assert not any(bd_is_chsh_local(state) for _, state in calls)
     by_class = {}
     for e1, e2, value in rows:
         i, j = round(e1 * n), round(e2 * n)
@@ -1210,14 +1264,47 @@ def test_bd_grid_solves_each_symmetry_class_once(kind, monkeypatch):
     assert len(by_class) == 16
     # up to 6 permuted nodes per class, all holding the bit-identical value
     assert all(len(values) == 1 for values in by_class.values())
+    assert sum(values == {0.0} for values in by_class.values()) == 8
     assert len({v for values in by_class.values() for v in values}) > 2
+
+
+# nonlocal symmetry classes of bd_grid at each size: the chamber measures it makes
+GRID_NONLOCAL_CLASSES = {10: 6, 11: 8, 20: 17, 50: 84}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_bd_grid_converts_nothing_and_measures_only_nonlocal_classes(kind, monkeypatch):
+    # every node is floats the grid made, so none passes float_vector, and
+    # only the nonlocal classes reach the chamber
+    conversions, _ = count_calls(monkeypatch, qstate, "float_vector")
+    measured, _ = count_calls(monkeypatch, measures, "_in_chamber")
+    for n, nonlocal_classes in GRID_NONLOCAL_CLASSES.items():
+        conversions.clear()
+        measured.clear()
+        bd_grid(kind, n)
+        assert (len(conversions), len(measured)) == (0, nonlocal_classes), n
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_bd_grid_class_on_the_chsh_boundary_reads_zero_without_a_solve(kind, monkeypatch):
+    # e = (1, 2, 7)/10 has correlators (-0.4, 0.6, 0.8) up to rounding, whose
+    # pair sum 0.36 + 0.64 is 1.0 in floats too: local, as the boundary is
+    boundary = (0.1, 0.2, 0.7)
+    assert max_pair_sum(bd_probs_to_corr([*boundary, 0.0])) == 1.0
+    measured, _ = count_calls(monkeypatch, measures, "_in_chamber")
+    cells = {(e1, e2): value for e1, e2, value in bd_grid(kind, 10)}
+    for e1, e2, _ in itertools.permutations(boundary):
+        assert cells[(e1, e2)] == 0.0
+    # the class's first node is e itself; the nonlocal classes were measured
+    assert measured and bd_probs_to_corr([*boundary, 0.0]) not in [state.a for _, state in measured]
 
 
 def _node_by_node_grid(kind, grid_n):
     """bd_grid's rows filled node by node, in row-major order: each node is
-    keyed by its sorted integer triple, whose class is solved by bd_measure
+    keyed by its sorted integer triple, whose class is measured by bd_measure
     at its first node and looked up at every other. Returns the rows and
-    the solved correlators in the order they were solved."""
+    the correlators of the nonlocal classes, which bd_grid solves, in the
+    order they were first met."""
     norm = werner_max(kind)
     frac = [i / grid_n for i in range(grid_n + 1)]
     values, rows, solved = {}, [], []
@@ -1225,8 +1312,11 @@ def _node_by_node_grid(kind, grid_n):
         for j in range(grid_n + 1 - i):
             key = tuple(sorted((i, j, grid_n - i - j)))
             if key not in values:
-                solved.append(bd_probs_to_corr([frac[k] for k in key] + [0.0]))
-                values[key] = bd_measure(kind, solved[-1]).value / norm
+                a = bd_probs_to_corr([frac[k] for k in key] + [0.0])
+                res = bd_measure(kind, a)
+                values[key] = res.value / norm
+                if res.method != "closed_form":
+                    solved.append(a)
             rows.append((frac[i], frac[j], values[key]))
     return rows, solved
 
@@ -1236,18 +1326,21 @@ def test_bd_grid_matches_a_node_by_node_fill(kind, monkeypatch):
     # the class-first fill against the node-by-node one, at the sizes where
     # the loop bounds lo <= grid_n // 3 and mid <= (grid_n - lo) // 2 are
     # least forgiving: the same rows, bit for bit, and the same solves in
-    # the same order, so NotConverged names the same row
+    # the same order, so NotConverged names the same row. Each node enters
+    # the chamber as the state the input check would build, bit for bit
     solved = []
+    in_chamber = measures._in_chamber
 
-    def recording(kind, a):
-        solved.append(a)
-        return bd_measure(kind, a)
+    def recording(kind, state):
+        assert repr(state) == repr(BellDiagonal.from_corr(state.a))
+        solved.append(state.a)
+        return in_chamber(kind, state)
 
     for grid_n in (1, 2, 3, 4, 7, 11):
         rows, order = _node_by_node_grid(kind, grid_n)
         solved.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(measures, "bd_measure", recording)
+            patch.setattr(measures, "_in_chamber", recording)
             assert bd_grid(kind, grid_n) == rows, grid_n
         assert solved == order, grid_n
 
@@ -1260,12 +1353,14 @@ def test_bd_grid_refinement_keeps_a_shared_node(kind):
 
 
 def test_bd_grid_unconverged_names_the_first_row_of_its_class(monkeypatch):
-    def failing(kind, a):
-        res = bd_measure(kind, a)
-        weights = sorted(round(11 * x) for x in bd_corr_to_probs(a)[:3])
+    in_chamber = measures._in_chamber
+
+    def failing(kind, state):
+        res = in_chamber(kind, state)
+        weights = sorted(round(11 * x) for x in state.e[:3])
         return res._replace(converged=False) if weights == [1, 2, 8] else res
 
-    monkeypatch.setattr(measures, "bd_measure", failing)
+    monkeypatch.setattr(measures, "_in_chamber", failing)
     with pytest.raises(NotConverged) as err:
         bd_grid(DistanceKind.TRACE, 11)
     # (1, 2, 8) is the first node of its class in row-major order

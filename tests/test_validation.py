@@ -78,13 +78,14 @@ def test_validation_kernel_calls_and_angle_steps(monkeypatch):
 
 
 def test_validation_converts_once_per_measure(monkeypatch):
-    # a deterministic count over one pass: float_vector converts each
-    # measure's input once, 390 times (1,297 when the public converters also
-    # converted the chamber's, the solve's and the grid nodes' own floats)
+    # deterministic counts over one pass: float_vector converts each public
+    # measure's input once, 98 times. The HS grids' 292 classes are floats
+    # bd_grid made, converted by none, and only their 107 nonlocal ones reach
+    # the chamber, which measures 98 + 107 = 205 states
     conversions, _ = count_calls(monkeypatch, qstate, "float_vector")
     measured, _ = count_calls(monkeypatch, measures, "_in_chamber")
     assert all(c.passed for c in run_validation())
-    assert len(conversions) == len(measured) == 390
+    assert (len(conversions), len(measured)) == (98, 205)
 
 
 def test_kernel_calls_and_angle_steps_off_the_werner_line(monkeypatch):
