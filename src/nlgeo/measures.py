@@ -228,7 +228,7 @@ def _trace_in_chamber(b1: float, b2: float, b3: float):
     For Bell-diagonal states with correlators x and a, (1/2) sum_k |w_k - e_k|
     equals (1/2) max(||x - a||_inf, ||x - a||_1 / 2), so the trace measure is
     the distance from a to the local set in that norm, which sign flips leave
-    unchanged. _in_chamber passes the correlators (x1, x2, |x3|) of the
+    unchanged. _solve passes the correlators (x1, x2, |x3|) of the
     chamber of a's Bell weights (x1 >= x2 >= |x3|, nlgeo.solver) and puts
     x3's sign back on the point, which is the nearest of three candidates,
     each taken where it is feasible:
@@ -261,27 +261,31 @@ def _trace_in_chamber(b1: float, b2: float, b3: float):
     return min(candidates, key=lambda c: c[2])
 
 
+def _solve(kind: DistanceKind, e):
+    """(value, w, pairs, steps, converged) of kind at the nonlocal state of Bell
+    weights e in descending order (locality.bell_chamber): the trace closed form or
+    the chamber solve of KERNELS[kind] (its square root for HS), ending at weights
+    w on the chamber's cylinder pairs. _in_chamber, bd_grid and bd_sweep all value
+    a nonlocal Bell-diagonal state here."""
+    x1, x2, x3 = _correlators(e)
+    if kind is DistanceKind.TRACE:
+        (p1, p2, p3), pairs, value = _trace_in_chamber(x1, x2, abs(x3))
+        return value, _weights((p1, p2, math.copysign(p3, x3))), pairs, 0, True
+    # the HS minimizer on the cylinder (1, 2) is at the input's own angle,
+    # and the he and re minimizers lie near it
+    w, value, steps, converged, pairs = solver.minimize_over_local_set(*KERNELS[kind](e), math.atan2(x2, x1))
+    return (math.sqrt(value) if kind is DistanceKind.HS else value), w, pairs, steps, converged
+
+
 def _in_chamber(kind: DistanceKind, state: BellDiagonal) -> MeasureResult:
-    """Measure of kind of a checked state: 0.0 at the state itself when local,
-    else found in the symmetry chamber of its Bell weights (nlgeo.solver) and
-    mapped back by locality.from_chamber. The public entries check their input
-    (BellDiagonal.from_corr); the sweeps and the grid make theirs physical."""
+    """Measure of kind of a checked state (BellDiagonal.from_corr), the public
+    entries' path: 0.0 at the state itself when local, else _solve's in the
+    chamber of its Bell weights, mapped back by locality.from_chamber."""
     if bd_is_chsh_local(state):
         return _closed_form(kind, 0.0, state)
     e, order = bell_chamber(state.e)
-    x1, x2, x3 = _correlators(e)
-    method = "lagrange_case"
-    if kind is DistanceKind.TRACE:
-        (p1, p2, p3), pairs, value = _trace_in_chamber(x1, x2, abs(x3))
-        w, steps, converged = _weights((p1, p2, math.copysign(p3, x3))), 0, True
-    else:
-        # the HS minimizer on the cylinder (1, 2) is at the input's own angle,
-        # and the he and re minimizers lie near it
-        w, value, steps, converged, pairs = solver.minimize_over_local_set(*KERNELS[kind](e), math.atan2(x2, x1))
-        if kind is DistanceKind.HS:
-            value = math.sqrt(value)
-        else:
-            method = "numeric"
+    value, w, pairs, steps, converged = _solve(kind, e)
+    method = "lagrange_case" if kind is DistanceKind.HS or kind is DistanceKind.TRACE else "numeric"
     closest, surface = from_chamber(order, w, pairs)
     return MeasureResult(kind, value, closest, method, surface, steps, converged)
 
@@ -349,8 +353,9 @@ def bd_sweep(kind: DistanceKind, family: str, n_points: int) -> list[tuple[float
     Values are divided by the Werner maximum of the same kind, so every sweep
     ends at 1 at the maximally nonlocal endpoint, to within rounding (a few
     ulps above: the local set's vertex is one ulp below WERNER_THRESHOLD).
-    Returns a list of (parameter, normalized value) rows; an unconverged
-    solve raises NotConverged naming its point.
+    A local point reads 0.0 from the locality test, a nonlocal one _solve's
+    value alone. Returns a list of (parameter, normalized value) rows; an
+    unconverged solve raises NotConverged naming its point.
     """
     n_points = whole_number(n_points, 2, "n_points")
     norm = werner_max(kind)
@@ -364,10 +369,10 @@ def bd_sweep(kind: DistanceKind, family: str, n_points: int) -> list[tuple[float
         raise OutOfRange(f"unknown family {family!r}")
     rows = []
     for p, a in zip(params, corr):
-        res = _in_chamber(kind, BellDiagonal._of(a, _weights(a)))
-        if not res.converged:
+        value, *_, converged = (0.0, True) if _chsh_local(a) else _solve(kind, sorted(_weights(a), reverse=True))
+        if not converged:
             raise NotConverged(f"{kind.value} solve at {family} parameter {p!r} did not converge")
-        rows.append((p, res.value / norm))
+        rows.append((p, value / norm))
     return rows
 
 
@@ -380,12 +385,13 @@ def bd_grid(kind: DistanceKind, grid_n: int) -> list[tuple[float, float, float]]
     class of nodes, an integer triple lo <= mid <= hi summing to grid_n, is
     tested once, at the node of weights (lo, mid, hi) over grid_n: a local
     class reads 0.0 from the locality test, and a nonlocal one is solved
-    once, its value written to the class's permuted cells of a triangular
-    table, from which the rows are read. The classes are solved in the
-    row-major order of their first nodes (lo, mid), so an unconverged solve
-    raises NotConverged naming the first row of its class. i/grid_n is
-    correctly rounded, so a node shared by two grid sizes gets the same
-    value in both; the grid_n + 1 fractions are computed once.
+    once by _solve, whose value alone is kept (no closest state is built)
+    and written to the class's permuted cells of a triangular table, from
+    which the rows are read. The classes are solved in the row-major order
+    of their first nodes (lo, mid), so an unconverged solve raises
+    NotConverged naming the first row of its class. i/grid_n is correctly
+    rounded, so a node shared by two grid sizes gets the same value in
+    both; the grid_n + 1 fractions are computed once.
     """
     grid_n = whole_number(grid_n, 1, "grid_n")
     norm = werner_max(kind)
@@ -398,10 +404,8 @@ def bd_grid(kind: DistanceKind, grid_n: int) -> list[tuple[float, float, float]]
             a = _correlators(e)
             if _chsh_local(a):
                 continue  # its cells keep the table's 0.0
-            res = _in_chamber(kind, BellDiagonal._of(a, _weights(a)))
-            if not res.converged:
+            v, *_, converged = _solve(kind, sorted(_weights(a), reverse=True))
+            if not converged:
                 raise NotConverged(f"{kind.value} solve at e = {e} did not converge")
-            value[lo][mid] = value[lo][hi] = value[mid][lo] = value[mid][hi] = value[hi][lo] = value[hi][mid] = (
-                res.value / norm
-            )
+            value[lo][mid] = value[lo][hi] = value[mid][lo] = value[mid][hi] = value[hi][lo] = value[hi][mid] = v / norm
     return [(fi, fj, v) for fi, row in zip(frac, value) for fj, v in zip(frac, row)]

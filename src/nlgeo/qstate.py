@@ -11,8 +11,10 @@ constructors and the symmetrizing maps) live in nlgeo.dense, the numpy layer.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from itertools import repeat
+from sys import float_info
 
 from .errors import DimensionMismatch, InvalidProbability, NonPhysical, OutOfRange
 
@@ -33,8 +35,9 @@ BELL_CORNERS = (
 def float_vector(v, n: int, name: str) -> tuple:
     """v as a tuple of n floats; DimensionMismatch unless it holds n real numbers,
     which no str or bytes, text item or complex item (numpy's too) is: float would
-    read its digits or drop its imaginary part. Each public entry converts here
-    once; the private helpers below do not."""
+    read its digits or drop its imaginary part. An item that no float can hold,
+    such as 10**400, raises DimensionMismatch naming it. Each public entry
+    converts here once; the private helpers below do not."""
     try:
         # tolist gives a numpy array's items as Python numbers, faster than iterating
         items = None if isinstance(v, (str, bytes)) else tuple(v.tolist() if hasattr(v, "tolist") else v)
@@ -50,6 +53,9 @@ def float_vector(v, n: int, name: str) -> tuple:
             return tuple(map(float, items))
         except TypeError:  # an item such as None
             pass
+        except OverflowError:  # an int or fraction beyond the largest float
+            big = next(x for x in items if float_info.max < abs(x) < math.inf)
+            raise DimensionMismatch(f"{name} vector item {big!r} is too large for a float") from None
     raise DimensionMismatch(f"{name} vector must hold {n} real numbers, got {v!r}")
 
 

@@ -1198,6 +1198,21 @@ def test_bd_sweep_argument_errors():
         bd_sweep(DistanceKind.HS, "two_bell_mix", 1)
 
 
+@pytest.mark.parametrize("n", [5, 51])
+@pytest.mark.parametrize("family", ["two_bell_mix", "werner_line"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_bd_sweep_rows_are_bd_measure_over_the_werner_maximum(kind, family, n):
+    # a sweep point is valued in the chamber with no closest state built:
+    # the value must still be bd_measure's at its correlators, bit for bit,
+    # local points (0.0) included
+    norm = werner_max(kind)
+    rows = bd_sweep(kind, family, n)
+    assert len(rows) == n
+    for p, value in rows:
+        a = two_bell_mix_corr(p) if family == "two_bell_mix" else tuple(p * c for c in CORNER_TUPLES[3])
+        assert float.hex(value) == float.hex(bd_measure(kind, a).value / norm), (p, a)
+
+
 def test_bd_grid_structure_and_anchors():
     rows = bd_grid(DistanceKind.HS, 4)
     assert len(rows) == 15  # triangular node count for n = 4
@@ -1250,13 +1265,15 @@ def test_a_whole_number_count_need_not_be_an_int(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_bd_grid_solves_each_symmetry_class_once(kind, monkeypatch):
-    # 16 sorted triples sum to 11; the 8 nonlocal ones enter the chamber once
-    # each, and a local one reads 0.0 from the locality test alone
-    calls, _ = count_calls(monkeypatch, measures, "_in_chamber")
+    # 16 sorted triples sum to 11; the 8 nonlocal ones are solved once each,
+    # in their chamber's descending weights, and a local one reads 0.0 from
+    # the locality test alone
+    calls, _ = count_calls(monkeypatch, measures, "_solve")
     n = 11
     rows = bd_grid(kind, n)
     assert len(rows) == 78 and len(calls) == 8
-    assert not any(bd_is_chsh_local(state) for _, state in calls)
+    assert all(list(e) == sorted(e, reverse=True) for _, e in calls)
+    assert not any(bd_is_chsh_local(BellDiagonal.from_probs(e)) for _, e in calls)
     by_class = {}
     for e1, e2, value in rows:
         i, j = round(e1 * n), round(e2 * n)
@@ -1268,16 +1285,16 @@ def test_bd_grid_solves_each_symmetry_class_once(kind, monkeypatch):
     assert len({v for values in by_class.values() for v in values}) > 2
 
 
-# nonlocal symmetry classes of bd_grid at each size: the chamber measures it makes
+# nonlocal symmetry classes of bd_grid at each size: the chamber solves it makes
 GRID_NONLOCAL_CLASSES = {10: 6, 11: 8, 20: 17, 50: 84}
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_bd_grid_converts_nothing_and_measures_only_nonlocal_classes(kind, monkeypatch):
     # every node is floats the grid made, so none passes float_vector, and
-    # only the nonlocal classes reach the chamber
+    # only the nonlocal classes reach the chamber solve
     conversions, _ = count_calls(monkeypatch, qstate, "float_vector")
-    measured, _ = count_calls(monkeypatch, measures, "_in_chamber")
+    measured, _ = count_calls(monkeypatch, measures, "_solve")
     for n, nonlocal_classes in GRID_NONLOCAL_CLASSES.items():
         conversions.clear()
         measured.clear()
@@ -1291,12 +1308,14 @@ def test_bd_grid_class_on_the_chsh_boundary_reads_zero_without_a_solve(kind, mon
     # pair sum 0.36 + 0.64 is 1.0 in floats too: local, as the boundary is
     boundary = (0.1, 0.2, 0.7)
     assert max_pair_sum(bd_probs_to_corr([*boundary, 0.0])) == 1.0
-    measured, _ = count_calls(monkeypatch, measures, "_in_chamber")
+    measured, _ = count_calls(monkeypatch, measures, "_solve")
     cells = {(e1, e2): value for e1, e2, value in bd_grid(kind, 10)}
     for e1, e2, _ in itertools.permutations(boundary):
         assert cells[(e1, e2)] == 0.0
-    # the class's first node is e itself; the nonlocal classes were measured
-    assert measured and bd_probs_to_corr([*boundary, 0.0]) not in [state.a for _, state in measured]
+    # the class's first node is e itself, which a solve would take in its
+    # chamber's weights; the nonlocal classes were solved
+    chamber = sorted(bd_corr_to_probs(bd_probs_to_corr([*boundary, 0.0])), reverse=True)
+    assert measured and chamber not in [list(e) for _, e in measured]
 
 
 def _node_by_node_grid(kind, grid_n):
@@ -1326,23 +1345,23 @@ def test_bd_grid_matches_a_node_by_node_fill(kind, monkeypatch):
     # the class-first fill against the node-by-node one, at the sizes where
     # the loop bounds lo <= grid_n // 3 and mid <= (grid_n - lo) // 2 are
     # least forgiving: the same rows, bit for bit, and the same solves in
-    # the same order, so NotConverged names the same row. Each node enters
-    # the chamber as the state the input check would build, bit for bit
+    # the same order, so NotConverged names the same row. Each class is
+    # solved in the chamber weights that the input check and bell_chamber
+    # would give its node, bit for bit
     solved = []
-    in_chamber = measures._in_chamber
+    solve = measures._solve
 
-    def recording(kind, state):
-        assert repr(state) == repr(BellDiagonal.from_corr(state.a))
-        solved.append(state.a)
-        return in_chamber(kind, state)
+    def recording(kind, e):
+        solved.append(repr(tuple(e)))
+        return solve(kind, e)
 
     for grid_n in (1, 2, 3, 4, 7, 11):
         rows, order = _node_by_node_grid(kind, grid_n)
         solved.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(measures, "_in_chamber", recording)
+            patch.setattr(measures, "_solve", recording)
             assert bd_grid(kind, grid_n) == rows, grid_n
-        assert solved == order, grid_n
+        assert solved == [repr(bell_chamber(BellDiagonal.from_corr(a).e).e) for a in order], grid_n
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -1353,18 +1372,35 @@ def test_bd_grid_refinement_keeps_a_shared_node(kind):
 
 
 def test_bd_grid_unconverged_names_the_first_row_of_its_class(monkeypatch):
-    in_chamber = measures._in_chamber
+    solve = measures._solve
 
-    def failing(kind, state):
-        res = in_chamber(kind, state)
-        weights = sorted(round(11 * x) for x in state.e[:3])
-        return res._replace(converged=False) if weights == [1, 2, 8] else res
+    def failing(kind, e):
+        res = solve(kind, e)
+        # the chamber's weights descend, so the facet's 0.0 is the last
+        weights = sorted(round(11 * x) for x in e[:3])
+        return (*res[:4], False) if weights == [1, 2, 8] else res
 
-    monkeypatch.setattr(measures, "_in_chamber", failing)
+    monkeypatch.setattr(measures, "_solve", failing)
     with pytest.raises(NotConverged) as err:
         bd_grid(DistanceKind.TRACE, 11)
     # (1, 2, 8) is the first node of its class in row-major order
     assert str(err.value) == f"tr solve at e = {[1 / 11, 2 / 11, 8 / 11, 0.0]} did not converge"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_bd_grid_and_bd_sweep_build_no_closest_state(kind, monkeypatch):
+    # a grid class and a sweep point need only the chamber value: neither
+    # sorts a state into its chamber by index nor maps a closest state back
+    mapped, _ = count_calls(monkeypatch, locality, "from_chamber")
+    sorted_in, _ = count_calls(monkeypatch, locality, "bell_chamber")
+    solved, _ = count_calls(monkeypatch, measures, "_solve")
+    for n in GRID_NONLOCAL_CLASSES:
+        bd_grid(kind, n)
+    for family in ("two_bell_mix", "werner_line"):
+        bd_sweep(kind, family, 51)
+    # the two sweeps' nonlocal points: all but p = 1/2 and w = 1/sqrt 2
+    assert len(solved) == sum(GRID_NONLOCAL_CLASSES.values()) + 2 * 50
+    assert (mapped, sorted_in) == ([], [])
 
 
 def test_max_iters_validation(monkeypatch):

@@ -1,4 +1,6 @@
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -187,6 +189,23 @@ def test_public_converters_treat_nan_as_before():
     with pytest.raises(InvalidProbability, match="negative or nan weight"):
         bd_probs_to_corr([math.nan, 0.0, 0.0, 1.0])
     assert all(math.isnan(x) for x in bd_corr_to_probs([math.nan, 0.0, 0.0]))
+
+
+# the entries of a number that no float can hold: a huge int or fraction
+# must raise the library's DimensionMismatch naming it, not OverflowError,
+# and not an infinite float beside it
+HUGE_ENTRIES = {
+    "bd_measure": lambda x: bd_measure(DistanceKind.HS, [x, 0, 0]),
+    "from_probs": lambda x: BellDiagonal.from_probs([x, 0, 0, 0]),
+    "bd_corr_to_probs": lambda x: bd_corr_to_probs([math.inf, x, 0]),
+}
+
+
+@pytest.mark.parametrize("huge", [10**400, -(10**400), Fraction(10**400, 3)], ids=["int", "negative", "fraction"])
+@pytest.mark.parametrize("entry", sorted(HUGE_ENTRIES))
+def test_a_number_no_float_can_hold_raises_dimension_mismatch_naming_it(entry, huge):
+    with pytest.raises(DimensionMismatch, match=f"item {re.escape(repr(huge))} is too large for a float"):
+        HUGE_ENTRIES[entry](huge)
 
 
 unit_interval = st.floats(min_value=0.0, max_value=1.0)

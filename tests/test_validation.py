@@ -79,13 +79,48 @@ def test_validation_kernel_calls_and_angle_steps(monkeypatch):
 
 def test_validation_converts_once_per_measure(monkeypatch):
     # deterministic counts over one pass: float_vector converts each public
-    # measure's input once, 98 times. The HS grids' 292 classes are floats
-    # bd_grid made, converted by none, and only their 107 nonlocal ones reach
-    # the chamber, which measures 98 + 107 = 205 states
+    # measure's input once, 98 times, and _in_chamber measures each of them.
+    # The HS grids' 292 classes are floats bd_grid made, converted by none
+    # and measured by none: only their 107 nonlocal ones reach the chamber
+    # solve, which values 98 + 107 = 205 states
     conversions, _ = count_calls(monkeypatch, qstate, "float_vector")
     measured, _ = count_calls(monkeypatch, measures, "_in_chamber")
+    solved, _ = count_calls(monkeypatch, measures, "_solve")
     assert all(c.passed for c in run_validation())
-    assert (len(conversions), len(measured)) == (98, 205)
+    assert (len(conversions), len(measured), len(solved)) == (98, 98, 205)
+
+
+def test_every_chamber_solve_runs_inside_measures_solve(monkeypatch):
+    # one code path for the chamber value: the solve and the trace closed
+    # form are reached only through measures._solve, from validate's
+    # public measures, a grid and a sweep alike
+    depth = [0]
+    calls = {"minimize": [], "trace": []}
+    solve = measures._solve
+
+    def entered(kind, e):
+        depth[0] += 1
+        try:
+            return solve(kind, e)
+        finally:
+            depth[0] -= 1
+
+    def watched(name, original):
+        def call(*args):
+            calls[name].append(depth[0])
+            return original(*args)
+
+        return call
+
+    monkeypatch.setattr(measures, "_solve", entered)
+    monkeypatch.setattr(solver, "minimize_over_local_set", watched("minimize", solver.minimize_over_local_set))
+    monkeypatch.setattr(measures, "_trace_in_chamber", watched("trace", measures._trace_in_chamber))
+    assert all(c.passed for c in run_validation())
+    for kind in DistanceKind:
+        measures.bd_grid(kind, 11)
+        measures.bd_sweep(kind, "werner_line", 11)
+    assert calls["minimize"] and calls["trace"]
+    assert all(d == 1 for d in calls["minimize"] + calls["trace"]), calls
 
 
 def test_kernel_calls_and_angle_steps_off_the_werner_line(monkeypatch):
