@@ -16,7 +16,7 @@ import numpy as np
 from .kinds import DistanceKind, known_kind
 from .locality import BOUNDARY_TOL, cglmp_threshold
 from .measures import ZERO_WEIGHT, spectral_formula
-from .qstate import IsotropicParam
+from .qstate import IsotropicParam, _float
 
 
 def _nonneg(x: np.ndarray) -> np.ndarray:
@@ -43,7 +43,13 @@ def _checked(d: int, omega) -> np.ndarray:
     The admissible range is an interval, so checking the extremes checks every
     entry (a nan becomes both extremes and fails).
     """
-    omega = np.asarray(omega, dtype=float)
+    try:
+        omega = np.asarray(omega, dtype=float)
+    except OverflowError:
+        # name the item that no float can hold
+        for x in np.asarray(omega, dtype=object).flat:
+            _float(x, "omega")
+        raise
     if omega.size:
         IsotropicParam(d, float(omega.min()))
         IsotropicParam(d, float(omega.max()))

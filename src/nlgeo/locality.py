@@ -14,6 +14,7 @@ import math
 from collections import namedtuple
 from operator import itemgetter
 
+from .errors import OutOfRange
 from .qstate import BellDiagonal, _correlators, float_vector, whole_number
 
 BOUNDARY_TOL = 1e-12
@@ -80,7 +81,11 @@ def cglmp_threshold(d: int) -> CglmpThreshold:
     It runs once per d per process: the result is cached on the checked int,
     so 3, 3.0 and np.int64(3) share one entry.
     """
-    return _cglmp_threshold(whole_number(d, 2, "local dimension"))
+    d = whole_number(d, 2, "local dimension")
+    try:
+        return _cglmp_threshold(d)
+    except OverflowError:
+        raise OutOfRange(f"local dimension {d}: its cube is too large for a float") from None
 
 
 @functools.cache

@@ -26,7 +26,7 @@ from .errors import NotConverged, OutOfRange
 from .kinds import DistanceKind, known_kind
 from .locality import BOUNDARY_TOL, _chsh_local, bd_is_chsh_local, bell_chamber, cglmp_threshold, from_chamber
 from .qstate import (
-    BELL_CORNERS, BellDiagonal, IsotropicParam, WernerParam, _correlators, _weights, whole_number,
+    BELL_CORNERS, BellDiagonal, IsotropicParam, WernerParam, _correlators, _float, _weights, whole_number,
 )
 from . import solver
 
@@ -115,7 +115,7 @@ def werner_measure(kind: DistanceKind, w: float) -> MeasureResult:
     the closest local state is at the CHSH threshold 1/sqrt(2), or is the
     input when local (value 0.0). An invalid w or kind raises OutOfRange.
     """
-    return _family_measure(kind, 2, WernerParam(float(w)), WERNER_THRESHOLD)
+    return _family_measure(kind, 2, WernerParam(_float(w, "Werner parameter")), WERNER_THRESHOLD)
 
 
 def werner_max(kind: DistanceKind) -> float:
@@ -131,7 +131,7 @@ def isotropic_measure(kind: DistanceKind, d: int, omega: float) -> MeasureResult
     states are diagonal in {|phi+>} and its complement, so spectral_formula
     applies. An invalid weight or kind raises OutOfRange.
     """
-    param = IsotropicParam(d=d, omega=float(omega))
+    param = IsotropicParam(d=d, omega=_float(omega, "omega"))
     return _family_measure(kind, param.d, param, cglmp_threshold(param.d).omega_threshold)
 
 
@@ -392,6 +392,16 @@ def bd_grid(kind: DistanceKind, grid_n: int) -> list[tuple[float, float, float]]
     NotConverged naming the first row of its class. i/grid_n is correctly
     rounded, so a node shared by two grid sizes gets the same value in
     both; the grid_n + 1 fractions are computed once.
+
+    A row of classes (fixed lo) ends at its first local class. The class's
+    correlators are 1 - 2hi/n, 1 - 2mid/n and 1 - 2lo/n (n = grid_n), whose
+    two largest magnitudes are the last two, as lo <= mid <= hi. So it is
+    nonlocal iff (1 - 2lo/n)^2 + (1 - 2mid/n)^2 > 1, and that sum falls as
+    mid grows to n/2: the nonlocal classes of a row come first. The exact
+    sum is 1 + k/n^2 for an integer k, and the float one is within a few
+    ulps of it, so the locality test (BOUNDARY_TOL = 1e-12) decides as the
+    exact sum does while 1/n^2 is well above 1e-12, for n below about 10^6,
+    where the table would hold 5 x 10^11 cells.
     """
     grid_n = whole_number(grid_n, 1, "grid_n")
     norm = werner_max(kind)
@@ -403,7 +413,7 @@ def bd_grid(kind: DistanceKind, grid_n: int) -> list[tuple[float, float, float]]
             e = [frac[lo], frac[mid], frac[hi], 0.0]
             a = _correlators(e)
             if _chsh_local(a):
-                continue  # its cells keep the table's 0.0
+                break  # its cells and the rest of the row's keep the table's 0.0
             v, *_, converged = _solve(kind, sorted(_weights(a), reverse=True))
             if not converged:
                 raise NotConverged(f"{kind.value} solve at e = {e} did not converge")

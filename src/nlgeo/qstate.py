@@ -59,6 +59,15 @@ def float_vector(v, n: int, name: str) -> tuple:
     raise DimensionMismatch(f"{name} vector must hold {n} real numbers, got {v!r}")
 
 
+def _float(x, name: str) -> float:
+    """float(x) of a parameter x; OutOfRange naming x when no float can hold
+    it (10**400), as no admissible range reaches it."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise OutOfRange(f"{name} {x} is too large for a float") from None
+
+
 def _correlators(e) -> tuple[float, float, float]:
     """Correlators a_i = sum_k BELL_CORNERS[k][i] e_k of weight floats e, summed
     as (k = 0, 2) + (k = 1, 3): numpy's order for the matrix product, bit for bit."""
@@ -189,7 +198,10 @@ class IsotropicParam(_Checked, namedtuple("IsotropicParam", "d omega")):
 
     def __new__(cls, d, omega):
         d = whole_number(d, 2, "local dimension")
-        lo = -1.0 / (d * d - 1.0)
+        try:
+            lo = -1.0 / (d * d - 1.0)
+        except OverflowError:
+            raise OutOfRange(f"local dimension {d}: its square is too large for a float") from None
         if not (lo - 1e-12 <= omega <= 1.0 + 1e-12):
             raise OutOfRange(f"omega {omega} outside [{lo}, 1] for d={d}")
         return super().__new__(cls, d, omega)

@@ -1302,6 +1302,60 @@ def test_bd_grid_converts_nothing_and_measures_only_nonlocal_classes(kind, monke
         assert (len(conversions), len(measured)) == (0, nonlocal_classes), n
 
 
+# locality tests of bd_grid at each size: a row of classes ends at its
+# first local one, so a row makes its nonlocal classes' tests and at most one more
+GRID_LOCALITY_TESTS = {10: 10, 11: 11, 20: 24, 50: 101}
+
+
+def test_bd_grid_tests_locality_up_to_the_first_local_class_of_each_row(monkeypatch):
+    tests, _ = count_calls(monkeypatch, locality, "_chsh_local")
+    for n, count in GRID_LOCALITY_TESTS.items():
+        tests.clear()
+        bd_grid(DistanceKind.HS, n)
+        assert len(tests) == count, n
+
+
+def _full_scan_grid(kind, grid_n):
+    """bd_grid's rows from every class tested for locality, with no row
+    ending early: a nonlocal class is valued by _solve in its chamber's
+    weights and written to its permuted cells."""
+    norm = werner_max(kind)
+    frac = [i / grid_n for i in range(grid_n + 1)]
+    value = [[0.0] * (grid_n + 1 - i) for i in range(grid_n + 1)]
+    for lo in range(grid_n + 1):
+        for mid in range(lo, grid_n + 1 - lo):
+            hi = grid_n - lo - mid
+            if hi < mid:
+                continue
+            a = bd_probs_to_corr([frac[lo], frac[mid], frac[hi], 0.0])
+            if not bd_is_chsh_local(a):
+                v, *_, converged = measures._solve(kind, sorted(bd_corr_to_probs(a), reverse=True))
+                assert converged, (grid_n, lo, mid)
+                for i, j in itertools.permutations((lo, mid, hi), 2):
+                    value[i][j] = v / norm
+    return [(fi, fj, v) for fi, row in zip(frac, value) for fj, v in zip(frac, row)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_bd_grid_equals_a_full_scan_of_its_classes(kind):
+    # ending each row at its first local class changes no bit of any row
+    for grid_n in [*range(1, 61), 100]:
+        assert repr(bd_grid(kind, grid_n)) == repr(_full_scan_grid(kind, grid_n)), grid_n
+
+
+def test_the_locality_tests_along_a_grid_row_form_a_prefix():
+    # along a row (fixed lo) of classes lo <= mid <= hi, the tests read
+    # nonlocal, then local only, and each is the exact test
+    # (n - 2 lo)^2 + (n - 2 mid)^2 > n^2 on the class's integers
+    for n in range(1, 151):
+        frac = [i / n for i in range(n + 1)]
+        for lo in range(n // 3 + 1):
+            mids = range(lo, (n - lo) // 2 + 1)
+            row = [locality._chsh_local(qstate._correlators([frac[lo], frac[m], frac[n - lo - m], 0.0])) for m in mids]
+            assert row == sorted(row), (n, lo)
+            assert row == [(n - 2 * lo) ** 2 + (n - 2 * m) ** 2 <= n * n for m in mids], (n, lo)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_bd_grid_class_on_the_chsh_boundary_reads_zero_without_a_solve(kind, monkeypatch):
     # e = (1, 2, 7)/10 has correlators (-0.4, 0.6, 0.8) up to rounding, whose

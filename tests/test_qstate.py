@@ -41,7 +41,8 @@ from nlgeo.qstate import (
     physical_probs,
 )
 from nlgeo.locality import bd_is_chsh_local, cglmp_threshold
-from nlgeo.measures import bd_grid, bd_measure, bd_sweep, isotropic_measure
+from nlgeo.arrays import isotropic_reference_formula, isotropic_values
+from nlgeo.measures import bd_grid, bd_measure, bd_sweep, isotropic_measure, werner_measure
 from nlgeo.kinds import DistanceKind
 from nlgeo.metrics import (
     dist_bures,
@@ -206,6 +207,30 @@ HUGE_ENTRIES = {
 def test_a_number_no_float_can_hold_raises_dimension_mismatch_naming_it(entry, huge):
     with pytest.raises(DimensionMismatch, match=f"item {re.escape(repr(huge))} is too large for a float"):
         HUGE_ENTRIES[entry](huge)
+
+
+# the family entries of a parameter that no float can hold: OutOfRange
+# naming it, not OverflowError. Arrays are checked at their extremes only,
+# so a long sweep pays nothing per entry
+HUGE = 10**400
+HUGE_PARAMS = {
+    "werner_measure": lambda: werner_measure(DistanceKind.HS, HUGE),
+    "isotropic_measure": lambda: isotropic_measure(DistanceKind.HS, 3, HUGE),
+    "isotropic_measure_fraction": lambda: isotropic_measure(DistanceKind.HS, 3, Fraction(HUGE)),
+    "isotropic_measure_dimension": lambda: isotropic_measure(DistanceKind.HS, HUGE, 0.5),
+    "IsotropicParam_dimension": lambda: IsotropicParam(HUGE, 0.5),
+    "cglmp_threshold": lambda: cglmp_threshold(HUGE),
+    "isotropic_values": lambda: isotropic_values(DistanceKind.HS, 3, [0.9, HUGE]),
+    "isotropic_values_negative": lambda: isotropic_values(DistanceKind.HS, 3, [[0.9], [-HUGE]]),
+    "isotropic_reference_formula": lambda: isotropic_reference_formula(DistanceKind.HS, 3, [HUGE]),
+    "isotropic_reference_formula_scalar": lambda: isotropic_reference_formula(DistanceKind.HS, 3, HUGE),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(HUGE_PARAMS))
+def test_a_parameter_no_float_can_hold_raises_out_of_range_naming_it(entry):
+    with pytest.raises(OutOfRange, match=f"{HUGE}:? .*too large for a float"):
+        HUGE_PARAMS[entry]()
 
 
 unit_interval = st.floats(min_value=0.0, max_value=1.0)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -82,12 +83,15 @@ def test_validation_converts_once_per_measure(monkeypatch):
     # measure's input once, 98 times, and _in_chamber measures each of them.
     # The HS grids' 292 classes are floats bd_grid made, converted by none
     # and measured by none: only their 107 nonlocal ones reach the chamber
-    # solve, which values 98 + 107 = 205 states
+    # solve, which values 98 + 107 = 205 states. Each public measure tests
+    # its input for locality once, and each grid row of classes stops at
+    # its first local class: 98 + 10 + 24 + 101 = 233 tests
     conversions, _ = count_calls(monkeypatch, qstate, "float_vector")
     measured, _ = count_calls(monkeypatch, measures, "_in_chamber")
     solved, _ = count_calls(monkeypatch, measures, "_solve")
+    tested, _ = count_calls(monkeypatch, locality, "_chsh_local")
     assert all(c.passed for c in run_validation())
-    assert (len(conversions), len(measured), len(solved)) == (98, 98, 205)
+    assert (len(conversions), len(measured), len(solved), len(tested)) == (98, 98, 205, 233)
 
 
 def test_every_chamber_solve_runs_inside_measures_solve(monkeypatch):
@@ -187,3 +191,77 @@ def test_an_unconverged_grid_is_recorded_by_the_one_builder(monkeypatch, tmp_pat
     assert grid.seconds >= 0.0
     assert "NotConverged" in grid.detail
     assert main(["validate", "--out", str(tmp_path / "v.csv")]) == 5
+
+
+def _grid_with(change):
+    """validation's bd_grid, with change(n, rows) applied to each grid's rows."""
+    def grid(kind, n):
+        rows = measures.bd_grid(kind, n)
+        change(n, rows)
+        return rows
+
+    return grid
+
+
+def _shared_index(n, e1, e2):
+    (index,) = [k for k, (f1, f2, _) in enumerate(measures.bd_grid(DistanceKind.HS, n)) if (f1, f2) == (e1, e2)]
+    return index
+
+
+def test_the_grid_row_fails_on_a_moved_shared_value(monkeypatch):
+    # (0.8, 0.1) is a node of the grids 10, 20 and 50; its 50-grid value,
+    # moved by 1e-12, is compared with both coarser grids
+    index = _shared_index(50, 0.8, 0.1)
+    moved = {}
+
+    def move(n, rows):
+        if n == 50:
+            e1, e2, v = rows[index]
+            rows[index] = (e1, e2, v + 1e-12)
+            moved["error"] = abs((v + 1e-12) - v)
+
+    monkeypatch.setattr(validation, "bd_grid", _grid_with(move))
+    check = validation._grid_convergence()
+    assert not check.passed
+    assert check.max_error == moved["error"] > GRID_TOL
+    assert (check.name, check.tolerance, check.detail) == ("grid_convergence_hs", GRID_TOL, "")
+
+
+def test_the_grid_row_fails_on_a_shared_node_one_ulp_off(monkeypatch):
+    # a node whose e1 differs by one ulp in the 20-grid is not the coarse
+    # node: it fails the row, where a comparison keyed by (e1, e2) would
+    # drop it and pass
+    index = _shared_index(20, 0.8, 0.1)
+
+    def shift(n, rows):
+        if n == 20:
+            e1, e2, v = rows[index]
+            rows[index] = (math.nextafter(e1, 1.0), e2, v)
+
+    monkeypatch.setattr(validation, "bd_grid", _grid_with(shift))
+    check = validation._grid_convergence()
+    assert not check.passed and check.max_error == math.inf and check.detail == ""
+
+
+def test_each_pair_of_grids_compares_the_66_coarse_nodes(monkeypatch):
+    # every value carries its grid size, and each difference taken between
+    # two grids' values is recorded: 66 per pair of grids, 198 in all
+    compared = []
+
+    class Tagged(float):
+        def __sub__(self, other):
+            compared.append((self.n, other.n))
+            return float(self) - float(other)
+
+    def tag(n, rows):
+        for k, (e1, e2, v) in enumerate(rows):
+            rows[k] = (e1, e2, Tagged(v))
+            rows[k][2].n = n
+
+    monkeypatch.setattr(validation, "bd_grid", _grid_with(tag))
+    assert validation._grid_convergence().passed
+    assert Counter(compared) == {(10, 20): 66, (10, 50): 66, (20, 50): 66}
+    coarse = [(i / 10, j / 10) for i in range(11) for j in range(11 - i)]
+    for n in validation.GRID_SIZES:
+        nodes = validation._coarse_nodes(measures.bd_grid(DistanceKind.HS, n), n)
+        assert [(e1, e2) for e1, e2, _ in nodes] == coarse, n
