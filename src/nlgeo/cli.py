@@ -6,17 +6,17 @@ non-convergence. A reader that closes the output pipe early
 (``nlgeo werner-sweep | head -2``) has chosen to stop, so that exits 0
 without a traceback. Output is CSV (default) or JSON with the same records
 (JSON writes a non-finite float, which it cannot represent, as null). nlgeo
-writes both formats itself, a block of BLOCK_ROWS rows per % call and per
-write; the JSON follows the json module's indent=2 layout. A column whose
-first cell is a float is a float column, whose cells go straight into the
-block's template; only the other cells are formatted one by one.
-Metadata lines carry the tool version, the value conventions and the seed, so
-a fixed command line reproduces byte-identical files.
+writes both formats itself from a table's columns, a block of BLOCK_ROWS rows
+per % call and per write; the JSON follows the json module's indent=2
+layout. A block of a float column goes straight into the block's template;
+only the other cells are formatted one by one. Metadata lines carry the tool
+version, the value conventions and the seed, so a fixed command line
+reproduces byte-identical files.
 
 Only werner-sweep and iso, which evaluate closed forms over whole arrays,
-import numpy (nlgeo.arrays), and only when they run. They evaluate every
-column before the header is written, then hand the writer rows a block at a
-time (_block_rows), so a table's Python rows never all exist at once.
+import numpy (nlgeo.arrays), and only when they run. They hand the writer
+their arrays, which it converts a block at a time, so a table's Python
+values never all exist at once.
 
 main() builds one parser per process, on its first call, and parses every
 later argv with it. build_parser() returns a fresh parser, so a caller that
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -57,10 +56,10 @@ CONVENTIONS = "hellinger=squared bures=squared log_base=2 boundary=local"
 # bound) and runs once per d per process, however many kinds iso measures
 ISO_MAX_D = 100_000
 
-# rows per % call and per write in write_table, and per conversion in
-# _block_rows. Blocks of 16 to 512 rows raised peak RSS by 1.4-3 MB over
-# repeated large JSON tables (their texts fragment the heap), 2048 by none;
-# with rows made per block, 512 or 1024 would save under 0.5 MB
+# rows per array conversion, % call and write in write_table. Blocks of 16
+# to 512 rows raised peak RSS by 1.4-3 MB over repeated large JSON tables
+# (their texts fragment the heap), 2048 by none; with arrays converted per
+# block, 512 or 1024 would save under 0.5 MB
 BLOCK_ROWS = 2048
 
 
@@ -87,86 +86,73 @@ def _json_cell(v) -> str:
     return json.dumps(v)
 
 
-def write_table(out, columns, rows, meta_pairs, fmt: str) -> None:
+def write_table(out, names, columns, meta_pairs, fmt: str) -> None:
     """Write the header once, then the rows a block of BLOCK_ROWS at a time.
 
     CSV: `# key: value` metadata lines, the column line, one line per row.
     JSON: {"meta", "columns", "records"} in the json module's indent=2
-    layout, so no record dict is built. The column names must be unique, as
-    JSON object keys are. Each row is a sequence of one cell per column; a
-    row of another length raises TypeError.
+    layout, so no record dict is built. The names must be unique, as JSON
+    object keys are. columns holds one column per name, a list, a tuple or a
+    1-D array, all of one length, or None for empty cells (null in JSON);
+    other lengths raise TypeError.
 
-    Each block's cells are flattened into one list and written by one %
-    call, on the row template repeated once per row of the block, and one
-    write. A column whose cell in the first row is a float (np.float64
-    included; a bool is not) is a float column, and each of its later cells
-    must be a float or an int. The template takes those cells as they are,
-    as %.17g in CSV and as str, which for a Python float is float.__repr__,
-    in JSON, so a float cell costs no Python call. Every other cell is
-    written by _fmt or _json_cell. In JSON, the float cells of a block go
-    through _json_cell too unless each is a Python float and their sum is
-    finite: a non-finite value is written as null, and an np.float64, whose
-    str follows numpy's print options, as float.__repr__.
+    Each block is one flat cell list, filled a column at a time by slice
+    assignment (an array's cells through tolist, so no row tuple is made),
+    and written by one % call, on the row template repeated once per row of
+    the block, and one write. A column whose first cell is a float
+    (np.float64 included; a bool is not) is a float column. Its block goes
+    into the template as it is if every cell is a Python float, as a float
+    array's are by construction, and, in JSON, their sum is finite: as %.17g
+    in CSV and as str, which is float.__repr__, in JSON, so a float cell
+    costs no Python call. Every other block is written cell by cell by _fmt
+    or _json_cell, which write a non-finite float as null in JSON and an
+    np.float64, whose str follows numpy's print options, as float.__repr__.
     """
-    rows = iter(rows)
-    first = next(rows, None)
-    rows = rows if first is None else itertools.chain((first,), rows)
-    width = len(columns)
-    floats = [i for i, v in enumerate(() if first is None else first) if isinstance(v, float)]
-    # a column's cells in a block's flat list: cells[i::width]
-    other = [slice(i, None, width) for i in range(width) if i not in floats]
+    width = len(names)
+    n = next((len(c) for c in columns if c is not None), 0)
+    if len(columns) != width or any(c is not None and len(c) != n for c in columns):
+        raise TypeError(f"need {width} columns, one per name, of {n} cells each")
     if fmt == "json":
-        head = json.dumps({"meta": dict(meta_pairs), "columns": list(columns)}, indent=2)
+        head = json.dumps({"meta": dict(meta_pairs), "columns": list(names)}, indent=2)
         # the dict's closing "\n}" makes way for the records array
         out.write(head[:-2] + ',\n  "records": [')
-        fields = ",".join(f"\n      {json.dumps(c).replace('%', '%%')}: %s" for c in columns)
-        template, cell, sep = "\n    {" + fields + "\n    }", _json_cell, ","
-        checked = [slice(i, None, width) for i in floats]
+        keys = [f"\n      {json.dumps(c).replace('%', '%%')}: " for c in names]
+        begin, end, sep, cell, straight, empty = "\n    {", "\n    }", ",", _json_cell, "%s", "null"
     else:
         out.write("".join(f"# {k}: {_fmt(v)}\n" for k, v in meta_pairs))
-        out.write(",".join(columns) + "\n")
-        slots = ["%.17g" if i in floats else "%s" for i in range(width)]
-        template, cell, sep = ",".join(slots) + "\n", _fmt, ""
-        # %.17g writes inf, nan and np.float64 as _fmt does, so no block is checked
-        checked = []
-    lead = ""
-    while block := list(itertools.islice(rows, BLOCK_ROWS)):
-        # every row, so a short row next to a long one cannot shift the cells
-        if set(map(len, block)) != {width}:
-            raise TypeError(f"every row must have {width} cells, one per column")
-        cells = list(itertools.chain.from_iterable(block))
-        for column in other:
-            cells[column] = map(cell, cells[column])
-        if checked:
+        out.write(",".join(names) + "\n")
+        # %.17g writes a float, inf and nan included, as _fmt does
+        keys, begin, end, sep, cell, straight, empty = [""] * width, "", "\n", "", _fmt, "%.17g", ""
+    lead, floats = "", {}  # float column index: True for a float array, whose cells need no type scan
+    for start in range(0, n, BLOCK_ROWS):
+        rows = min(BLOCK_ROWS, n - start)
+        cells, slots = [empty] * (rows * width), ["%s"] * width
+        for i, column in enumerate(columns):
+            if column is None:
+                continue
+            block = column[start : start + BLOCK_ROWS]
+            block = block.tolist() if hasattr(block, "tolist") else block
+            if not start and isinstance(block[0], float):
+                floats[i] = getattr(getattr(column, "dtype", None), "kind", None) == "f"
             # types first: a sum that met an np.float64 would be numpy's, which
             # warns on inf + -inf and on overflow
-            values = [cells[column] for column in checked]
-            types = set(map(type, itertools.chain.from_iterable(values)))
-            if types != {float} or not math.isfinite(sum(map(sum, values))):
-                for column in checked:
-                    cells[column] = map(cell, cells[column])
+            if i in floats and (floats[i] or set(map(type, block)) == {float}) and (
+                fmt != "json" or math.isfinite(sum(block))
+            ):
+                cells[i::width], slots[i] = block, straight
+            else:
+                cells[i::width] = map(cell, block)
+        template = begin + ",".join(map(str.__add__, keys, slots)) + end
         # the template is built for this block's own length, so a table of
         # a few rows does not pay for a template of BLOCK_ROWS
-        out.write((lead + sep.join([template] * len(block))) % tuple(cells))
+        out.write((lead + sep.join([template] * rows)) % tuple(cells))
         lead = sep
     if fmt == "json":
         # an empty array closes on the same line: "records": []
         out.write("\n  ]\n}\n" if lead else "]\n}\n")
 
 
-def _block_rows(columns):
-    """The rows of equal-length 1-D arrays as tuples, each block of
-    BLOCK_ROWS rows converted when write_table reaches it; a None column
-    gives None cells. chain and map pass each row on without a Python call."""
-
-    def block(i):
-        return zip(*(itertools.repeat(None) if c is None else c[i : i + BLOCK_ROWS].tolist() for c in columns))
-
-    n = len(next(c for c in columns if c is not None))
-    return itertools.chain.from_iterable(map(block, range(0, n, BLOCK_ROWS)))
-
-
-def emit(args, columns, rows, **meta) -> None:
+def emit(args, names, columns, **meta) -> None:
     """Write the table to args.out (stdout for None or "-") in args.format."""
     # the header keeps native values; the csv writer formats, json keeps the types
     meta_pairs = [
@@ -179,10 +165,10 @@ def emit(args, columns, rows, **meta) -> None:
     # write_table is looked up here at call time, so a wrapper installed on
     # nlgeo.cli.write_table (the benchmark's tracer) sees every table
     if args.out in (None, "-"):
-        write_table(sys.stdout, columns, rows, meta_pairs, args.format)
+        write_table(sys.stdout, names, columns, meta_pairs, args.format)
         return
     with open(args.out, "w") as out:
-        write_table(out, columns, rows, meta_pairs, args.format)
+        write_table(out, names, columns, meta_pairs, args.format)
 
 
 def _at_least(low: int, at_most: int | None = None):
@@ -224,21 +210,19 @@ def cmd_werner_sweep(args) -> int:
     if not (-1.0 / 3.0 <= args.w_min < args.w_max <= 1.0 + 1e-12):
         raise ValueError(f"need -1/3 <= w-min < w-max <= 1, got [{args.w_min}, {args.w_max}]")
     ws = np.linspace(args.w_min, args.w_max, args.n)
-    # every column is evaluated here, before the header; rows are made per block
-    rows = _block_rows([ws, *per_kind(kinds, lambda k: isotropic_values(k, 2, ws) / werner_max(k))])
-    columns = ["w"] + [k.value for k in kinds]
-    emit(args, columns, rows)
+    # every column is evaluated here, before the header
+    columns = [ws, *per_kind(kinds, lambda k: isotropic_values(k, 2, ws) / werner_max(k))]
+    emit(args, ["w"] + [k.value for k in kinds], columns)
     return 0
 
 
 def cmd_bd_sweep(args) -> int:
     kinds = _kinds(args)
     family = args.family.replace("-", "_")
-    tables = per_kind(kinds, lambda k: bd_sweep(k, family, args.n))
+    tables = list(per_kind(kinds, lambda k: bd_sweep(k, family, args.n)))
     # every table has the same parameter column
-    rows = [(row[0][0], *(value for _, value in row)) for row in zip(*tables)]
-    columns = ["param"] + [k.value for k in kinds]
-    emit(args, columns, rows, family=family)
+    columns = [[param for param, _ in tables[0]], *([value for _, value in table] for table in tables)]
+    emit(args, ["param"] + [k.value for k in kinds], columns, family=family)
     return 0
 
 
@@ -248,8 +232,8 @@ def cmd_bd_grid(args) -> int:
     if args.kind and len(args.kind) != 1:
         raise ValueError("bd-grid takes exactly one --kind")
     kinds = _kinds(args, default=["hs"])
-    rows = bd_grid(kinds[0], args.grid_n)
-    emit(args, ["e1", "e2", "value"], rows, kind=kinds[0].value, grid_n=args.grid_n)
+    columns = list(zip(*bd_grid(kinds[0], args.grid_n)))
+    emit(args, ["e1", "e2", "value"], columns, kind=kinds[0].value, grid_n=args.grid_n)
     return 0
 
 
@@ -267,10 +251,10 @@ def cmd_bd_measure(args) -> int:
         + (res.method, res.surface, res.iterations, res.converged)
         for k, res in zip(kinds, results)
     ]
-    columns = ["kind", "value", "a1", "a2", "a3", "closest_a1", "closest_a2", "closest_a3"]
-    columns += ["closest_e1", "closest_e2", "closest_e3", "closest_e4"]
-    columns += ["method", "surface", "iterations", "converged"]
-    emit(args, columns, rows)
+    names = ["kind", "value", "a1", "a2", "a3", "closest_a1", "closest_a2", "closest_a3"]
+    names += ["closest_e1", "closest_e2", "closest_e3", "closest_e4"]
+    names += ["method", "surface", "iterations", "converged"]
+    emit(args, names, list(zip(*rows)))
     if not all(res.converged for res in results):
         raise NotConverged("numeric minimization did not converge")
     return 0
@@ -305,18 +289,15 @@ def cmd_iso(args) -> int:
         # Bures has no quoted form: its formula and flag columns are None, so their cells are empty
         reference = isotropic_reference_formula(k, args.d, omegas)
         columns += [value, reference, formula_agrees(value, reference)]
-    emit(args, names, _block_rows(columns), d=args.d, i_d_qm=thr.i_d_qm, omega_threshold=thr.omega_threshold)
+    emit(args, names, columns, d=args.d, i_d_qm=thr.i_d_qm, omega_threshold=thr.omega_threshold)
     return 0
 
 
 def cmd_validate(args) -> int:
     checks = run_validation()
-    columns = ["check", "status", "max_error", "tolerance", "seconds", "detail"]
-    rows = [
-        [c.name, "pass" if c.passed else "FAIL", c.max_error, c.tolerance, c.seconds, c.detail]
-        for c in checks
-    ]
-    emit(args, columns, rows)
+    names = ["check", "status", "max_error", "tolerance", "seconds", "detail"]
+    rows = [(c.name, "pass" if c.passed else "FAIL", c.max_error, c.tolerance, c.seconds, c.detail) for c in checks]
+    emit(args, names, list(zip(*rows)))
     if all(c.passed for c in checks):
         return 0
     if any("NotConverged" in c.detail for c in checks):

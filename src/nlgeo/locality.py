@@ -15,7 +15,7 @@ from collections import namedtuple
 from operator import itemgetter
 
 from .errors import OutOfRange
-from .qstate import BellDiagonal, _correlators, float_vector, whole_number
+from .qstate import BellDiagonal, _correlators, _shown, float_vector, whole_number
 
 BOUNDARY_TOL = 1e-12
 
@@ -85,7 +85,7 @@ def cglmp_threshold(d: int) -> CglmpThreshold:
     try:
         return _cglmp_threshold(d)
     except OverflowError:
-        raise OutOfRange(f"local dimension {d}: its cube is too large for a float") from None
+        raise OutOfRange(f"local dimension {_shown(d)}: its cube is too large for a float") from None
 
 
 @functools.cache

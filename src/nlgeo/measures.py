@@ -26,7 +26,7 @@ from .errors import NotConverged, OutOfRange
 from .kinds import DistanceKind, known_kind
 from .locality import BOUNDARY_TOL, _chsh_local, bd_is_chsh_local, bell_chamber, cglmp_threshold, from_chamber
 from .qstate import (
-    BELL_CORNERS, BellDiagonal, IsotropicParam, WernerParam, _correlators, _float, _weights, whole_number,
+    BELL_CORNERS, BellDiagonal, IsotropicParam, WernerParam, _correlators, _float, _shown, _weights, whole_number,
 )
 from . import solver
 
@@ -333,7 +333,7 @@ def bd_measure(kind: DistanceKind, a) -> MeasureResult:
 def two_bell_mix_corr(p: float) -> tuple[float, float, float]:
     """Correlators (2p - 1, -(2p - 1), 1) of the mix of two Bell states."""
     if not (0.0 <= p <= 1.0):
-        raise OutOfRange(f"mixing weight {p} outside [0, 1]")
+        raise OutOfRange(f"mixing weight {_shown(p)} outside [0, 1]")
     q = 2.0 * float(p) - 1.0
     return (q, -q, 1.0)
 

@@ -32,6 +32,18 @@ BELL_CORNERS = (
 )
 
 
+def _shown(x, show=str) -> str:
+    """show(x) for an error message. An int past CPython's limit on the digits
+    str writes (sys.set_int_max_str_digits) is named by its size, and
+    anything holding one by its type, where show would raise ValueError."""
+    try:
+        return show(x)
+    except ValueError:
+        if isinstance(x, int):
+            return f"{'a negative' if x < 0 else 'an'} int of {x.bit_length()} bits"
+        return f"a {type(x).__name__} holding an int too long to write"
+
+
 def float_vector(v, n: int, name: str) -> tuple:
     """v as a tuple of n floats; DimensionMismatch unless it holds n real numbers,
     which no str or bytes, text item or complex item (numpy's too) is: float would
@@ -44,7 +56,7 @@ def float_vector(v, n: int, name: str) -> tuple:
     except TypeError:
         items = None
     if items is None or len(items) != n:
-        raise DimensionMismatch(f"{name} vector must have length {n}, got {v!r}")
+        raise DimensionMismatch(f"{name} vector must have length {n}, got {_shown(v, repr)}")
     if all(map(isinstance, items, _REAL)) or not any(
         isinstance(x, (str, bytes, bytearray, complex)) or getattr(getattr(x, "dtype", None), "kind", "") == "c"
         for x in items
@@ -55,8 +67,8 @@ def float_vector(v, n: int, name: str) -> tuple:
             pass
         except OverflowError:  # an int or fraction beyond the largest float
             big = next(x for x in items if float_info.max < abs(x) < math.inf)
-            raise DimensionMismatch(f"{name} vector item {big!r} is too large for a float") from None
-    raise DimensionMismatch(f"{name} vector must hold {n} real numbers, got {v!r}")
+            raise DimensionMismatch(f"{name} vector item {_shown(big, repr)} is too large for a float") from None
+    raise DimensionMismatch(f"{name} vector must hold {n} real numbers, got {_shown(v, repr)}")
 
 
 def _float(x, name: str) -> float:
@@ -65,7 +77,7 @@ def _float(x, name: str) -> float:
     try:
         return float(x)
     except OverflowError:
-        raise OutOfRange(f"{name} {x} is too large for a float") from None
+        raise OutOfRange(f"{name} {_shown(x)} is too large for a float") from None
 
 
 def _correlators(e) -> tuple[float, float, float]:
@@ -178,7 +190,7 @@ class WernerParam(_Checked, namedtuple("WernerParam", "w")):
 
     def __new__(cls, w):
         if not (-1.0 / 3.0 - 1e-12 <= w <= 1.0 + 1e-12):
-            raise OutOfRange(f"Werner parameter {w} outside [-1/3, 1]")
+            raise OutOfRange(f"Werner parameter {_shown(w)} outside [-1/3, 1]")
         return super().__new__(cls, w)
 
 
@@ -187,7 +199,7 @@ def whole_number(n, low: int, name: str) -> int:
     (nan, inf and bools are not)."""
     # n % 1 rather than float(n): an int too large for a float is whole
     if isinstance(n, bool) or not (n >= low and n % 1 == 0):
-        raise OutOfRange(f"{name} must be an integer >= {low}, got {n}")
+        raise OutOfRange(f"{name} must be an integer >= {low}, got {_shown(n)}")
     return int(n)
 
 
@@ -201,7 +213,7 @@ class IsotropicParam(_Checked, namedtuple("IsotropicParam", "d omega")):
         try:
             lo = -1.0 / (d * d - 1.0)
         except OverflowError:
-            raise OutOfRange(f"local dimension {d}: its square is too large for a float") from None
+            raise OutOfRange(f"local dimension {_shown(d)}: its square is too large for a float") from None
         if not (lo - 1e-12 <= omega <= 1.0 + 1e-12):
-            raise OutOfRange(f"omega {omega} outside [{lo}, 1] for d={d}")
+            raise OutOfRange(f"omega {_shown(omega)} outside [{lo}, 1] for d={d}")
         return super().__new__(cls, d, omega)

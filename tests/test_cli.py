@@ -1,5 +1,4 @@
 import argparse
-import collections
 import csv
 import io
 import json
@@ -268,11 +267,24 @@ def oracle_write_table(out, columns, rows, meta_pairs, fmt):
         out.write(",".join(cell(v) for v in r) + "\n")
 
 
+def rows_of(columns):
+    """The rows of write_table's columns: an array's cells by tolist, a None column's as None."""
+    n = next((len(c) for c in columns if c is not None), 0)
+    return list(zip(*([None] * n if c is None else c.tolist() if hasattr(c, "tolist") else c for c in columns)))
+
+
+def oracle_write_columns(out, names, columns, meta_pairs, fmt):
+    """oracle_write_table on the rows of the columns write_table takes."""
+    oracle_write_table(out, names, rows_of(columns), meta_pairs, fmt)
+
+
 def written(writer, table, fmt):
-    """The text a writer produces for (columns, rows, meta), or the type it raises."""
+    """The text a writer of columns produces for (names, rows, meta), or the type it raises."""
+    names, rows, meta_pairs = table
+    columns = [list(column) for column in zip(*rows)] if rows else [[] for _ in names]
     out = io.StringIO()
     try:
-        writer(out, *table, fmt)
+        writer(out, names, columns, meta_pairs, fmt)
     except TypeError as exc:  # the json module encodes no numpy integer
         return type(exc)
     return out.getvalue()
@@ -300,6 +312,8 @@ WRITER_TABLES = {
     ),
     "numpy_int": (["i", "x"], [[np.int64(3), np.float64(2.5)]], GRID_META),
     "bool_none_int": (["ok", "none", "n"], [[True, None, 7], [False, None, -12]], GRID_META),
+    # a float column, typed by its first cell, holding a bool, None and an int
+    "float_column_others": (["x", "y"], [[0.5, 1.0], [True, 2.0], [None, 3.0], [7, 0.25]], ISO_META),
     "strings": (["kind", "100% detail"], [["re", 'say "hi" to \u03c9 and caf\u00e9'], ["hs", ""]], ISO_META),
     "empty": (["w", "hs"], [], GRID_META),
     "mixed": (
@@ -328,7 +342,7 @@ WRITER_TABLES = {
 @pytest.mark.parametrize("name", sorted(WRITER_TABLES))
 def test_write_table_matches_record_dict_writer(name, fmt):
     table = WRITER_TABLES[name]
-    expected = written(oracle_write_table, table, fmt)
+    expected = written(oracle_write_columns, table, fmt)
     # a float column is written as the record-dict writer wrote it, even
     # where numpy's print options change the str of np.float64
     with np.printoptions(legacy="1.13"):
@@ -336,70 +350,78 @@ def test_write_table_matches_record_dict_writer(name, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_a_row_of_the_wrong_length_raises_type_error(fmt):
-    # six cells in all, two per row on average: a short row next to a long
-    # one must not shift the cells between them
-    for rows in ([[0.5, 1.0], [0.5], [0.5, 1.0, 2.0]], [[0.5, 1.0], [0.5, 1.0, 2.0]]):
-        with pytest.raises(TypeError, match="every row must have 2 cells"):
-            write_table(io.StringIO(), ["x", "y"], rows, GRID_META, fmt)
+def test_a_column_of_the_wrong_length_raises_type_error(fmt):
+    # checked before the header, so nothing is written
+    for names, columns, cells in [
+        (["x", "y"], [[0.5, 1.0], [0.5]], 2),
+        (["x", "y"], [None, [0.5], (1.0, 2.0)], 1),
+        (["x", "y"], [np.zeros(3), np.zeros(2)], 3),
+        (["x", "y", "z"], [[0.5], [1.0]], 1),
+    ]:
+        out = io.StringIO()
+        with pytest.raises(TypeError, match=f"of {cells} cells each"):
+            write_table(out, names, columns, GRID_META, fmt)
+        assert out.getvalue() == ""
 
 
 ALL_KINDS = [flag for k in KIND_CODES for flag in ("--kind", k)]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("n", [1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
-def test_block_rows_are_the_rows_of_the_columns(n):
+def test_array_columns_are_written_as_their_rows(n, fmt):
+    # float arrays (one float32) take the template without a type scan; in
+    # JSON, x's nan (last row) and y's -inf (middle row) send the blocks of
+    # those columns that hold them cell by cell
     rng = np.random.default_rng(n)
-    columns = [rng.random(n), np.arange(n) % 3 == 0, np.linspace(-1.0, 1.0, n)]
-    rows = list(cli._block_rows(columns))
-    assert rows == list(zip(*(c.tolist() for c in columns)))
-    assert {type(v) for row in rows for v in row} == {float, bool}
+    x, y = rng.random(n), np.linspace(-1.0, 1.0, n)
+    x[-1], y[n // 2] = math.nan, -math.inf
+    columns = [x, np.arange(n) % 3 == 0, y, np.arange(n), None, rng.random(n).astype(np.float32), list(x)]
+    names = ["x", "ok", "y", "i", "none", "x32", "x_list"]
+    expected = io.StringIO()
+    oracle_write_columns(expected, names, columns, ISO_META, fmt)
+    out = io.StringIO()
+    write_table(out, names, columns, ISO_META, fmt)
+    assert out.getvalue() == expected.getvalue()
 
 
-def test_block_rows_give_none_cells_for_a_none_column():
-    rows = list(cli._block_rows([None, np.linspace(0.0, 1.0, BLOCK_ROWS + 1), None]))
-    assert len(rows) == BLOCK_ROWS + 1
-    assert all(row[0] is None and row[2] is None for row in rows)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_none_column_gives_empty_cells_across_three_blocks(fmt):
+    n = 2 * BLOCK_ROWS + 1
+    out = io.StringIO()
+    write_table(out, ["a", "x", "b"], [None, np.linspace(0.0, 1.0, n), None], GRID_META, fmt)
+    if fmt == "json":
+        records = json.loads(out.getvalue())["records"]
+        assert len(records) == n and all(r["a"] is None and r["b"] is None for r in records)
+    else:
+        rows = list(csv.reader(line for line in io.StringIO(out.getvalue()) if not line.startswith("#")))
+        assert rows[0] == ["a", "x", "b"] and len(rows) == n + 1
+        assert all(len(row) == 3 and row[0] == row[2] == "" for row in rows[1:])
 
 
-class SlicedColumn:
-    """A 1-D array that records each slice taken of it."""
+class NullOut:
+    """An output that keeps nothing written to it."""
 
-    def __init__(self, array, taken):
-        self.array, self.taken = array, taken
-
-    def __len__(self):
-        return len(self.array)
-
-    def __getitem__(self, key):
-        self.taken.append(key)
-        return self.array[key]
+    def write(self, text):
+        return len(text)
 
 
-def test_block_rows_convert_a_block_when_it_is_taken():
-    taken = []
-    rows = cli._block_rows([SlicedColumn(np.zeros(2 * BLOCK_ROWS + 1), taken)])
-    assert taken == []
-    next(rows)
-    assert taken == [slice(0, BLOCK_ROWS)]
-    assert len(list(rows)) == 2 * BLOCK_ROWS
-    assert taken == [slice(i, i + BLOCK_ROWS) for i in range(0, 2 * BLOCK_ROWS + 1, BLOCK_ROWS)]
-
-
-def test_draining_block_rows_holds_about_one_block():
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writing_columns_holds_about_one_block(fmt):
     # a count that does not depend on the machine: the traced peak of Python
-    # allocations. A converted float cell costs 32 B (the float and its list
-    # slot), so the bound is two blocks of seven such columns. Draining reads
-    # 0.35 MB; converting each whole column at once costs about 18 MB
+    # allocations. Writing reads about 55 B a cell of one block in CSV and
+    # 85 B in JSON: the Python values, their slots in the cell list and its
+    # tuple, and the block's text. The bound is two blocks of seven columns
+    # at 100 B a cell; one block of all 100,000 rows reads 38 and 58 MB
     n, rng = 100_000, np.random.default_rng(7)
     columns = [*(rng.random(n) for _ in range(5)), rng.random(n) < 0.5, None]
     tracemalloc.start()
     try:
-        collections.deque(cli._block_rows(columns), maxlen=0)
+        write_table(NullOut(), list("abcdefg"), columns, GRID_META, fmt)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 7 * 32 * BLOCK_ROWS
+    assert peak < 2 * 7 * 100 * BLOCK_ROWS, peak
 
 
 # commands with float columns, with every kind of cell they write: Bures'
@@ -432,7 +454,7 @@ TYPED_COMMANDS = [
 def test_commands_write_what_the_record_dict_writer_wrote(argv, fmt, tmp_path, monkeypatch):
     new, old = tmp_path / "new", tmp_path / "old"
     assert run(argv + ["--format", fmt, "--out", str(new)]) == 0
-    monkeypatch.setattr(cli, "write_table", oracle_write_table)
+    monkeypatch.setattr(cli, "write_table", oracle_write_columns)
     assert run(argv + ["--format", fmt, "--out", str(old)]) == 0
     assert new.read_bytes() == old.read_bytes()
 
@@ -470,8 +492,8 @@ class CountingOut:
 
 
 def test_float_cells_make_no_per_cell_call(tmp_path, monkeypatch):
-    # write_table finds every float column from the first row, so once the
-    # header is written no float cell may reach the per-cell formatters; the
+    # write_table types every column by its first cell, so once the header
+    # is written no float cell may reach the per-cell formatters; the
     # CSV metadata lines, written first, still use _fmt (iso's hold floats)
     writes = []
     real_write_table, fmt_cell, json_cell = cli.write_table, cli._fmt, cli._json_cell

@@ -1,22 +1,29 @@
 """Golden digests of the deterministic CLI outputs.
 
-bd-grid and bd-sweep write the same bytes for the same command line: their
-metadata holds no time, and their values are Python floats computed in a
-fixed order. These SHA-256 digests pin those bytes, CSV and JSON, so a
-change that means to keep every output (a faster grid, say) shows here if it
-moves one bit. A change that means to move outputs updates the digests and
-says so.
+bd-grid, bd-sweep, bd-measure, werner-sweep and iso write the same bytes for
+the same command line: their metadata holds no time, and their values are
+computed in a fixed order. These SHA-256 digests pin those bytes, CSV and
+JSON, so a change that means to keep every output (a faster grid or table
+writer, say) shows here if it moves one bit. A change that means to move
+outputs updates the digests and says so. werner-sweep --n 5000 and iso
+--n 4097 span three blocks of the table writer; the iso tables hold Bures'
+empty columns and, at omega = 1, re's -inf formula.
 
-The values go through libm (sqrt, atan2, asin, log2), whose last bits may
-differ between platforms, so the digests hold where they were recorded.
+The values go through libm (sqrt, atan2, asin, log2) and, for werner-sweep
+and iso, numpy's array loops, whose last bits may differ between platforms
+and numpy builds, so the digests hold where they were recorded.
 """
 
 import hashlib
 import platform
 
+import numpy as np
+
 from nlgeo.cli import main
 
-RECORDED_ON = "CPython 3.11.7, Linux x86_64"
+RECORDED_ON = "CPython 3.11.7, numpy 2.4.6, Linux x86_64"
+
+ALL_KINDS = "--kind hs --kind he --kind bu --kind tr --kind re"
 
 DIGESTS = {
     "bd-grid --grid-n 10 --kind hs --format csv": "443ad0fdb6e63228d7928dfb4c49c09e916436ff4db05016ab849a7e71c2a789",
@@ -63,6 +70,16 @@ DIGESTS = {
     "bd-sweep --family two-bell-mix --n 51 --format json": "6e8dcd161e020f4d5b0286631ebcaf12aaae1d63f525fd4506aa370ae4592baa",
     "bd-sweep --family werner-line --n 51 --format csv": "04f87cdad68e18798bf76dfcd8a8b1a3b445ce3c7c023fba8258a06a06a895d6",
     "bd-sweep --family werner-line --n 51 --format json": "364f9e0e5311dc1ee541f103628a3a1d6359522a872192436bfa121da749086f",
+    "werner-sweep --n 50 --format csv": "bb7620de4a8a787a750a9daee4bac13fe256952995c356cca86e64466dcc8156",
+    "werner-sweep --n 50 --format json": "e705ab72287ba0e9fb61a024e3193e24a90ed999d7f5122450e722e45d864d14",
+    "werner-sweep --n 5000 --format csv": "0350d3fdd6164a500cfed7134f54424edfbe95d6f0474c41367978d5fca6aae2",
+    "werner-sweep --n 5000 --format json": "2791614b448675e916d2b9f8e5187330e6f4cfa1b140d3243ba72ea777ca3a79",
+    f"iso --d 2 --n 4097 --omega-max 1.0 {ALL_KINDS} --format csv": "1c353ddeba528ddc0552d4de07c9af4ec2881f4ca7edfff6985f1f7269efd345",
+    f"iso --d 2 --n 4097 --omega-max 1.0 {ALL_KINDS} --format json": "07685086a7492aee225acfcbb48fd3f6f290f41272034d27f0f8ecac53891459",
+    f"iso --d 3 --n 300 {ALL_KINDS} --format csv": "4dae21da4d5318b25863db5bcfd0551f7c3b452e76418c3bc74cca136222b02b",
+    f"iso --d 3 --n 300 {ALL_KINDS} --format json": "e5d4f2c7feaf30d44ef430232fe5093d28e3aff8b5fa6fd888295baf6b11eca9",
+    "bd-measure --a=0.84,0.63,-0.5 --format csv": "292c5662bd8c5d4dab58216e6b5e19bcf9a64af9dfafc27267ef1d1a0d515515",
+    "bd-measure --a=0.84,0.63,-0.5 --format json": "3bfac02e565029cc5746a145328ae42f0645095e4f0398833390380a0b3d4b4c",
 }
 
 
@@ -74,5 +91,6 @@ def test_cli_outputs_match_their_recorded_digests(tmp_path):
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         if digest != recorded:
             moved.append(f"nlgeo {command}: SHA-256 {digest}, recorded {recorded}")
-    here = f"{platform.python_implementation()} {platform.python_version()}, {platform.system()} {platform.machine()}"
+    python = f"{platform.python_implementation()} {platform.python_version()}"
+    here = f"{python}, numpy {np.__version__}, {platform.system()} {platform.machine()}"
     assert not moved, f"digests recorded on {RECORDED_ON}, this run on {here}:\n" + "\n".join(moved)

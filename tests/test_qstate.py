@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -42,7 +43,7 @@ from nlgeo.qstate import (
 )
 from nlgeo.locality import bd_is_chsh_local, cglmp_threshold
 from nlgeo.arrays import isotropic_reference_formula, isotropic_values
-from nlgeo.measures import bd_grid, bd_measure, bd_sweep, isotropic_measure, werner_measure
+from nlgeo.measures import bd_grid, bd_measure, bd_sweep, isotropic_measure, two_bell_mix_corr, werner_measure
 from nlgeo.kinds import DistanceKind
 from nlgeo.metrics import (
     dist_bures,
@@ -231,6 +232,34 @@ HUGE_PARAMS = {
 def test_a_parameter_no_float_can_hold_raises_out_of_range_naming_it(entry):
     with pytest.raises(OutOfRange, match=f"{HUGE}:? .*too large for a float"):
         HUGE_PARAMS[entry]()
+
+
+# an int past CPython's limit on the digits str writes (4,300 by default) is
+# named by its size, so the call raises the library's own error, not the
+# ValueError that str raises while the message is built
+LONG = 10**5000
+LONG_INT_ENTRIES = {
+    "werner_measure": (OutOfRange, "an int", lambda: werner_measure(DistanceKind.HS, LONG)),
+    "bd_measure": (DimensionMismatch, "an int", lambda: bd_measure(DistanceKind.HS, [LONG, 0, 0])),
+    "bd_grid": (OutOfRange, "a negative int", lambda: bd_grid(DistanceKind.HS, -LONG)),
+    "isotropic_measure": (OutOfRange, "an int", lambda: isotropic_measure(DistanceKind.HS, LONG, 0.5)),
+    "bd_measure_length": (DimensionMismatch, "a list", lambda: bd_measure(DistanceKind.HS, [LONG, 0])),
+    "cglmp_threshold": (OutOfRange, "an int", lambda: cglmp_threshold(LONG)),
+    "WernerParam": (OutOfRange, "an int", lambda: WernerParam(LONG)),
+    "IsotropicParam_omega": (OutOfRange, "a negative int", lambda: IsotropicParam(3, -LONG)),
+    "two_bell_mix_corr": (OutOfRange, "an int", lambda: two_bell_mix_corr(LONG)),
+}
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0, reason="this interpreter writes ints of any length"
+)
+@pytest.mark.parametrize("entry", sorted(LONG_INT_ENTRIES))
+def test_an_int_too_long_to_write_raises_the_library_error_naming_its_size(entry):
+    error, named, call = LONG_INT_ENTRIES[entry]
+    size = f"of {LONG.bit_length()} bits" if named.endswith("int") else "holding an int too long to write"
+    with pytest.raises(error, match=f"{named} {size}"):
+        call()
 
 
 unit_interval = st.floats(min_value=0.0, max_value=1.0)
